@@ -8,11 +8,20 @@ threshold so that span computations stay stable near machine precision.
 The multiplicity spectrum of an abelian algebra (the dimensions of the ranges
 of its minimal projections) is the finite-dimensional stand-in for the type
 decomposition of a commutant, and is what the invariant computations consume.
+
+Left-right spectra never build the GNS algebra.  For abelian ``A`` and ``B``
+in ``⊕_k M_{d_k}``, ``L(A)`` and ``R(B)`` commute, so the minimal projections
+of the algebra they generate are the non-zero products ``L(p_i) R(q_j)`` of
+the minimal projections ``p_i`` of ``A`` and ``q_j`` of ``B`` on ``C^D``.
+On block ``k`` the product acts as ``x ↦ p_i x q_j``, of rank
+``rank_k(p_i) · rank_k(q_j)``, so the multiplicities are the non-zero entries
+of ``R_A · R_Bᵀ`` for the per-block rank matrices ``R_A`` and ``R_B``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +71,6 @@ class AlgebraBasis:
     def basis_matrix(self) -> np.ndarray:
         """Basis elements flattened to rows of a (dim, D²) matrix."""
         return self.basis.reshape(self.dim, -1)
-
-    def coefficients(self, mat: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt coefficients of ``mat`` against the basis."""
-        return self.basis_matrix().conj() @ np.asarray(mat, dtype=complex).reshape(-1)
 
     def span_residual(self, mat: np.ndarray) -> float:
         """Frobenius distance from ``mat`` to the span of the basis."""
@@ -175,16 +180,48 @@ def commutant(algebra: AlgebraBasis) -> AlgebraBasis:
 
 
 @dataclass(frozen=True, eq=False)
+class ProductBlocks:
+    """Minimal projections ``L(p_i) R(q_j)`` of a left-right algebra, kept as factors.
+
+    ``left`` and ``right`` hold the projections ``p_i`` and ``q_j`` on C^D, and
+    ``pairs`` the ``(i, j)`` of the products a report keeps, in its order.
+    """
+
+    shape: TracedAlgebraShape
+    left: np.ndarray  # (a, D, D)
+    right: np.ndarray  # (b, D, D)
+    pairs: tuple[tuple[int, int], ...]
+
+    def dense(self) -> np.ndarray:
+        """The kept products as ``(k, gns_dim, gns_dim)`` operators on the GNS space."""
+        space = GnsSpace(self.shape)
+        out = np.zeros((len(self.pairs), space.dim, space.dim), dtype=complex)
+        for k, (i, j) in enumerate(self.pairs):
+            out[k] = space.left(self.left[i]) @ space.right(self.right[j])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Multiplicity data of an abelian algebra: one entry per minimal projection.
 
     ``multiplicities[k]`` is the dimension of the range of
     ``block_projections[k]``; view it as a multiset via :attr:`multiset`.
+    ``blocks`` holds the projections as a dense ``(k, n, n)`` array, or as the
+    :class:`ProductBlocks` factors of a left-right spectrum, in which case
+    :attr:`block_projections` builds the dense operators on first read.
     """
 
     ambient_dim: int
     multiplicities: tuple[int, ...]
-    block_projections: np.ndarray = field(repr=False)  # (k, D, D)
+    blocks: np.ndarray | ProductBlocks = field(repr=False)
+
+    @cached_property
+    def block_projections(self) -> np.ndarray:
+        """The minimal projections as a dense ``(k, n, n)`` array."""
+        if isinstance(self.blocks, ProductBlocks):
+            return self.blocks.dense()
+        return self.blocks
 
     @property
     def multiset(self) -> tuple[int, ...]:
@@ -263,21 +300,59 @@ def _check_gns_cap(shape: TracedAlgebraShape, cap: int):
         )
 
 
+def _member_algebra(gens, shape: TracedAlgebraShape) -> AlgebraBasis:
+    """The unital algebra on C^D of generators checked to lie in ``⊕_k M_{d_k}``."""
+    mats = [as_matrix(g) for g in gens]
+    for m in mats:
+        shape.check_member(m)
+    return generate_algebra(mats or [np.eye(shape.total_dim, dtype=complex)])
+
+
+def _block_ranks(algebra: AlgebraBasis, shape: TracedAlgebraShape, seed: int):
+    """Minimal projections of an abelian algebra on C^D and their rank in each block.
+
+    Returns the ``(a, D, D)`` projections and the ``(a, blocks)`` integer
+    matrix of ``Tr(p_i[sl, sl])``; a trace farther than :data:`MEMBER_TOL`
+    from an integer means the sample did not give clean projections.
+    """
+    projs = minimal_projections(algebra, seed).block_projections
+    traces = np.stack(
+        [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],
+        axis=1,
+    )
+    ranks = np.rint(traces)
+    worst = float(np.max(np.abs(traces - ranks)))
+    if worst > MEMBER_TOL:
+        raise DegenerateSampleError(f"a block rank is {worst:.2e} away from an integer")
+    return projs, ranks.astype(int)
+
+
+def _product_report(shape, left, right, mults: np.ndarray, pairs) -> SpectrumReport:
+    pairs = tuple((int(i), int(j)) for i, j in pairs)
+    return SpectrumReport(
+        shape.gns_dim, tuple(int(mults[p]) for p in pairs), ProductBlocks(shape, left, right, pairs)
+    )
+
+
 def mixed_spectrum(
     a_gens, b_gens, shape: TracedAlgebraShape, seed: int = 0, cap: int = GNS_DIM_CAP
 ) -> SpectrumReport:
     """Multiplicity spectrum of the algebra generated by left-A and right-B actions.
 
-    Builds ``alg({L(a)} ∪ {J L(b) J}) = alg({L(a)} ∪ {R(b*)})`` on the GNS
-    space of ``shape`` and reports the multiplicities of its minimal
-    projections.  For a pair of masas in a full matrix algebra the answer is
+    Reports the minimal projections of ``alg({L(a)} ∪ {J L(b) J}) =
+    alg({L(a)} ∪ {R(b*)})`` on the GNS space of ``shape``: the non-zero
+    ``L(p_i) R(q_j)``, of multiplicity ``Σ_k rank_k(p_i) · rank_k(q_j)``, from
+    the minimal projections of ``A`` and ``B`` on C^D.  No GNS-sized operator
+    is built.  For a pair of masas in a full matrix algebra the answer is
     always ``{1}``; abelian non-maximal inputs are allowed and reported as-is.
     """
     _check_gns_cap(shape, cap)
-    space = GnsSpace(shape)
-    gens = [space.left(a) for a in a_gens]
-    gens += [space.right(adjoint(b)) for b in b_gens]
-    return minimal_projections(generate_algebra(gens, unital=True), seed)
+    a_alg = _member_algebra(a_gens, shape)
+    b_alg = _member_algebra(b_gens, shape)
+    left, left_ranks = _block_ranks(a_alg, shape, seed)
+    right, right_ranks = _block_ranks(b_alg, shape, seed)
+    mults = left_ranks @ right_ranks.T
+    return _product_report(shape, left, right, mults, zip(*np.nonzero(mults)))
 
 
 def relative_commutant_dim(algebra: AlgebraBasis, shape: TracedAlgebraShape) -> int:
@@ -308,12 +383,14 @@ def finite_puk_spectrum(
 ) -> SpectrumReport:
     """Spectrum of alg(L(A) ∪ R(A)) off the subspace spanned by the masa itself.
 
-    Computes the orthogonal projection of the GNS space onto the span of the
-    masa, and reports the multiplicities of the minimal projections orthogonal
-    to it.  For the diagonal masa of M_n this is ``{1}`` with n²−n blocks.
+    With ``p_i`` the minimal projections of the masa, ``L(p_i) R(p_j)`` maps
+    ``p_l`` to ``δ_il δ_lj p_i``, so the span of the masa lies in the diagonal
+    pairs ``i == j``.  Each of those has rank 1 for a masa and is exactly that
+    span; the report keeps the non-zero pairs ``i ≠ j``.  For the diagonal
+    masa of M_n this is ``{1}`` with n²−n blocks.
     """
     _check_gns_cap(shape, cap)
-    small = generate_algebra([as_matrix(a) for a in a_gens], unital=True)
+    small = _member_algebra(a_gens, shape)
     if not small.is_abelian():
         raise NotAbelianError("generators do not span an abelian algebra")
     rel_dim = relative_commutant_dim(small, shape)
@@ -321,25 +398,12 @@ def finite_puk_spectrum(
         raise NotMasaError(
             f"relative commutant has dimension {rel_dim} > algebra dimension {small.dim}"
         )
-    space = GnsSpace(shape)
-    gens = [space.left(b) for b in small.basis]
-    gens += [space.right(adjoint(b)) for b in small.basis]
-    big = generate_algebra(gens, unital=True)
-    report = minimal_projections(big, seed)
-    embedded = np.stack([space.embed(b) for b in small.basis])
-    _, s, vh = np.linalg.svd(embedded, full_matrices=False)
-    rows = vh[s > SPAN_RTOL * s[0]]
-    e_a = rows.T @ rows.conj()
-    keep_mults, keep_blocks = [], []
-    for mult, q in zip(report.multiplicities, report.block_projections):
-        overlap = float(np.trace(q @ e_a).real)
-        if overlap < MEMBER_TOL * max(1.0, mult):
-            keep_mults.append(mult)
-            keep_blocks.append(q)
-        elif abs(overlap - mult) > MEMBER_TOL * max(1.0, mult):
-            raise NotMasaError("a minimal projection straddles the masa subspace")
-    blocks = np.stack(keep_blocks) if keep_blocks else np.zeros((0, space.dim, space.dim), complex)
-    return SpectrumReport(space.dim, tuple(keep_mults), blocks)
+    projs, ranks = _block_ranks(small, shape, seed)
+    mults = ranks @ ranks.T
+    if np.any(np.diagonal(mults) != 1):
+        raise NotMasaError("a minimal projection straddles the masa subspace")
+    pairs = [(i, j) for i, j in zip(*np.nonzero(mults)) if i != j]
+    return _product_report(shape, projs, projs, mults, pairs)
 
 
 def cutdown_spectrum(algebra: AlgebraBasis, p, seed: int = 0) -> SpectrumReport:

@@ -101,6 +101,25 @@ class TracedAlgebraShape:
                 f"matrix of shape {x.shape} does not fit shape with D={self.total_dim}"
             )
 
+    def check_member(self, x: np.ndarray):
+        """Reject a matrix that does not fit, or that leaves the diagonal blocks.
+
+        An off-block entry larger than :data:`ENTRY_TOL` times the largest
+        entry means ``x`` is outside ``⊕_k M_{d_k}``; reading only its diagonal
+        blocks would silently compress it into the algebra.
+        """
+        self.check_compatible(x)
+        mag = np.abs(x)
+        off_block = np.ones(mag.shape, dtype=bool)
+        for sl in self.block_slices():
+            off_block[sl, sl] = False
+        worst = float(np.max(mag[off_block], initial=0.0))
+        if worst > ENTRY_TOL * float(np.max(mag)):
+            raise ShapeMismatchError(
+                f"matrix has an entry of size {worst:.2e} outside the diagonal blocks "
+                f"{self.blocks}"
+            )
+
 
 def normalized_trace(x, shape: TracedAlgebraShape) -> complex:
     """Weighted sum of normalized block traces; satisfies tr(1)=1 and tr(xy)=tr(yx)."""
@@ -110,15 +129,6 @@ def normalized_trace(x, shape: TracedAlgebraShape) -> complex:
     for d, w, sl in zip(shape.blocks, shape.weights, shape.block_slices()):
         total += float(w) * np.trace(a[sl, sl]) / d
     return complex(total)
-
-
-def random_element(shape: TracedAlgebraShape, rng: np.random.Generator) -> np.ndarray:
-    """A random block-diagonal element, used by sampling-based routines and tests."""
-    D = shape.total_dim
-    out = np.zeros((D, D), dtype=complex)
-    for sl, d in zip(shape.block_slices(), shape.blocks):
-        out[sl, sl] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return out
 
 
 class GnsConjugation:
@@ -175,7 +185,7 @@ class GnsSpace:
     def embed(self, x) -> np.ndarray:
         """Coordinates of an algebra element as a vector in the GNS space."""
         a = as_matrix(x)
-        self.shape.check_compatible(a)
+        self.shape.check_member(a)
         return a[self._rows, self._cols] * self._scales
 
     def unembed(self, vec: np.ndarray) -> np.ndarray:
@@ -206,7 +216,7 @@ class GnsSpace:
 
     def _one_sided(self, a, side: str) -> np.ndarray:
         m = as_matrix(a)
-        self.shape.check_compatible(m)
+        self.shape.check_member(m)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         offset = 0
         for sl, d in zip(self.shape.block_slices(), self.shape.blocks):

@@ -18,6 +18,7 @@ from puklab.errors import (
     NotInAlgebraError,
     NotMasaError,
     ResourceGuardError,
+    ShapeMismatchError,
 )
 from puklab.nsets import NSet
 
@@ -34,6 +35,13 @@ def matrix_units(n):
             u[i, j] = 1.0
             out.append(u)
     return out
+
+
+def off_block_generator():
+    """diag(1, 2, 3) with entries linking the blocks of shape (2, 1)."""
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    m[0, 2] = m[2, 0] = 0.5
+    return m
 
 
 def random_unitary(rng, n):
@@ -218,6 +226,9 @@ class TestMixedSpectrum:
         shape = TracedAlgebraShape.full_matrix(2)
         rep = mixed_spectrum([np.eye(2)], [np.eye(2)], shape)
         assert rep.multiset == (4,)
+        # no generators: the unit alone, on the shape's C^D
+        assert mixed_spectrum([], [], shape).multiset == (4,)
+        assert mixed_spectrum([], diag_units(2), shape).multiset == (2, 2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
@@ -248,6 +259,39 @@ class TestMixedSpectrum:
         shape = TracedAlgebraShape.full_matrix(2)
         with pytest.raises(NotAbelianError):
             mixed_spectrum(matrix_units(2), diag_units(2), shape)
+
+    def test_off_block_generator_rejected(self):
+        # reading only the diagonal blocks used to report (1,1,1,1,1) here
+        shape = TracedAlgebraShape.from_blocks((2, 1))
+        with pytest.raises(ShapeMismatchError):
+            mixed_spectrum([off_block_generator()], diag_units(3), shape)
+        with pytest.raises(ShapeMismatchError):
+            mixed_spectrum(diag_units(3), [off_block_generator()], shape)
+        with pytest.raises(ShapeMismatchError):
+            finite_puk_spectrum([off_block_generator()], shape)
+
+    def test_diagonal_pair_m16_builds_no_gns_operator(self, monkeypatch):
+        # the dense GNS route took 327 s and 1.3 GB here
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GNS-sized operator was built")
+
+        monkeypatch.setattr(GnsSpace, "_one_sided", refuse)
+        n = 16
+        u = random_unitary(np.random.default_rng(16), n)
+        b = [u @ x @ u.conj().T for x in diag_units(n)]
+        shape = TracedAlgebraShape.full_matrix(n)
+        rep = mixed_spectrum(diag_units(n), b, shape)
+        assert rep.multiset == (1,) * (n * n)
+        assert rep.ambient_dim == n * n
+        assert finite_puk_spectrum(b, shape).multiset == (1,) * (n * n - n)
+
+    def test_non_maximal_m12_is_rank_product(self):
+        n, r, s = 12, (5, 4, 3), (2, 7, 1, 2)
+        u = random_unitary(np.random.default_rng(12), n)
+        a = np.diag(np.repeat([1.0, 2.0, 3.0], r)).astype(complex)
+        b = u @ np.diag(np.repeat([1.0, 2.0, 3.0, 4.0], s)).astype(complex) @ u.conj().T
+        rep = mixed_spectrum([a], [b], TracedAlgebraShape.full_matrix(n))
+        assert rep.multiset == tuple(sorted(x * y for x in r for y in s))
 
 
 class TestFinitePukSpectrum:

@@ -107,6 +107,15 @@ class TestSpectrumCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent.json"]) == 2
 
+    def test_off_block_generator_exits_2(self, tmp_path, capsys):
+        outside = [[[float(v), 0.0] for v in row]
+                   for row in ([1, 0, 0.5], [0, 2, 0], [0.5, 0, 3])]
+        for mode in ("mixed", "puk"):
+            config = {"shape": {"blocks": [2, 1]}, "mode": mode, "a_generators": [outside]}
+            path = write_json(tmp_path / f"{mode}.json", config)
+            assert main(["spectrum", "--config", path]) == 2
+            assert "outside the diagonal blocks" in capsys.readouterr().err
+
     def test_non_masa_exits_2(self, tmp_path, capsys):
         config = {
             "shape": {"blocks": [2]},

@@ -82,6 +82,23 @@ class TestNormalizedTrace:
             normalized_trace(np.eye(2), TracedAlgebraShape.full_matrix(3))
 
 
+class TestOffBlockEntries:
+    def setup_method(self):
+        self.space = GnsSpace(TracedAlgebraShape.from_blocks((2, 1)))
+        self.outside = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        self.outside[0, 2] = self.outside[2, 0] = 0.5
+
+    @pytest.mark.parametrize("method", ["embed", "left", "right"])
+    def test_rejected(self, method):
+        with pytest.raises(ShapeMismatchError, match="outside the diagonal blocks"):
+            getattr(self.space, method)(self.outside)
+
+    def test_rounding_noise_accepted(self):
+        x = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        x[0, 2] = 0.1 * ENTRY_TOL
+        assert np.array_equal(self.space.left(x), self.space.left(np.diag([1.0, 2.0, 3.0])))
+
+
 class TestShapeValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ShapeMismatchError):

@@ -1,0 +1,34 @@
+"""Each demo script runs to completion; one writes an SVG into the working directory."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+# Lines whose numbers follow from the theory the demo illustrates.
+EXPECTED_LINES = {
+    "02_commutants_and_spectra": [
+        "diagonal masa against itself in M_2: 1 (4 blocks)",
+        "scalars against scalars (degenerate, allowed): 4",
+        "diagonal of M_2 (x) M_2 against its step-conjugate: 1 (16 blocks)",
+        "  M_4: spectrum 1 with 12 blocks (n^2-n = 12)",
+        "full spectrum: (1, 1, 1, 1)",
+        "corner e_0 J e_1 J: (1,)",
+    ],
+}
+
+
+def test_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(path), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in EXPECTED_LINES.get(path.stem, []):
+        assert line in lines
