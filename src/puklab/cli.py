@@ -1,12 +1,15 @@
 """Command-line surface: spectra, identity suites, invariant evaluation, planning, rendering.
 
 Exit codes: 0 on success, 1 when a verification suite breaches its tolerance,
-2 on malformed input.
+2 on malformed input.  The keyclaim and intertwiner tolerances are
+``SUITE_TOL`` times the expected size ``n^{-(2m+1)}`` of the inner products,
+the span tolerance ``SUITE_TOL`` times the smallest Gram diagonal entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -17,7 +20,7 @@ from .algebra import commutant, finite_puk_spectrum, generate_algebra, mixed_spe
 from .constructions import (
     countable_family_plan,
     family_span_check,
-    intertwiner_check,
+    intertwiner_blocks,
     keyclaim_check,
     truncated_masa_pair,
 )
@@ -134,13 +137,19 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _tolerance_note(defect: float, tolerance: float) -> str:
+    """The tolerance and the margin ``tolerance / defect`` it was met or missed by."""
+    margin = tolerance / defect if defect else float("inf")
+    return f"tolerance {tolerance:.3e}, margin {margin:.3g}"
+
+
 def _run_keyclaim(max_dim: int) -> bool:
     ok = True
     for n, m in _construction_range(max_dim):
         dev = keyclaim_check(n, m, cap=max_dim)
-        good = dev < SUITE_TOL
-        ok = ok and good
-        print(f"keyclaim n={n} m={m}: max deviation {dev:.3e}")
+        tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
+        ok = ok and dev <= tol
+        print(f"keyclaim n={n} m={m}: max deviation {dev:.3e}, {_tolerance_note(dev, tol)}")
     return ok
 
 
@@ -150,15 +159,17 @@ def _run_span(max_dim: int) -> bool:
         if m < 1:
             continue
         rep = family_span_check(n, m, cap=max_dim)
+        tol = SUITE_TOL * rep.min_gram_diag
         good = (
             rep.rank == rep.count == n ** (2 * m)
             and rep.min_gram_diag > 0.0
-            and rep.max_offdiag < SUITE_TOL
+            and rep.max_offdiag <= tol
         )
         ok = ok and good
         print(
             f"span n={n} m={m}: {rep.count} elements, rank {rep.rank}, "
-            f"min diag {rep.min_gram_diag:.3e}, offdiag {rep.max_offdiag:.3e}"
+            f"min diag {rep.min_gram_diag:.3e}, offdiag {rep.max_offdiag:.3e}, "
+            f"{_tolerance_note(rep.max_offdiag, tol)}"
         )
     return ok
 
@@ -166,13 +177,14 @@ def _run_span(max_dim: int) -> bool:
 def _run_intertwiner(max_dim: int) -> bool:
     ok = True
     for n, m in _construction_range(max_dim):
-        worst = 0.0
-        for r in range(n):
-            for s in range(r + 1, n):
-                worst = max(worst, intertwiner_check(n, m, r, s, cap=max_dim))
-        good = worst < SUITE_TOL
-        ok = ok and good
-        print(f"intertwiner n={n} m={m}: max defect {worst:.3e}")
+        blocks = intertwiner_blocks(n, m, cap=max_dim)
+        worst = max(
+            float(np.max(np.abs(blocks[r] - blocks[s])))
+            for r, s in itertools.combinations(range(n), 2)
+        )
+        tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
+        ok = ok and worst <= tol
+        print(f"intertwiner n={n} m={m}: max defect {worst:.3e}, {_tolerance_note(worst, tol)}")
     return ok
 
 

@@ -52,9 +52,8 @@ class ShiftGadget:
     def v(self) -> np.ndarray:
         cached = self.__dict__.get("_v")
         if cached is None:
-            cached = sum(
-                tensor(np.linalg.matrix_power(self.w, i), self.f[i]) for i in range(self.n)
-            )
+            # w^i is the identity with its rows rolled up by i
+            cached = sum(tensor(np.roll(np.eye(self.n), -i, 0), self.f[i]) for i in range(self.n))
             cached = np.asarray(cached)
             cached.flags.writeable = False
             object.__setattr__(self, "_v", cached)
@@ -67,11 +66,10 @@ def build_gadget(n: int) -> ShiftGadget:
         raise ValueError("the gadget needs n >= 2")
     w = np.roll(np.eye(n, dtype=complex), -1, axis=0)
     e = np.stack([np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)])
-    omega = np.exp(2j * np.pi / n)
-    powers = [np.linalg.matrix_power(w, k) for k in range(n)]
-    f = np.stack(
-        [sum(omega ** (-i * k) * powers[k] for k in range(n)) / n for i in range(n)]
-    )
+    # f_i = φ_i φ_i* for the eigenvector φ_i[a] = ω^{ia}/√n of w with eigenvalue ω^i
+    a = np.arange(n)
+    phi = np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
+    f = phi[:, :, None] * phi.conj()[:, None, :]
     return ShiftGadget(n, w, e, f)
 
 
@@ -130,16 +128,30 @@ class TruncatedAutomorphism:
         return self.unitary @ m @ self.unitary.conj().T
 
 
-def _theta_unitary(gadget: ShiftGadget, depth: int, cap: int) -> np.ndarray:
-    if depth == 0:
-        return np.eye(gadget.n, dtype=complex)
-    return TruncatedAutomorphism.build(gadget, depth, "theta", cap).unitary
+def _product_family(n: int, depth: int, row_block: int, cap: int):
+    """Rows and per-row-block Grams of the family ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
 
+    ``J`` runs over the first ``depth`` slots of ``M_n^{⊗(depth+1)}`` and ``θ``
+    conjugates by the depth-``depth`` product unitary ``U``, so ``θ(e_J ⊗ 1)``
+    is ``S_J S_J*`` for the ``n`` columns ``S_J`` of ``U`` labelled by ``J``.
+    The certified elements are ``X[t, J]`` cut down to one block of
+    ``row_block`` rows.  Elements on different row blocks have disjoint
+    support, so their inner products vanish identically and only the Grams
+    within a block are formed.
 
-def _selected_columns_projection(unitary: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``U P U*`` for the diagonal projection onto the given basis columns."""
-    sel = unitary[:, columns]
-    return sel @ sel.conj().T
+    Returns ``(rows, grams)``: ``rows[I, (t, J)]`` is row block ``I`` of
+    ``X[t, J]`` flattened, ``grams[I]`` is their Gram matrix in the normalized
+    trace inner product, and ``(t, J)`` is flattened ``t``-major.
+    """
+    dim, count = n ** (depth + 1), n**depth
+    _guard(dim * dim, cap)
+    gadget = build_gadget(n)
+    unitary = TruncatedAutomorphism.build(gadget, depth, "theta", cap).unitary
+    f_u = (gadget.f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
+    family = f_u.transpose(0, 2, 1, 3) @ unitary.conj().T.reshape(count, n, dim)
+    rows = family.reshape(n * count, dim // row_block, row_block * dim).transpose(1, 0, 2)
+    grams = rows @ rows.conj().transpose(0, 2, 1) / dim
+    return rows, grams
 
 
 def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
@@ -149,32 +161,16 @@ def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
     ``(e_{i_1}⊗…⊗e_{i_m}) ξ_r θ(e_{j_1}⊗…⊗e_{j_m})`` against ``ξ_s`` in the
     trace inner product of ``M_n^{⊗(m+1)}``, where ``ξ_r`` is the first-slot
     spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
-    product unitary.
+    product unitary.  Since ``e_I`` and ``θ(e_J)`` are projections, that is
+    the Gram entry of the family members at ``(I, r, J)`` and ``(I, s, J)``.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    N = n ** (m + 1)
-    _guard(N * N, cap)
-    gadget = build_gadget(n)
-    expected = float(n) ** (-(2 * m + 1))
-    if m == 0:
-        flat = gadget.f.reshape(n, -1)
-        gram = (flat @ flat.conj().T) / n
-        return float(np.max(np.abs(gram - expected * np.eye(n))))
-    theta_u = _theta_unitary(gadget, m, cap)
-    eye_rest = np.eye(n**m, dtype=complex)
-    f_ops = [tensor(gadget.f[r], eye_rest) for r in range(n)]
-    worst = 0.0
-    for j_flat in range(n**m):
-        columns = np.arange(j_flat * n, (j_flat + 1) * n)
-        theta_b = _selected_columns_projection(theta_u, columns)
-        for r in range(n):
-            for s in range(n):
-                diag = np.diagonal(f_ops[r] @ theta_b @ f_ops[s])
-                values = diag.reshape(n**m, n).sum(axis=1) / N
-                target = expected if r == s else 0.0
-                worst = max(worst, float(np.max(np.abs(values - target))))
-    return worst
+    _, grams = _product_family(n, m, n, cap)
+    count = n**m
+    same_j = np.diagonal(grams.reshape(count, n, count, n, count), axis1=2, axis2=4)
+    expected = float(n) ** (-(2 * m + 1)) * np.eye(n)[:, :, None]
+    return float(np.max(np.abs(same_j - expected)))
 
 
 @dataclass(frozen=True)
@@ -196,57 +192,47 @@ def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanR
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    N = n**m
-    _guard(N * N, cap)
-    gadget = build_gadget(n)
-    theta_u = _theta_unitary(gadget, m - 1, cap)
-    eye_rest = np.eye(n ** (m - 1), dtype=complex)
-    f_ops = [tensor(gadget.f[r], eye_rest) for r in range(n)]
-    rows = []
-    for j_flat in range(n ** (m - 1)):
-        columns = np.arange(j_flat * n, (j_flat + 1) * n)
-        theta_b = _selected_columns_projection(theta_u, columns)
-        for r in range(n):
-            prod = f_ops[r] @ theta_b
-            for i_flat in range(N):
-                x = np.zeros((N, N), dtype=complex)
-                x[i_flat] = prod[i_flat]
-                rows.append(x.reshape(-1))
-    stack = np.stack(rows)
-    gram = (stack @ stack.conj().T) / N
-    diag = np.abs(np.diagonal(gram))
-    off = gram - np.diag(np.diagonal(gram))
-    sing = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.sum(sing > 1e-9 * sing[0]))
-    return FamilySpanReport(len(rows), float(diag.min()), float(np.max(np.abs(off))), rank)
+    rows, grams = _product_family(n, m - 1, 1, cap)
+    k = grams.shape[1]
+    diag = np.abs(grams[:, np.arange(k), np.arange(k)])
+    off = np.abs(grams[:, ~np.eye(k, dtype=bool)])
+    # the stack of all elements is block diagonal up to a permutation of its
+    # columns, so its singular values are those of the row blocks together
+    sing = np.linalg.svd(rows, compute_uv=False)
+    rank = int(np.sum(sing > 1e-9 * sing.max()))
+    return FamilySpanReport(grams.shape[0] * k, float(diag.min()), float(off.max()), rank)
+
+
+def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray:
+    """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)``, one stack per ``t``.
+
+    Entry ``[t, I, J, J']`` pairs the members ``(I, J)`` and ``(I, J')`` with
+    ``f_t`` in the middle; members with different ``I`` have disjoint support,
+    so for each ``t`` these blocks make up the whole Gram matrix.
+    """
+    if n < 2 or m < 0:
+        raise ValueError("need n >= 2 and m >= 0")
+    _, grams = _product_family(n, m, n, cap)
+    count = n**m
+    same_t = np.diagonal(grams.reshape(count, n, count, n, count), axis1=1, axis2=3)
+    return np.moveaxis(same_t, -1, 0)
 
 
 def intertwiner_grams(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP):
-    """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle."""
-    if n < 2 or m < 0:
-        raise ValueError("need n >= 2 and m >= 0")
+    """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle.
+
+    Rows and columns are indexed by ``(J, I)``, ``J`` major.
+    """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
-    N = n ** (m + 1)
-    _guard(N * N, cap)
-    gadget = build_gadget(n)
-    theta_u = _theta_unitary(gadget, m, cap)
-    eye_rest = np.eye(n**m, dtype=complex)
+    blocks = intertwiner_blocks(n, m, cap)
+    count = n**m
+    i = np.arange(count)
     grams = []
     for t in (r, s):
-        f_op = tensor(gadget.f[t], eye_rest)
-        rows = []
-        for j_flat in range(n**m):
-            columns = np.arange(j_flat * n, (j_flat + 1) * n)
-            theta_b = _selected_columns_projection(theta_u, columns)
-            prod = f_op @ theta_b
-            for i_flat in range(n**m):
-                x = np.zeros((N, N), dtype=complex)
-                block = slice(i_flat * n, (i_flat + 1) * n)
-                x[block] = prod[block]
-                rows.append(x.reshape(-1))
-        stack = np.stack(rows)
-        grams.append((stack @ stack.conj().T) / N)
+        gram = np.zeros((count, count, count, count), dtype=complex)  # (J, I, J', I')
+        gram[:, i, :, i] = blocks[t]
+        grams.append(gram.reshape(count * count, count * count))
     return grams[0], grams[1]
 
 

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
+from puklab import cli
 from puklab import config as cfg
-from puklab.cli import main
+from puklab.cli import SUITES, _construction_range, main
+from puklab.constructions import family_span_check, intertwiner_blocks
 from puklab.indices import LambdaSpec, Override, QuadrantRules, level_zero
 from puklab.invariant import CutdownOracle
 from puklab.nsets import INF, NSet
@@ -140,6 +143,53 @@ class TestVerifyCommand:
     def test_span_suite_small(self, capsys):
         assert main(["verify", "--suite", "span", "--max-dim", "256"]) == 0
         assert "suite span: PASS" in capsys.readouterr().out
+
+    def test_all_suites_at_default_cap(self, capsys):
+        assert main(["verify", "--suite", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sweep = list(_construction_range(4096))
+        expected = {
+            "keyclaim": sweep,
+            "span": [(n, m) for n, m in sweep if m >= 1],
+            "intertwiner": sweep,
+        }
+        for suite, cases in expected.items():
+            got = [ln.split(":")[0] for ln in lines if ln.startswith(f"{suite} n=")]
+            assert got == [f"{suite} n={n} m={m}" for n, m in cases]
+            assert all("margin" in ln for ln in lines if ln.startswith(f"{suite} n="))
+        for suite in SUITES:
+            assert f"suite {suite}: PASS" in lines
+
+
+class TestRelativeTolerance:
+    """Defects under 1e-10 that exceed SUITE_TOL times their expected size fail."""
+
+    def test_keyclaim(self, monkeypatch, capsys):
+        # within the tolerance 5e-11 of n=2, m=0; over the 1.25e-11 of n=2, m=1
+        monkeypatch.setattr(cli, "keyclaim_check", lambda n, m, cap: 5e-11)
+        assert main(["verify", "--suite", "keyclaim", "--max-dim", "16"]) == 1
+        assert "suite keyclaim: FAIL" in capsys.readouterr().out
+
+    def test_span(self, monkeypatch, capsys):
+        def noisy(n, m, cap):
+            # the smallest Gram diagonal is n^{-2m}, 0.25 at n=2, m=1
+            return replace(family_span_check(n, m, cap), max_offdiag=5e-11)
+
+        monkeypatch.setattr(cli, "family_span_check", noisy)
+        assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
+        assert "suite span: FAIL" in capsys.readouterr().out
+
+    def test_intertwiner(self, monkeypatch, capsys):
+        def noisy(n, m, cap):
+            blocks = intertwiner_blocks(n, m, cap).copy()
+            blocks[0] += 5e-11
+            return blocks
+
+        monkeypatch.setattr(cli, "intertwiner_blocks", noisy)
+        assert main(["verify", "--suite", "intertwiner", "--max-dim", "16"]) == 1
+        out = capsys.readouterr().out
+        assert "intertwiner n=2 m=0: max defect 5.000e-11" in out
+        assert "suite intertwiner: FAIL" in out
 
 
 class TestPukEvalCommand:
