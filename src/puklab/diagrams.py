@@ -18,9 +18,9 @@ import numpy as np
 
 from .algebra import MEMBER_TOL, SpectrumReport
 from .core import GnsSpace, adjoint, as_matrix
-from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
-from .indices import LambdaSpec, cross_pair_count, sibling_pair_count
-from .invariant import PAIR_ENUMERATION_CAP, CutdownOracle
+from .errors import NotInAlgebraError, OracleGapError
+from .indices import LambdaSpec
+from .invariant import CutdownOracle
 from .nsets import NSet, nset_product, union_all
 
 
@@ -86,41 +86,34 @@ def diagram_from_construction(
     The grid has side ``2^{r+1}``.  An off-diagonal cell collects the values
     of every pair (at any level up to ``r``) whose pair of leading indices is
     a prefix pair of the cell's labels, multiplied by the oracle entry at the
-    cell; the diagonal shows the oracle and carries the marker.
+    cell; the diagonal shows the oracle and carries the marker.  The values
+    come per leading cell from :meth:`LambdaSpec.cell_values`, whose guard
+    bounds the work at each level.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
-    buckets: dict[tuple[str, str], set] = {}
+    buckets: dict[tuple[int, int, int], set] = {}  # (level, lead_i, lead_j) -> values
     for s in range(r + 1):
-        total = sibling_pair_count(s)
-        if lam.quadrants is not None:
-            total += cross_pair_count(s)
-        if total > PAIR_ENUMERATION_CAP:
-            raise ResourceGuardError(f"level {s} has {total} pairs; lower r")
-        for (i, j), value in lam.level_assignments(s):
-            bi, bj = i.bits(0), j.bits(0)
-            if bi == bj:
-                continue
-            buckets.setdefault((bi, bj), set()).add(value)
-            buckets.setdefault((bj, bi), set()).add(value)
+        for (a, b), values in lam.cell_values(s).items():
+            if a != b:
+                buckets.setdefault((s, a, b), set()).update(values)
+                buckets.setdefault((s, b, a), set()).update(values)
     level = r + 1
     labels = [format(x, f"0{level}b") for x in range(1 << level)]
     rows = []
-    for x in labels:
+    for x, row_label in enumerate(labels):
         row = []
-        for y in labels:
+        for y, col_label in enumerate(labels):
             if x == y:
-                row.append(oracle.entry(x, y))
+                row.append(oracle.entry(row_label, col_label))
                 continue
             values: set = set()
             for t in range(r + 1):
-                values |= buckets.get((x[: t + 1], y[: t + 1]), set())
-            if values:
-                row.append(nset_product(NSet.from_iterable(values), oracle.entry(x, y)))
-            else:
-                row.append(NSet())
+                values |= buckets.get((t, x >> (r - t), y >> (r - t)), set())
+            cell = oracle.entry(row_label, col_label)
+            row.append(nset_product(NSet.from_iterable(values), cell) if values else NSet())
         rows.append(tuple(row))
     return MultiplicityDiagram(level, tuple(rows), diagonal_marked=True)
 

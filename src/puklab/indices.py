@@ -6,24 +6,39 @@ trailing bits; a *sibling pair* at level ``r`` is a distinct pair agreeing
 after restriction to level ``r−1``.  Sibling pairs are the carriers of the
 pair values that drive the inductive masa construction, bundled here as
 :class:`LambdaSpec`.
+
+The pair streams are ordered lexicographically, so a pair's position is
+index arithmetic on lexicographic ranks: :func:`_sibling_position` and
+:func:`_cross_position` are closed forms, and :meth:`LambdaSpec.cell_values`
+reads the values of a whole level, grouped by leading words, from runs of
+consecutive stream positions.  The enumerators :func:`iter_sibling_pairs`,
+:func:`iter_cross_pairs` and :meth:`LambdaSpec.level_assignments` stay as the
+reference the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import (
     CountCapError,
     InvalidLambdaError,
+    ResourceGuardError,
     RestrictionRangeError,
 )
 from .nsets import NSet, is_valid_value
 
 # Enumerations larger than this raise instead of looping for minutes.
 ENUMERATION_CAP = 1 << 22
+
+# Bound on the stream runs plus leading cells one ``cell_values`` call builds.
+CELL_WORK_CAP = 1 << 20
 
 
 class _Root:
@@ -264,8 +279,18 @@ class LambdaSpec:
 
     # -- stream bookkeeping ------------------------------------------------
 
+    @cached_property
     def _override_map(self) -> dict:
         return {(o.r, o.i, o.j): o.value for o in self.overrides}
+
+    @cached_property
+    def _pinned(self) -> dict:
+        """Level → ascending ``(stream position, value, cell)`` of the overrides there."""
+        out: dict = {}
+        for o in self.overrides:
+            cell = (o.i.words[0], o.j.words[0])
+            out.setdefault(o.r, []).append((_sibling_position(o.r, o.i, o.j), o.value, cell))
+        return {r: sorted(pins) for r, pins in out.items()}
 
     def max_override_level(self) -> int:
         return max((o.r for o in self.overrides), default=-1)
@@ -280,6 +305,13 @@ class LambdaSpec:
     def _mixed_offset(self, r: int) -> int:
         return sum(cross_pair_count(s) for s in range(r))
 
+    def _sibling_stream(self, r: int) -> tuple[list, int]:
+        """Values cycled over the level-``r`` sibling stream without quadrant rules,
+        and the stream offset of its first pair."""
+        if self.enumeration is not None:
+            return self.enumeration.sorted_values(), self._enum_offset(r)
+        return [self.default], 0
+
     def value(self, r: int, i: MultiIndex, j: MultiIndex):
         """The value carried by the pair ``{i, j}`` at level ``r``; symmetric."""
         if i > j:
@@ -288,7 +320,7 @@ class LambdaSpec:
             raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
         sibling = pipe(i, r - 1) == pipe(j, r - 1)
         if sibling:
-            hit = self._override_map().get((r, i, j))
+            hit = self._override_map.get((r, i, j))
             if hit is not None:
                 return hit
         if self.quadrants is not None:
@@ -316,8 +348,12 @@ class LambdaSpec:
         return _cycle(target, self._branch_offset(r) + local)
 
     def level_assignments(self, r: int):
-        """All value-carrying pairs at level ``r`` with their values, in stream order."""
-        overrides = self._override_map()
+        """All value-carrying pairs at level ``r`` with their values, in stream order.
+
+        This enumerates every pair; :meth:`cell_values` gives the same values
+        grouped by leading cell without enumerating.
+        """
+        overrides = self._override_map
         if self.quadrants is None:
             offset = self._enum_offset(r) if self.enumeration is not None else 0
             for pos, (i, j) in enumerate(iter_sibling_pairs(r)):
@@ -344,85 +380,100 @@ class LambdaSpec:
         for pos, (i, j) in enumerate(iter_cross_pairs(r)):
             yield (i, j), _cycle(self.quadrants.mixed, self._mixed_offset(r) + pos)
 
+    # -- values grouped by leading cell -------------------------------------
+
+    def _run_count(self, r: int) -> int:
+        """Stream runs :meth:`cell_values` walks at level ``r``."""
+        n = index_count(r, 1)
+        runs = n + n // 2  # one run per index, two when its mates straddle a cell
+        if self.quadrants is not None:
+            runs += 1 if r == 0 else (n // 2) << r
+        return runs
+
+    def cell_values(self, r: int) -> dict[tuple[int, int], set]:
+        """Values of the level-``r`` pairs grouped by leading cell.
+
+        Keys are ``(i.words[0], j.words[0])`` over the value-carrying pairs
+        ``i < j``; each maps to the set of values those pairs carry.  No pair
+        is enumerated.  For a fixed ``i`` the mates sharing a leading word
+        are consecutive in the sibling stream, and the cross pairs from ``i``
+        into one leading word of branch 1 are consecutive in the mixed
+        stream, so every cell is a union of cyclic slices.  Override
+        positions come from the closed-form rank and are taken out of the
+        runs they fall in.  Raises :class:`ResourceGuardError` when the runs
+        plus the ``4^{r+1}`` possible cells exceed :data:`CELL_WORK_CAP`.
+        """
+        work = self._run_count(r) + 4 ** (r + 1)
+        if work > CELL_WORK_CAP:
+            raise ResourceGuardError(
+                f"level {r} needs {work} stream runs and cells, over the cap {CELL_WORK_CAP}"
+            )
+        cells: dict = {}
+        if self.quadrants is None:
+            values, offset = self._sibling_stream(r)
+            pins = self._pinned.get(r, [])
+            positions = [p for p, _, _ in pins]
+            for a, b, start, count in _sibling_runs(r):
+                lo, hi = bisect_left(positions, start), bisect_left(positions, start + count)
+                hidden = [offset + p for p in positions[lo:hi]]
+                _collect(cells, (a, b), values, offset + start, count, hidden)
+            for _, value, cell in pins:
+                cells.setdefault(cell, set()).add(value)
+            return cells
+        q = self.quadrants
+        if r == 0:
+            return {(0, 1): {_cycle(q.mixed, 0)}}
+        zero, one = q.both_zero.sorted_values(), q.both_one.sorted_values()
+        base, half = self._branch_offset(r), sibling_pair_count(r) // 2
+        for a, b, start, count in _sibling_runs(r):
+            if a >> r == 0:
+                _collect(cells, (a, b), zero, base + start, count)
+            else:
+                _collect(cells, (a, b), one, base + start - half, count)
+        mixed, offset = q.mixed.sorted_values(), self._mixed_offset(r)
+        for a, b, start, count in _cross_runs(r):
+            _collect(cells, (a, b), mixed, offset + start, count)
+        return cells
+
     # -- value sets without enumeration -------------------------------------
 
     def value_set_at_level(self, r: int, quadrant: str | None = None) -> NSet:
         """Set of values over the level-``r`` pairs, optionally quadrant-restricted.
 
         ``quadrant`` is one of ``None`` (everything), ``"both_zero"``,
-        ``"both_one"`` or ``"mixed"``; computed from pair counts without
-        enumerating pairs whenever possible.
+        ``"both_one"`` or ``"mixed"``.  Each quadrant is a contiguous range of
+        the stream, so the set is exact from residue counts: a cycled value
+        appears unless the overrides in the range cover every one of its
+        positions there.
         """
         if self.quadrants is not None:
             return self._quadrant_value_set(r, quadrant)
         count = sibling_pair_count(r)
         if quadrant == "mixed":
-            count = 1 if r == 0 else 0
-            local_offset = 0
+            lo, hi = 0, (1 if r == 0 else 0)
         elif quadrant in ("both_zero", "both_one"):
             half = count // 2 if r >= 1 else 0
-            local_offset = 0 if quadrant == "both_zero" else half
-            count = half
+            lo, hi = (0, half) if quadrant == "both_zero" else (half, 2 * half)
         elif quadrant is None:
-            local_offset = 0
+            lo, hi = 0, count
         else:
             raise ValueError(f"unknown quadrant {quadrant!r}")
-        if count == 0:
-            return NSet()
-        at_level = [o.value for o in self.overrides if o.r == r]
-        if self.enumeration is not None:
-            offset = self._enum_offset(r) + local_offset
-            base = _cyclic_slice(self.enumeration, offset, count)
-        else:
-            base = {self.default}
-        if not at_level:
-            return NSet.from_iterable(base)
-        return self._value_set_with_overrides(r, quadrant, base, at_level)
-
-    def _value_set_with_overrides(self, r, quadrant, base, at_level) -> NSet:
-        count = sibling_pair_count(r)
-        if count <= (1 << 16):
-            values = set()
-            for (i, j), v in self.level_assignments(r):
-                if quadrant == "mixed" and not (r == 0):
-                    continue
-                if quadrant == "both_zero" and (r == 0 or i.branch != 0 or j.branch != 0):
-                    continue
-                if quadrant == "both_one" and (r == 0 or i.branch != 1 or j.branch != 1):
-                    continue
-                values.add(v)
-            return NSet.from_iterable(values)
-        # overrides can only hide a base value if they outnumber its occurrences
-        L = len(self.enumeration) if self.enumeration is not None else 1
-        if len(at_level) < count // L:
-            return NSet.from_iterable(base | set(at_level))
-        raise CountCapError(f"too many overrides to resolve exactly at level {r}")
+        values, offset = self._sibling_stream(r)
+        pins = [(p, v) for p, v, _ in self._pinned.get(r, []) if lo <= p < hi]
+        out = _run_values(values, offset + lo, hi - lo, [offset + p for p, _ in pins])
+        return NSet.from_iterable(out | {v for _, v in pins})
 
     def _quadrant_value_set(self, r: int, quadrant: str | None) -> NSet:
-        pieces = []
-        if quadrant in (None, "both_zero") and r >= 1:
-            pieces.append(
-                _cyclic_slice(
-                    self.quadrants.both_zero,
-                    self._branch_offset(r),
-                    sibling_pair_count(r) // 2,
-                )
-            )
-        if quadrant in (None, "both_one") and r >= 1:
-            pieces.append(
-                _cyclic_slice(
-                    self.quadrants.both_one,
-                    self._branch_offset(r),
-                    sibling_pair_count(r) // 2,
-                )
-            )
-        if quadrant in (None, "mixed"):
-            pieces.append(
-                _cyclic_slice(self.quadrants.mixed, self._mixed_offset(r), cross_pair_count(r))
-            )
+        q, half = self.quadrants, sibling_pair_count(r) // 2 if r >= 1 else 0
+        streams = {
+            "both_zero": (q.both_zero, self._branch_offset(r), half),
+            "both_one": (q.both_one, self._branch_offset(r), half),
+            "mixed": (q.mixed, self._mixed_offset(r), cross_pair_count(r)),
+        }
         out: set = set()
-        for p in pieces:
-            out |= p
+        for name, (target, offset, count) in streams.items():
+            if quadrant in (None, name):
+                out |= _cyclic_slice(target.sorted_values(), offset, count)
         return NSet.from_iterable(out)
 
     def values_complete_by(self, r: int) -> bool:
@@ -446,8 +497,8 @@ def _cycle(target: NSet, position: int):
     return values[position % len(values)]
 
 
-def _cyclic_slice(target: NSet, offset: int, count: int) -> set:
-    values = target.sorted_values()
+def _cyclic_slice(values: list, offset: int, count: int) -> set:
+    """The values at positions ``offset … offset+count−1``, cycling through ``values``."""
     if count <= 0:
         return set()
     if count >= len(values):
@@ -456,12 +507,110 @@ def _cyclic_slice(target: NSet, offset: int, count: int) -> set:
     return {values[(start + t) % len(values)] for t in range(count)}
 
 
+def _run_values(values: list, offset: int, count: int, hidden=()) -> set:
+    """:func:`_cyclic_slice` without the positions in ``hidden`` (all inside the run).
+
+    A value survives when the run holds more of its positions than ``hidden``.
+    """
+    if not hidden:
+        return _cyclic_slice(values, offset, count)
+    n = len(values)
+    taken = Counter(p % n for p in hidden)
+
+    def occurrences(k):  # positions ≡ k (mod n) in [offset, offset + count)
+        return (offset + count - k + n - 1) // n - (offset - k + n - 1) // n
+
+    return {v for k, v in enumerate(values) if occurrences(k) > taken[k]}
+
+
+def _collect(cells: dict, key, values: list, offset: int, count: int, hidden=()):
+    """Add one run's values to its cell; a cell already holding every value is skipped."""
+    if count <= len(hidden):
+        return
+    got = cells.setdefault(key, set())
+    if len(got) < len(values):
+        got |= _run_values(values, offset, count, hidden)
+
+
+# ---------------------------------------------------------------------------
+# closed-form stream ranks
+#
+# At level r (final length one) the lexicographic rank of an index is its
+# words concatenated, word 0 highest.  Word t has length r+1−t, so its low
+# bit sits at bit (r−t)(r−t+1)/2 of the rank.  Siblings differ only in these
+# r+1 low bits; read word 0 first they form the fiber rank fr, and lex order
+# inside a fiber is fr order.  The sibling stream lists, for each i in rank
+# order, its F−1−fr(i) mates above it (F = 2^{r+1} is the fiber size).
+
+
+def _low_bit_positions(r: int) -> list[int]:
+    return [(r - t) * (r - t + 1) // 2 for t in range(r + 1)]
+
+
+def _fiber_rank(r: int, rank: int) -> int:
+    out = 0
+    for p in _low_bit_positions(r):
+        out = (out << 1) | ((rank >> p) & 1)
+    return out
+
+
+def _ones_below(n: int, p: int) -> int:
+    """How many integers in ``[0, n)`` have bit ``p`` set."""
+    period = 1 << (p + 1)
+    return (n // period) * (period >> 1) + max(0, n % period - (period >> 1))
+
+
+def _pairs_before(r: int, rank: int) -> int:
+    """Sibling pairs whose first index ranks below ``rank``: Σ_{i′<rank} (F−1−fr(i′))."""
+    fibre_sum = sum(
+        _ones_below(rank, p) << (r - t) for t, p in enumerate(_low_bit_positions(r))
+    )
+    return rank * ((2 << r) - 1) - fibre_sum
+
+
 def _sibling_position(r: int, i: MultiIndex, j: MultiIndex) -> int:
-    """Position of a sibling pair in the lexicographic level-``r`` stream."""
-    for pos, pair in enumerate(iter_sibling_pairs(r)):
-        if pair == (i, j):
-            return pos
-    raise InvalidLambdaError(f"not a sibling pair at level {r}: {i}, {j}")
+    """Position of a sibling pair ``i < j`` in the lexicographic level-``r`` stream, in O(r)."""
+    if i.r != r or j.r != r or i.m != 1 or j.m != 1:
+        raise InvalidLambdaError(f"not a sibling pair at level {r}: {i}, {j}")
+    rank_i, rank_j = _lex_rank(i), _lex_rank(j)
+    fiber_mask = sum(1 << p for p in _low_bit_positions(r))
+    if rank_i >= rank_j or (rank_i ^ rank_j) & ~fiber_mask:
+        raise InvalidLambdaError(f"not a sibling pair at level {r}: {i}, {j}")
+    return _pairs_before(r, rank_i) + _fiber_rank(r, rank_j) - _fiber_rank(r, rank_i) - 1
+
+
+def _sibling_runs(r: int):
+    """Runs of the level-``r`` sibling stream inside one leading cell.
+
+    Yields ``(lead_i, lead_j, start, count)`` in stream order.  The mates of
+    ``i`` above it come in fiber order; the top bit of the fiber rank is the
+    low bit of word 0, so they split into at most two cells.
+    """
+    fiber, rest = 2 << r, r * (r + 1) // 2
+    half = fiber >> 1
+    start = 0
+    for rank in range(index_count(r, 1)):
+        fr, lead = _fiber_rank(r, rank), rank >> rest
+        if fr < half:
+            yield lead, lead, start, half - 1 - fr
+            yield lead, lead | 1, start + half - 1 - fr, half
+        else:
+            yield lead, lead, start, fiber - 1 - fr
+        start += fiber - 1 - fr
+
+
+def _cross_runs(r: int):
+    """Runs of the level-``r`` cross stream (``r ≥ 1``) inside one leading cell.
+
+    The cross pair ``(i, j)`` sits at ``rank_i·half + rank_j − half``; for
+    fixed ``i`` the ``j`` sharing a leading word form a run of ``half/2^r``.
+    """
+    rest = r * (r + 1) // 2
+    run, half = 1 << rest, index_count(r, 1) // 2
+    for rank in range(half):
+        lead = rank >> rest
+        for b in range(1 << r):
+            yield lead, (1 << r) | b, rank * half + b * run, run
 
 
 def _cross_position(r: int, i: MultiIndex, j: MultiIndex) -> int:

@@ -18,18 +18,9 @@ from .errors import (
     EmptyInputError,
     InvalidInputError,
     OracleGapError,
-    ResourceGuardError,
 )
-from .indices import (
-    LambdaSpec,
-    QuadrantRules,
-    cross_pair_count,
-    sibling_pair_count,
-)
+from .indices import LambdaSpec, QuadrantRules
 from .nsets import NSet, nset_product, union_all
-
-# Pair streams longer than this are never enumerated one by one.
-PAIR_ENUMERATION_CAP = 1 << 20
 
 QUADRANT_NAMES = (None, "both_zero", "both_one", "mixed")
 
@@ -115,10 +106,12 @@ def eval_construction(
     """The invariant union truncated at ``r_max``, optionally quadrant-restricted.
 
     Each level contributes the products of its pair values with the oracle
-    entries at the pairs' leading indices.  The convergence flag is set when
-    the cumulative union is stable over the last two levels and the value
-    specification cannot produce new values at deeper levels; when it is
-    false the result is a truncation and possibly incomplete.
+    entries at the pairs' leading indices; a table oracle is read once per
+    leading cell (:meth:`LambdaSpec.cell_values`), never once per pair.  The
+    convergence flag is set when the cumulative union is stable over the last
+    two levels and the value specification cannot produce new values at
+    deeper levels; when it is false the result is a truncation and possibly
+    incomplete.
     """
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
@@ -141,25 +134,20 @@ def eval_construction(
 
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
-    total = sibling_pair_count(r)
-    if lam.quadrants is not None:
-        total += cross_pair_count(r)
-    if total > PAIR_ENUMERATION_CAP:
-        raise ResourceGuardError(
-            f"level {r} has {total} pairs; use a constant oracle or a smaller r_max"
-        )
     out = NSet()
-    for (i, j), value in lam.level_assignments(r):
-        if quadrant is not None and _classify(r, i, j) != quadrant:
+    for (a, b), values in lam.cell_values(r).items():
+        if quadrant is not None and _classify(r, a, b) != quadrant:
             continue
-        out = out | nset_product(NSet.from_iterable([value]), oracle.entry(i.bits(0), j.bits(0)))
+        row, col = format(a, f"0{r + 1}b"), format(b, f"0{r + 1}b")
+        out = out | nset_product(NSet.from_iterable(values), oracle.entry(row, col))
     return out
 
 
-def _classify(r: int, i, j) -> str:
-    if i.branch != j.branch:
+def _classify(r: int, lead_i: int, lead_j: int) -> str:
+    """Quadrant of a level-``r`` cell from the branch bits of its leading words."""
+    if lead_i >> r != lead_j >> r:
         return "mixed"
-    return "both_zero" if i.branch == 0 else "both_one"
+    return "both_zero" if lead_i >> r == 0 else "both_one"
 
 
 def choose_lambda_for_e(target: NSet) -> LambdaSpec:

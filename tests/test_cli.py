@@ -290,3 +290,14 @@ class TestRenderCommand:
         main(["render", "--input", src, "--format", "svg", "--out", str(out_a)])
         main(["render", "--input", src, "--format", "svg", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_quadrant_spec_renders_at_rmax_four_and_is_guarded_at_five(self, tmp_path, capsys):
+        spec = {"quadrants": {"both_zero": "2", "both_one": "5,inf", "mixed": "7"}}
+        src = write_json(tmp_path / "q.json", spec)
+        out = tmp_path / "grid.txt"
+        assert main(["render", "--input", src, "--format", "ascii", "--out", str(out),
+                     "--rmax", "4"]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2 + 2 * 32
+        assert main(["render", "--input", src, "--format", "ascii", "--out", str(out),
+                     "--rmax", "5"]) == 2
+        assert "cap" in capsys.readouterr().err
