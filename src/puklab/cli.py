@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from .algebra import commutant, finite_puk_spectrum, generate_algebra, mixed_spectrum
+from .algebra import SPAN_RTOL, commutant, finite_puk_spectrum, generate_algebra, mixed_spectrum
 from .constructions import (
     countable_family_plan,
     family_span_check,
@@ -208,12 +208,14 @@ def _run_algebra(max_dim: int) -> bool:
             comm.dim + rights.dim, -1
         )
         sing = np.linalg.svd(joined, compute_uv=False)
-        joint_rank = int(np.sum(sing > 1e-9 * sing[0]))
-        good = comm.dim == rights.dim == joint_rank == shape.gns_dim
+        cut = SPAN_RTOL * sing[0]
+        kept = sing[sing > cut]
+        good = comm.dim == rights.dim == kept.size == shape.gns_dim
         ok = ok and good
         print(
             f"commutant of left action (blocks {shape.blocks}): dim {comm.dim}, "
-            f"right-action dim {rights.dim}, joint rank {joint_rank}"
+            f"right-action dim {rights.dim}, joint rank {kept.size}, "
+            f"rank cut {cut:.3e}, margin {kept[-1] / cut:.3g}"
         )
     for n in (2, 3):
         a_gens, b_gens = truncated_masa_pair(n, 2, cap=max_dim)

@@ -14,17 +14,25 @@ reads the values of a whole level, grouped by leading words, from runs of
 consecutive stream positions.  The enumerators :func:`iter_sibling_pairs`,
 :func:`iter_cross_pairs` and :meth:`LambdaSpec.level_assignments` stay as the
 reference the closed forms are tested against.
+
+:func:`glue_check` certifies the nested projection families exhaustively
+without building ``MultiIndex`` objects: it runs the word arithmetic of
+:func:`restrict`, :func:`fiber` and the lexicographic rank on int64 arrays of
+ranks, through the same helpers those functions use on Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+
+import numpy as np
 
 from .errors import (
     CountCapError,
@@ -39,6 +47,9 @@ ENUMERATION_CAP = 1 << 22
 
 # Bound on the stream runs plus leading cells one ``cell_values`` call builds.
 CELL_WORK_CAP = 1 << 20
+
+# Ranks per int64 array in ``glue_check``; bounds its working set.
+GLUE_CHUNK = 1 << 12
 
 
 class _Root:
@@ -123,8 +134,7 @@ def restrict(i: MultiIndex, s: int, l: int) -> MultiIndex:
     """Restriction to level ``s`` and final length ``l``: drop sequences and tail bits."""
     if not (0 <= s <= i.r) or not (1 <= l <= i.m + i.r - s):
         raise RestrictionRangeError(f"cannot restrict ({i.r}, {i.m}) to ({s}, {l})")
-    shift = (i.m + i.r) - (l + s)
-    return MultiIndex(s, l, tuple(w >> shift for w in i.words[: s + 1]))
+    return MultiIndex(s, l, _restrict_words(i.words, i.r, i.m, s, l))
 
 
 def pipe(i: MultiIndex, s: int):
@@ -150,7 +160,7 @@ def fiber(parent: MultiIndex) -> list[MultiIndex]:
     r = parent.r + 1
     out = []
     for bits in itertools.product((0, 1), repeat=r + 1):
-        words = tuple((w << 1) | b for w, b in zip(parent.words, bits)) + (bits[-1],)
+        words = _extend_words(parent.words, bits) + (bits[-1],)
         out.append(MultiIndex(r, 1, words))
     return out
 
@@ -623,10 +633,52 @@ def _cross_position(r: int, i: MultiIndex, j: MultiIndex) -> int:
 
 
 def _lex_rank(i: MultiIndex) -> int:
+    return _encode_words(i.words, i.r, i.m)
+
+
+# ---------------------------------------------------------------------------
+# word arithmetic on Python ints or int64 arrays
+#
+# The helpers below take one index as Python ints or a batch of indices as
+# int64 arrays, one array per word, so the glue check runs the arithmetic of
+# restrict, fiber and _lex_rank itself rather than a copy of it.
+
+
+def _encode_words(words, r: int, m: int):
+    """Lexicographic rank at ``(r, m)``: the words concatenated, word 0 highest."""
     rank = 0
-    for t, w in enumerate(i.words):
-        rank = (rank << i.seq_length(t)) | w
+    for t, w in enumerate(words):
+        rank = (rank << (m + r - t)) | w
     return rank
+
+
+def _decode_rank(rank, r: int, m: int) -> tuple:
+    """The words of the index with lexicographic rank ``rank`` at ``(r, m)``."""
+    words = []
+    for t in range(r, -1, -1):
+        length = m + r - t
+        words.append(rank & ((1 << length) - 1))
+        rank = rank >> length
+    return tuple(reversed(words))
+
+
+def _restrict_words(words, r: int, m: int, s: int, l: int) -> tuple:
+    """Words of the restriction from ``(r, m)`` to ``(s, l)``: keep ``s+1``, drop tail bits."""
+    shift = (m + r) - (l + s)
+    return tuple(w >> shift for w in words[: s + 1])
+
+
+def _extend_words(words, bits) -> tuple:
+    """Append ``bits[t]`` to word ``t``: one refinement step of a fiber."""
+    return tuple((w << 1) | b for w, b in zip(words, bits))
+
+
+def _words_in_range(words, r: int, m: int):
+    """Whether each word fits its length at ``(r, m)``; elementwise for arrays."""
+    ok = True
+    for t, w in enumerate(words):
+        ok = ok & (w >= 0) & (w < (1 << (m + r - t)))
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +700,23 @@ class GlueReport:
 
 
 def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
-    """Verify the partition, refinement, and cross-level conditions symbolically.
+    """Verify the partition, refinement, and cross-level conditions exhaustively.
 
-    All traces are exact rationals.  Refinement fibers are generated directly
-    and checked against the restriction maps, so the partitions are certified
-    rather than assumed.  Bounds keep every index set within the requested
-    ``(r_max, m_max)`` symbol range.
+    Every check runs over int64 arrays of lexicographic ranks, in chunks of
+    at most :data:`GLUE_CHUNK` ranks.  (i) Every rank of every index set
+    decodes to in-range words that encode back to it.  (ii) and (iii) Every
+    child is built from its parent's word arrays, by bit extension or by
+    appended free words, and must restrict back to that parent; the children
+    must cover the next index set exactly once (a one-byte seen map plus the
+    count).  Traces are exact rationals.  Raises :class:`CountCapError`
+    before allocating anything when the largest index set of the grid,
+    ``(r_max, m_max)``, exceeds :data:`ENUMERATION_CAP`.
     """
+    if r_max >= 0 and m_max >= 1 and index_count(r_max, m_max) > ENUMERATION_CAP:
+        raise CountCapError(
+            f"{index_count(r_max, m_max)} indices at ({r_max}, {m_max}) "
+            f"exceed the cap {ENUMERATION_CAP}"
+        )
     failures: list[str] = []
     cases = 0
 
@@ -662,9 +724,13 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
     for s in range(r_max + 1):
         for m in range(1, m_max + 1):
             total = index_count(s, m)
-            seen = sum(1 for _ in iter_indices(s, m))
-            if seen != total:
-                failures.append(f"(i) enumeration at ({s},{m}) gave {seen} != {total}")
+            bad = 0
+            for ranks in _rank_chunks(total):
+                words = _decode_rank(ranks, s, m)
+                good = _words_in_range(words, s, m) & (_encode_words(words, s, m) == ranks)
+                bad += ranks.size - int(np.count_nonzero(good))
+            if bad:
+                failures.append(f"(i) at ({s},{m}): {bad} of {total} ranks do not re-encode")
             if total * Fraction(1, total) != 1:
                 failures.append(f"(i) traces at ({s},{m}) do not sum to 1")
             cases += 1
@@ -672,24 +738,10 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
     # (ii) growing the final length refines each projection into its fiber
     for s in range(r_max + 1):
         for m in range(1, m_max):
-            parent_count, child_count = index_count(s, m), index_count(s, m + 1)
-            fiber_size = 1 << (s + 1)
-            if parent_count * fiber_size != child_count:
-                failures.append(f"(ii) fiber size mismatch at ({s},{m})")
-            if fiber_size * Fraction(1, child_count) != Fraction(1, parent_count):
-                failures.append(f"(ii) traces do not add up at ({s},{m})")
-            generated = 0
-            for parent in iter_indices(s, m):
-                for bits in itertools.product((0, 1), repeat=s + 1):
-                    child = MultiIndex(
-                        s, m + 1, tuple((w << 1) | b for w, b in zip(parent.words, bits))
-                    )
-                    generated += 1
-                    if restrict(child, s, m) != parent:
-                        failures.append(f"(ii) fiber element escapes its parent at ({s},{m})")
-                        break
-            if generated != child_count:
-                failures.append(f"(ii) fibers do not partition level ({s},{m + 1})")
+            bits = itertools.product((0, 1), repeat=s + 1)
+            failures += _fiber_failures(
+                f"(ii) at ({s},{m})", (s, m), (s, m + 1), 1 << (s + 1), _extend_words, bits
+            )
             cases += 1
 
     # (iii) deeper levels refine coarser ones across the grid
@@ -699,25 +751,12 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
                 big = m + t - s
                 if big > m_max:
                     continue
-                parent_count, child_count = index_count(s, big), index_count(t, m)
-                fiber_size = 1 << sum(m + t - u for u in range(s + 1, t + 1))
-                if parent_count * fiber_size != child_count:
-                    failures.append(f"(iii) fiber size mismatch at s={s},t={t},m={m}")
-                if fiber_size * Fraction(1, child_count) != Fraction(1, parent_count):
-                    failures.append(f"(iii) traces do not add up at s={s},t={t},m={m}")
-                generated = 0
-                free = [range(1 << (m + t - u)) for u in range(s + 1, t + 1)]
-                for parent in iter_indices(s, big):
-                    for extra in itertools.product(*free):
-                        child = MultiIndex(t, m, parent.words + tuple(extra))
-                        generated += 1
-                        if restrict(child, s, big) != parent:
-                            failures.append(
-                                f"(iii) fiber element escapes its parent at s={s},t={t},m={m}"
-                            )
-                            break
-                if generated != child_count:
-                    failures.append(f"(iii) fibers do not partition at s={s},t={t},m={m}")
+                lengths = [m + t - u for u in range(s + 1, t + 1)]
+                free = itertools.product(*(range(1 << n) for n in lengths))
+                failures += _fiber_failures(
+                    f"(iii) at s={s},t={t},m={m}", (s, big), (t, m), 1 << sum(lengths),
+                    operator.add, free,
+                )
                 cases += 1
 
     # dyadic splitting at the symbol level
@@ -729,3 +768,47 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
         cases += 1
 
     return GlueReport(r_max, m_max, cases, tuple(failures))
+
+
+def _rank_chunks(count: int):
+    """The ranks ``0 … count−1`` as int64 arrays of at most :data:`GLUE_CHUNK`."""
+    for lo in range(0, count, GLUE_CHUNK):
+        yield np.arange(lo, min(lo + GLUE_CHUNK, count), dtype=np.int64)
+
+
+def _fiber_failures(
+    case: str, parent: tuple[int, int], child: tuple[int, int], fiber_size: int, attach, patterns
+) -> list[str]:
+    """Failures of one refinement from ``parent`` to ``child``, both ``(level, final length)``.
+
+    The closed-form counts must give ``fiber_size`` children of trace
+    ``1/child_count`` per parent.  Then every child of every parent is built,
+    a chunk of parents at a time, as ``attach(parent_words, pattern)`` for
+    each of ``patterns``; it must be in range and restrict back to its
+    parent, and the children must cover the child index set exactly once:
+    every rank seen, and exactly ``child_count`` generated.
+    """
+    (s, pm), (t, cm) = parent, child
+    parent_count, child_count = index_count(s, pm), index_count(t, cm)
+    failures = []
+    if parent_count * fiber_size != child_count:
+        failures.append(f"{case}: fiber size mismatch")
+    if fiber_size * Fraction(1, child_count) != Fraction(1, parent_count):
+        failures.append(f"{case}: traces do not add up")
+    patterns = list(patterns)
+    seen = np.zeros(child_count, dtype=np.uint8)
+    generated = escaped = 0
+    for ranks in _rank_chunks(parent_count):
+        words = _decode_rank(ranks, s, pm)
+        for pattern in patterns:
+            kid = attach(words, pattern)
+            back = _encode_words(_restrict_words(kid, t, cm, s, pm), s, pm)
+            good = _words_in_range(kid, t, cm) & (back == ranks)
+            seen[_encode_words(kid, t, cm)[good]] = 1
+            escaped += ranks.size - int(np.count_nonzero(good))
+            generated += ranks.size
+    if escaped:
+        failures.append(f"{case}: {escaped} fiber elements escape their parents")
+    if generated != child_count or not seen.all():
+        failures.append(f"{case}: fibers do not partition the child level")
+    return failures

@@ -132,7 +132,19 @@ class TestSpectrumCommand:
 class TestVerifyCommand:
     def test_glue_suite(self, capsys):
         assert main(["verify", "--suite", "glue"]) == 0
-        assert "suite glue: PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "glue: 30 cases checked, 0 failures",
+            "suite glue: PASS",
+        ]
+
+    def test_algebra_suite_reports_rank_margins(self, capsys):
+        assert main(["verify", "--suite", "algebra"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ranks = [ln for ln in lines if ln.startswith("commutant of left action")]
+        assert len(ranks) == 3
+        for line in ranks:
+            assert float(line.rsplit("margin ", 1)[1]) > 1.0
+        assert lines[-1] == "suite algebra: PASS"
 
     def test_keyclaim_suite_small(self, capsys):
         assert main(["verify", "--suite", "keyclaim", "--max-dim", "256"]) == 0
