@@ -16,6 +16,16 @@ the minimal projections ``p_i`` of ``A`` and ``q_j`` of ``B`` on ``C^D``.
 On block ``k`` the product acts as ``x ↦ p_i x q_j``, of rank
 ``rank_k(p_i) · rank_k(q_j)``, so the multiplicities are the non-zero entries
 of ``R_A · R_Bᵀ`` for the per-block rank matrices ``R_A`` and ``R_B``.
+
+Nor do they build an algebra basis.  The minimal projections of the unital
+algebra of commuting normal generators are their joint eigenspaces, so one
+``eigh`` of a random self-adjoint combination of the generators gives them,
+once every generator is certified diagonal in its eigenbasis (the one-element
+block-diagonalisation of Murota, Kanno, Kojima and Kojima, Japan J. Indust.
+Appl. Math. 27, 2010).  The masa test needs no commutant either: the commutant
+of an abelian ``A`` in ``⊕_k M_{d_k}`` is ``⊕_{i,k} M_{rank_k(p_i)}``, of
+dimension ``trace(R_A · R_Aᵀ)``, so ``A`` is maximal exactly when the diagonal
+of ``R_A · R_Aᵀ`` is all ones.
 """
 
 from __future__ import annotations
@@ -180,16 +190,35 @@ def commutant(algebra: AlgebraBasis) -> AlgebraBasis:
 
 
 @dataclass(frozen=True, eq=False)
+class JointEigenbasis:
+    """Minimal projections of an abelian algebra on C^D as one unitary and cluster labels.
+
+    ``p_i = V_i V_i*`` for the columns ``V_i`` of ``vecs`` labelled ``i``;
+    ``ranks[i, k]`` is the rank of ``p_i`` in block ``k``.  Holding ``D²``
+    entries instead of ``a`` dense ``D × D`` projections keeps large masas cheap.
+    """
+
+    vecs: np.ndarray  # (D, D) unitary, columns grouped by cluster
+    labels: np.ndarray  # (D,) cluster of each column
+    ranks: np.ndarray  # (a, blocks) integer
+
+    def projection(self, i: int) -> np.ndarray:
+        v = self.vecs[:, self.labels == i]
+        return v @ v.conj().T
+
+
+@dataclass(frozen=True, eq=False)
 class ProductBlocks:
     """Minimal projections ``L(p_i) R(q_j)`` of a left-right algebra, kept as factors.
 
-    ``left`` and ``right`` hold the projections ``p_i`` and ``q_j`` on C^D, and
-    ``pairs`` the ``(i, j)`` of the products a report keeps, in its order.
+    ``left`` and ``right`` hold the projections ``p_i`` and ``q_j`` on C^D as
+    joint eigenbases, and ``pairs`` the ``(i, j)`` of the products a report
+    keeps, in its order.
     """
 
     shape: TracedAlgebraShape
-    left: np.ndarray  # (a, D, D)
-    right: np.ndarray  # (b, D, D)
+    left: JointEigenbasis
+    right: JointEigenbasis
     pairs: tuple[tuple[int, int], ...]
 
     def dense(self) -> np.ndarray:
@@ -197,7 +226,7 @@ class ProductBlocks:
         space = GnsSpace(self.shape)
         out = np.zeros((len(self.pairs), space.dim, space.dim), dtype=complex)
         for k, (i, j) in enumerate(self.pairs):
-            out[k] = space.left(self.left[i]) @ space.right(self.right[j])
+            out[k] = space.left(self.left.projection(i)) @ space.right(self.right.projection(j))
         return out
 
 
@@ -255,30 +284,46 @@ def minimal_projections(algebra: AlgebraBasis, seed: int) -> SpectrumReport:
     D = algebra.ambient_dim
     if algebra.dim == 0:
         return SpectrumReport(D, (), np.zeros((0, D, D), dtype=complex))
-    rng = np.random.default_rng(seed)
-    last_reason = ""
-    for _ in range(1 + MAX_RETRIES):
-        coeffs = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-        sample = np.tensordot(coeffs, algebra.basis, axes=1)
-        sample = (sample + adjoint(sample)) / 2
-        eigvals, eigvecs = np.linalg.eigh(sample)
-        clusters = _split_eigenvalues(eigvals)
+
+    def certify(eigvecs, clusters):
         if len(clusters) != algebra.dim:
-            last_reason = f"sample produced {len(clusters)} clusters for dim {algebra.dim}"
-            continue
-        projections, ok = [], True
-        for idx in clusters:
-            vecs = eigvecs[:, idx]
-            proj = vecs @ vecs.conj().T
-            if algebra.span_residual(proj) > MEMBER_TOL:
-                ok = False
-                last_reason = "spectral projection left the span"
-                break
-            projections.append(proj)
-        if ok:
-            mults = tuple(len(idx) for idx in clusters)
-            return SpectrumReport(D, mults, np.stack(projections))
-    raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {last_reason}")
+            raise _Rejected(f"sample produced {len(clusters)} clusters for dim {algebra.dim}")
+        projections = np.stack([eigvecs[:, idx] @ eigvecs[:, idx].conj().T for idx in clusters])
+        if any(algebra.span_residual(q) > MEMBER_TOL for q in projections):
+            raise _Rejected("spectral projection left the span")
+        return SpectrumReport(D, tuple(len(idx) for idx in clusters), projections)
+
+    return _first_certified(algebra.basis, seed, certify)
+
+
+class _Rejected(Exception):
+    """A sample whose clusters failed a certificate; the message says why."""
+
+
+def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
+    """``Σ_k (c_k m_k + c̄_k m_k*)`` for complex Gaussian ``c_k`` drawn from ``rng``."""
+    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    sample = np.tensordot(coeffs, mats, axes=1)
+    return sample + adjoint(sample)
+
+
+def _first_certified(mats: np.ndarray, seed: int, certify):
+    """``certify(eigvecs, clusters)`` of the first random sample it does not reject.
+
+    Each attempt eigendecomposes a fresh :func:`_hermitian_sample` of ``mats``
+    and splits its spectrum with :func:`_split_eigenvalues`; after
+    :data:`MAX_RETRIES` rejected retries, raises :class:`DegenerateSampleError`
+    with the last reason.
+    """
+    rng = np.random.default_rng(seed)
+    reason = ""
+    for _ in range(1 + MAX_RETRIES):
+        eigvals, eigvecs = np.linalg.eigh(_hermitian_sample(rng, mats))
+        try:
+            return certify(eigvecs, _split_eigenvalues(eigvals))
+        except _Rejected as exc:
+            reason = str(exc)
+    raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {reason}")
 
 
 def _split_eigenvalues(eigvals: np.ndarray) -> list[np.ndarray]:
@@ -300,37 +345,89 @@ def _check_gns_cap(shape: TracedAlgebraShape, cap: int):
         )
 
 
-def _member_algebra(gens, shape: TracedAlgebraShape) -> AlgebraBasis:
-    """The unital algebra on C^D of generators checked to lie in ``⊕_k M_{d_k}``."""
-    mats = [as_matrix(g) for g in gens]
-    for m in mats:
-        shape.check_member(m)
-    return generate_algebra(mats or [np.eye(shape.total_dim, dtype=complex)])
+def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenbasis:
+    """Minimal projections and block ranks of the unital algebra of commuting normal generators.
 
-
-def _block_ranks(algebra: AlgebraBasis, shape: TracedAlgebraShape, seed: int):
-    """Minimal projections of an abelian algebra on C^D and their rank in each block.
-
-    Returns the ``(a, D, D)`` projections and the ``(a, blocks)`` integer
-    matrix of ``Tr(p_i[sl, sl])``; a trace farther than :data:`MEMBER_TOL`
-    from an integer means the sample did not give clean projections.
+    The generators must lie in ``⊕_k M_{d_k}``.  The projections are their
+    joint eigenspaces, read off one ``eigh`` of a random
+    ``h = Σ_k (c_k g_k + c̄_k g_k*)`` with eigenbasis ``V``.  The sample is
+    accepted only when every generator is diagonal in ``V`` (the residual
+    ``‖g V − V diag(μ_g)‖``, ``μ_g = diag(V* g V)``, is at most
+    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm), the joint
+    eigenvalue tuple is constant on each eigenvalue cluster of ``h`` and
+    differs between clusters, and each block rank ``‖V[sl_k, cluster_i]‖²``
+    is within :data:`MEMBER_TOL` of an integer.  A rejected sample is redrawn
+    as in :func:`minimal_projections`; once the retries run out, generators
+    that fail a commutator check (with each other or with their adjoints)
+    raise :class:`NotAbelianError`, anything else
+    :class:`DegenerateSampleError`.
     """
-    projs = minimal_projections(algebra, seed).block_projections
-    traces = np.stack(
-        [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],
-        axis=1,
-    )
-    ranks = np.rint(traces)
-    worst = float(np.max(np.abs(traces - ranks)))
-    if worst > MEMBER_TOL:
-        raise DegenerateSampleError(f"a block rank is {worst:.2e} away from an integer")
-    return projs, ranks.astype(int)
+    D = shape.total_dim
+    gens = [as_matrix(g) for g in gens]
+    for g in gens:
+        shape.check_member(g)
+    mats = np.array(gens, dtype=complex).reshape(len(gens), D, D)
+    scales = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+    slices = shape.block_slices()
+
+    def certify(vecs, clusters):
+        starts = np.array([idx[0] for idx in clusters])
+        labels = np.repeat(np.arange(len(clusters)), [len(idx) for idx in clusters])
+        mu = np.empty((len(mats), D), dtype=complex)
+        vecs_conj = vecs.conj()
+        for k, g in enumerate(mats):
+            gv = g @ vecs
+            mu[k] = np.einsum("ij,ij->j", vecs_conj, gv)
+            resid = float(np.linalg.norm(gv - vecs * mu[k])) / scales[k]
+            if resid > MEMBER_TOL:
+                raise _Rejected(f"generator {k} has eigen-residual {resid:.2e}")
+        mu /= scales[:, None]
+        tuples = mu[:, starts]
+        spread = float(np.max(np.abs(mu - tuples[:, labels]), initial=0.0))
+        if spread > MEMBER_TOL:
+            raise _Rejected(f"a cluster merges joint eigenvalues {spread:.2e} apart")
+        gap = np.zeros((len(clusters), len(clusters)))
+        for row in tuples:
+            np.maximum(gap, np.abs(row[:, None] - row[None, :]), out=gap)
+        np.fill_diagonal(gap, np.inf)
+        if gap.min() <= MEMBER_TOL:
+            raise _Rejected("two clusters carry the same joint eigenvalues")
+        mass = np.abs(vecs) ** 2
+        per_block = np.stack([mass[sl].sum(axis=0) for sl in slices], axis=1)
+        traces = np.add.reduceat(per_block, starts)
+        ranks = np.rint(traces)
+        worst = float(np.max(np.abs(traces - ranks)))
+        if worst > MEMBER_TOL:
+            raise _Rejected(f"a block rank is {worst:.2e} away from an integer")
+        return JointEigenbasis(vecs, labels, ranks.astype(int))
+
+    try:
+        return _first_certified(mats, seed, certify)
+    except DegenerateSampleError:
+        defect = _commutator_defect(mats / scales[:, None, None])
+        if defect > COMMUTE_TOL:
+            raise NotAbelianError(
+                f"generators or their adjoints do not commute (defect {defect:.2e})"
+            ) from None
+        raise
 
 
-def _product_report(shape, left, right, mults: np.ndarray, pairs) -> SpectrumReport:
-    pairs = tuple((int(i), int(j)) for i, j in pairs)
+def _commutator_defect(mats: np.ndarray) -> float:
+    """Largest entry of ``[g, h]`` over generators ``g`` and generators or adjoints ``h``."""
+    others = np.concatenate([mats, np.conj(np.transpose(mats, (0, 2, 1)))])
+    worst = 0.0
+    for g in mats:
+        comm = np.matmul(g, others) - np.matmul(others, g)
+        worst = max(worst, float(np.max(np.abs(comm), initial=0.0)))
+    return worst
+
+
+def _product_report(shape, left, right, mults: np.ndarray, keep: np.ndarray) -> SpectrumReport:
+    """The products ``L(p_i) R(q_j)`` at the ``(i, j)`` where ``keep`` holds, row by row."""
+    rows, cols = np.nonzero(keep)
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
     return SpectrumReport(
-        shape.gns_dim, tuple(int(mults[p]) for p in pairs), ProductBlocks(shape, left, right, pairs)
+        shape.gns_dim, tuple(mults[rows, cols].tolist()), ProductBlocks(shape, left, right, pairs)
     )
 
 
@@ -347,16 +444,19 @@ def mixed_spectrum(
     always ``{1}``; abelian non-maximal inputs are allowed and reported as-is.
     """
     _check_gns_cap(shape, cap)
-    a_alg = _member_algebra(a_gens, shape)
-    b_alg = _member_algebra(b_gens, shape)
-    left, left_ranks = _block_ranks(a_alg, shape, seed)
-    right, right_ranks = _block_ranks(b_alg, shape, seed)
-    mults = left_ranks @ right_ranks.T
-    return _product_report(shape, left, right, mults, zip(*np.nonzero(mults)))
+    left = _joint_eigenbasis(a_gens, shape, seed)
+    right = _joint_eigenbasis(b_gens, shape, seed)
+    mults = left.ranks @ right.ranks.T
+    return _product_report(shape, left, right, mults, mults != 0)
 
 
 def relative_commutant_dim(algebra: AlgebraBasis, shape: TracedAlgebraShape) -> int:
-    """Dimension of {T in the multi-matrix algebra : T commutes with the basis}."""
+    """Dimension of {T in the multi-matrix algebra : T commutes with the basis}.
+
+    Solves the dense ``D²·dim × Σ_k d_k²`` commutation system.  The spectrum
+    routines need no such system: for an abelian algebra the dimension is
+    ``trace(R·Rᵀ)`` of its block-rank matrix (see the module docstring).
+    """
     D = shape.total_dim
     units = []
     for sl, d in zip(shape.block_slices(), shape.blocks):
@@ -390,20 +490,17 @@ def finite_puk_spectrum(
     masa of M_n this is ``{1}`` with n²−n blocks.
     """
     _check_gns_cap(shape, cap)
-    small = _member_algebra(a_gens, shape)
-    if not small.is_abelian():
-        raise NotAbelianError("generators do not span an abelian algebra")
-    rel_dim = relative_commutant_dim(small, shape)
-    if rel_dim != small.dim:
-        raise NotMasaError(
-            f"relative commutant has dimension {rel_dim} > algebra dimension {small.dim}"
-        )
-    projs, ranks = _block_ranks(small, shape, seed)
-    mults = ranks @ ranks.T
+    basis = _joint_eigenbasis(a_gens, shape, seed)
+    mults = basis.ranks @ basis.ranks.T
+    # the commutant of A in ⊕_k M_{d_k} is ⊕_{i,k} M_{rank_k(p_i)}, of dimension
+    # trace(R Rᵀ); A is maximal exactly when that is its own dimension
     if np.any(np.diagonal(mults) != 1):
-        raise NotMasaError("a minimal projection straddles the masa subspace")
-    pairs = [(i, j) for i, j in zip(*np.nonzero(mults)) if i != j]
-    return _product_report(shape, projs, projs, mults, pairs)
+        raise NotMasaError(
+            f"relative commutant has dimension {int(np.trace(mults))} > "
+            f"algebra dimension {len(mults)}"
+        )
+    off_diagonal = ~np.eye(len(mults), dtype=bool)
+    return _product_report(shape, basis, basis, mults, (mults != 0) & off_diagonal)
 
 
 def cutdown_spectrum(algebra: AlgebraBasis, p, seed: int = 0) -> SpectrumReport:

@@ -169,7 +169,8 @@ def _run_span(max_dim: int) -> bool:
         print(
             f"span n={n} m={m}: {rep.count} elements, rank {rep.rank}, "
             f"min diag {rep.min_gram_diag:.3e}, offdiag {rep.max_offdiag:.3e}, "
-            f"{_tolerance_note(rep.max_offdiag, tol)}"
+            f"{_tolerance_note(rep.max_offdiag, tol)}, rank cut {rep.rank_cut:.3e}, "
+            f"margin {rep.min_kept_singular / rep.rank_cut:.3g}"
         )
     return ok
 

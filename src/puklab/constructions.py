@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import SPAN_RTOL
 from .core import DEFAULT_GNS_CAP, as_matrix, tensor
 from .errors import InvalidLambdaError, ResourceGuardError
 from .nsets import INF, NSet, is_valid_value, tensor_mixed, tensor_mixed_infinite
@@ -181,6 +182,8 @@ class FamilySpanReport:
     min_gram_diag: float
     max_offdiag: float
     rank: int
+    rank_cut: float  # singular values above this count towards the rank
+    min_kept_singular: float  # the smallest singular value above the cut
 
 
 def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanReport:
@@ -198,9 +201,12 @@ def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanR
     off = np.abs(grams[:, ~np.eye(k, dtype=bool)])
     # the stack of all elements is block diagonal up to a permutation of its
     # columns, so its singular values are those of the row blocks together
-    sing = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sing > 1e-9 * sing.max()))
-    return FamilySpanReport(grams.shape[0] * k, float(diag.min()), float(off.max()), rank)
+    sing = np.linalg.svd(rows, compute_uv=False).ravel()
+    cut = SPAN_RTOL * float(sing.max())
+    kept = sing[sing > cut]
+    return FamilySpanReport(
+        grams.shape[0] * k, float(diag.min()), float(off.max()), kept.size, cut, float(kept.min())
+    )
 
 
 def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray:

@@ -708,7 +708,8 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
     child is built from its parent's word arrays, by bit extension or by
     appended free words, and must restrict back to that parent; the children
     must cover the next index set exactly once (a one-byte seen map plus the
-    count).  Traces are exact rationals.  Raises :class:`CountCapError`
+    count).  The dyadic split of each word length is one int64 array check,
+    linear in the number of words.  Traces are exact rationals.  Raises :class:`CountCapError`
     before allocating anything when the largest index set of the grid,
     ``(r_max, m_max)``, exceeds :data:`ENUMERATION_CAP`.
     """
@@ -759,12 +760,18 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
                 )
                 cases += 1
 
-    # dyadic splitting at the symbol level
+    # dyadic splitting at the symbol level: k ↦ k >> 1 hits every w < 2^m
+    # exactly twice, and every k is its parent extended by its last bit, so
+    # the children of w are exactly its two extensions
     for m in range(1, m_max):
-        for w in range(1 << m):
-            children = {k for k in range(1 << (m + 1)) if k >> 1 == w}
-            if children != {(w << 1) | 0, (w << 1) | 1}:
-                failures.append(f"dyadic split of {w:0{m}b} is not its two extensions")
+        k = np.arange(1 << (m + 1), dtype=np.int64)
+        parent = k >> 1
+        bad = np.bincount(parent, minlength=1 << m) != 2
+        bad[parent[(parent << 1 | (k & 1)) != k]] = True
+        failures += [
+            f"dyadic split of {w:0{m}b} is not its two extensions"
+            for w in np.flatnonzero(bad).tolist()
+        ]
         cases += 1
 
     return GlueReport(r_max, m_max, cases, tuple(failures))

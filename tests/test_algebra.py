@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,20 @@ class TestFinitePukSpectrum:
     def test_not_masa(self):
         with pytest.raises(NotMasaError):
             finite_puk_spectrum([np.eye(2)], TracedAlgebraShape.full_matrix(2))
+
+    def test_conjugated_masa_m48_in_small_memory(self):
+        # the relative-commutant system here was 110,592 × 2,304, about 4 GB
+        n = 48
+        u = random_unitary(np.random.default_rng(48), n)
+        gens = [u @ x @ u.conj().T for x in diag_units(n)]
+        tracemalloc.start()
+        try:
+            rep = finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.multiset == (1,) * (n * n - n) == (1,) * 2256
+        assert peak < 32 << 20
 
     def test_masa_subspace_has_full_rank(self):
         # the retained blocks miss exactly n dimensions: the span of the masa

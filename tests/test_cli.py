@@ -102,6 +102,24 @@ class TestSpectrumCommand:
         assert "blocks: 6" in out
         assert "set: 1" in out
 
+    def test_maximal_pair_m64(self, tmp_path, capsys):
+        import numpy as np
+
+        n = 64
+        rng = np.random.default_rng(64)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        labels = np.diag(np.arange(1.0, n + 1))
+        config = {
+            "shape": {"blocks": [n]},
+            "mode": "mixed",
+            "a_generators": [cfg.matrix_to_config(labels)],
+            "b_generators": [cfg.matrix_to_config(u @ labels @ u.conj().T)],
+        }
+        path = write_json(tmp_path / "c.json", config)
+        assert main(["spectrum", "--config", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["blocks: 4096", "multiplicities: " + ",".join(["1"] * 4096), "set: 1"]
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -145,6 +163,14 @@ class TestVerifyCommand:
         for line in ranks:
             assert float(line.rsplit("margin ", 1)[1]) > 1.0
         assert lines[-1] == "suite algebra: PASS"
+
+    def test_span_suite_reports_rank_margins(self, capsys):
+        assert main(["verify", "--suite", "span", "--max-dim", "256"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("span n=")]
+        assert len(lines) == 5
+        for line in lines:
+            assert ", rank cut " in line
+            assert float(line.rsplit("margin ", 1)[1]) > 1.0
 
     def test_keyclaim_suite_small(self, capsys):
         assert main(["verify", "--suite", "keyclaim", "--max-dim", "256"]) == 0

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from puklab import constructions
 from puklab.constructions import (
     TruncatedAutomorphism,
     build_gadget,
@@ -221,6 +222,21 @@ class TestFamilySpan:
         assert rep.rank == count
         assert rep.min_gram_diag > 0
         assert rep.max_offdiag < 1e-10
+        assert rep.min_kept_singular > rep.rank_cut > 0
+
+    def test_rank_cut_drops_a_vanished_element(self, monkeypatch):
+        exact = constructions._product_family
+
+        def one_row_lost(n, depth, row_block, cap):
+            rows, grams = exact(n, depth, row_block, cap)
+            rows = rows.copy()
+            rows[0, 0] *= 1e-12
+            return rows, grams
+
+        monkeypatch.setattr(constructions, "_product_family", one_row_lost)
+        rep = family_span_check(2, 2)
+        assert rep.count == 16 and rep.rank == 15
+        assert rep.min_kept_singular > rep.rank_cut
 
     def test_small_case_by_hand(self):
         # for m=1 the family is e_i f_r; check the Gram directly

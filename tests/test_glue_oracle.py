@@ -120,10 +120,12 @@ def enumerating_glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
 
 
 GRID = [(r, m) for r in range(4) for m in range(1, 4)]
+# single-word levels with long final lengths, where the dyadic split dominates
+LONG_WORDS = [(0, m) for m in range(4, 11)]
 DEGENERATE = [(-1, 3), (0, 0), (2, 0), (-2, -1)]
 
 
-@pytest.mark.parametrize("r_max, m_max", GRID + DEGENERATE)
+@pytest.mark.parametrize("r_max, m_max", GRID + LONG_WORDS + DEGENERATE)
 def test_matches_enumerating_check(r_max, m_max):
     new, old = glue_check(r_max, m_max), enumerating_glue_check(r_max, m_max)
     assert new == old
@@ -195,6 +197,27 @@ def test_fiber_dropping_a_bit_fails_partition(monkeypatch):
     assert not any("escape" in f for f in report.failures)
 
 
+def test_miscounted_dyadic_split_fails(monkeypatch):
+    class FirstWordHitOnce:
+        """numpy, except that every word's first count is one short."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def bincount(x, minlength=0):
+            counts = np.bincount(x, minlength=minlength)
+            counts[0] -= 1
+            return counts
+
+    monkeypatch.setattr(indices, "np", FirstWordHitOnce())
+    report = glue_check(0, 3)
+    assert report.failures == (
+        "dyadic split of 0 is not its two extensions",
+        "dyadic split of 00 is not its two extensions",
+    )
+
+
 def test_default_bounds_stay_small():
     tracemalloc.start()
     try:
@@ -204,6 +227,13 @@ def test_default_bounds_stay_small():
         tracemalloc.stop()
     assert report.cases_checked == 30 and report.passed
     assert peak <= 8 << 20
+
+
+def test_long_final_length_is_linear_in_words():
+    # the enumerating dyadic split took about 3 s here
+    report = glue_check(0, 13)
+    assert report.cases_checked == 13 + 12 + 12
+    assert report.failures == ()
 
 
 @pytest.mark.parametrize("r_max, m_max", [(4, 3), (3, 5), (2, 7), (6, 1), (0, 23)])

@@ -1,9 +1,13 @@
-"""Left-right spectra against the dense GNS route they replaced.
+"""Left-right spectra against the routes they replaced.
 
-The oracle builds ``L(a)`` and ``R(b*)`` as ``gns_dim × gns_dim`` matrices,
-generates the algebra they span and splits it with ``minimal_projections``;
-for the Pukánszky spectrum it then drops the blocks inside the span of the
-embedded masa.  Inputs are random abelian algebras of small multi-matrix
+Two oracles.  The dense GNS route builds ``L(a)`` and ``R(b*)`` as
+``gns_dim × gns_dim`` matrices, generates the algebra they span and splits it
+with ``minimal_projections``; for the Pukánszky spectrum it then drops the
+blocks inside the span of the embedded masa.  The ``C^D`` route generates the
+algebra of each side on ``C^D``, splits it with ``minimal_projections`` and
+reads block ranks from traces, with ``relative_commutant_dim`` as its masa
+test.  The library reads the same projections from one eigendecomposition of
+the generators.  Inputs are random abelian algebras of small multi-matrix
 algebras: several blocks, uneven exact weights, and generators whose
 eigenvalues repeat within and across blocks, so that minimal projections have
 rank above one and straddle blocks.
@@ -12,19 +16,24 @@ rank above one and straddle blocks.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from puklab import algebra
 from puklab.algebra import (
+    MAX_RETRIES,
     MEMBER_TOL,
     SPAN_RTOL,
+    _joint_eigenbasis,
     finite_puk_spectrum,
     generate_algebra,
     minimal_projections,
     mixed_spectrum,
+    relative_commutant_dim,
 )
 from puklab.core import GnsSpace, TracedAlgebraShape, adjoint
-from puklab.errors import NotMasaError
+from puklab.errors import DegenerateSampleError, NotAbelianError, NotMasaError
 
 PROJ_TOL = 1e-8
 
@@ -55,6 +64,41 @@ def dense_puk_spectrum(a_gens, shape, seed=0):
         elif abs(overlap - mult) > MEMBER_TOL * max(1.0, mult):
             raise NotMasaError("a minimal projection straddles the masa subspace")
     return kept
+
+
+def cd_block_ranks(gens, shape, seed=0):
+    """Minimal projections on C^D and their block ranks, through the algebra basis."""
+    small = generate_algebra(gens or [np.eye(shape.total_dim)], unital=True)
+    projs = minimal_projections(small, seed).block_projections
+    traces = np.stack(
+        [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],
+        axis=1,
+    )
+    ranks = np.rint(traces)
+    assert np.max(np.abs(traces - ranks)) <= MEMBER_TOL
+    return small, projs, ranks.astype(int)
+
+
+def cd_puk_spectrum(gens, shape, seed=0):
+    """Multiplicities of the C^D route, with the relative commutant as masa test."""
+    small, _, ranks = cd_block_ranks(gens, shape, seed)
+    rel_dim = relative_commutant_dim(small, shape)
+    if rel_dim != small.dim:
+        raise NotMasaError(f"relative commutant has dimension {rel_dim} > {small.dim}")
+    mults = ranks @ ranks.T
+    return sorted(int(mults[i, j]) for i, j in zip(*np.nonzero(mults)) if i != j)
+
+
+def assert_same_projections(basis, expected_projs, expected_ranks):
+    """Each joint eigenspace matches one oracle projection, with the same block ranks."""
+    assert sorted(map(tuple, basis.ranks)) == sorted(map(tuple, expected_ranks))
+    unmatched = list(zip(expected_projs, map(tuple, expected_ranks)))
+    for i, row in enumerate(map(tuple, basis.ranks)):
+        p = basis.projection(i)
+        hits = [k for k, (q, r) in enumerate(unmatched)
+                if r == row and np.max(np.abs(p - q)) < PROJ_TOL]
+        assert hits, f"no oracle projection matches cluster {i}"
+        unmatched.pop(hits[0])
 
 
 def blockwise_unitary(rng, shape):
@@ -136,3 +180,111 @@ def test_puk_spectrum_matches_dense_oracle(case):
     shape, labels, seed = case
     gens = conjugated_diagonals(np.random.default_rng(seed), shape, [labels])
     assert_same_blocks(finite_puk_spectrum(gens, shape), dense_puk_spectrum(gens, shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_cases())
+def test_joint_eigenspaces_match_cd_oracle(case):
+    shape, a_labels, b_labels, seed = case
+    rng = np.random.default_rng(seed)
+    a_gens = conjugated_diagonals(rng, shape, a_labels)
+    b_gens = conjugated_diagonals(rng, shape, b_labels)
+    _, a_projs, a_ranks = cd_block_ranks(a_gens, shape, seed)
+    _, b_projs, b_ranks = cd_block_ranks(b_gens, shape, seed)
+    assert_same_projections(_joint_eigenbasis(a_gens, shape, seed), a_projs, a_ranks)
+    assert_same_projections(_joint_eigenbasis(b_gens, shape, seed), b_projs, b_ranks)
+    report = mixed_spectrum(a_gens, b_gens, shape, seed=seed)
+    mults = a_ranks @ b_ranks.T
+    assert report.multiset == tuple(sorted(int(x) for x in mults[mults != 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_cases())
+def test_relative_commutant_is_trace_of_rank_gram(case):
+    shape, labels, _, seed = case
+    gens = conjugated_diagonals(np.random.default_rng(seed), shape, labels)
+    ranks = _joint_eigenbasis(gens, shape, seed).ranks
+    assert relative_commutant_dim(generate_algebra(gens), shape) == np.trace(ranks @ ranks.T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(masa_cases())
+def test_puk_spectrum_matches_cd_oracle(case):
+    shape, labels, seed = case
+    gens = conjugated_diagonals(np.random.default_rng(seed), shape, [labels])
+    report = finite_puk_spectrum(gens, shape, seed=seed)
+    assert list(report.multiset) == cd_puk_spectrum(gens, shape, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes().flatmap(lambda shape: st.tuples(
+    st.just(shape),
+    st.lists(st.integers(1, 3), min_size=shape.total_dim, max_size=shape.total_dim),
+    st.integers(0, 2**32 - 1),
+)))
+def test_non_maximal_input_is_not_a_masa(case):
+    shape, labels, seed = case
+    assume(len(set(labels)) < len(labels))
+    gens = conjugated_diagonals(np.random.default_rng(seed), shape, [labels])
+    with pytest.raises(NotMasaError):
+        cd_puk_spectrum(gens, shape, seed)
+    with pytest.raises(NotMasaError):
+        finite_puk_spectrum(gens, shape, seed=seed)
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("gens", [[PAULI_X, PAULI_Z], [SHIFT], [PAULI_Z + SHIFT]],
+                         ids=["non-commuting", "nilpotent", "non-normal-diagonalisable"])
+def test_not_abelian_after_retries(gens):
+    shape = TracedAlgebraShape.full_matrix(2)
+    units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    with pytest.raises(NotAbelianError):
+        finite_puk_spectrum(gens, shape)
+    with pytest.raises(NotAbelianError):
+        mixed_spectrum(gens, units, shape)
+    with pytest.raises(NotAbelianError):
+        mixed_spectrum(units, gens, shape)
+
+
+@pytest.mark.parametrize("conjugate, reason", [
+    # the merged cluster keeps the joint eigenvectors, whose eigenvalues differ
+    (False, "merges joint eigenvalues"),
+    # eigh returns some basis of the merged cluster, off the joint eigenvectors
+    (True, "eigen-residual"),
+])
+def test_merged_sample_is_degenerate(monkeypatch, conjugate, reason):
+    shape = TracedAlgebraShape.full_matrix(3)
+    u = blockwise_unitary(np.random.default_rng(3), shape) if conjugate else np.eye(3)
+    gens = [u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T]
+    # every sample puts the joint eigenspaces of 1 and 2 in one cluster
+    merged = u @ np.diag([1.0, 1.0, 3.0]) @ u.conj().T
+    calls = []
+
+    def merging_sample(rng, mats):
+        calls.append(1)
+        return merged
+
+    monkeypatch.setattr(algebra, "_hermitian_sample", merging_sample)
+    with pytest.raises(DegenerateSampleError, match=reason):
+        finite_puk_spectrum(gens, shape)
+    assert len(calls) == 1 + MAX_RETRIES
+
+
+def test_split_sample_is_degenerate(monkeypatch):
+    # every sample splits the joint eigenspace of 1 into two clusters
+    monkeypatch.setattr(algebra, "_hermitian_sample", lambda rng, mats: np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(DegenerateSampleError, match="same joint eigenvalues"):
+        mixed_spectrum([np.diag([1.0, 1.0, 3.0])], [], TracedAlgebraShape.full_matrix(3))
+
+
+def test_fractional_block_rank_is_degenerate(monkeypatch):
+    # with the membership check off, an eigenvector of the swap straddles the
+    # two 1 × 1 blocks and has rank 1/2 in each
+    monkeypatch.setattr(TracedAlgebraShape, "check_member", lambda self, x: None)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(DegenerateSampleError, match="away from an integer"):
+        mixed_spectrum([swap], [], TracedAlgebraShape.from_blocks((1, 1)))
