@@ -14,6 +14,7 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -53,9 +54,10 @@ class ShiftGadget:
     def v(self) -> np.ndarray:
         cached = self.__dict__.get("_v")
         if cached is None:
-            # w^i is the identity with its rows rolled up by i
-            cached = sum(tensor(np.roll(np.eye(self.n), -i, 0), self.f[i]) for i in range(self.n))
-            cached = np.asarray(cached)
+            # w^i has its ones at (a, a + i), so v[(a, b), (c, d)] = f[(c − a) mod n][b, d]
+            a = np.arange(self.n)
+            shift = (a[None, :] - a[:, None]) % self.n
+            cached = self.f[shift].transpose(0, 2, 1, 3).reshape(self.n**2, self.n**2)
             cached.flags.writeable = False
             object.__setattr__(self, "_v", cached)
         return cached
@@ -66,12 +68,22 @@ def build_gadget(n: int) -> ShiftGadget:
     if n < 2:
         raise ValueError("the gadget needs n >= 2")
     w = np.roll(np.eye(n, dtype=complex), -1, axis=0)
-    e = np.stack([np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)])
-    # f_i = φ_i φ_i* for the eigenvector φ_i[a] = ω^{ia}/√n of w with eigenvalue ω^i
     a = np.arange(n)
-    phi = np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
+    e = np.zeros((n, n, n), dtype=complex)
+    e[a, a, a] = 1.0
+    phi = _shift_eigenvectors(n)
     f = phi[:, :, None] * phi.conj()[:, None, :]
     return ShiftGadget(n, w, e, f)
+
+
+def _shift_eigenvectors(n: int) -> np.ndarray:
+    """``φ_i[a] = ω^{ia}/√n``, the eigenvector of ``w`` with eigenvalue ``ω^i``.
+
+    The matrix is symmetric, so ``φ_i`` is both its row and its column ``i``;
+    the spectral projections are ``f_i = φ_i φ_i*``.
+    """
+    a = np.arange(n)
+    return np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
 
 
 def step_unitary(gadget: ShiftGadget, r: int, depth: int) -> np.ndarray:
@@ -113,9 +125,10 @@ class TruncatedAutomorphism:
         dim = n ** (depth + 1)
         _guard(dim * dim, cap)
         slots = range(1, depth + 1) if kind == "theta" else range(1, depth + 1, 2)
-        unitary = np.eye(dim, dtype=complex)
-        for r in slots:
-            unitary = unitary @ step_unitary(gadget, r, depth)
+        if slots:
+            unitary = reduce(np.matmul, (step_unitary(gadget, r, depth) for r in slots))
+        else:
+            unitary = np.eye(dim, dtype=complex)
         return cls(gadget, depth, kind, unitary)
 
     @property
@@ -129,30 +142,70 @@ class TruncatedAutomorphism:
         return self.unitary @ m @ self.unitary.conj().T
 
 
-def _product_family(n: int, depth: int, row_block: int, cap: int):
-    """Rows and per-row-block Grams of the family ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
+def _theta_factors(n: int, depth: int, cap: int):
+    """The factors that every shift-gadget certificate is read from.
 
-    ``J`` runs over the first ``depth`` slots of ``M_n^{⊗(depth+1)}`` and ``θ``
-    conjugates by the depth-``depth`` product unitary ``U``, so ``θ(e_J ⊗ 1)``
-    is ``S_J S_J*`` for the ``n`` columns ``S_J`` of ``U`` labelled by ``J``.
-    The certified elements are ``X[t, J]`` cut down to one block of
-    ``row_block`` rows.  Elements on different row blocks have disjoint
-    support, so their inner products vanish identically and only the Grams
-    within a block are formed.
+    Write ``U`` for the depth-``depth`` θ unitary on ``M_n^{⊗(depth+1)}``,
+    ``dim = n^{depth+1}`` and ``count = n^depth``.  The certified elements are
+    ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J`` over the first ``depth``
+    slots.  Since ``f_t = φ_t φ_t*`` and ``θ(e_J ⊗ 1) = S_J S_J*`` for the
+    ``n`` columns ``S_J`` of ``U`` labelled by ``J``, row ``(i, I')`` of
+    ``X[t, J]`` is ``φ_t[i] · ψ_t[I', J-cols] · S_J*`` with
+    ``ψ_t = (φ_t* ⊗ 1) U``.  So the inner products of the family need only
+    ``ψ`` and ``P = U*U``; ``P`` enters every one of them, and unitarity of
+    ``U`` is never assumed.
 
-    Returns ``(rows, grams)``: ``rows[I, (t, J)]`` is row block ``I`` of
-    ``X[t, J]`` flattened, ``grams[I]`` is their Gram matrix in the normalized
-    trace inner product, and ``(t, J)`` is flattened ``t``-major.
+    Returns ``(phi, unitary, psi, gram)``: ``phi[:, t] = φ_t``, ``unitary = U``,
+    ``psi[t] = ψ_t`` of shape ``(count, dim)`` and ``gram = P``, all
+    ``O(dim²)`` entries.
     """
     dim, count = n ** (depth + 1), n**depth
     _guard(dim * dim, cap)
-    gadget = build_gadget(n)
-    unitary = TruncatedAutomorphism.build(gadget, depth, "theta", cap).unitary
-    f_u = (gadget.f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
-    family = f_u.transpose(0, 2, 1, 3) @ unitary.conj().T.reshape(count, n, dim)
-    rows = family.reshape(n * count, dim // row_block, row_block * dim).transpose(1, 0, 2)
-    grams = rows @ rows.conj().transpose(0, 2, 1) / dim
-    return rows, grams
+    unitary = TruncatedAutomorphism.build(build_gadget(n), depth, "theta", cap).unitary
+    phi = _shift_eigenvectors(n)
+    psi = (phi.conj().T @ unitary.reshape(n, count * dim)).reshape(n, count, dim)
+    return phi, unitary, psi, unitary.conj().T @ unitary
+
+
+def _tiles(psi: np.ndarray, depth: int) -> np.ndarray:
+    """``ψ`` as the tiles ``T[t, I'', k, J, l] = ψ_t[(I'', k), (J, l)]``.
+
+    A row block of ``n`` rows is ``I = (i, I'')``, the first slot ``i``
+    followed by ``I''``; its rows ``k`` are the last slot.  At depth 0 there
+    is no ``I''`` and the tile of each ``t`` is the single row ``ψ_t``.
+    """
+    n, count, _ = psi.shape
+    rows = n if depth else 1
+    return psi.reshape(n, count // rows, rows, count, n)
+
+
+def _first_slot_weights(phi: np.ndarray, depth: int) -> np.ndarray:
+    """``w[i, t, s] = φ_t[i] · conj(φ_s[i])``, the first-slot factor of row block ``(i, I'')``.
+
+    At depth 0 the one row block holds every first-slot row, so its ``n``
+    terms add up and the leading axis has length 1.
+    """
+    if depth == 0:
+        return (phi.T @ phi.conj())[None]
+    return phi[:, :, None] * phi.conj()[:, None, :]
+
+
+def _same_j_grams(n: int, m: int, cap: int) -> np.ndarray:
+    """Inner products ``⟨X_{I,t,J}, X_{I,s,J}⟩`` of the depth-``m`` family, as ``[I, J, t, s]``.
+
+    Within row block ``I = (i, I'')`` the entry is
+    ``φ_t[i] conj(φ_s[i]) · tr(T[t,I'',J] P[J,J] T[s,I'',J]*) / dim``.
+    """
+    phi, _, psi, gram = _theta_factors(n, m, cap)
+    dim, count = n ** (m + 1), n**m
+    tiles = _tiles(psi, m)
+    by_j = tiles.transpose(3, 1, 0, 2, 4)  # [J, I'', t, k, l]
+    p_diag = np.diagonal(gram.reshape(count, n, count, n), axis1=0, axis2=2)  # P[J, J] as [l, l', J]
+    tiles_p = by_j.reshape(count, -1, n) @ p_diag.transpose(2, 0, 1)
+    flat = (count, by_j.shape[1], n, -1)  # [J, I'', t, (k, l)]
+    traces = tiles_p.reshape(flat) @ by_j.reshape(flat).conj().swapaxes(-1, -2)
+    grams = _first_slot_weights(phi, m)[:, None, None] * traces.swapaxes(0, 1)[None] / dim
+    return grams.reshape(count, count, n, n)
 
 
 def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
@@ -167,11 +220,8 @@ def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    _, grams = _product_family(n, m, n, cap)
-    count = n**m
-    same_j = np.diagonal(grams.reshape(count, n, count, n, count), axis1=2, axis2=4)
-    expected = float(n) ** (-(2 * m + 1)) * np.eye(n)[:, :, None]
-    return float(np.max(np.abs(same_j - expected)))
+    expected = float(n) ** (-(2 * m + 1)) * np.eye(n)
+    return float(np.max(np.abs(_same_j_grams(n, m, cap) - expected)))
 
 
 @dataclass(frozen=True)
@@ -186,6 +236,21 @@ class FamilySpanReport:
     min_kept_singular: float  # the smallest singular value above the cut
 
 
+def _span_rows(n: int, depth: int, cap: int) -> np.ndarray:
+    """The members ``X[t, J]`` of the depth-``depth`` family, cut into single rows.
+
+    ``rows[R, (t, J)]`` is row ``R = (i, I')`` of ``X[t, J]``, that is
+    ``φ_t[i] · ψ_t[I', J-cols] · S_J*``; ``(t, J)`` is flattened ``t``-major.
+    """
+    phi, unitary, psi, _ = _theta_factors(n, depth, cap)
+    dim, count = n ** (depth + 1), n**depth
+    cols = unitary.reshape(dim, count, n).transpose(1, 2, 0).conj()  # S_J* for each J
+    tail = psi.reshape(n * count, count, n).transpose(1, 0, 2) @ cols  # [J, (t, I'), :]
+    tail = tail.reshape(count, n, count, dim).transpose(2, 1, 0, 3)  # [I', t, J, :]
+    rows = phi[:, None, :, None, None] * tail[None]
+    return rows.reshape(dim, n * count, dim)
+
+
 def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanReport:
     """Certify the ``n^{2m}`` products as orthogonal, non-zero, and spanning.
 
@@ -195,7 +260,9 @@ def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanR
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    rows, grams = _product_family(n, m - 1, 1, cap)
+    rows = _span_rows(n, m - 1, cap)
+    # elements on different rows have disjoint support: one Gram per row
+    grams = rows @ rows.conj().transpose(0, 2, 1) / n**m
     k = grams.shape[1]
     diag = np.abs(grams[:, np.arange(k), np.arange(k)])
     off = np.abs(grams[:, ~np.eye(k, dtype=bool)])
@@ -218,10 +285,18 @@ def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    _, grams = _product_family(n, m, n, cap)
-    count = n**m
-    same_t = np.diagonal(grams.reshape(count, n, count, n, count), axis1=1, axis2=3)
-    return np.moveaxis(same_t, -1, 0)
+    phi, _, psi, gram = _theta_factors(n, m, cap)
+    dim, count = n ** (m + 1), n**m
+    weights = np.diagonal(_first_slot_weights(phi, m), axis1=1, axis2=2)  # [i, t]
+    p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
+    blocks = np.empty((n, count, count, count), dtype=complex)
+    for t, tiles in enumerate(_tiles(psi, m)):
+        # tr(T[t,I'',J] P[J,J'] T[t,I'',J']*) for every (I'', J, J')
+        tiles_p = tiles.transpose(2, 0, 1, 3).reshape(count, -1, n) @ p_rows
+        tiles_p = tiles_p.reshape(count, *tiles.shape[:2], count, n)
+        traces = np.einsum("jakbm,akbm->ajb", tiles_p, tiles.conj())
+        blocks[t] = (weights[:, t, None, None, None] * traces[None]).reshape(count, count, count)
+    return blocks / dim
 
 
 def intertwiner_grams(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP):

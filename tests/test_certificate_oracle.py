@@ -1,25 +1,35 @@
-"""Shift-gadget certificates against the zero-padded route they replaced.
+"""Shift-gadget certificates against two slower routes.
 
-The oracle builds the gadget's spectral projections as Fourier sums of powers
-of the shift, and certifies each family element by padding its rows into a
-zero matrix of the full size: keyclaim sums the diagonal of ``f_r θ(e_J) f_s``
-row block by row block, span takes the Gram matrix and the singular values of
-the stack of all padded elements, and the intertwiner Grams are the dense
-Gram matrices of the two padded families.  The engine under test forms one
-Gram per row block instead; the cross-block entries it leaves out are exact
-zeros of the padded route.
+The zero-padded oracle builds the gadget's spectral projections as Fourier
+sums of powers of the shift, and certifies each family element by padding its
+rows into a zero matrix of the full size: keyclaim sums the diagonal of
+``f_r θ(e_J) f_s`` row block by row block, span takes the Gram matrix and the
+singular values of the stack of all padded elements, and the intertwiner Grams
+are the dense Gram matrices of the two padded families.
+
+The dense-family oracle holds the whole family ``X[t, J] = (f_t ⊗ 1)θ(e_J ⊗ 1)``
+(``N³`` entries) and forms one Gram per row block.  The engine under test reads
+the same Gram entries off ``ψ = (Φ* ⊗ 1)U`` and ``P = U*U`` in ``n × n``
+tiles, so the two agree entry by entry up to rounding, also for a ``U`` that
+is not unitary.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puklab.constructions import (
     ShiftGadget,
     TruncatedAutomorphism,
+    _same_j_grams,
+    _span_rows,
     build_gadget,
     family_span_check,
+    intertwiner_blocks,
     intertwiner_grams,
     keyclaim_check,
 )
@@ -27,6 +37,7 @@ from puklab.core import tensor
 
 CAP = 1296
 TOL = 1e-13
+ROUNDING = 1e-15  # entrywise gap allowed between the factored and the dense Grams
 SWEEP = [(n, m) for n in range(2, 37) for m in range(6) if n ** (2 * (m + 1)) <= CAP]
 
 
@@ -150,3 +161,98 @@ def test_intertwiner_grams_every_pair(n, m):
                              oracle_intertwiner_grams(n, m, r, s)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= TOL
+
+
+def product_family(n, depth, row_block):
+    """Rows and per-row-block Grams of the whole family ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
+
+    ``rows[I, (t, J)]`` is row block ``I`` (``row_block`` rows) of ``X[t, J]``
+    flattened, ``grams[I]`` their Gram matrix in the normalized trace inner
+    product, and ``(t, J)`` is flattened ``t``-major.
+    """
+    dim, count = n ** (depth + 1), n**depth
+    gadget = build_gadget(n)
+    unitary = TruncatedAutomorphism.build(gadget, depth, "theta", CAP).unitary
+    f_u = (gadget.f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
+    family = f_u.transpose(0, 2, 1, 3) @ unitary.conj().T.reshape(count, n, dim)
+    rows = family.reshape(n * count, dim // row_block, row_block * dim).transpose(1, 0, 2)
+    grams = rows @ rows.conj().transpose(0, 2, 1) / dim
+    return rows, grams
+
+
+def assert_factored_matches_dense(n, m):
+    """Same-``J`` Grams, intertwiner blocks and span rows, entry by entry."""
+    count = n**m
+    _, grams = product_family(n, m, n)
+    pairs = grams.reshape(count, n, count, n, count)  # [I, t, J, s, J']
+    same_j = np.diagonal(pairs, axis1=2, axis2=4).transpose(0, 3, 1, 2)  # [I, J, t, s]
+    same_t = np.moveaxis(np.diagonal(pairs, axis1=1, axis2=3), -1, 0)  # [t, I, J, J']
+    assert np.max(np.abs(_same_j_grams(n, m, CAP) - same_j)) <= ROUNDING
+    assert np.max(np.abs(intertwiner_blocks(n, m, cap=CAP) - same_t)) <= ROUNDING
+    if m >= 1:
+        rows, _ = product_family(n, m - 1, 1)
+        assert np.max(np.abs(_span_rows(n, m - 1, CAP) - rows)) <= ROUNDING
+
+
+def distorted_build(distort):
+    """``TruncatedAutomorphism.build`` with ``distort`` applied to a copy of ``U``."""
+    exact = TruncatedAutomorphism.build
+
+    def build(cls, gadget, depth, kind="theta", cap=CAP):
+        return cls(gadget, depth, kind, distort(exact(gadget, depth, kind, cap).unitary.copy()))
+
+    return classmethod(build)
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_factored_grams_match_dense_family(n, m):
+    assert_factored_matches_dense(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_factored_grams_match_dense_family_for_non_unitary_u(case, seed, size):
+    # a dense perturbation: U*U gets entries off its diagonal blocks as well
+    def distort(unitary):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(unitary.shape + (2,)) @ np.array([1.0, 1j])
+        return unitary + size * noise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedAutomorphism, "build", distorted_build(distort))
+        assert_factored_matches_dense(*case)
+
+
+def test_gram_of_u_is_used():
+    # one column of U scaled by 1.001: reading U*U as I would be off by about 2e-3 relative
+    def distort(unitary):
+        unitary[:, 3] *= 1.001
+        return unitary
+
+    exact_grams = _same_j_grams(2, 2, CAP), intertwiner_blocks(2, 2, cap=CAP)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedAutomorphism, "build", distorted_build(distort))
+        distorted = _same_j_grams(2, 2, CAP), intertwiner_blocks(2, 2, cap=CAP)
+        assert keyclaim_check(2, 2, cap=CAP) > 1e-6
+        assert_factored_matches_dense(2, 2)
+    for got, exact in zip(distorted, exact_grams):
+        assert np.max(np.abs(got - exact)) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "certificate,bound",
+    [
+        # the dense family peaked at about 81 MB here
+        (lambda: keyclaim_check(2, 6, cap=16384), 4_000_000),
+        # and at about 10 MB here; the output alone is 1 MB
+        (lambda: intertwiner_blocks(2, 5), 6_000_000),
+    ],
+)
+def test_certificates_hold_no_cubic_family(certificate, bound):
+    tracemalloc.start()
+    try:
+        certificate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

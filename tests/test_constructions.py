@@ -225,15 +225,14 @@ class TestFamilySpan:
         assert rep.min_kept_singular > rep.rank_cut > 0
 
     def test_rank_cut_drops_a_vanished_element(self, monkeypatch):
-        exact = constructions._product_family
+        exact = constructions._span_rows
 
-        def one_row_lost(n, depth, row_block, cap):
-            rows, grams = exact(n, depth, row_block, cap)
-            rows = rows.copy()
+        def one_row_lost(n, depth, cap):
+            rows = exact(n, depth, cap).copy()
             rows[0, 0] *= 1e-12
-            return rows, grams
+            return rows
 
-        monkeypatch.setattr(constructions, "_product_family", one_row_lost)
+        monkeypatch.setattr(constructions, "_span_rows", one_row_lost)
         rep = family_span_check(2, 2)
         assert rep.count == 16 and rep.rank == 15
         assert rep.min_kept_singular > rep.rank_cut
