@@ -31,11 +31,10 @@ of ``R_A · R_Aᵀ`` is all ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_GNS_CAP, GnsSpace, TracedAlgebraShape, adjoint, as_matrix
+from .core import DEFAULT_GNS_CAP, TracedAlgebraShape, adjoint, as_matrix
 from .errors import (
     DegenerateSampleError,
     NotAbelianError,
@@ -59,7 +58,7 @@ COMMUTE_TOL = 1e-9
 EIG_GAP_RTOL = 1e-7
 # Fresh random samples drawn before giving up on separating projections.
 MAX_RETRIES = 8
-# Cap on the GNS dimension of spaces built by the spectrum routines.
+# Largest GNS dimension of a shape the left-right spectrum routines accept.
 GNS_DIM_CAP = DEFAULT_GNS_CAP
 
 
@@ -206,51 +205,48 @@ class JointEigenbasis:
         v = self.vecs[:, self.labels == i]
         return v @ v.conj().T
 
+    def block_traces(self, x: np.ndarray, slices) -> np.ndarray:
+        """``T[i, k] = Tr_k(p_i x)`` for ``x`` in the blocks cut out by ``slices``."""
+        starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
+        return _cluster_block_traces(self.vecs, x @ self.vecs, starts, slices)
+
+
+def _cluster_block_traces(vecs, xvecs, starts, slices) -> np.ndarray:
+    """``Tr_k(V_i V_i* x)`` of block-diagonal ``x`` from ``xvecs = x V`` and cluster ``starts``."""
+    dots = (vecs.conj() * xvecs).real
+    per_block = np.stack([dots[sl].sum(axis=0) for sl in slices], axis=1)
+    return np.add.reduceat(per_block, starts)
+
 
 @dataclass(frozen=True, eq=False)
 class ProductBlocks:
     """Minimal projections ``L(p_i) R(q_j)`` of a left-right algebra, kept as factors.
 
     ``left`` and ``right`` hold the projections ``p_i`` and ``q_j`` on C^D as
-    joint eigenbases, and ``pairs`` the ``(i, j)`` of the products a report
-    keeps, in its order.
+    joint eigenbases, and ``pairs`` the index arrays ``(i, j)`` of the products
+    a report keeps, in its order.
     """
 
     shape: TracedAlgebraShape
     left: JointEigenbasis
     right: JointEigenbasis
-    pairs: tuple[tuple[int, int], ...]
-
-    def dense(self) -> np.ndarray:
-        """The kept products as ``(k, gns_dim, gns_dim)`` operators on the GNS space."""
-        space = GnsSpace(self.shape)
-        out = np.zeros((len(self.pairs), space.dim, space.dim), dtype=complex)
-        for k, (i, j) in enumerate(self.pairs):
-            out[k] = space.left(self.left.projection(i)) @ space.right(self.right.projection(j))
-        return out
+    pairs: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Multiplicity data of an abelian algebra: one entry per minimal projection.
 
-    ``multiplicities[k]`` is the dimension of the range of
-    ``block_projections[k]``; view it as a multiset via :attr:`multiset`.
-    ``blocks`` holds the projections as a dense ``(k, n, n)`` array, or as the
-    :class:`ProductBlocks` factors of a left-right spectrum, in which case
-    :attr:`block_projections` builds the dense operators on first read.
+    ``multiplicities[k]`` is the dimension of the range of the ``k``-th
+    minimal projection; view it as a multiset via :attr:`multiset`.
+    ``blocks`` holds the projections as a dense ``(k, n, n)`` array for a
+    one-sided report, or as the :class:`ProductBlocks` factors of a
+    left-right spectrum.
     """
 
     ambient_dim: int
     multiplicities: tuple[int, ...]
     blocks: np.ndarray | ProductBlocks = field(repr=False)
-
-    @cached_property
-    def block_projections(self) -> np.ndarray:
-        """The minimal projections as a dense ``(k, n, n)`` array."""
-        if isinstance(self.blocks, ProductBlocks):
-            return self.blocks.dense()
-        return self.blocks
 
     @property
     def multiset(self) -> tuple[int, ...]:
@@ -392,9 +388,7 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
         np.fill_diagonal(gap, np.inf)
         if gap.min() <= MEMBER_TOL:
             raise _Rejected("two clusters carry the same joint eigenvalues")
-        mass = np.abs(vecs) ** 2
-        per_block = np.stack([mass[sl].sum(axis=0) for sl in slices], axis=1)
-        traces = np.add.reduceat(per_block, starts)
+        traces = _cluster_block_traces(vecs, vecs, starts, slices)
         ranks = np.rint(traces)
         worst = float(np.max(np.abs(traces - ranks)))
         if worst > MEMBER_TOL:
@@ -424,11 +418,9 @@ def _commutator_defect(mats: np.ndarray) -> float:
 
 def _product_report(shape, left, right, mults: np.ndarray, keep: np.ndarray) -> SpectrumReport:
     """The products ``L(p_i) R(q_j)`` at the ``(i, j)`` where ``keep`` holds, row by row."""
-    rows, cols = np.nonzero(keep)
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    return SpectrumReport(
-        shape.gns_dim, tuple(mults[rows, cols].tolist()), ProductBlocks(shape, left, right, pairs)
-    )
+    pairs = np.nonzero(keep)
+    kept = tuple(mults[pairs].tolist())
+    return SpectrumReport(shape.gns_dim, kept, ProductBlocks(shape, left, right, pairs))
 
 
 def mixed_spectrum(
@@ -521,7 +513,7 @@ def cutdown_spectrum(algebra: AlgebraBasis, p, seed: int = 0) -> SpectrumReport:
         raise NotInAlgebraError(f"projection residual {resid:.2e} onto the span is too large")
     report = minimal_projections(algebra, seed)
     keep_mults, keep_blocks = [], []
-    for mult, q in zip(report.multiplicities, report.block_projections):
+    for mult, q in zip(report.multiplicities, report.blocks):
         overlap = float(np.trace(q @ P).real)
         if abs(overlap - mult) <= MEMBER_TOL * max(1.0, mult):
             keep_mults.append(mult)

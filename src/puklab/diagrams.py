@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MEMBER_TOL, SpectrumReport
-from .core import GnsSpace, adjoint, as_matrix
+from .algebra import MEMBER_TOL, ProductBlocks, SpectrumReport
+from .core import TracedAlgebraShape, as_matrix
 from .errors import NotInAlgebraError, OracleGapError
 from .indices import LambdaSpec
 from .invariant import CutdownOracle
@@ -119,48 +119,54 @@ def diagram_from_construction(
 
 
 def diagram_from_numeric(
-    report: SpectrumReport, partition, space: GnsSpace, right_partition=None
+    report: SpectrumReport, partition, right_partition=None
 ) -> MultiplicityDiagram:
-    """Per-cell spectra of a computed report over a dyadic partition of the masa.
+    """Per-cell spectra of a left-right report over a dyadic partition of the masa.
 
     ``partition`` lists ``2^m`` projections in the underlying algebra summing
-    to the identity; cell ``(i, j)`` collects the multiplicities of the report
-    blocks dominated by the left-right cutdown at ``(p_i, q_j)``.  The right
+    to the identity; cell ``(a, b)`` collects the multiplicities of the report
+    blocks dominated by the left-right cutdown at ``(P_a, Q_b)``.  The right
     side defaults to the left partition; for a report over two distinct masas
     pass the second masa's matching partition as ``right_partition``, since
     only its projections act from the right inside the generated algebra.
+
+    ``L(x) R(y)`` has trace ``Tr_k(x) Tr_k(y)`` on block ``k``, so block
+    ``L(p_i) R(q_j)`` overlaps the cutdown by ``Σ_k Tr_k(p_i P_a) Tr_k(q_j Q_b)``,
+    read from the factors on C^D; any positive overlap short of the block's
+    multiplicity is a straddle and raises :class:`NotInAlgebraError`.
     """
-    mats = _checked_partition(partition, space)
-    rmats = mats if right_partition is None else _checked_partition(right_partition, space)
+    factors = report.blocks
+    if not isinstance(factors, ProductBlocks):
+        raise ValueError("diagram_from_numeric needs a left-right spectrum report")
+    shape = factors.shape
+    mats = _checked_partition(partition, shape)
+    rmats = mats if right_partition is None else _checked_partition(right_partition, shape)
     count = len(mats)
     level = count.bit_length() - 1
     if count != 1 << level or len(rmats) != count:
         raise ValueError(f"partition sizes must be equal powers of two, got {count}")
-    lefts = [space.left(p) for p in mats]
-    rights = [space.right(adjoint(q)) for q in rmats]
-    rows = []
-    for li in lefts:
-        row = []
-        for rj in rights:
-            cut = li @ rj
-            mults = []
-            for mult, q in zip(report.multiplicities, report.block_projections):
-                overlap = float(np.trace(q @ cut).real)
-                if abs(overlap - mult) <= MEMBER_TOL * max(1.0, mult):
-                    mults.append(mult)
-                elif overlap > MEMBER_TOL * max(1.0, mult):
-                    raise NotInAlgebraError("a report block straddles the partition cutdown")
-            row.append(NSet.from_iterable(mults))
-        rows.append(tuple(row))
-    return MultiplicityDiagram(level, tuple(rows), diagonal_marked=False)
+    slices = shape.block_slices()
+    rows, cols = factors.pairs
+    # (kept block, cell part, C^D block) traces of each side
+    left = np.stack([factors.left.block_traces(p, slices) for p in mats], axis=1)[rows]
+    right = np.stack([factors.right.block_traces(q, slices) for q in rmats], axis=1)[cols]
+    overlaps = np.einsum("pak,pbk->abp", left, right)
+    mults = np.array(report.multiplicities, dtype=int)
+    slack = MEMBER_TOL * np.maximum(1.0, mults)
+    inside = np.abs(overlaps - mults) <= slack
+    if np.any(~inside & (overlaps > slack)):
+        raise NotInAlgebraError("a report block straddles the partition cutdown")
+    cells = [[NSet.from_iterable(mults[cell].tolist()) for cell in row] for row in inside]
+    return MultiplicityDiagram(level, tuple(map(tuple, cells)), diagonal_marked=False)
 
 
-def _checked_partition(partition, space: GnsSpace) -> list[np.ndarray]:
+def _checked_partition(partition, shape: TracedAlgebraShape) -> list[np.ndarray]:
     mats = [as_matrix(p) for p in partition]
-    D = space.shape.total_dim
+    D = shape.total_dim
     total = np.zeros((D, D), dtype=complex)
     for p in mats:
-        if np.max(np.abs(p @ p - p)) > MEMBER_TOL or np.max(np.abs(p - adjoint(p))) > MEMBER_TOL:
+        shape.check_member(p)
+        if np.max(np.abs(p @ p - p)) > MEMBER_TOL or np.max(np.abs(p - p.conj().T)) > MEMBER_TOL:
             raise ValueError("partition entries must be projections")
         total += p
     if np.max(np.abs(total - np.eye(D))) > MEMBER_TOL:

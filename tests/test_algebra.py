@@ -170,7 +170,7 @@ class TestMinimalProjections:
         rep = minimal_projections(generate_algebra(gens), seed=0)
         assert rep.multiset == (1, 1, 1, 1)
         expected = [space.left(a) @ space.right(b) for a in diag_units(2) for b in diag_units(2)]
-        for q in rep.block_projections:
+        for q in rep.blocks:
             assert min(np.max(np.abs(q - p)) for p in expected) < 1e-8
 
     def test_diagonal_masa_on_column_space(self):
@@ -207,11 +207,11 @@ class TestMinimalProjections:
         a = minimal_projections(alg, seed=11)
         b = minimal_projections(alg, seed=11)
         assert a.multiplicities == b.multiplicities
-        assert np.max(np.abs(a.block_projections - b.block_projections)) < 1e-10
+        assert np.max(np.abs(a.blocks - b.blocks)) < 1e-10
 
     def test_projection_quality(self):
         rep = minimal_projections(generate_algebra(diag_units(3)), seed=1)
-        for q in rep.block_projections:
+        for q in rep.blocks:
             assert np.max(np.abs(q @ q - q)) < 1e-8
             assert np.max(np.abs(q - adjoint(q))) < 1e-8
 

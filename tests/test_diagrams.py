@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from puklab.algebra import cutdown_spectrum, generate_algebra, mixed_spectrum
+from puklab.algebra import generate_algebra, minimal_projections, mixed_spectrum
 from puklab.constructions import build_gadget, truncated_masa_pair
-from puklab.core import GnsSpace, TracedAlgebraShape, tensor
+from puklab.core import TracedAlgebraShape, tensor
 from puklab.diagrams import (
     MultiplicityDiagram,
     diagram_from_construction,
     diagram_from_numeric,
     render,
 )
+from puklab.errors import ShapeMismatchError
 from puklab.indices import LambdaSpec, Override, level_zero
 from puklab.invariant import CutdownOracle, choose_lambda_for_efg, eval_construction
 from puklab.nsets import INF, NSet
@@ -107,44 +110,76 @@ class TestDiagramInvariants:
 class TestNumericDiagrams:
     def test_diagonal_masa_grid(self):
         shape = TracedAlgebraShape.full_matrix(2)
-        space = GnsSpace(shape)
         units = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         report = mixed_spectrum(units, units, shape)
-        d = diagram_from_numeric(report, units, space)
+        d = diagram_from_numeric(report, units)
         assert grid(d) == [["1", "1"], ["1", "1"]]
         assert not d.diagonal_marked
 
     def test_conjugated_tensor_pair_all_ones(self):
         shape = TracedAlgebraShape.full_matrix(4)
-        space = GnsSpace(shape)
         a_gens, b_gens = truncated_masa_pair(2, 2)
         report = mixed_spectrum(a_gens, b_gens, shape)
         gadget = build_gadget(2)
         partition = [tensor(gadget.e[i], np.eye(2)) for i in range(2)]
         conjugated = [gadget.v @ p @ gadget.v.conj().T for p in partition]
-        d = diagram_from_numeric(report, partition, space, right_partition=conjugated)
+        d = diagram_from_numeric(report, partition, right_partition=conjugated)
         assert grid(d) == [["1", "1"], ["1", "1"]]
 
-    def test_empty_cells_from_cutdown_report(self):
-        shape = TracedAlgebraShape.full_matrix(2)
-        space = GnsSpace(shape)
+    def test_empty_cells_across_blocks(self):
+        # L(p) R(q) vanishes unless p and q share a block, so the cross cells are blank
+        shape = TracedAlgebraShape.from_blocks((1, 1))
         units = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        gens = [space.left(u) for u in units] + [space.right(u) for u in units]
-        alg = generate_algebra(gens)
-        corner = space.left(units[0]) @ space.right(units[0])
-        report = cutdown_spectrum(alg, corner)
-        d = diagram_from_numeric(report, units, space)
-        assert grid(d) == [["1", ""], ["", ""]]
+        report = mixed_spectrum(units, units, shape)
+        d = diagram_from_numeric(report, units)
+        assert grid(d) == [["1", ""], ["", "1"]]
 
     def test_partition_must_sum_to_identity(self):
         shape = TracedAlgebraShape.full_matrix(2)
-        space = GnsSpace(shape)
         units = [np.diag([1.0, 0.0]).astype(complex)]
         report = mixed_spectrum(
             [np.eye(2, dtype=complex)], [np.eye(2, dtype=complex)], shape
         )
         with pytest.raises(ValueError):
-            diagram_from_numeric(report, units, space)
+            diagram_from_numeric(report, units)
+
+    def test_off_block_partition_rejected(self):
+        # projections summing to the identity, but off the diagonal blocks of (1, 1)
+        shape = TracedAlgebraShape.from_blocks((1, 1))
+        units = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        report = mixed_spectrum(units, units, shape)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(ShapeMismatchError):
+            diagram_from_numeric(report, [plus, np.eye(2) - plus])
+        with pytest.raises(ShapeMismatchError):
+            diagram_from_numeric(report, units, right_partition=[plus, np.eye(2) - plus])
+
+    def test_one_sided_report_rejected(self):
+        units = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        report = minimal_projections(generate_algebra(units), seed=0)
+        with pytest.raises(ValueError, match="left-right"):
+            diagram_from_numeric(report, units)
+
+    def test_haar_pair_m12_builds_no_gns_operator(self):
+        # the dense products would be 144 operators of 144² complex entries, about 48 MB
+        n = 12
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        units = [np.diag(np.eye(n)[i]).astype(complex) for i in range(n)]
+        report = mixed_spectrum(units, [u @ e @ u.conj().T for e in units],
+                                TracedAlgebraShape.full_matrix(n))
+        halves = [np.diag(np.repeat([1.0, 0.0], n // 2)), np.diag(np.repeat([0.0, 1.0], n // 2))]
+        tracemalloc.start()
+        try:
+            d = diagram_from_numeric(report, halves,
+                                     right_partition=[u @ h @ u.conj().T for h in halves])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid(d) == [["1", "1"], ["1", "1"]]
+        assert peak < 4 << 20
 
 
 FIG4 = MultiplicityDiagram(

@@ -1,4 +1,4 @@
-"""Left-right spectra against the routes they replaced.
+"""Left-right spectra and their diagrams against the routes they replaced.
 
 Two oracles.  The dense GNS route builds ``L(a)`` and ``R(b*)`` as
 ``gns_dim × gns_dim`` matrices, generates the algebra they span and splits it
@@ -11,6 +11,11 @@ the generators.  Inputs are random abelian algebras of small multi-matrix
 algebras: several blocks, uneven exact weights, and generators whose
 eigenvalues repeat within and across blocks, so that minimal projections have
 rank above one and straddle blocks.
+
+Diagrams of a left-right report are checked against the dense overlap loop:
+the report's products ``L(p_i) R(q_j)`` and the partition cutdowns built as
+``gns_dim × gns_dim`` operators, with each block's trace against each cutdown
+compared to its multiplicity.
 """
 
 from fractions import Fraction
@@ -33,7 +38,9 @@ from puklab.algebra import (
     relative_commutant_dim,
 )
 from puklab.core import GnsSpace, TracedAlgebraShape, adjoint
-from puklab.errors import DegenerateSampleError, NotAbelianError, NotMasaError
+from puklab.diagrams import diagram_from_numeric
+from puklab.errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
+from puklab.nsets import NSet
 
 PROJ_TOL = 1e-8
 
@@ -43,7 +50,7 @@ def dense_mixed_spectrum(a_gens, b_gens, shape, seed=0):
     space = GnsSpace(shape)
     gens = [space.left(a) for a in a_gens] + [space.right(adjoint(b)) for b in b_gens]
     report = minimal_projections(generate_algebra(gens, unital=True), seed)
-    return list(zip(report.multiplicities, report.block_projections))
+    return list(zip(report.multiplicities, report.blocks))
 
 
 def dense_puk_spectrum(a_gens, shape, seed=0):
@@ -57,7 +64,7 @@ def dense_puk_spectrum(a_gens, shape, seed=0):
     rows = vh[s > SPAN_RTOL * s[0]]
     e_a = rows.T @ rows.conj()
     kept = []
-    for mult, q in zip(report.multiplicities, report.block_projections):
+    for mult, q in zip(report.multiplicities, report.blocks):
         overlap = float(np.trace(q @ e_a).real)
         if overlap < MEMBER_TOL * max(1.0, mult):
             kept.append((mult, q))
@@ -66,10 +73,42 @@ def dense_puk_spectrum(a_gens, shape, seed=0):
     return kept
 
 
+def dense_products(blocks):
+    """The kept products ``L(p_i) R(q_j)`` of a left-right report as GNS operators."""
+    space = GnsSpace(blocks.shape)
+    rows, cols = blocks.pairs
+    out = np.zeros((len(rows), space.dim, space.dim), dtype=complex)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        out[k] = space.left(blocks.left.projection(i)) @ space.right(blocks.right.projection(j))
+    return out
+
+
+def dense_diagram_cells(report, partition, right_partition=None):
+    """Diagram cells from the overlaps of the dense products with the dense cutdowns."""
+    space = GnsSpace(report.blocks.shape)
+    products = dense_products(report.blocks)
+    rights = partition if right_partition is None else right_partition
+    rows = []
+    for p in partition:
+        row = []
+        for q in rights:
+            cut = space.left(p) @ space.right(adjoint(q))
+            mults = []
+            for mult, block in zip(report.multiplicities, products):
+                overlap = float(np.trace(block @ cut).real)
+                if abs(overlap - mult) <= MEMBER_TOL * max(1.0, mult):
+                    mults.append(mult)
+                elif overlap > MEMBER_TOL * max(1.0, mult):
+                    raise NotInAlgebraError("a report block straddles the partition cutdown")
+            row.append(NSet.from_iterable(mults))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def cd_block_ranks(gens, shape, seed=0):
     """Minimal projections on C^D and their block ranks, through the algebra basis."""
     small = generate_algebra(gens or [np.eye(shape.total_dim)], unital=True)
-    projs = minimal_projections(small, seed).block_projections
+    projs = minimal_projections(small, seed).blocks
     traces = np.stack(
         [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],
         axis=1,
@@ -111,10 +150,15 @@ def blockwise_unitary(rng, shape):
     return u
 
 
+def conjugated(u, entries):
+    """``U diag(entries) U*``."""
+    return u @ np.diag(np.asarray(entries, dtype=float)) @ u.conj().T
+
+
 def conjugated_diagonals(rng, shape, label_rows):
     """Commuting generators ``U diag(labels) U*`` with one block-diagonal unitary U."""
     u = blockwise_unitary(rng, shape)
-    return [u @ np.diag(np.asarray(row, dtype=float)) @ u.conj().T for row in label_rows]
+    return [conjugated(u, row) for row in label_rows]
 
 
 @st.composite
@@ -153,7 +197,7 @@ def assert_same_blocks(report, expected):
     """Each block of the report matches one expected projection; the multisets agree."""
     assert sorted(report.multiplicities) == sorted(m for m, _ in expected)
     unmatched = list(expected)
-    for mult, q in zip(report.multiplicities, report.block_projections):
+    for mult, q in zip(report.multiplicities, dense_products(report.blocks)):
         hits = [
             k for k, (m, p) in enumerate(unmatched)
             if m == mult and np.max(np.abs(q - p)) < PROJ_TOL
@@ -230,6 +274,111 @@ def test_non_maximal_input_is_not_a_masa(case):
         cd_puk_spectrum(gens, shape, seed)
     with pytest.raises(NotMasaError):
         finite_puk_spectrum(gens, shape, seed=seed)
+
+
+def partition_from_groups(u, groups, level):
+    """The ``2^level`` projections ``U diag(groups == a) U*``; some may be zero."""
+    groups = np.asarray(groups)
+    return [conjugated(u, groups == a) for a in range(1 << level)]
+
+
+def counted_cells(shape, a_keys, b_keys, a_groups, b_groups, level, off_diagonal=False):
+    """Diagram cells counted from diagonal positions; ``"straddle"`` if a product straddles.
+
+    With ``A`` and its partition diagonal in one basis, ``Tr_k(p_i P_a)`` counts
+    the positions of block ``k`` in cluster ``i`` and part ``a``, and likewise
+    for ``B``.  Clusters are the positions sharing a key.  Product ``(i, j)``
+    meets cell ``(a, b)`` through each pair of positions of one block, one in
+    cluster ``i`` and part ``a`` and one in cluster ``j`` and part ``b``.
+    """
+    block_of = np.repeat(np.arange(len(shape.blocks)), shape.blocks)
+    count = 1 << level
+    cells = [[set() for _ in range(count)] for _ in range(count)]
+    for ka in set(a_keys):
+        for kb in set(b_keys):
+            if off_diagonal and ka == kb:
+                continue
+            meets = [
+                (a_groups[x], b_groups[y])
+                for x in range(shape.total_dim) if a_keys[x] == ka
+                for y in range(shape.total_dim) if b_keys[y] == kb
+                if block_of[x] == block_of[y]
+            ]
+            if len(set(meets)) > 1:
+                return "straddle"
+            if meets:
+                a, b = meets[0]
+                cells[a][b].add(len(meets))
+    return tuple(tuple(NSet.from_iterable(c) for c in row) for row in cells)
+
+
+def cells_or_straddle(cells):
+    """``cells()``, or ``"straddle"`` if it raises :class:`NotInAlgebraError`."""
+    try:
+        return cells()
+    except NotInAlgebraError:
+        return "straddle"
+
+
+def parts(D, level):
+    """The part of a ``2^level`` partition that each diagonal position falls in."""
+    return st.lists(st.integers(0, (1 << level) - 1), min_size=D, max_size=D)
+
+
+@st.composite
+def mixed_diagram_cases(draw):
+    shape, a_labels, b_labels, seed = draw(mixed_cases())
+    D, level = shape.total_dim, draw(st.integers(0, 2))
+    return shape, a_labels, b_labels, seed, level, draw(parts(D, level)), draw(parts(D, level))
+
+
+@st.composite
+def puk_diagram_cases(draw):
+    shape, labels, seed = draw(masa_cases())
+    level = draw(st.integers(0, 2))
+    return shape, labels, seed, level, draw(parts(shape.total_dim, level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_diagram_cases())
+def test_mixed_diagram_matches_dense_oracle(case):
+    # a part that splits a cluster inside a block makes some product straddle
+    shape, a_labels, b_labels, seed, level, a_groups, b_groups = case
+    rng = np.random.default_rng(seed)
+    u_a, u_b = blockwise_unitary(rng, shape), blockwise_unitary(rng, shape)
+    report = mixed_spectrum([conjugated(u_a, row) for row in a_labels],
+                            [conjugated(u_b, row) for row in b_labels], shape, seed=seed)
+    left = partition_from_groups(u_a, a_groups, level)
+    right = partition_from_groups(u_b, b_groups, level)
+    factor = cells_or_straddle(lambda: diagram_from_numeric(report, left, right).cells)
+    dense = cells_or_straddle(lambda: dense_diagram_cells(report, left, right))
+    counted = counted_cells(shape, list(zip(*a_labels)), list(zip(*b_labels)),
+                            a_groups, b_groups, level)
+    assert factor == dense == counted
+
+
+@settings(max_examples=25, deadline=None)
+@given(puk_diagram_cases())
+def test_puk_diagram_matches_dense_oracle(case):
+    shape, labels, seed, level, groups = case
+    u = blockwise_unitary(np.random.default_rng(seed), shape)
+    report = finite_puk_spectrum([conjugated(u, labels)], shape, seed=seed)
+    partition = partition_from_groups(u, groups, level)
+    factor = cells_or_straddle(lambda: diagram_from_numeric(report, partition).cells)
+    dense = cells_or_straddle(lambda: dense_diagram_cells(report, partition))
+    counted = counted_cells(shape, labels, labels, groups, groups, level, off_diagonal=True)
+    assert factor == dense == counted
+
+
+def test_split_cluster_straddles_in_both_routes():
+    # L(1) R(e_jj) has rank 2 and meets both rows of the unit partition
+    shape = TracedAlgebraShape.full_matrix(2)
+    units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    report = mixed_spectrum([np.eye(2)], units, shape)
+    with pytest.raises(NotInAlgebraError):
+        diagram_from_numeric(report, units)
+    with pytest.raises(NotInAlgebraError):
+        dense_diagram_cells(report, units)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
