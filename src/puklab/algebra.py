@@ -46,10 +46,6 @@ from .nsets import NSet
 
 # Span closure keeps SVD directions above this relative threshold.
 SPAN_RTOL = 1e-9
-# Gram matrix of a basis must be the identity to within this.
-GRAM_TOL = 1e-10
-# Adjoint-closure residual allowed for a *-closed basis.
-ADJOINT_TOL = 1e-9
 # Membership residual for projections extracted from an algebra.
 MEMBER_TOL = 1e-8
 # Pairwise commutator bound below which an algebra counts as abelian.
@@ -101,9 +97,6 @@ class AlgebraBasis:
                 comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
                 worst = max(worst, float(np.max(np.abs(comm))))
         return worst
-
-    def is_abelian(self, tol: float = COMMUTE_TOL) -> bool:
-        return self.max_commutator() < tol
 
 
 def orthonormalize_span(mats, rtol: float = SPAN_RTOL) -> np.ndarray:

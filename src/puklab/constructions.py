@@ -322,10 +322,14 @@ def intertwiner_check(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree; this returns the largest entrywise difference.
+    agree; this returns the largest entrywise difference.  Outside the
+    blocks of :func:`intertwiner_blocks` both Grams vanish, so the blocks
+    alone give it.
     """
-    gram_r, gram_s = intertwiner_grams(n, m, r, s, cap)
-    return float(np.max(np.abs(gram_r - gram_s)))
+    if r == s or not (0 <= r < n and 0 <= s < n):
+        raise ValueError("need distinct r, s in range(n)")
+    blocks = intertwiner_blocks(n, m, cap)
+    return float(np.max(np.abs(blocks[r] - blocks[s])))
 
 
 def truncated_masa_pair(n: int, k: int, kind: str = "theta", cap: int = DEFAULT_GNS_CAP):

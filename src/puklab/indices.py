@@ -9,11 +9,13 @@ pair values that drive the inductive masa construction, bundled here as
 
 The pair streams are ordered lexicographically, so a pair's position is
 index arithmetic on lexicographic ranks: :func:`_sibling_position` and
-:func:`_cross_position` are closed forms, and :meth:`LambdaSpec.cell_values`
-reads the values of a whole level, grouped by leading words, from runs of
-consecutive stream positions.  The enumerators :func:`iter_sibling_pairs`,
-:func:`iter_cross_pairs` and :meth:`LambdaSpec.level_assignments` stay as the
-reference the closed forms are tested against.
+:func:`_cross_position` are closed forms.  One segment table per level,
+``LambdaSpec._segments``, says which ranges of the sibling and cross streams
+carry which cycled values, by quadrant; value lookups, per-level value sets
+and :meth:`LambdaSpec.cell_values` (values grouped by leading words, from
+runs of consecutive positions) all read it.  The enumerators
+:func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
+:meth:`LambdaSpec.level_assignments` stay as the independent reference.
 
 :func:`glue_check` certifies the nested projection families exhaustively
 without building ``MultiIndex`` objects: it runs the word arithmetic of
@@ -50,6 +52,9 @@ CELL_WORK_CAP = 1 << 20
 
 # Ranks per int64 array in ``glue_check``; bounds its working set.
 GLUE_CHUNK = 1 << 12
+
+# Quadrant filters of the pair-value queries; ``None`` keeps every pair.
+QUADRANT_NAMES = (None, "both_zero", "both_one", "mixed")
 
 
 class _Root:
@@ -315,12 +320,42 @@ class LambdaSpec:
     def _mixed_offset(self, r: int) -> int:
         return sum(cross_pair_count(s) for s in range(r))
 
-    def _sibling_stream(self, r: int) -> tuple[list, int]:
-        """Values cycled over the level-``r`` sibling stream without quadrant rules,
-        and the stream offset of its first pair."""
-        if self.enumeration is not None:
-            return self.enumeration.sorted_values(), self._enum_offset(r)
-        return [self.default], 0
+    @cached_property
+    def _segment_tables(self) -> dict:
+        return {}
+
+    def _segments(self, r: int, quadrant: str | None = None) -> tuple:
+        """The value-carrying pairs of level ``r`` as ``(quadrant, cross, lo, hi, values, base)``.
+
+        Positions ``lo … hi−1`` of the sibling stream, or of the cross stream
+        when ``cross`` is set, carry ``values[(base + p) % len(values)]``; the
+        overrides sit on top of the sibling stream.  Segments come in stream
+        order, sibling stream first, and ``quadrant`` keeps only the named
+        one.  The unique level-0 pair is the sibling pair across the branches,
+        so it is ``mixed`` for every spec.
+        """
+        if quadrant not in QUADRANT_NAMES:
+            raise ValueError(f"unknown quadrant {quadrant!r}")
+        table = self._segment_tables.get(r)
+        if table is None:
+            q, half = self.quadrants, sibling_pair_count(r) // 2
+            if q is None:
+                enum = self.enumeration
+                zero = one = mixed = (([self.default], 0) if enum is None
+                                      else (enum.sorted_values(), self._enum_offset(r)))
+            else:
+                zero = (q.both_zero.sorted_values(), self._branch_offset(r))
+                one = (q.both_one.sorted_values(), self._branch_offset(r) - half)
+                mixed = (q.mixed.sorted_values(), self._mixed_offset(r))
+            if r == 0:
+                table = (("mixed", False, 0, 1, *mixed),)
+            else:
+                table = (("both_zero", False, 0, half, *zero),
+                         ("both_one", False, half, 2 * half, *one))
+                if q is not None:
+                    table += (("mixed", True, 0, cross_pair_count(r), *mixed),)
+            self._segment_tables[r] = table
+        return table if quadrant is None else tuple(s for s in table if s[0] == quadrant)
 
     def value(self, r: int, i: MultiIndex, j: MultiIndex):
         """The value carried by the pair ``{i, j}`` at level ``r``; symmetric."""
@@ -328,34 +363,16 @@ class LambdaSpec:
             i, j = j, i
         if i == j or i.r != r or j.r != r or i.m != 1 or j.m != 1:
             raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
-        sibling = pipe(i, r - 1) == pipe(j, r - 1)
-        if sibling:
-            hit = self._override_map.get((r, i, j))
-            if hit is not None:
-                return hit
-        if self.quadrants is not None:
-            return self._quadrant_value(r, i, j, sibling)
-        if not sibling:
-            raise InvalidLambdaError("only sibling pairs carry values without quadrant rules")
-        if self.enumeration is not None:
-            pos = self._enum_offset(r) + _sibling_position(r, i, j)
-            return _cycle(self.enumeration, pos)
-        return self.default
-
-    def _quadrant_value(self, r: int, i: MultiIndex, j: MultiIndex, sibling: bool):
-        if i.branch != j.branch:
-            if not sibling and r == 0:
-                raise InvalidLambdaError("impossible pair")
-            pos = self._mixed_offset(r) + (0 if r == 0 else _cross_position(r, i, j))
-            return _cycle(self.quadrants.mixed, pos)
-        if not sibling:
-            raise InvalidLambdaError("same-branch pairs carry values only when siblings")
-        target = self.quadrants.both_zero if i.branch == 0 else self.quadrants.both_one
-        local = _sibling_position(r, i, j)
-        half = sibling_pair_count(r) // 2
-        if i.branch == 1:
-            local -= half
-        return _cycle(target, self._branch_offset(r) + local)
+        cross = pipe(i, r - 1) != pipe(j, r - 1)
+        hit = None if cross else self._override_map.get((r, i, j))
+        if hit is not None:
+            return hit
+        # a same-branch pair that is not a sibling pair has no cross position either
+        pos = _cross_position(r, i, j) if cross else _sibling_position(r, i, j)
+        for _, on_cross, lo, hi, values, base in self._segments(r):
+            if on_cross == cross and lo <= pos < hi:
+                return values[(base + pos) % len(values)]
+        raise InvalidLambdaError(f"the level-{r} pair {i}, {j} carries no value")
 
     def level_assignments(self, r: int):
         """All value-carrying pairs at level ``r`` with their values, in stream order.
@@ -392,57 +409,38 @@ class LambdaSpec:
 
     # -- values grouped by leading cell -------------------------------------
 
-    def _run_count(self, r: int) -> int:
-        """Stream runs :meth:`cell_values` walks at level ``r``."""
-        n = index_count(r, 1)
-        runs = n + n // 2  # one run per index, two when its mates straddle a cell
-        if self.quadrants is not None:
-            runs += 1 if r == 0 else (n // 2) << r
-        return runs
-
-    def cell_values(self, r: int) -> dict[tuple[int, int], set]:
+    def cell_values(self, r: int, quadrant: str | None = None) -> dict[tuple[int, int], set]:
         """Values of the level-``r`` pairs grouped by leading cell.
 
         Keys are ``(i.words[0], j.words[0])`` over the value-carrying pairs
-        ``i < j``; each maps to the set of values those pairs carry.  No pair
-        is enumerated.  For a fixed ``i`` the mates sharing a leading word
-        are consecutive in the sibling stream, and the cross pairs from ``i``
-        into one leading word of branch 1 are consecutive in the mixed
-        stream, so every cell is a union of cyclic slices.  Override
-        positions come from the closed-form rank and are taken out of the
-        runs they fall in.  Raises :class:`ResourceGuardError` when the runs
-        plus the ``4^{r+1}`` possible cells exceed :data:`CELL_WORK_CAP`.
+        ``i < j``, optionally of one quadrant; each maps to the set of values
+        those pairs carry.  No pair is enumerated.  For a fixed ``i`` the
+        mates sharing a leading word are consecutive in the sibling stream,
+        and the cross pairs from ``i`` into one leading word of branch 1 are
+        consecutive in the cross stream, so every cell is a union of cyclic
+        slices of the segments of :meth:`_segments`.  Override positions come
+        from the closed-form rank and are taken out of the runs they fall in.
+        Raises :class:`ResourceGuardError` when the runs plus the ``4^{r+1}``
+        possible cells exceed :data:`CELL_WORK_CAP`.
         """
-        work = self._run_count(r) + 4 ** (r + 1)
+        segments = self._segments(r, quadrant)
+        siblings = [s[2:] for s in segments if not s[1]]
+        crosses = [s[2:] for s in segments if s[1]]
+        n = index_count(r, 1)
+        # a sibling run per index (two when its mates straddle a cell), and a
+        # cross run per branch-0 index and branch-1 leading word
+        work = n + n // 2 + (((n // 2) << r) if crosses else 0) + 4 ** (r + 1)
         if work > CELL_WORK_CAP:
             raise ResourceGuardError(
                 f"level {r} needs {work} stream runs and cells, over the cap {CELL_WORK_CAP}"
             )
         cells: dict = {}
-        if self.quadrants is None:
-            values, offset = self._sibling_stream(r)
-            pins = self._pinned.get(r, [])
-            positions = [p for p, _, _ in pins]
-            for a, b, start, count in _sibling_runs(r):
-                lo, hi = bisect_left(positions, start), bisect_left(positions, start + count)
-                hidden = [offset + p for p in positions[lo:hi]]
-                _collect(cells, (a, b), values, offset + start, count, hidden)
-            for _, value, cell in pins:
+        pins = self._pinned.get(r, [])
+        _fill(cells, _sibling_runs(r), siblings, [p for p, _, _ in pins])
+        _fill(cells, _cross_runs(r), crosses)
+        for p, value, cell in pins:
+            if any(lo <= p < hi for lo, hi, _, _ in siblings):
                 cells.setdefault(cell, set()).add(value)
-            return cells
-        q = self.quadrants
-        if r == 0:
-            return {(0, 1): {_cycle(q.mixed, 0)}}
-        zero, one = q.both_zero.sorted_values(), q.both_one.sorted_values()
-        base, half = self._branch_offset(r), sibling_pair_count(r) // 2
-        for a, b, start, count in _sibling_runs(r):
-            if a >> r == 0:
-                _collect(cells, (a, b), zero, base + start, count)
-            else:
-                _collect(cells, (a, b), one, base + start - half, count)
-        mixed, offset = q.mixed.sorted_values(), self._mixed_offset(r)
-        for a, b, start, count in _cross_runs(r):
-            _collect(cells, (a, b), mixed, offset + start, count)
         return cells
 
     # -- value sets without enumeration -------------------------------------
@@ -451,39 +449,17 @@ class LambdaSpec:
         """Set of values over the level-``r`` pairs, optionally quadrant-restricted.
 
         ``quadrant`` is one of ``None`` (everything), ``"both_zero"``,
-        ``"both_one"`` or ``"mixed"``.  Each quadrant is a contiguous range of
-        the stream, so the set is exact from residue counts: a cycled value
+        ``"both_one"`` or ``"mixed"``.  Each segment is a contiguous range of
+        a stream, so the set is exact from residue counts: a cycled value
         appears unless the overrides in the range cover every one of its
         positions there.
         """
-        if self.quadrants is not None:
-            return self._quadrant_value_set(r, quadrant)
-        count = sibling_pair_count(r)
-        if quadrant == "mixed":
-            lo, hi = 0, (1 if r == 0 else 0)
-        elif quadrant in ("both_zero", "both_one"):
-            half = count // 2 if r >= 1 else 0
-            lo, hi = (0, half) if quadrant == "both_zero" else (half, 2 * half)
-        elif quadrant is None:
-            lo, hi = 0, count
-        else:
-            raise ValueError(f"unknown quadrant {quadrant!r}")
-        values, offset = self._sibling_stream(r)
-        pins = [(p, v) for p, v, _ in self._pinned.get(r, []) if lo <= p < hi]
-        out = _run_values(values, offset + lo, hi - lo, [offset + p for p, _ in pins])
-        return NSet.from_iterable(out | {v for _, v in pins})
-
-    def _quadrant_value_set(self, r: int, quadrant: str | None) -> NSet:
-        q, half = self.quadrants, sibling_pair_count(r) // 2 if r >= 1 else 0
-        streams = {
-            "both_zero": (q.both_zero, self._branch_offset(r), half),
-            "both_one": (q.both_one, self._branch_offset(r), half),
-            "mixed": (q.mixed, self._mixed_offset(r), cross_pair_count(r)),
-        }
+        pins = self._pinned.get(r, [])
         out: set = set()
-        for name, (target, offset, count) in streams.items():
-            if quadrant in (None, name):
-                out |= _cyclic_slice(target.sorted_values(), offset, count)
+        for _, cross, lo, hi, values, base in self._segments(r, quadrant):
+            inside = [] if cross else [(p, v) for p, v, _ in pins if lo <= p < hi]
+            out |= _run_values(values, base + lo, hi - lo, [base + p for p, _ in inside])
+            out.update(v for _, v in inside)
         return NSet.from_iterable(out)
 
     def values_complete_by(self, r: int) -> bool:
@@ -493,12 +469,8 @@ class LambdaSpec:
         seen = NSet()
         for s in range(r + 1):
             seen = seen | self.value_set_at_level(s)
-        if self.enumeration is not None:
-            eventual = self.enumeration
-        elif self.quadrants is not None:
-            eventual = self.quadrants.both_zero | self.quadrants.both_one | self.quadrants.mixed
-        else:
-            eventual = NSet.from_iterable([self.default])
+        # from level 1 on every segment cycles through its whole value list
+        eventual = NSet.from_iterable(v for *_, values, _ in self._segments(1) for v in values)
         return eventual.issubset(seen)
 
 
@@ -533,13 +505,32 @@ def _run_values(values: list, offset: int, count: int, hidden=()) -> set:
     return {v for k, v in enumerate(values) if occurrences(k) > taken[k]}
 
 
-def _collect(cells: dict, key, values: list, offset: int, count: int, hidden=()):
-    """Add one run's values to its cell; a cell already holding every value is skipped."""
-    if count <= len(hidden):
-        return
-    got = cells.setdefault(key, set())
-    if len(got) < len(values):
-        got |= _run_values(values, offset, count, hidden)
+def _fill(cells: dict, runs, segments: list, positions=()):
+    """Add each run ``(lead_i, lead_j, start, count)`` of one stream to its cell.
+
+    ``segments`` are the stream's ``(lo, hi, values, base)`` in order, and the
+    runs leave out the ascending override ``positions``.  Runs outside the
+    segments are skipped, and so is a cell already holding every value.
+    """
+    segments = iter(segments)
+    hi = -1
+    for a, b, start, count in runs:
+        while start >= hi:
+            segment = next(segments, None)
+            if segment is None:
+                return
+            lo, hi, values, base = segment
+        if start < lo:
+            continue
+        hidden = ()
+        if positions:
+            k, l = bisect_left(positions, start), bisect_left(positions, start + count)
+            hidden = [base + p for p in positions[k:l]]
+        if count <= len(hidden):
+            continue
+        got = cells.setdefault((a, b), set())
+        if len(got) < len(values):
+            got |= _run_values(values, base + start, count, hidden)
 
 
 # ---------------------------------------------------------------------------

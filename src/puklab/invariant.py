@@ -19,10 +19,8 @@ from .errors import (
     InvalidInputError,
     OracleGapError,
 )
-from .indices import LambdaSpec, QuadrantRules
+from .indices import QUADRANT_NAMES, LambdaSpec, QuadrantRules
 from .nsets import NSet, nset_product, union_all
-
-QUADRANT_NAMES = (None, "both_zero", "both_one", "mixed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +133,10 @@ def eval_construction(
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
     out = NSet()
-    for (a, b), values in lam.cell_values(r).items():
-        if quadrant is not None and _classify(r, a, b) != quadrant:
-            continue
+    for (a, b), values in lam.cell_values(r, quadrant).items():
         row, col = format(a, f"0{r + 1}b"), format(b, f"0{r + 1}b")
         out = out | nset_product(NSet.from_iterable(values), oracle.entry(row, col))
     return out
-
-
-def _classify(r: int, lead_i: int, lead_j: int) -> str:
-    """Quadrant of a level-``r`` cell from the branch bits of its leading words."""
-    if lead_i >> r != lead_j >> r:
-        return "mixed"
-    return "both_zero" if lead_i >> r == 0 else "both_one"
 
 
 def choose_lambda_for_e(target: NSet) -> LambdaSpec:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -267,6 +268,22 @@ class TestIntertwiner:
     def test_requires_distinct_indices(self):
         with pytest.raises(ValueError):
             intertwiner_check(2, 1, 0, 0)
+
+    @pytest.mark.parametrize("n,m,r,s", [(2, 2, 0, 1), (3, 1, 2, 0), (3, 2, 1, 2)])
+    def test_check_is_the_dense_gram_difference(self, n, m, r, s):
+        gram_r, gram_s = intertwiner_grams(n, m, r, s)
+        assert intertwiner_check(n, m, r, s) == float(np.max(np.abs(gram_r - gram_s)))
+
+    def test_check_builds_no_dense_gram(self):
+        # each dense Gram at (2, 5) holds 32^4 complex entries: 16 MiB
+        tracemalloc.start()
+        try:
+            defect = intertwiner_check(2, 5, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect < 1e-10 * 2.0 ** -11
+        assert peak < 8 << 20
 
 
 class TestTruncatedMasaPair:

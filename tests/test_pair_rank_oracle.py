@@ -43,9 +43,11 @@ def quadrant_of(i, j) -> str:
 
 
 def streamed_cells(spec, r) -> dict:
-    out: dict = {}
+    """Quadrant name → the values of its pairs grouped by leading cell."""
+    out: dict = {quadrant: {} for quadrant in QUADRANT_NAMES}
     for (i, j), v in spec.level_assignments(r):
-        out.setdefault((i.words[0], j.words[0]), set()).add(v)
+        for quadrant in (None, quadrant_of(i, j)):
+            out[quadrant].setdefault((i.words[0], j.words[0]), set()).add(v)
     return out
 
 
@@ -170,13 +172,44 @@ def test_value_lookup_matches_stream_for_cross_and_sibling_pairs(r):
 def test_cell_values_match_stream(spec):
     top = 2 if spec.quadrants is not None else 3
     for r in range(top + 1):
-        assert spec.cell_values(r) == streamed_cells(spec, r)
+        streamed = streamed_cells(spec, r)
+        for quadrant in QUADRANT_NAMES:
+            assert spec.cell_values(r, quadrant) == streamed[quadrant]
 
 
 @settings(max_examples=3, deadline=None)
 @given(spec=quadrant_specs)
 def test_quadrant_cell_values_match_stream_at_level_three(spec):
-    assert spec.cell_values(3) == streamed_cells(spec, 3)
+    streamed = streamed_cells(spec, 3)
+    for quadrant in QUADRANT_NAMES:
+        assert spec.cell_values(3, quadrant) == streamed[quadrant]
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=all_specs)
+def test_value_matches_stream_on_every_pair(spec):
+    # pairs the stream leaves out, siblings or not, carry no value
+    for r in range(3):
+        carried = dict(spec.level_assignments(r))
+        indices = sorted({i for pair in SIBLINGS[r] for i in pair})
+        for i in indices:
+            for j in indices:
+                if (i, j) in carried or (j, i) in carried:
+                    assert spec.value(r, i, j) == carried.get((i, j), carried.get((j, i)))
+                else:
+                    with pytest.raises(InvalidLambdaError):
+                        spec.value(r, i, j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=all_specs, name=st.sampled_from(["bogus", "", "BOTH_ZERO", "Mixed", "none"]))
+def test_unknown_quadrant_names_raise(spec, name):
+    with pytest.raises(ValueError):
+        spec.value_set_at_level(1, name)
+    with pytest.raises(ValueError):
+        spec.cell_values(1, name)
+    with pytest.raises(ValueError):
+        eval_construction(spec, SIMPLE, 1, name)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +222,7 @@ def test_value_sets_match_stream(spec):
 
 def test_overrides_covering_a_level_hide_the_default():
     spec = LambdaSpec(default=4, overrides=tuple(Override(1, i, j, 9) for i, j in SIBLINGS[1]))
-    assert spec.cell_values(1) == streamed_cells(spec, 1)
+    assert spec.cell_values(1) == streamed_cells(spec, 1)[None]
     assert spec.value_set_at_level(1) == NSet.of(9)
     assert spec.value_set_at_level(1, "both_zero") == NSet.of(9)
 
@@ -277,6 +310,21 @@ def test_quadrant_table_evaluation_reaches_level_four():
     spec = LambdaSpec(quadrants=QuadrantRules(NSet.of(2), NSet.of(3, INF), NSet.of(5, 7)))
     got = eval_construction(spec, constant_table(5), 4)
     assert got.per_level == eval_construction(spec, SIMPLE, 4).per_level
+
+
+README_SPECS = [
+    LambdaSpec(default=3, overrides=(Override(0, *SIBLINGS[0][0], 2),)),
+    LambdaSpec(enumeration=NSet.of(2, 3)),
+    LambdaSpec(quadrants=QuadrantRules(NSet.of(2), NSet.of(5, INF), NSet.of(7))),
+]
+
+
+@pytest.mark.parametrize("spec", README_SPECS)
+def test_cell_work_cap_passes_level_four_and_trips_at_five(spec):
+    cells = spec.cell_values(4)
+    assert NSet.from_iterable(set().union(*cells.values())) == spec.value_set_at_level(4)
+    with pytest.raises(ResourceGuardError):
+        spec.cell_values(5)
 
 
 def test_guard_trips_at_level_five():
