@@ -34,14 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_GNS_CAP, TracedAlgebraShape, adjoint, as_matrix
-from .errors import (
-    DegenerateSampleError,
-    NotAbelianError,
-    NotInAlgebraError,
-    NotMasaError,
-    ResourceGuardError,
-)
+from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace
+from .errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
 from .nsets import NSet
 
 # Span closure keeps SVD directions above this relative threshold.
@@ -54,8 +48,6 @@ COMMUTE_TOL = 1e-9
 EIG_GAP_RTOL = 1e-7
 # Fresh random samples drawn before giving up on separating projections.
 MAX_RETRIES = 8
-# Largest GNS dimension of a shape the left-right spectrum routines accept.
-GNS_DIM_CAP = DEFAULT_GNS_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,13 +319,6 @@ def _split_eigenvalues(eigvals: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(len(eigvals)), boundaries + 1)
 
 
-def _check_gns_cap(shape: TracedAlgebraShape, cap: int):
-    if shape.gns_dim > cap:
-        raise ResourceGuardError(
-            f"GNS dimension {shape.gns_dim} exceeds the cap {cap}; raise the cap to proceed"
-        )
-
-
 def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenbasis:
     """Minimal projections and block ranks of the unital algebra of commuting normal generators.
 
@@ -349,13 +334,18 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     as in :func:`minimal_projections`; once the retries run out, generators
     that fail a commutator check (with each other or with their adjoints)
     raise :class:`NotAbelianError`, anything else
-    :class:`DegenerateSampleError`.
+    :class:`DegenerateSampleError`.  The ``k`` generators, the sample, its
+    eigenbasis and the commutators of the failure path take at most
+    ``(5k + 4)·D²`` entries; a larger workspace raises
+    :class:`ResourceGuardError` before any of them is built.
     """
-    D = shape.total_dim
-    gens = [as_matrix(g) for g in gens]
-    for g in gens:
+    D, gens = shape.total_dim, list(gens)
+    check_workspace((5 * len(gens) + 4) * D * D, f"{len(gens)} generators on C^{D}")
+    mats = np.empty((len(gens), D, D), dtype=complex)
+    for k, g in enumerate(gens):
+        g = as_matrix(g)
         shape.check_member(g)
-    mats = np.array(gens, dtype=complex).reshape(len(gens), D, D)
+        mats[k] = g
     scales = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
     slices = shape.block_slices()
 
@@ -391,7 +381,8 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     try:
         return _first_certified(mats, seed, certify)
     except DegenerateSampleError:
-        defect = _commutator_defect(mats / scales[:, None, None])
+        mats /= scales[:, None, None]
+        defect = _commutator_defect(mats)
         if defect > COMMUTE_TOL:
             raise NotAbelianError(
                 f"generators or their adjoints do not commute (defect {defect:.2e})"
@@ -401,11 +392,12 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
 
 def _commutator_defect(mats: np.ndarray) -> float:
     """Largest entry of ``[g, h]`` over generators ``g`` and generators or adjoints ``h``."""
-    others = np.concatenate([mats, np.conj(np.transpose(mats, (0, 2, 1)))])
     worst = 0.0
-    for g in mats:
-        comm = np.matmul(g, others) - np.matmul(others, g)
-        worst = max(worst, float(np.max(np.abs(comm), initial=0.0)))
+    for others in (mats, np.conj(np.transpose(mats, (0, 2, 1)))):
+        for g in mats:
+            comm = np.matmul(g, others)
+            comm -= np.matmul(others, g)
+            worst = max(worst, float(np.max(np.abs(comm), initial=0.0)))
     return worst
 
 
@@ -416,9 +408,7 @@ def _product_report(shape, left, right, mults: np.ndarray, keep: np.ndarray) -> 
     return SpectrumReport(shape.gns_dim, kept, ProductBlocks(shape, left, right, pairs))
 
 
-def mixed_spectrum(
-    a_gens, b_gens, shape: TracedAlgebraShape, seed: int = 0, cap: int = GNS_DIM_CAP
-) -> SpectrumReport:
+def mixed_spectrum(a_gens, b_gens, shape: TracedAlgebraShape, seed: int = 0) -> SpectrumReport:
     """Multiplicity spectrum of the algebra generated by left-A and right-B actions.
 
     Reports the minimal projections of ``alg({L(a)} ∪ {J L(b) J}) =
@@ -428,7 +418,6 @@ def mixed_spectrum(
     is built.  For a pair of masas in a full matrix algebra the answer is
     always ``{1}``; abelian non-maximal inputs are allowed and reported as-is.
     """
-    _check_gns_cap(shape, cap)
     left = _joint_eigenbasis(a_gens, shape, seed)
     right = _joint_eigenbasis(b_gens, shape, seed)
     mults = left.ranks @ right.ranks.T
@@ -463,9 +452,7 @@ def relative_commutant_dim(algebra: AlgebraBasis, shape: TracedAlgebraShape) -> 
     return int(np.sum(s <= SPAN_RTOL * max(s[0], 1.0))) + len(units) - len(s)
 
 
-def finite_puk_spectrum(
-    a_gens, shape: TracedAlgebraShape, seed: int = 0, cap: int = GNS_DIM_CAP
-) -> SpectrumReport:
+def finite_puk_spectrum(a_gens, shape: TracedAlgebraShape, seed: int = 0) -> SpectrumReport:
     """Spectrum of alg(L(A) ∪ R(A)) off the subspace spanned by the masa itself.
 
     With ``p_i`` the minimal projections of the masa, ``L(p_i) R(p_j)`` maps
@@ -474,7 +461,6 @@ def finite_puk_spectrum(
     span; the report keeps the non-zero pairs ``i ≠ j``.  For the diagonal
     masa of M_n this is ``{1}`` with n²−n blocks.
     """
-    _check_gns_cap(shape, cap)
     basis = _joint_eigenbasis(a_gens, shape, seed)
     mults = basis.ranks @ basis.ranks.T
     # the commutant of A in ⊕_k M_{d_k} is ⊕_{i,k} M_{rank_k(p_i)}, of dimension

@@ -47,25 +47,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="multiplicity spectrum from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the numerical identity suites")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--max-dim", type=int, default=4096,
-                   help="cap on the Hilbert dimension of any workspace (default 4096)")
-    p.set_defaults(func=cmd_verify)
+                   help="run the construction cases (n, m) with n^(2(m+1)) at most this "
+                        "(default 4096)")
 
     p = sub.add_parser("puk-eval", help="evaluate the invariant formula for a value spec")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.add_argument("--oracle")
     p.add_argument("--rmax", type=int, default=3)
-    p.set_defaults(func=cmd_puk_eval)
 
     p = sub.add_parser("plan", help="choose pair values or a family plan for target sets")
     p.add_argument("--target", required=True,
                    help="value sets, ';'-separated for EFG, matrix rows for family")
     p.add_argument("--kind", default="E", choices=("E", "EFG", "cor1", "family"))
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("render", help="render a diagram or value spec to ascii or svg")
     p.add_argument("--input", required=True)
@@ -73,14 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rmax", type=int, default=1,
                    help="truncation level when the input is a value spec")
-    p.set_defaults(func=cmd_render)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # looked up per call, so a replaced ``cmd_<command>`` attribute is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except PuklabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -146,7 +147,7 @@ def _tolerance_note(defect: float, tolerance: float) -> str:
 def _run_keyclaim(max_dim: int) -> bool:
     ok = True
     for n, m in _construction_range(max_dim):
-        dev = keyclaim_check(n, m, cap=max_dim)
+        dev = keyclaim_check(n, m)
         tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
         ok = ok and dev <= tol
         print(f"keyclaim n={n} m={m}: max deviation {dev:.3e}, {_tolerance_note(dev, tol)}")
@@ -158,7 +159,7 @@ def _run_span(max_dim: int) -> bool:
     for n, m in _construction_range(max_dim):
         if m < 1:
             continue
-        rep = family_span_check(n, m, cap=max_dim)
+        rep = family_span_check(n, m)
         tol = SUITE_TOL * rep.min_gram_diag
         good = (
             rep.rank == rep.count == n ** (2 * m)
@@ -178,7 +179,7 @@ def _run_span(max_dim: int) -> bool:
 def _run_intertwiner(max_dim: int) -> bool:
     ok = True
     for n, m in _construction_range(max_dim):
-        blocks = intertwiner_blocks(n, m, cap=max_dim)
+        blocks = intertwiner_blocks(n, m)
         worst = max(
             float(np.max(np.abs(blocks[r] - blocks[s])))
             for r, s in itertools.combinations(range(n), 2)
@@ -219,15 +220,15 @@ def _run_algebra(max_dim: int) -> bool:
             f"rank cut {cut:.3e}, margin {kept[-1] / cut:.3g}"
         )
     for n in (2, 3):
-        a_gens, b_gens = truncated_masa_pair(n, 2, cap=max_dim)
-        rep = mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(n * n), cap=max_dim)
+        a_gens, b_gens = truncated_masa_pair(n, 2)
+        rep = mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(n * n))
         good = rep.as_set == NSet.of(1) and rep.block_count == n**4
         ok = ok and good
         print(f"mixed spectrum of conjugated pair in M_{n}⊗M_{n}: {rep.as_set} "
               f"({rep.block_count} blocks)")
     for n in (2, 3, 4):
         gens = [np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)]
-        rep = finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n), cap=max_dim)
+        rep = finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
         good = rep.as_set == NSet.of(1) and rep.block_count == n * n - n
         ok = ok and good
         print(f"diagonal masa of M_{n}: {rep.as_set} ({rep.block_count} off-diagonal blocks)")

@@ -19,16 +19,9 @@ from functools import reduce
 import numpy as np
 
 from .algebra import SPAN_RTOL
-from .core import DEFAULT_GNS_CAP, as_matrix, tensor
-from .errors import InvalidLambdaError, ResourceGuardError
+from .core import as_matrix, check_workspace, tensor
+from .errors import InvalidLambdaError
 from .nsets import INF, NSet, is_valid_value, tensor_mixed, tensor_mixed_infinite
-
-
-def _guard(hilbert_dim: int, cap: int):
-    if hilbert_dim > cap:
-        raise ResourceGuardError(
-            f"workspace of Hilbert dimension {hilbert_dim} exceeds the cap {cap}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +108,15 @@ class TruncatedAutomorphism:
         self.unitary.flags.writeable = False
 
     @classmethod
-    def build(cls, gadget: ShiftGadget, depth: int, kind: str = "theta",
-              cap: int = DEFAULT_GNS_CAP) -> "TruncatedAutomorphism":
+    def build(cls, gadget: ShiftGadget, depth: int, kind: str = "theta") -> "TruncatedAutomorphism":
         if kind not in ("theta", "phi"):
             raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         n = gadget.n
         dim = n ** (depth + 1)
-        _guard(dim * dim, cap)
+        # the running product, the next step with its factors, and their product
+        check_workspace(7 * dim * dim, f"a depth-{depth} unitary for n={n}")
         slots = range(1, depth + 1) if kind == "theta" else range(1, depth + 1, 2)
         if slots:
             unitary = reduce(np.matmul, (step_unitary(gadget, r, depth) for r in slots))
@@ -142,7 +135,7 @@ class TruncatedAutomorphism:
         return self.unitary @ m @ self.unitary.conj().T
 
 
-def _theta_factors(n: int, depth: int, cap: int):
+def _theta_factors(n: int, depth: int):
     """The factors that every shift-gadget certificate is read from.
 
     Write ``U`` for the depth-``depth`` θ unitary on ``M_n^{⊗(depth+1)}``,
@@ -156,12 +149,14 @@ def _theta_factors(n: int, depth: int, cap: int):
     ``U`` is never assumed.
 
     Returns ``(phi, unitary, psi, gram)``: ``phi[:, t] = φ_t``, ``unitary = U``,
-    ``psi[t] = ψ_t`` of shape ``(count, dim)`` and ``gram = P``, all
-    ``O(dim²)`` entries.
+    ``psi[t] = ψ_t`` of shape ``(count, dim)`` and ``gram = P``.  The count
+    ``4n³`` covers the gadget's ``e`` and ``f`` with the buffers numpy takes to
+    broadcast ``f``, and ``8·dim²`` covers ``U``, its steps, ``ψ`` and ``P``
+    with the products the certificates form from them.
     """
     dim, count = n ** (depth + 1), n**depth
-    _guard(dim * dim, cap)
-    unitary = TruncatedAutomorphism.build(build_gadget(n), depth, "theta", cap).unitary
+    check_workspace(4 * n**3 + 8 * dim * dim, f"the depth-{depth} θ factors for n={n}")
+    unitary = TruncatedAutomorphism.build(build_gadget(n), depth).unitary
     phi = _shift_eigenvectors(n)
     psi = (phi.conj().T @ unitary.reshape(n, count * dim)).reshape(n, count, dim)
     return phi, unitary, psi, unitary.conj().T @ unitary
@@ -190,13 +185,13 @@ def _first_slot_weights(phi: np.ndarray, depth: int) -> np.ndarray:
     return phi[:, :, None] * phi.conj()[:, None, :]
 
 
-def _same_j_grams(n: int, m: int, cap: int) -> np.ndarray:
+def _same_j_grams(n: int, m: int) -> np.ndarray:
     """Inner products ``⟨X_{I,t,J}, X_{I,s,J}⟩`` of the depth-``m`` family, as ``[I, J, t, s]``.
 
     Within row block ``I = (i, I'')`` the entry is
     ``φ_t[i] conj(φ_s[i]) · tr(T[t,I'',J] P[J,J] T[s,I'',J]*) / dim``.
     """
-    phi, _, psi, gram = _theta_factors(n, m, cap)
+    phi, _, psi, gram = _theta_factors(n, m)
     dim, count = n ** (m + 1), n**m
     tiles = _tiles(psi, m)
     by_j = tiles.transpose(3, 1, 0, 2, 4)  # [J, I'', t, k, l]
@@ -208,7 +203,7 @@ def _same_j_grams(n: int, m: int, cap: int) -> np.ndarray:
     return grams.reshape(count, count, n, n)
 
 
-def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
+def keyclaim_check(n: int, m: int) -> float:
     """Max deviation of the conjugated inner products from ``δ_{r,s} n^{-(2m+1)}``.
 
     Sweeps every tuple ``(i_1..i_m, j_1..j_m, r, s)``: the inner product of
@@ -221,7 +216,7 @@ def keyclaim_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> float:
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     expected = float(n) ** (-(2 * m + 1)) * np.eye(n)
-    return float(np.max(np.abs(_same_j_grams(n, m, cap) - expected)))
+    return float(np.max(np.abs(_same_j_grams(n, m) - expected)))
 
 
 @dataclass(frozen=True)
@@ -236,13 +231,13 @@ class FamilySpanReport:
     min_kept_singular: float  # the smallest singular value above the cut
 
 
-def _span_rows(n: int, depth: int, cap: int) -> np.ndarray:
+def _span_rows(n: int, depth: int) -> np.ndarray:
     """The members ``X[t, J]`` of the depth-``depth`` family, cut into single rows.
 
     ``rows[R, (t, J)]`` is row ``R = (i, I')`` of ``X[t, J]``, that is
     ``φ_t[i] · ψ_t[I', J-cols] · S_J*``; ``(t, J)`` is flattened ``t``-major.
     """
-    phi, unitary, psi, _ = _theta_factors(n, depth, cap)
+    phi, unitary, psi, _ = _theta_factors(n, depth)
     dim, count = n ** (depth + 1), n**depth
     cols = unitary.reshape(dim, count, n).transpose(1, 2, 0).conj()  # S_J* for each J
     tail = psi.reshape(n * count, count, n).transpose(1, 0, 2) @ cols  # [J, (t, I'), :]
@@ -251,7 +246,7 @@ def _span_rows(n: int, depth: int, cap: int) -> np.ndarray:
     return rows.reshape(dim, n * count, dim)
 
 
-def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanReport:
+def family_span_check(n: int, m: int) -> FamilySpanReport:
     """Certify the ``n^{2m}`` products as orthogonal, non-zero, and spanning.
 
     The family ``(e_{i_1}⊗…⊗e_{i_m}) f_r θ(e_{j_1}⊗…⊗e_{j_{m-1}}⊗1)`` sits in
@@ -260,7 +255,9 @@ def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanR
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    rows = _span_rows(n, m - 1, cap)
+    # the dim³ rows, their conjugate, the row Grams and the SVD's copy of the rows
+    check_workspace(4 * n ** (3 * m), f"the span rows for n={n}, m={m}")
+    rows = _span_rows(n, m - 1)
     # elements on different rows have disjoint support: one Gram per row
     grams = rows @ rows.conj().transpose(0, 2, 1) / n**m
     k = grams.shape[1]
@@ -276,7 +273,7 @@ def family_span_check(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> FamilySpanR
     )
 
 
-def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray:
+def intertwiner_blocks(n: int, m: int) -> np.ndarray:
     """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)``, one stack per ``t``.
 
     Entry ``[t, I, J, J']`` pairs the members ``(I, J)`` and ``(I, J')`` with
@@ -285,8 +282,10 @@ def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    phi, _, psi, gram = _theta_factors(n, m, cap)
     dim, count = n ** (m + 1), n**m
+    # the blocks, and one t's tile products with their einsum operands
+    check_workspace(4 * n * count**3, f"the intertwiner blocks for n={n}, m={m}")
+    phi, _, psi, gram = _theta_factors(n, m)
     weights = np.diagonal(_first_slot_weights(phi, m), axis1=1, axis2=2)  # [i, t]
     p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
     blocks = np.empty((n, count, count, count), dtype=complex)
@@ -299,15 +298,16 @@ def intertwiner_blocks(n: int, m: int, cap: int = DEFAULT_GNS_CAP) -> np.ndarray
     return blocks / dim
 
 
-def intertwiner_grams(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP):
+def intertwiner_grams(n: int, m: int, r: int, s: int):
     """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle.
 
     Rows and columns are indexed by ``(J, I)``, ``J`` major.
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
-    blocks = intertwiner_blocks(n, m, cap)
     count = n**m
+    check_workspace(2 * count**4, f"the intertwiner Grams for n={n}, m={m}")
+    blocks = intertwiner_blocks(n, m)
     i = np.arange(count)
     grams = []
     for t in (r, s):
@@ -317,7 +317,7 @@ def intertwiner_grams(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP
     return grams[0], grams[1]
 
 
-def intertwiner_check(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP) -> float:
+def intertwiner_check(n: int, m: int, r: int, s: int) -> float:
     """Max disagreement between the two Gram matrices (the isometry defect).
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
@@ -328,11 +328,11 @@ def intertwiner_check(n: int, m: int, r: int, s: int, cap: int = DEFAULT_GNS_CAP
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
-    blocks = intertwiner_blocks(n, m, cap)
+    blocks = intertwiner_blocks(n, m)
     return float(np.max(np.abs(blocks[r] - blocks[s])))
 
 
-def truncated_masa_pair(n: int, k: int, kind: str = "theta", cap: int = DEFAULT_GNS_CAP):
+def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
     """Generators of the diagonal masa of ``M_n^{⊗k}`` and its conjugate.
 
     Returns ``(a_gens, b_gens)``: the diagonal matrix units, and their images
@@ -342,12 +342,12 @@ def truncated_masa_pair(n: int, k: int, kind: str = "theta", cap: int = DEFAULT_
     if k < 1:
         raise ValueError("need k >= 1")
     N = n**k
-    _guard(N * N, cap)
-    gadget = build_gadget(n)
+    # the N generators of each side, and one conjugation's products
+    check_workspace(3 * N**3, f"the masa pair of M_{n}^⊗{k}")
     a_gens = [np.diag(np.eye(N, dtype=complex)[p]) for p in range(N)]
     if k == 1:
         return a_gens, [g.copy() for g in a_gens]
-    auto = TruncatedAutomorphism.build(gadget, k - 1, kind, cap)
+    auto = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind)
     b_gens = [auto.apply(g) for g in a_gens]
     return a_gens, b_gens
 

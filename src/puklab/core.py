@@ -14,12 +14,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ResourceGuardError, ShapeMismatchError
 
 # Entrywise tolerance for identities that hold exactly in exact arithmetic.
 ENTRY_TOL = 1e-12
-# Default cap on the dimension of any Hilbert space a routine is asked to build.
-DEFAULT_GNS_CAP = 4096
+# Bytes of complex128 workspace one numeric routine may hold at its peak.
+WORKSPACE_BYTES = 1 << 28
+
+
+def check_workspace(entries: int, what: str):
+    """Refuse, before allocating, a routine whose peak holds ``entries`` complex entries.
+
+    The bound is :data:`WORKSPACE_BYTES`, read at call time; ``what`` names
+    the routine and its size in the error.
+    """
+    need = 16 * entries
+    if need > WORKSPACE_BYTES:
+        raise ResourceGuardError(
+            f"{what} needs {need} bytes of workspace, over the budget of {WORKSPACE_BYTES}"
+        )
 
 
 def as_matrix(x) -> np.ndarray:
@@ -37,12 +50,6 @@ def adjoint(x) -> np.ndarray:
 def tensor(x, y) -> np.ndarray:
     """Kronecker product with the first factor on the slow index."""
     return np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-
-
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    out[i, j] = 1.0
-    return out
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class NotInAlgebraError(PuklabError, ValueError):
 
 
 class ResourceGuardError(PuklabError, RuntimeError):
-    """A requested computation exceeds the configured dimension cap."""
+    """A requested computation needs more workspace or work than its budget allows."""
 
 
 class RestrictionRangeError(PuklabError, ValueError):

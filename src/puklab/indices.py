@@ -8,8 +8,9 @@ pair values that drive the inductive masa construction, bundled here as
 :class:`LambdaSpec`.
 
 The pair streams are ordered lexicographically, so a pair's position is
-index arithmetic on lexicographic ranks: :func:`_sibling_position` and
-:func:`_cross_position` are closed forms.  One segment table per level,
+index arithmetic on lexicographic ranks: :func:`_pair_position` decides
+from the ranks whether a pair is a sibling or a cross pair and gives its
+position in that stream in closed form.  One segment table per level,
 ``LambdaSpec._segments``, says which ranges of the sibling and cross streams
 carry which cycled values, by quadrant; value lookups, per-level value sets
 and :meth:`LambdaSpec.cell_values` (values grouped by leading words, from
@@ -31,7 +32,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -237,7 +238,7 @@ class Override:
         i, j = self.i, self.j
         if i.r != self.r or j.r != self.r or i.m != 1 or j.m != 1:
             raise InvalidLambdaError(f"override indices must live at level {self.r}, length 1")
-        if i == j or pipe(i, self.r - 1) != pipe(j, self.r - 1):
+        if i == j or _pair_position(self.r, i, j)[0]:
             raise InvalidLambdaError("override indices must form a sibling pair")
 
 
@@ -295,16 +296,12 @@ class LambdaSpec:
     # -- stream bookkeeping ------------------------------------------------
 
     @cached_property
-    def _override_map(self) -> dict:
-        return {(o.r, o.i, o.j): o.value for o in self.overrides}
-
-    @cached_property
     def _pinned(self) -> dict:
         """Level → ascending ``(stream position, value, cell)`` of the overrides there."""
         out: dict = {}
         for o in self.overrides:
             cell = (o.i.words[0], o.j.words[0])
-            out.setdefault(o.r, []).append((_sibling_position(o.r, o.i, o.j), o.value, cell))
+            out.setdefault(o.r, []).append((_pair_position(o.r, o.i, o.j)[1], o.value, cell))
         return {r: sorted(pins) for r, pins in out.items()}
 
     def max_override_level(self) -> int:
@@ -361,14 +358,12 @@ class LambdaSpec:
         """The value carried by the pair ``{i, j}`` at level ``r``; symmetric."""
         if i > j:
             i, j = j, i
-        if i == j or i.r != r or j.r != r or i.m != 1 or j.m != 1:
-            raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
-        cross = pipe(i, r - 1) != pipe(j, r - 1)
-        hit = None if cross else self._override_map.get((r, i, j))
-        if hit is not None:
-            return hit
-        # a same-branch pair that is not a sibling pair has no cross position either
-        pos = _cross_position(r, i, j) if cross else _sibling_position(r, i, j)
+        cross, pos = _pair_position(r, i, j)
+        if not cross:
+            pins = self._pinned.get(r, ())
+            k = bisect_left(pins, (pos,))
+            if k < len(pins) and pins[k][0] == pos:
+                return pins[k][1]
         for _, on_cross, lo, hi, values, base in self._segments(r):
             if on_cross == cross and lo <= pos < hi:
                 return values[(base + pos) % len(values)]
@@ -380,7 +375,7 @@ class LambdaSpec:
         This enumerates every pair; :meth:`cell_values` gives the same values
         grouped by leading cell without enumerating.
         """
-        overrides = self._override_map
+        overrides = {(o.r, o.i, o.j): o.value for o in self.overrides}
         if self.quadrants is None:
             offset = self._enum_offset(r) if self.enumeration is not None else 0
             for pos, (i, j) in enumerate(iter_sibling_pairs(r)):
@@ -544,8 +539,9 @@ def _fill(cells: dict, runs, segments: list, positions=()):
 # order, its F−1−fr(i) mates above it (F = 2^{r+1} is the fiber size).
 
 
-def _low_bit_positions(r: int) -> list[int]:
-    return [(r - t) * (r - t + 1) // 2 for t in range(r + 1)]
+@cache
+def _low_bit_positions(r: int) -> tuple[int, ...]:
+    return tuple((r - t) * (r - t + 1) // 2 for t in range(r + 1))
 
 
 def _fiber_rank(r: int, rank: int) -> int:
@@ -569,15 +565,25 @@ def _pairs_before(r: int, rank: int) -> int:
     return rank * ((2 << r) - 1) - fibre_sum
 
 
-def _sibling_position(r: int, i: MultiIndex, j: MultiIndex) -> int:
-    """Position of a sibling pair ``i < j`` in the lexicographic level-``r`` stream, in O(r)."""
+def _pair_position(r: int, i: MultiIndex, j: MultiIndex) -> tuple[bool, int]:
+    """``(cross, pos)`` of a level-``r`` pair ``i < j``, from its ranks in O(r).
+
+    A sibling pair differs only in the fiber bits; ``pos`` is then its place
+    in the sibling stream.  Otherwise ``i`` must lie in branch 0 and ``j`` in
+    branch 1, and ``pos = rank_i·half + rank_j − half`` is its place in the
+    cross stream.  Any other pair raises :class:`InvalidLambdaError`.
+    """
     if i.r != r or j.r != r or i.m != 1 or j.m != 1:
-        raise InvalidLambdaError(f"not a sibling pair at level {r}: {i}, {j}")
+        raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
     rank_i, rank_j = _lex_rank(i), _lex_rank(j)
     fiber_mask = sum(1 << p for p in _low_bit_positions(r))
-    if rank_i >= rank_j or (rank_i ^ rank_j) & ~fiber_mask:
-        raise InvalidLambdaError(f"not a sibling pair at level {r}: {i}, {j}")
-    return _pairs_before(r, rank_i) + _fiber_rank(r, rank_j) - _fiber_rank(r, rank_i) - 1
+    if rank_i < rank_j and not (rank_i ^ rank_j) & ~fiber_mask:
+        step = _fiber_rank(r, rank_j) - _fiber_rank(r, rank_i)
+        return False, _pairs_before(r, rank_i) + step - 1
+    half = index_count(r, 1) // 2
+    if rank_i < half <= rank_j:
+        return True, rank_i * half + rank_j - half
+    raise InvalidLambdaError(f"not a sibling or cross pair at level {r}: {i}, {j}")
 
 
 def _sibling_runs(r: int):
@@ -612,15 +618,6 @@ def _cross_runs(r: int):
         lead = rank >> rest
         for b in range(1 << r):
             yield lead, (1 << r) | b, rank * half + b * run, run
-
-
-def _cross_position(r: int, i: MultiIndex, j: MultiIndex) -> int:
-    half = index_count(r, 1) // 2
-    rank_i = _lex_rank(i)
-    rank_j = _lex_rank(j) - half
-    if not (0 <= rank_i < half and 0 <= rank_j < half):
-        raise InvalidLambdaError(f"not a cross pair at level {r}: {i}, {j}")
-    return rank_i * half + rank_j
 
 
 def _lex_rank(i: MultiIndex) -> int:

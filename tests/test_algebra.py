@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from puklab import core
 from puklab.algebra import (
     commutant,
     cutdown_spectrum,
@@ -251,10 +252,12 @@ class TestMixedSpectrum:
             )
             assert moved.multiset == base.multiset
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
+        # 8 generators on C^8 declare (5·8 + 4)·64 entries, 45,056 bytes
+        monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 15)
         shape = TracedAlgebraShape.full_matrix(8)
         with pytest.raises(ResourceGuardError):
-            mixed_spectrum(diag_units(8), diag_units(8), shape, cap=32)
+            mixed_spectrum(diag_units(8), diag_units(8), shape)
 
     def test_not_abelian_propagates(self):
         shape = TracedAlgebraShape.full_matrix(2)

@@ -54,7 +54,7 @@ def fourier_gadget(n):
 
 
 def theta_unitary(gadget, depth):
-    return TruncatedAutomorphism.build(gadget, depth, "theta", cap=CAP).unitary
+    return TruncatedAutomorphism.build(gadget, depth, "theta").unitary
 
 
 def selected_columns_projection(unitary, columns):
@@ -142,12 +142,12 @@ def test_gadget_closed_form(n):
 
 @pytest.mark.parametrize("n,m", SWEEP)
 def test_keyclaim(n, m):
-    assert abs(keyclaim_check(n, m, cap=CAP) - oracle_keyclaim(n, m)) <= TOL
+    assert abs(keyclaim_check(n, m) - oracle_keyclaim(n, m)) <= TOL
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n, m in SWEEP if m >= 1])
 def test_span(n, m):
-    rep = family_span_check(n, m, cap=CAP)
+    rep = family_span_check(n, m)
     count, min_diag, max_off, rank = oracle_span(n, m)
     assert (rep.count, rep.rank) == (count, rank)
     assert abs(rep.min_gram_diag - min_diag) <= TOL
@@ -157,7 +157,7 @@ def test_span(n, m):
 @pytest.mark.parametrize("n,m", [(n, m) for n, m in SWEEP if n <= 8])
 def test_intertwiner_grams_every_pair(n, m):
     for r, s in itertools.combinations(range(n), 2):
-        for got, want in zip(intertwiner_grams(n, m, r, s, cap=CAP),
+        for got, want in zip(intertwiner_grams(n, m, r, s),
                              oracle_intertwiner_grams(n, m, r, s)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= TOL
@@ -172,7 +172,7 @@ def product_family(n, depth, row_block):
     """
     dim, count = n ** (depth + 1), n**depth
     gadget = build_gadget(n)
-    unitary = TruncatedAutomorphism.build(gadget, depth, "theta", CAP).unitary
+    unitary = TruncatedAutomorphism.build(gadget, depth, "theta").unitary
     f_u = (gadget.f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
     family = f_u.transpose(0, 2, 1, 3) @ unitary.conj().T.reshape(count, n, dim)
     rows = family.reshape(n * count, dim // row_block, row_block * dim).transpose(1, 0, 2)
@@ -187,19 +187,19 @@ def assert_factored_matches_dense(n, m):
     pairs = grams.reshape(count, n, count, n, count)  # [I, t, J, s, J']
     same_j = np.diagonal(pairs, axis1=2, axis2=4).transpose(0, 3, 1, 2)  # [I, J, t, s]
     same_t = np.moveaxis(np.diagonal(pairs, axis1=1, axis2=3), -1, 0)  # [t, I, J, J']
-    assert np.max(np.abs(_same_j_grams(n, m, CAP) - same_j)) <= ROUNDING
-    assert np.max(np.abs(intertwiner_blocks(n, m, cap=CAP) - same_t)) <= ROUNDING
+    assert np.max(np.abs(_same_j_grams(n, m) - same_j)) <= ROUNDING
+    assert np.max(np.abs(intertwiner_blocks(n, m) - same_t)) <= ROUNDING
     if m >= 1:
         rows, _ = product_family(n, m - 1, 1)
-        assert np.max(np.abs(_span_rows(n, m - 1, CAP) - rows)) <= ROUNDING
+        assert np.max(np.abs(_span_rows(n, m - 1) - rows)) <= ROUNDING
 
 
 def distorted_build(distort):
     """``TruncatedAutomorphism.build`` with ``distort`` applied to a copy of ``U``."""
     exact = TruncatedAutomorphism.build
 
-    def build(cls, gadget, depth, kind="theta", cap=CAP):
-        return cls(gadget, depth, kind, distort(exact(gadget, depth, kind, cap).unitary.copy()))
+    def build(cls, gadget, depth, kind="theta"):
+        return cls(gadget, depth, kind, distort(exact(gadget, depth, kind).unitary.copy()))
 
     return classmethod(build)
 
@@ -229,11 +229,11 @@ def test_gram_of_u_is_used():
         unitary[:, 3] *= 1.001
         return unitary
 
-    exact_grams = _same_j_grams(2, 2, CAP), intertwiner_blocks(2, 2, cap=CAP)
+    exact_grams = _same_j_grams(2, 2), intertwiner_blocks(2, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TruncatedAutomorphism, "build", distorted_build(distort))
-        distorted = _same_j_grams(2, 2, CAP), intertwiner_blocks(2, 2, cap=CAP)
-        assert keyclaim_check(2, 2, cap=CAP) > 1e-6
+        distorted = _same_j_grams(2, 2), intertwiner_blocks(2, 2)
+        assert keyclaim_check(2, 2) > 1e-6
         assert_factored_matches_dense(2, 2)
     for got, exact in zip(distorted, exact_grams):
         assert np.max(np.abs(got - exact)) > 1e-6
@@ -243,7 +243,7 @@ def test_gram_of_u_is_used():
     "certificate,bound",
     [
         # the dense family peaked at about 81 MB here
-        (lambda: keyclaim_check(2, 6, cap=16384), 4_000_000),
+        (lambda: keyclaim_check(2, 6), 4_000_000),
         # and at about 10 MB here; the output alone is 1 MB
         (lambda: intertwiner_blocks(2, 5), 6_000_000),
     ],

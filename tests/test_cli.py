@@ -164,6 +164,13 @@ class TestVerifyCommand:
             assert float(line.rsplit("margin ", 1)[1]) > 1.0
         assert lines[-1] == "suite algebra: PASS"
 
+    def test_algebra_suite_ignores_max_dim(self, capsys):
+        # its sizes are fixed; --max-dim only picks the construction sweep
+        assert main(["verify", "--suite", "algebra"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "--suite", "algebra", "--max-dim", "50"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_span_suite_reports_rank_margins(self, capsys):
         assert main(["verify", "--suite", "span", "--max-dim", "256"]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("span n=")]
@@ -204,22 +211,22 @@ class TestRelativeTolerance:
 
     def test_keyclaim(self, monkeypatch, capsys):
         # within the tolerance 5e-11 of n=2, m=0; over the 1.25e-11 of n=2, m=1
-        monkeypatch.setattr(cli, "keyclaim_check", lambda n, m, cap: 5e-11)
+        monkeypatch.setattr(cli, "keyclaim_check", lambda n, m: 5e-11)
         assert main(["verify", "--suite", "keyclaim", "--max-dim", "16"]) == 1
         assert "suite keyclaim: FAIL" in capsys.readouterr().out
 
     def test_span(self, monkeypatch, capsys):
-        def noisy(n, m, cap):
+        def noisy(n, m):
             # the smallest Gram diagonal is n^{-2m}, 0.25 at n=2, m=1
-            return replace(family_span_check(n, m, cap), max_offdiag=5e-11)
+            return replace(family_span_check(n, m), max_offdiag=5e-11)
 
         monkeypatch.setattr(cli, "family_span_check", noisy)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         assert "suite span: FAIL" in capsys.readouterr().out
 
     def test_intertwiner(self, monkeypatch, capsys):
-        def noisy(n, m, cap):
-            blocks = intertwiner_blocks(n, m, cap).copy()
+        def noisy(n, m):
+            blocks = intertwiner_blocks(n, m).copy()
             blocks[0] += 5e-11
             return blocks
 
@@ -303,6 +310,13 @@ class TestPlanCommand:
 
     def test_efg_needs_three_sets(self, capsys):
         assert main(["plan", "--target", "2;3", "--kind", "EFG"]) == 2
+
+    def test_main_runs_the_current_module_attribute(self, monkeypatch):
+        # the parser is built once; a replaced cmd_plan must still be the one run
+        seen = []
+        monkeypatch.setattr(cli, "cmd_plan", lambda args: seen.append(args.target) or 7)
+        assert main(["plan", "--target", "2,3"]) == 7
+        assert seen == ["2,3"]
 
 
 class TestRenderCommand:

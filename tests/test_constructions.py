@@ -205,12 +205,12 @@ class TestKeyclaim:
         for n in range(2, 82):
             m = 0
             while n ** (m + 1) <= 81:
-                assert keyclaim_check(n, m, cap=81 * 81) < 1e-10
+                assert keyclaim_check(n, m) < 1e-10
                 m += 1
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):
-            keyclaim_check(2, 10, cap=4096)
+            keyclaim_check(2, 10)
 
 
 class TestFamilySpan:
@@ -228,8 +228,8 @@ class TestFamilySpan:
     def test_rank_cut_drops_a_vanished_element(self, monkeypatch):
         exact = constructions._span_rows
 
-        def one_row_lost(n, depth, cap):
-            rows = exact(n, depth, cap).copy()
+        def one_row_lost(n, depth):
+            rows = exact(n, depth).copy()
             rows[0, 0] *= 1e-12
             return rows
 
@@ -303,7 +303,7 @@ class TestTruncatedMasaPair:
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):
-            truncated_masa_pair(2, 9, cap=4096)
+            truncated_masa_pair(2, 9)
 
 
 FIGURE_MATRIX = [

@@ -23,7 +23,7 @@ from puklab.indices import (
     iter_cross_pairs,
     iter_sibling_pairs,
 )
-from puklab.indices import _sibling_position
+from puklab.indices import _pair_position
 from puklab.invariant import QUADRANT_NAMES, CutdownOracle, eval_construction
 from puklab.nsets import INF, NSet, nset_product, union_all
 
@@ -140,19 +140,27 @@ def table_oracle(data, level) -> CutdownOracle:
 @pytest.mark.parametrize("r", range(4))
 def test_sibling_position_matches_enumeration(r):
     for pos, (i, j) in enumerate(iter_sibling_pairs(r)):
-        assert _sibling_position(r, i, j) == pos
+        assert _pair_position(r, i, j) == (False, pos)
+    # level 0 has no pair but its sibling pair; deeper, the streams are disjoint
+    if r:
+        for pos, (i, j) in enumerate(iter_cross_pairs(r)):
+            assert _pair_position(r, i, j) == (True, pos)
 
 
 def test_sibling_position_rejects_non_siblings():
     i, j = SIBLINGS[2][5]
     with pytest.raises(InvalidLambdaError):
-        _sibling_position(2, j, i)
+        _pair_position(2, j, i)
     with pytest.raises(InvalidLambdaError):
-        _sibling_position(2, i, i)
+        _pair_position(2, i, i)
+    # a cross pair is no sibling pair: it has a place in the cross stream only
+    assert _pair_position(1, *next(iter_cross_pairs(1))) == (True, 0)
     with pytest.raises(InvalidLambdaError):
-        _sibling_position(1, *next(iter_cross_pairs(1)))
+        _pair_position(1, i, j)
+    # same branch, different parents: in neither stream
     with pytest.raises(InvalidLambdaError):
-        _sibling_position(1, i, j)
+        _pair_position(2, MultiIndex.from_bits(["000", "00", "0"]),
+                       MultiIndex.from_bits(["010", "00", "0"]))
 
 
 @pytest.mark.parametrize("r", range(1, 4))
@@ -253,7 +261,8 @@ def test_level_four_override_stays_in_its_branch(base):
 def test_override_map_is_built_once():
     i, j = SIBLINGS[1][3]
     spec = LambdaSpec(default=2, overrides=(Override(1, i, j, 7),))
-    assert spec._override_map is spec._override_map
+    assert spec._pinned is spec._pinned
+    assert spec._pinned[1] == [(3, 7, (i.words[0], j.words[0]))]
     assert spec.value(1, j, i) == 7
 
 

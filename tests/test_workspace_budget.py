@@ -1,0 +1,199 @@
+"""The workspace budget: every numeric routine declares its peak, and the peak holds to it.
+
+Each routine that allocates calls ``core.check_workspace`` once, before it
+allocates, with its peak count of complex entries.  Here ``tracemalloc``
+measures every such routine over the ``verify`` sweep at ``--max-dim 16384``
+and over spectra up to ``M_96``: the peak of a call stays within 16 bytes per
+entry declared inside it, plus a fixed allowance for Python objects and
+small temporaries.  ``tracemalloc`` sees numpy's array buffers; LAPACK's
+per-call workspace is allocated outside it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from puklab import algebra, constructions, core
+from puklab.algebra import finite_puk_spectrum, mixed_spectrum
+from puklab.cli import _construction_range
+from puklab.constructions import (
+    TruncatedAutomorphism,
+    build_gadget,
+    family_span_check,
+    intertwiner_blocks,
+    intertwiner_check,
+    intertwiner_grams,
+    keyclaim_check,
+    truncated_masa_pair,
+)
+from puklab.core import TracedAlgebraShape, check_workspace
+from puklab.errors import NotAbelianError, ResourceGuardError
+from puklab.nsets import NSet
+
+SLACK = 64 * 1024
+SWEEP = list(_construction_range(16384))
+SPECTRUM_SIZES = (2, 3, 8, 16, 33, 65, 96)
+
+
+def diag_units(n):
+    return [np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)]
+
+
+def haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated_masa(rng, n):
+    u = haar_unitary(rng, n)
+    return [u @ g @ u.conj().T for g in diag_units(n)]
+
+
+@pytest.fixture
+def declared(monkeypatch):
+    """The entry counts passed to ``check_workspace`` since the last ``clear()``."""
+    counts = []
+
+    def recording(entries, what):
+        counts.append(entries)
+        check_workspace(entries, what)
+
+    for module in (algebra, constructions):
+        monkeypatch.setattr(module, "check_workspace", recording)
+    return counts
+
+
+def assert_within_declared(declared, label, call):
+    """Check the peak of ``call()`` against the entries declared in it; return what it raised."""
+    declared.clear()
+    raised = None
+    tracemalloc.start()
+    try:
+        call()
+    except NotAbelianError as exc:
+        raised = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert declared, f"{label} declared no workspace"
+    assert peak <= 16 * sum(declared) + SLACK, (label, peak, declared)
+    return raised
+
+
+# ---------------------------------------------------------------------------
+# the budget itself
+
+
+def test_budget_is_inclusive_and_read_at_call_time(monkeypatch):
+    check_workspace(core.WORKSPACE_BYTES // 16, "exactly the budget")
+    with pytest.raises(ResourceGuardError, match="over the budget"):
+        check_workspace(core.WORKSPACE_BYTES // 16 + 1, "one entry over")
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 16 * 10)
+    check_workspace(10, "ten entries")
+    with pytest.raises(ResourceGuardError):
+        check_workspace(11, "eleven entries")
+
+
+# ---------------------------------------------------------------------------
+# spectra past the old GNS-dimension cap of 4096
+
+
+@pytest.mark.parametrize("n", [65, 96])
+def test_rotated_diagonal_masas_beyond_gns_dimension_4096(n):
+    rng = np.random.default_rng(n)
+    shape = TracedAlgebraShape.full_matrix(n)
+    a_gens, b_gens = diag_units(n), rotated_masa(rng, n)
+    mixed = mixed_spectrum(a_gens, b_gens, shape, seed=1)
+    assert mixed.as_set == NSet.of(1)
+    assert mixed.block_count == n * n
+    puk = finite_puk_spectrum(b_gens, shape, seed=1)
+    assert puk.as_set == NSet.of(1)
+    assert puk.block_count == n * n - n
+
+
+# ---------------------------------------------------------------------------
+# declared counts bound the traced peaks
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_certificates_stay_within_declared_workspace(declared, n, m):
+    gadget = build_gadget(n)
+    calls = {
+        "build": lambda: TruncatedAutomorphism.build(gadget, m),
+        "theta factors": lambda: constructions._theta_factors(n, m),
+        "keyclaim": lambda: keyclaim_check(n, m),
+        "intertwiner blocks": lambda: intertwiner_blocks(n, m),
+        "intertwiner check": lambda: intertwiner_check(n, m, 0, 1),
+        "masa pair": lambda: truncated_masa_pair(n, m + 1),
+    }
+    if m >= 1:
+        calls["span"] = lambda: family_span_check(n, m)
+    if 16 * 2 * n ** (4 * m) <= core.WORKSPACE_BYTES:
+        calls["intertwiner grams"] = lambda: intertwiner_grams(n, m, 0, 1)
+    for label, call in calls.items():
+        assert_within_declared(declared, label, call)
+
+
+@pytest.mark.parametrize("n", SPECTRUM_SIZES)
+def test_spectra_stay_within_declared_workspace(declared, n):
+    rng = np.random.default_rng(n)
+    shape = TracedAlgebraShape.full_matrix(n)
+    # real generators, so each one is converted to complex on the way in
+    units = [g.real for g in diag_units(n)]
+    rotated = rotated_masa(rng, n)
+    assert_within_declared(declared, "mixed", lambda: mixed_spectrum(units, rotated, shape))
+    assert_within_declared(declared, "puk", lambda: finite_puk_spectrum(rotated, shape))
+
+
+@pytest.mark.parametrize("n", [s for s in SPECTRUM_SIZES if s <= 33])
+def test_commutator_failure_path_stays_within_declared_workspace(declared, n):
+    # the failure path forms every commutator of the n generators with the
+    # generators and their adjoints: 4n² products of n × n, seconds at M_96
+    rng = np.random.default_rng(n)
+    shape = TracedAlgebraShape.full_matrix(n)
+    units = [g.real for g in diag_units(n)]
+    tangled = [g @ haar_unitary(rng, n) for g in diag_units(n)]
+    raised = assert_within_declared(
+        declared, "not abelian", lambda: mixed_spectrum(tangled, units, shape)
+    )
+    assert isinstance(raised, NotAbelianError)
+
+
+# ---------------------------------------------------------------------------
+# refusals come before any allocation
+
+
+@pytest.mark.parametrize("label,call", [
+    ("keyclaim", lambda: keyclaim_check(2, 10)),
+    ("span", lambda: family_span_check(2, 9)),
+    ("intertwiner blocks", lambda: intertwiner_blocks(2, 9)),
+    ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
+    ("masa pair", lambda: truncated_masa_pair(2, 9)),
+    ("build", lambda: TruncatedAutomorphism.build(build_gadget(2), 12)),
+])
+def test_refused_certificates_allocate_nothing(label, call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SLACK, (label, peak)
+
+
+def test_refused_spectrum_allocates_nothing(monkeypatch):
+    units = diag_units(16)
+    shape = TracedAlgebraShape.full_matrix(16)
+    # 16 generators on C^16 declare 84 · 256 entries, 344,064 bytes
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            mixed_spectrum(units, units, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SLACK
