@@ -18,7 +18,6 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import SPAN_RTOL
 from .core import as_matrix, check_workspace, tensor
 from .errors import InvalidLambdaError
 from .nsets import INF, NSet, is_valid_value, tensor_mixed, tensor_mixed_infinite
@@ -148,8 +147,8 @@ def _theta_factors(n: int, depth: int):
     ``ψ`` and ``P = U*U``; ``P`` enters every one of them, and unitarity of
     ``U`` is never assumed.
 
-    Returns ``(phi, unitary, psi, gram)``: ``phi[:, t] = φ_t``, ``unitary = U``,
-    ``psi[t] = ψ_t`` of shape ``(count, dim)`` and ``gram = P``.  The count
+    Returns ``(phi, psi, gram)``: ``phi[:, t] = φ_t``, ``psi[t] = ψ_t`` of
+    shape ``(count, dim)`` and ``gram = P``.  The count
     ``4n³`` covers the gadget's ``e`` and ``f`` with the buffers numpy takes to
     broadcast ``f``, and ``8·dim²`` covers ``U``, its steps, ``ψ`` and ``P``
     with the products the certificates form from them.
@@ -159,7 +158,7 @@ def _theta_factors(n: int, depth: int):
     unitary = TruncatedAutomorphism.build(build_gadget(n), depth).unitary
     phi = _shift_eigenvectors(n)
     psi = (phi.conj().T @ unitary.reshape(n, count * dim)).reshape(n, count, dim)
-    return phi, unitary, psi, unitary.conj().T @ unitary
+    return phi, psi, unitary.conj().T @ unitary
 
 
 def _tiles(psi: np.ndarray, depth: int) -> np.ndarray:
@@ -191,7 +190,7 @@ def _same_j_grams(n: int, m: int) -> np.ndarray:
     Within row block ``I = (i, I'')`` the entry is
     ``φ_t[i] conj(φ_s[i]) · tr(T[t,I'',J] P[J,J] T[s,I'',J]*) / dim``.
     """
-    phi, _, psi, gram = _theta_factors(n, m)
+    phi, psi, gram = _theta_factors(n, m)
     dim, count = n ** (m + 1), n**m
     tiles = _tiles(psi, m)
     by_j = tiles.transpose(3, 1, 0, 2, 4)  # [J, I'', t, k, l]
@@ -226,24 +225,8 @@ class FamilySpanReport:
     count: int
     min_gram_diag: float
     max_offdiag: float
-    rank: int
-    rank_cut: float  # singular values above this count towards the rank
-    min_kept_singular: float  # the smallest singular value above the cut
-
-
-def _span_rows(n: int, depth: int) -> np.ndarray:
-    """The members ``X[t, J]`` of the depth-``depth`` family, cut into single rows.
-
-    ``rows[R, (t, J)]`` is row ``R = (i, I')`` of ``X[t, J]``, that is
-    ``φ_t[i] · ψ_t[I', J-cols] · S_J*``; ``(t, J)`` is flattened ``t``-major.
-    """
-    phi, unitary, psi, _ = _theta_factors(n, depth)
-    dim, count = n ** (depth + 1), n**depth
-    cols = unitary.reshape(dim, count, n).transpose(1, 2, 0).conj()  # S_J* for each J
-    tail = psi.reshape(n * count, count, n).transpose(1, 0, 2) @ cols  # [J, (t, I'), :]
-    tail = tail.reshape(count, n, count, dim).transpose(2, 1, 0, 3)  # [I', t, J, :]
-    rows = phi[:, None, :, None, None] * tail[None]
-    return rows.reshape(dim, n * count, dim)
+    rank: int  # members on the rows whose Gram passes Gershgorin's test
+    margin: float  # the least |g_aa| / Σ_{b≠a} |g_ab| over all members
 
 
 def family_span_check(n: int, m: int) -> FamilySpanReport:
@@ -251,26 +234,39 @@ def family_span_check(n: int, m: int) -> FamilySpanReport:
 
     The family ``(e_{i_1}⊗…⊗e_{i_m}) f_r θ(e_{j_1}⊗…⊗e_{j_{m-1}}⊗1)`` sits in
     ``M_n^{⊗m}``; with all index tuples it has exactly the dimension of the
-    whole matrix space, so orthogonality plus full rank certify the span.
+    whole matrix space, so full rank certifies the span.  Members on
+    different rows have disjoint support, so the family's Gram is block
+    diagonal with one ``k × k`` block per row ``(i, I')``, ``k = n^m``, and
+    the rank is certified block by block: a block whose diagonal dominates
+    each of its rows is nonsingular (Gershgorin).  With the notation of
+    :func:`_theta_factors` at depth ``m − 1``, the block of row ``(i, I')``
+    is ``D_i H_I' D_i* / n^m`` with ``D_i = diag(φ_t[i])`` and
+    ``H_I'[(t,J),(s,J')] = ψ_t[I',J-cols] P[J,J'] ψ_s[I',J'-cols]*``; since
+    ``|φ_t[i]|² = 1/n``, its entry moduli are ``|H_I'| / n^{m+1}`` for all ``i``.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    # the dim³ rows, their conjugate, the row Grams and the SVD's copy of the rows
-    check_workspace(4 * n ** (3 * m), f"the span rows for n={n}, m={m}")
-    rows = _span_rows(n, m - 1)
-    # elements on different rows have disjoint support: one Gram per row
-    grams = rows @ rows.conj().transpose(0, 2, 1) / n**m
-    k = grams.shape[1]
-    diag = np.abs(grams[:, np.arange(k), np.arange(k)])
-    off = np.abs(grams[:, ~np.eye(k, dtype=bool)])
-    # the stack of all elements is block diagonal up to a permutation of its
-    # columns, so its singular values are those of the row blocks together
-    sing = np.linalg.svd(rows, compute_uv=False).ravel()
-    cut = SPAN_RTOL * float(sing.max())
-    kept = sing[sing > cut]
-    return FamilySpanReport(
-        grams.shape[0] * k, float(diag.min()), float(off.max()), kept.size, cut, float(kept.min())
-    )
+    dim, count = n**m, n ** (m - 1)
+    # the factors' count covers the loop: beside ψ and P, one I' holds three dim² buffers
+    _, psi, gram = _theta_factors(n, m - 1)
+    p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
+    tiles = psi.reshape(n, count, count, n).transpose(1, 2, 0, 3)  # [I', J, t, l]
+    min_diag, max_off, margin, certified = np.inf, 0.0, np.inf, 0
+    for tile in tiles:
+        tiles_p = (tile @ p_rows).reshape(dim, count, n)  # [(J, t), J', l']
+        h = tiles_p.transpose(1, 0, 2) @ tile.conj().transpose(0, 2, 1)  # [J', (J, t), s]
+        moduli = np.abs(h.transpose(1, 0, 2)).reshape(dim, dim) / n ** (m + 1)
+        diag = moduli.diagonal().copy()
+        np.fill_diagonal(moduli, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(diag > 0.0, diag / moduli.sum(axis=1), 0.0)
+        least = float(ratios.min())
+        certified += least > 1.0
+        min_diag = min(min_diag, float(diag.min()))
+        max_off = max(max_off, float(moduli.max()))
+        margin = min(margin, least)
+    # each certified I' stands for the n rows (i, I') with the same moduli
+    return FamilySpanReport(dim * dim, min_diag, max_off, n * dim * certified, margin)
 
 
 def intertwiner_blocks(n: int, m: int) -> np.ndarray:
@@ -285,7 +281,7 @@ def intertwiner_blocks(n: int, m: int) -> np.ndarray:
     dim, count = n ** (m + 1), n**m
     # the blocks, and one t's tile products with their einsum operands
     check_workspace(4 * n * count**3, f"the intertwiner blocks for n={n}, m={m}")
-    phi, _, psi, gram = _theta_factors(n, m)
+    phi, psi, gram = _theta_factors(n, m)
     weights = np.diagonal(_first_slot_weights(phi, m), axis1=1, axis2=2)  # [i, t]
     p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
     blocks = np.empty((n, count, count, count), dtype=complex)

@@ -11,7 +11,9 @@ The dense-family oracle holds the whole family ``X[t, J] = (f_t ⊗ 1)θ(e_J ⊗
 (``N³`` entries) and forms one Gram per row block.  The engine under test reads
 the same Gram entries off ``ψ = (Φ* ⊗ 1)U`` and ``P = U*U`` in ``n × n``
 tiles, so the two agree entry by entry up to rounding, also for a ``U`` that
-is not unitary.
+is not unitary.  Span reads only the moduli of its single-row Grams, one
+row ``I'`` of ``ψ`` at a time; their smallest diagonal and largest
+off-diagonal entries agree with those of the dense rows.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from puklab.constructions import (
     ShiftGadget,
     TruncatedAutomorphism,
     _same_j_grams,
-    _span_rows,
     build_gadget,
     family_span_check,
     intertwiner_blocks,
@@ -181,7 +182,7 @@ def product_family(n, depth, row_block):
 
 
 def assert_factored_matches_dense(n, m):
-    """Same-``J`` Grams, intertwiner blocks and span rows, entry by entry."""
+    """Same-``J`` Grams and intertwiner blocks entry by entry, span Gram moduli at the extremes."""
     count = n**m
     _, grams = product_family(n, m, n)
     pairs = grams.reshape(count, n, count, n, count)  # [I, t, J, s, J']
@@ -190,8 +191,12 @@ def assert_factored_matches_dense(n, m):
     assert np.max(np.abs(_same_j_grams(n, m) - same_j)) <= ROUNDING
     assert np.max(np.abs(intertwiner_blocks(n, m) - same_t)) <= ROUNDING
     if m >= 1:
-        rows, _ = product_family(n, m - 1, 1)
-        assert np.max(np.abs(_span_rows(n, m - 1) - rows)) <= ROUNDING
+        _, row_grams = product_family(n, m - 1, 1)
+        moduli = np.abs(row_grams)
+        on_diag = np.eye(moduli.shape[1], dtype=bool)
+        rep = family_span_check(n, m)
+        assert abs(rep.min_gram_diag - moduli[:, on_diag].min()) <= ROUNDING
+        assert abs(rep.max_offdiag - moduli[:, ~on_diag].max()) <= ROUNDING
 
 
 def distorted_build(distort):
@@ -246,6 +251,8 @@ def test_gram_of_u_is_used():
         (lambda: keyclaim_check(2, 6), 4_000_000),
         # and at about 10 MB here; the output alone is 1 MB
         (lambda: intertwiner_blocks(2, 5), 6_000_000),
+        # the N³ span rows peaked at about 112 MB here
+        pytest.param(lambda: family_span_check(2, 7), 4_000_000, id="span"),
     ],
 )
 def test_certificates_hold_no_cubic_family(certificate, bound):

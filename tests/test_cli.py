@@ -176,7 +176,7 @@ class TestVerifyCommand:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("span n=")]
         assert len(lines) == 5
         for line in lines:
-            assert ", rank cut " in line
+            assert ", Gershgorin margin " in line
             assert float(line.rsplit("margin ", 1)[1]) > 1.0
 
     def test_keyclaim_suite_small(self, capsys):
@@ -223,6 +223,18 @@ class TestRelativeTolerance:
         monkeypatch.setattr(cli, "family_span_check", noisy)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         assert "suite span: FAIL" in capsys.readouterr().out
+
+    def test_span_rank_short_of_count(self, monkeypatch, capsys):
+        def uncertified(n, m):
+            # an off-diagonal inside the tolerance, but a row Gram that fails Gershgorin
+            rep = family_span_check(n, m)
+            return replace(rep, rank=rep.count - n**m, margin=0.5)
+
+        monkeypatch.setattr(cli, "family_span_check", uncertified)
+        assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
+        out = capsys.readouterr().out
+        assert "span n=2 m=1: 4 elements, rank 2," in out
+        assert "suite span: FAIL" in out
 
     def test_intertwiner(self, monkeypatch, capsys):
         def noisy(n, m):

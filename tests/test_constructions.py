@@ -5,7 +5,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from puklab import constructions
 from puklab.constructions import (
     TruncatedAutomorphism,
     build_gadget,
@@ -223,20 +222,21 @@ class TestFamilySpan:
         assert rep.rank == count
         assert rep.min_gram_diag > 0
         assert rep.max_offdiag < 1e-10
-        assert rep.min_kept_singular > rep.rank_cut > 0
+        assert rep.margin > 1
 
-    def test_rank_cut_drops_a_vanished_element(self, monkeypatch):
-        exact = constructions._span_rows
+    def test_gershgorin_fails_on_a_vanished_column(self, monkeypatch):
+        # with a column of U zeroed, the n members (t, J) of its J are dependent
+        exact = TruncatedAutomorphism.build
 
-        def one_row_lost(n, depth):
-            rows = exact(n, depth).copy()
-            rows[0, 0] *= 1e-12
-            return rows
+        def column_lost(cls, gadget, depth, kind="theta"):
+            unitary = exact(gadget, depth, kind).unitary.copy()
+            unitary[:, 0] = 0.0
+            return cls(gadget, depth, kind, unitary)
 
-        monkeypatch.setattr(constructions, "_span_rows", one_row_lost)
+        monkeypatch.setattr(TruncatedAutomorphism, "build", classmethod(column_lost))
         rep = family_span_check(2, 2)
-        assert rep.count == 16 and rep.rank == 15
-        assert rep.min_kept_singular > rep.rank_cut
+        assert rep.count == 16 and rep.rank < rep.count
+        assert rep.margin <= 1
 
     def test_small_case_by_hand(self):
         # for m=1 the family is e_i f_r; check the Gram directly

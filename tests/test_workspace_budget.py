@@ -136,6 +136,11 @@ def test_certificates_stay_within_declared_workspace(declared, n, m):
         assert_within_declared(declared, label, call)
 
 
+def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
+    # the N³ rows refused m = 8; the factors and one row's Gram take about 6 MiB
+    assert_within_declared(declared, "span", lambda: family_span_check(2, 8))
+
+
 @pytest.mark.parametrize("n", SPECTRUM_SIZES)
 def test_spectra_stay_within_declared_workspace(declared, n):
     rng = np.random.default_rng(n)
@@ -167,7 +172,8 @@ def test_commutator_failure_path_stays_within_declared_workspace(declared, n):
 
 @pytest.mark.parametrize("label,call", [
     ("keyclaim", lambda: keyclaim_check(2, 10)),
-    ("span", lambda: family_span_check(2, 9)),
+    # the span checks to m = 10; at 11 its θ factors alone are over the budget
+    ("span", lambda: family_span_check(2, 11)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 9)),
     ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
     ("masa pair", lambda: truncated_masa_pair(2, 9)),
