@@ -26,6 +26,10 @@ Appl. Math. 27, 2010).  The masa test needs no commutant either: the commutant
 of an abelian ``A`` in ``⊕_k M_{d_k}`` is ``⊕_{i,k} M_{rank_k(p_i)}``, of
 dimension ``trace(R_A · R_Aᵀ)``, so ``A`` is maximal exactly when the diagonal
 of ``R_A · R_Aᵀ`` is all ones.
+
+``minimal_projections`` reads the same certificate, with an algebra's basis
+as the generators, so one eigendecomposition also decides whether an algebra
+is abelian.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .nsets import NSet
 SPAN_RTOL = 1e-9
 # Membership residual for projections extracted from an algebra.
 MEMBER_TOL = 1e-8
-# Pairwise commutator bound below which an algebra counts as abelian.
+# Commutator entries at most this count as zero in the abelian test.
 COMMUTE_TOL = 1e-9
 # Eigenvalue clusters split at relative gaps above this.
 EIG_GAP_RTOL = 1e-7
@@ -81,14 +85,6 @@ class AlgebraBasis:
 
     def adjoint_defect(self) -> float:
         return max((self.span_residual(adjoint(b)) for b in self.basis), default=0.0)
-
-    def max_commutator(self) -> float:
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
-                worst = max(worst, float(np.max(np.abs(comm))))
-        return worst
 
 
 def orthonormalize_span(mats, rtol: float = SPAN_RTOL) -> np.ndarray:
@@ -253,58 +249,42 @@ class SpectrumReport:
 def minimal_projections(algebra: AlgebraBasis, seed: int) -> SpectrumReport:
     """Pairwise-orthogonal minimal projections of an abelian algebra.
 
-    A random self-adjoint element is eigendecomposed and its spectral
-    projections are the candidates; a generic element separates all minimal
-    idempotents, and failures (merged clusters or membership residuals) get a
-    fresh sample up to :data:`MAX_RETRIES` times.  Deterministic given the
-    seed.  Multiplicities are the dimensions of the projection ranges.
+    The projections are the joint eigenspaces of the basis, from the
+    certified eigenbasis of :func:`_joint_eigenbasis`, which also decides
+    abelianness.  Their count must be ``algebra.dim`` and each must lie in the
+    span, or :class:`DegenerateSampleError` is raised at once: a fresh sample
+    cannot change a certified eigenbasis.  Deterministic given the seed.
+    Multiplicities are the dimensions of the projection ranges; the dense
+    projections take ``dim·D²`` entries beyond the eigenbasis' workspace.
     """
-    defect = algebra.max_commutator()
-    if defect >= COMMUTE_TOL:
-        raise NotAbelianError(f"basis elements do not commute (defect {defect:.2e})")
     D = algebra.ambient_dim
     if algebra.dim == 0:
         return SpectrumReport(D, (), np.zeros((0, D, D), dtype=complex))
-
-    def certify(eigvecs, clusters):
-        if len(clusters) != algebra.dim:
-            raise _Rejected(f"sample produced {len(clusters)} clusters for dim {algebra.dim}")
-        projections = np.stack([eigvecs[:, idx] @ eigvecs[:, idx].conj().T for idx in clusters])
-        if any(algebra.span_residual(q) > MEMBER_TOL for q in projections):
-            raise _Rejected("spectral projection left the span")
-        return SpectrumReport(D, tuple(len(idx) for idx in clusters), projections)
-
-    return _first_certified(algebra.basis, seed, certify)
+    check_workspace(algebra.dim * D * D, f"{algebra.dim} projections on C^{D}")
+    joint = _joint_eigenbasis(algebra.basis, TracedAlgebraShape.full_matrix(D), seed)
+    mults = joint.ranks[:, 0]
+    if len(mults) != algebra.dim:
+        raise DegenerateSampleError(f"sample produced {len(mults)} clusters for dim {algebra.dim}")
+    projections = np.stack([joint.projection(i) for i in range(algebra.dim)])
+    if any(algebra.span_residual(q) > MEMBER_TOL for q in projections):
+        raise DegenerateSampleError("spectral projection left the span")
+    return SpectrumReport(D, tuple(mults.tolist()), projections)
 
 
 class _Rejected(Exception):
     """A sample whose clusters failed a certificate; the message says why."""
 
 
+def _combination(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
+    """``Σ_k c_k m_k`` for complex Gaussian ``c_k`` drawn from ``rng``."""
+    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    return np.tensordot(coeffs, mats, axes=1)
+
+
 def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
     """``Σ_k (c_k m_k + c̄_k m_k*)`` for complex Gaussian ``c_k`` drawn from ``rng``."""
-    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    sample = np.tensordot(coeffs, mats, axes=1)
+    sample = _combination(rng, mats)
     return sample + adjoint(sample)
-
-
-def _first_certified(mats: np.ndarray, seed: int, certify):
-    """``certify(eigvecs, clusters)`` of the first random sample it does not reject.
-
-    Each attempt eigendecomposes a fresh :func:`_hermitian_sample` of ``mats``
-    and splits its spectrum with :func:`_split_eigenvalues`; after
-    :data:`MAX_RETRIES` rejected retries, raises :class:`DegenerateSampleError`
-    with the last reason.
-    """
-    rng = np.random.default_rng(seed)
-    reason = ""
-    for _ in range(1 + MAX_RETRIES):
-        eigvals, eigvecs = np.linalg.eigh(_hermitian_sample(rng, mats))
-        try:
-            return certify(eigvecs, _split_eigenvalues(eigvals))
-        except _Rejected as exc:
-            reason = str(exc)
-    raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {reason}")
 
 
 def _split_eigenvalues(eigvals: np.ndarray) -> list[np.ndarray]:
@@ -331,13 +311,13 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     eigenvalue tuple is constant on each eigenvalue cluster of ``h`` and
     differs between clusters, and each block rank ``‖V[sl_k, cluster_i]‖²``
     is within :data:`MEMBER_TOL` of an integer.  A rejected sample is redrawn
-    as in :func:`minimal_projections`; once the retries run out, generators
-    that fail a commutator check (with each other or with their adjoints)
-    raise :class:`NotAbelianError`, anything else
-    :class:`DegenerateSampleError`.  The ``k`` generators, the sample, its
-    eigenbasis and the commutators of the failure path take at most
-    ``(5k + 4)·D²`` entries; a larger workspace raises
-    :class:`ResourceGuardError` before any of them is built.
+    from the same seeded stream, up to :data:`MAX_RETRIES` times; once the
+    retries run out, generators that fail :func:`_commutator_defect` (with
+    each other or with their adjoints) raise :class:`NotAbelianError`,
+    anything else :class:`DegenerateSampleError` with the last reason.  The
+    ``k`` generators, the sample, its eigenbasis and the commutators of the
+    failure path take at most ``(5k + 4)·D²`` entries; a larger workspace
+    raises :class:`ResourceGuardError` before any of them is built.
     """
     D, gens = shape.total_dim, list(gens)
     check_workspace((5 * len(gens) + 4) * D * D, f"{len(gens)} generators on C^{D}")
@@ -378,27 +358,31 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
             raise _Rejected(f"a block rank is {worst:.2e} away from an integer")
         return JointEigenbasis(vecs, labels, ranks.astype(int))
 
-    try:
-        return _first_certified(mats, seed, certify)
-    except DegenerateSampleError:
-        mats /= scales[:, None, None]
-        defect = _commutator_defect(mats)
-        if defect > COMMUTE_TOL:
-            raise NotAbelianError(
-                f"generators or their adjoints do not commute (defect {defect:.2e})"
-            ) from None
-        raise
+    rng = np.random.default_rng(seed)
+    for _ in range(1 + MAX_RETRIES):
+        eigvals, vecs = np.linalg.eigh(_hermitian_sample(rng, mats))
+        try:
+            return certify(vecs, _split_eigenvalues(eigvals))
+        except _Rejected as exc:
+            reason = str(exc)
+    mats /= scales[:, None, None]
+    defect = _commutator_defect(mats, rng)
+    if defect > COMMUTE_TOL:
+        raise NotAbelianError(f"generators or their adjoints do not commute (defect {defect:.2e})")
+    raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {reason}")
 
 
-def _commutator_defect(mats: np.ndarray) -> float:
-    """Largest entry of ``[g, h]`` over generators ``g`` and generators or adjoints ``h``."""
-    worst = 0.0
-    for others in (mats, np.conj(np.transpose(mats, (0, 2, 1)))):
-        for g in mats:
-            comm = np.matmul(g, others)
-            comm -= np.matmul(others, g)
-            worst = max(worst, float(np.max(np.abs(comm), initial=0.0)))
-    return worst
+def _commutator_defect(mats: np.ndarray, rng: np.random.Generator) -> float:
+    """Largest entry of ``[a, b]`` and ``[a, b*]`` for random combinations ``a``, ``b`` of ``mats``.
+
+    ``a`` and ``b`` are drawn as in :func:`_combination`.  Both commutators
+    vanish for every draw exactly when each ``m_k`` commutes with every
+    ``m_l`` and ``m_l*``; otherwise they are non-zero with probability 1.
+    That costs ``O(k·D² + D³)``, against ``k²`` products of ``D × D`` for
+    the pairwise scan.
+    """
+    a, b = _combination(rng, mats), _combination(rng, mats)
+    return max(float(np.max(np.abs(a @ h - h @ a), initial=0.0)) for h in (b, adjoint(b)))
 
 
 def _product_report(shape, left, right, mults: np.ndarray, keep: np.ndarray) -> SpectrumReport:

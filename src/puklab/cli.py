@@ -7,6 +7,9 @@ the span tolerance ``SUITE_TOL`` times the smallest Gram diagonal entry.
 The span rank counts only the members whose row Gram is certified
 nonsingular by Gershgorin's theorem; each span line ends with the least
 ratio of a Gram diagonal entry to the sum of the off-diagonal moduli in its row.
+The algebra suite's commutant lines end with the ratio by which the singular
+values on either side of the rank cut, the last kept and the first dropped,
+cleared it.
 """
 
 from __future__ import annotations
@@ -210,12 +213,15 @@ def _run_algebra(max_dim: int) -> bool:
         sing = np.linalg.svd(joined, compute_uv=False)
         cut = SPAN_RTOL * sing[0]
         kept = sing[sing > cut]
+        # the nearer side of the cut: the last kept or the first dropped value
+        dropped = float(np.max(sing[kept.size:], initial=0.0))
+        margin = min(kept[-1] / cut, cut / dropped) if dropped else kept[-1] / cut
         good = comm.dim == rights.dim == kept.size == shape.gns_dim
         ok = ok and good
         print(
             f"commutant of left action (blocks {shape.blocks}): dim {comm.dim}, "
             f"right-action dim {rights.dim}, joint rank {kept.size}, "
-            f"rank cut {cut:.3e}, margin {kept[-1] / cut:.3g}"
+            f"rank cut {cut:.3e}, margin {margin:.3g}"
         )
     for n in (2, 3):
         a_gens, b_gens = truncated_masa_pair(n, 2)

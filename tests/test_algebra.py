@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from puklab import core
+from puklab import algebra, core
 from puklab.algebra import (
     commutant,
     cutdown_spectrum,
@@ -16,6 +16,7 @@ from puklab.algebra import (
 )
 from puklab.core import GnsSpace, TracedAlgebraShape, adjoint
 from puklab.errors import (
+    DegenerateSampleError,
     NotAbelianError,
     NotInAlgebraError,
     NotMasaError,
@@ -202,6 +203,18 @@ class TestMinimalProjections:
     def test_not_abelian(self):
         with pytest.raises(NotAbelianError):
             minimal_projections(generate_algebra(matrix_units(2)), seed=0)
+
+    def test_cluster_count_short_of_dimension_raises_at_once(self, monkeypatch):
+        # span{diag(1, 0, 0)} has no unit: the certified eigenbasis also splits
+        # off 1 - diag(1, 0, 0), and no fresh sample can change that count
+        calls = []
+        sample = algebra._hermitian_sample
+        monkeypatch.setattr(algebra, "_hermitian_sample",
+                            lambda rng, mats: calls.append(1) or sample(rng, mats))
+        alg = generate_algebra([np.diag([1.0, 0.0, 0.0])], unital=False)
+        with pytest.raises(DegenerateSampleError, match="2 clusters for dim 1"):
+            minimal_projections(alg, seed=0)
+        assert len(calls) == 1
 
     def test_deterministic_for_seed(self):
         alg = generate_algebra(diag_units(4))

@@ -1,10 +1,14 @@
 import json
 from dataclasses import replace
 
+import numpy as np
+
 from puklab import cli
 from puklab import config as cfg
+from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
 from puklab.constructions import family_span_check, intertwiner_blocks
+from puklab.core import GnsSpace, TracedAlgebraShape
 from puklab.indices import LambdaSpec, Override, QuadrantRules, level_zero
 from puklab.invariant import CutdownOracle
 from puklab.nsets import INF, NSet
@@ -23,6 +27,26 @@ def diag_unit_config(n, k):
     return [[[1.0 if i == j == k else 0.0, 0.0] for j in range(n)] for i in range(n)]
 
 
+def joint_rank_margin(shape):
+    """How far the singular values nearest the rank cut of commutant ∪ right action sit from it."""
+    space = GnsSpace(shape)
+    D = shape.total_dim
+    units = []
+    for sl, d in zip(shape.block_slices(), shape.blocks):
+        for i in range(sl.start, sl.start + d):
+            for j in range(sl.start, sl.start + d):
+                u = np.zeros((D, D), dtype=complex)
+                u[i, j] = 1.0
+                units.append(u)
+    comm = commutant(generate_algebra([space.left(u) for u in units]))
+    rights = generate_algebra([space.right(u) for u in units])
+    sing = np.linalg.svd(np.concatenate([comm.basis_matrix(), rights.basis_matrix()]),
+                         compute_uv=False)
+    cut = SPAN_RTOL * sing[0]
+    rank = int(np.sum(sing > cut))
+    return min(sing[rank - 1] / cut, cut / sing[rank])
+
+
 INTRO_CONFIG = {
     "default": 3,
     "overrides": [{"r": 0, "i": ["0"], "j": ["1"], "value": 2}],
@@ -31,8 +55,6 @@ INTRO_CONFIG = {
 
 class TestConfigRoundTrips:
     def test_matrix(self):
-        import numpy as np
-
         m = np.array([[1 + 2j, 0], [0.5j, -1]])
         again = cfg.matrix_from_config(cfg.matrix_to_config(m))
         assert np.array_equal(m, again)
@@ -103,8 +125,6 @@ class TestSpectrumCommand:
         assert "set: 1" in out
 
     def test_maximal_pair_m64(self, tmp_path, capsys):
-        import numpy as np
-
         n = 64
         rng = np.random.default_rng(64)
         u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -160,8 +180,13 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         ranks = [ln for ln in lines if ln.startswith("commutant of left action")]
         assert len(ranks) == 3
-        for line in ranks:
-            assert float(line.rsplit("margin ", 1)[1]) > 1.0
+        shapes = [TracedAlgebraShape.full_matrix(2), TracedAlgebraShape.full_matrix(3),
+                  TracedAlgebraShape.from_blocks((2, 1))]
+        for line, shape in zip(ranks, shapes):
+            printed = float(line.rsplit("margin ", 1)[1])
+            assert printed > 1.0
+            # kept[-1] / cut alone is 1/SPAN_RTOL here: every kept value is √2
+            assert printed == float(f"{joint_rank_margin(shape):.3g}")
         assert lines[-1] == "suite algebra: PASS"
 
     def test_algebra_suite_ignores_max_dim(self, capsys):

@@ -2,15 +2,24 @@
 
 Two oracles.  The dense GNS route builds ``L(a)`` and ``R(b*)`` as
 ``gns_dim × gns_dim`` matrices, generates the algebra they span and splits it
-with ``minimal_projections``; for the Pukánszky spectrum it then drops the
-blocks inside the span of the embedded masa.  The ``C^D`` route generates the
-algebra of each side on ``C^D``, splits it with ``minimal_projections`` and
-reads block ranks from traces, with ``relative_commutant_dim`` as its masa
-test.  The library reads the same projections from one eigendecomposition of
-the generators.  Inputs are random abelian algebras of small multi-matrix
-algebras: several blocks, uneven exact weights, and generators whose
-eigenvalues repeat within and across blocks, so that minimal projections have
-rank above one and straddle blocks.
+with ``dense_minimal_projections``; for the Pukánszky spectrum it then drops
+the blocks inside the span of the embedded masa.  The ``C^D`` route generates
+the algebra of each side on ``C^D``, splits it with
+``dense_minimal_projections`` and reads block ranks from traces, with
+``relative_commutant_dim`` as its masa test.  ``dense_minimal_projections``
+shares no code with the library's spectral certificate: it scans every pair
+of basis elements for a commutator, then takes the spectral projections of a
+random self-adjoint element and keeps them once their count is the algebra's
+dimension and each lies in its span.  The library reads the projections from
+one certified eigendecomposition of the generators, and so does its own
+``minimal_projections``.  Inputs are random abelian algebras of small
+multi-matrix algebras: several blocks, uneven exact weights, and generators
+whose eigenvalues repeat within and across blocks, so that minimal
+projections have rank above one and straddle blocks.
+
+The abelian test of the library's failure path, two random combinations
+``a`` and ``b`` with ``[a, b]`` and ``[a, b*]``, is checked against the
+exact scan over every pair of generators, ``exact_commutator_defect``.
 
 Diagrams of a left-right report are checked against the dense overlap loop:
 the report's products ``L(p_i) R(q_j)`` and the partition cutdowns built as
@@ -18,6 +27,7 @@ the report's products ``L(p_i) R(q_j)`` and the partition cutdowns built as
 compared to its multiplicity.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +37,12 @@ from hypothesis import strategies as st
 
 from puklab import algebra
 from puklab.algebra import (
+    COMMUTE_TOL,
+    EIG_GAP_RTOL,
     MAX_RETRIES,
     MEMBER_TOL,
     SPAN_RTOL,
+    _commutator_defect,
     _joint_eigenbasis,
     finite_puk_spectrum,
     generate_algebra,
@@ -45,12 +58,50 @@ from puklab.nsets import NSet
 PROJ_TOL = 1e-8
 
 
+def exact_commutator_defect(mats):
+    """Largest entry of ``[g, h]`` over generators ``g`` and generators or adjoints ``h``."""
+    worst = 0.0
+    for others in (mats, np.conj(np.transpose(mats, (0, 2, 1)))):
+        for g in mats:
+            comm = np.matmul(g, others)
+            comm -= np.matmul(others, g)
+            worst = max(worst, float(np.max(np.abs(comm), initial=0.0)))
+    return worst
+
+
+def dense_minimal_projections(alg, seed=0):
+    """(multiplicity, projection) pairs of an abelian algebra, by the pairwise scan and one ``eigh``.
+
+    The spectral projections of a random self-adjoint element of the algebra
+    are kept once there are ``alg.dim`` of them and each lies in the span; a
+    rejected sample is redrawn up to ``MAX_RETRIES`` times.
+    """
+    for b, c in itertools.combinations(alg.basis, 2):
+        if np.max(np.abs(b @ c - c @ b)) >= COMMUTE_TOL:
+            raise NotAbelianError("basis elements do not commute")
+    rng = np.random.default_rng(seed)
+    for _ in range(1 + MAX_RETRIES):
+        coeffs = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        h = np.tensordot(coeffs, alg.basis, axes=1)
+        eigvals, vecs = np.linalg.eigh(h + adjoint(h))
+        spread = eigvals[-1] - eigvals[0]
+        # a spread at rounding level is one atom
+        one_atom = spread <= 1e-12 * max(1.0, np.max(np.abs(eigvals)))
+        cuts = [] if one_atom else np.flatnonzero(np.diff(eigvals) > EIG_GAP_RTOL * spread) + 1
+        clusters = np.split(np.arange(len(eigvals)), cuts)
+        if len(clusters) != alg.dim:
+            continue
+        projections = [vecs[:, idx] @ vecs[:, idx].conj().T for idx in clusters]
+        if all(alg.span_residual(q) <= MEMBER_TOL for q in projections):
+            return [(len(idx), q) for idx, q in zip(clusters, projections)]
+    raise DegenerateSampleError("no separating sample")
+
+
 def dense_mixed_spectrum(a_gens, b_gens, shape, seed=0):
     """(multiplicity, projection) pairs of the dense route."""
     space = GnsSpace(shape)
     gens = [space.left(a) for a in a_gens] + [space.right(adjoint(b)) for b in b_gens]
-    report = minimal_projections(generate_algebra(gens, unital=True), seed)
-    return list(zip(report.multiplicities, report.blocks))
+    return dense_minimal_projections(generate_algebra(gens, unital=True), seed)
 
 
 def dense_puk_spectrum(a_gens, shape, seed=0):
@@ -58,13 +109,13 @@ def dense_puk_spectrum(a_gens, shape, seed=0):
     space = GnsSpace(shape)
     small = generate_algebra(a_gens, unital=True)
     gens = [space.left(b) for b in small.basis] + [space.right(adjoint(b)) for b in small.basis]
-    report = minimal_projections(generate_algebra(gens, unital=True), seed)
+    pairs = dense_minimal_projections(generate_algebra(gens, unital=True), seed)
     embedded = np.stack([space.embed(b) for b in small.basis])
     _, s, vh = np.linalg.svd(embedded, full_matrices=False)
     rows = vh[s > SPAN_RTOL * s[0]]
     e_a = rows.T @ rows.conj()
     kept = []
-    for mult, q in zip(report.multiplicities, report.blocks):
+    for mult, q in pairs:
         overlap = float(np.trace(q @ e_a).real)
         if overlap < MEMBER_TOL * max(1.0, mult):
             kept.append((mult, q))
@@ -108,7 +159,7 @@ def dense_diagram_cells(report, partition, right_partition=None):
 def cd_block_ranks(gens, shape, seed=0):
     """Minimal projections on C^D and their block ranks, through the algebra basis."""
     small = generate_algebra(gens or [np.eye(shape.total_dim)], unital=True)
-    projs = minimal_projections(small, seed).blocks
+    projs = np.stack([q for _, q in dense_minimal_projections(small, seed)])
     traces = np.stack(
         [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],
         axis=1,
@@ -193,17 +244,22 @@ def masa_cases(draw):
     return shape, list(labels), draw(st.integers(0, 2**32 - 1))
 
 
-def assert_same_blocks(report, expected):
-    """Each block of the report matches one expected projection; the multisets agree."""
-    assert sorted(report.multiplicities) == sorted(m for m, _ in expected)
+def assert_matched(got, expected):
+    """Each (multiplicity, projection) pair got matches one expected pair; the multisets agree."""
+    assert sorted(m for m, _ in got) == sorted(m for m, _ in expected)
     unmatched = list(expected)
-    for mult, q in zip(report.multiplicities, dense_products(report.blocks)):
+    for mult, q in got:
         hits = [
             k for k, (m, p) in enumerate(unmatched)
             if m == mult and np.max(np.abs(q - p)) < PROJ_TOL
         ]
         assert hits, f"no oracle projection matches a block of multiplicity {mult}"
         unmatched.pop(hits[0])
+
+
+def assert_same_blocks(report, expected):
+    """Each block of a left-right report matches one expected projection."""
+    assert_matched(list(zip(report.multiplicities, dense_products(report.blocks))), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,6 +296,18 @@ def test_joint_eigenspaces_match_cd_oracle(case):
     report = mixed_spectrum(a_gens, b_gens, shape, seed=seed)
     mults = a_ranks @ b_ranks.T
     assert report.multiset == tuple(sorted(int(x) for x in mults[mults != 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_cases())
+def test_minimal_projections_match_dense_oracle(case):
+    # few labels, so the minimal projections have rank above one
+    shape, labels, _, seed = case
+    alg = generate_algebra(conjugated_diagonals(np.random.default_rng(seed), shape, labels))
+    report = minimal_projections(alg, seed)
+    assert report.total == shape.total_dim
+    assert_matched(list(zip(report.multiplicities, report.blocks)),
+                   dense_minimal_projections(alg, seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,6 +465,67 @@ def test_not_abelian_after_retries(gens):
         mixed_spectrum(gens, units, shape)
     with pytest.raises(NotAbelianError):
         mixed_spectrum(units, gens, shape)
+
+
+def normalized(gens):
+    """The generators scaled as the failure path scales them, by ``max(1, ‖g‖)``."""
+    mats = np.stack([np.asarray(g, dtype=complex) for g in gens])
+    return mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+
+
+def assert_defects_agree(gens, seed=0):
+    """The sampled and the exact defect fall on the same side of COMMUTE_TOL; return that side."""
+    mats = normalized(gens)
+    exact = exact_commutator_defect(mats)
+    sampled = _commutator_defect(mats, np.random.default_rng(seed))
+    assert (sampled > COMMUTE_TOL) == (exact > COMMUTE_TOL), (sampled, exact)
+    return exact > COMMUTE_TOL
+
+
+COMMUTING_NORMAL = [
+    conjugated_diagonals(np.random.default_rng(5), TracedAlgebraShape.full_matrix(4),
+                         [[1, 1, 2, 3], [2, 1, 1, 1]]),
+    # complex eigenvalues: normal, not self-adjoint
+    [np.diag([1j, 2.0, 1j]), np.diag([1.0, -1j, 0.0])],
+]
+
+
+@pytest.mark.parametrize("gens, abelian", [
+    (COMMUTING_NORMAL[0], True),
+    (COMMUTING_NORMAL[1], True),
+    ([PAULI_X, PAULI_Z], False),
+    ([SHIFT], False),
+    # SHIFT commutes with itself but not with its adjoint: only [a, b*] sees it
+    ([SHIFT, SHIFT], False),
+    ([PAULI_Z + SHIFT], False),
+], ids=["conjugated-diagonals", "complex-diagonals", "pauli-x-z", "nilpotent",
+        "shift-with-itself", "non-normal-diagonalisable"])
+def test_sampled_defect_matches_exact_scan(gens, abelian):
+    for seed in range(5):
+        assert assert_defects_agree(gens, seed) is not abelian
+
+
+@st.composite
+def generator_sets(draw):
+    """One to three small Gaussian-integer matrices, diagonal or not, in one random basis."""
+    D, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=2 * D * D, max_size=2 * D * D)
+    mats = []
+    for _ in range(count):
+        parts = np.array(draw(entries), dtype=float).reshape(2, D, D)
+        m = parts[0] + 1j * parts[1]
+        mats.append(np.diag(np.diag(m)) if draw(st.booleans()) else m)
+    u = blockwise_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                          TracedAlgebraShape.full_matrix(D))
+    return [u @ m @ u.conj().T for m in mats], draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+def test_sampled_defect_matches_exact_scan_on_drawn_sets(case):
+    # a non-zero commutator of Gaussian-integer matrices is far above COMMUTE_TOL
+    gens, seed = case
+    assert_defects_agree(gens, seed)
 
 
 @pytest.mark.parametrize("conjugate, reason", [

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from puklab import algebra, constructions, core
-from puklab.algebra import finite_puk_spectrum, mixed_spectrum
+from puklab.algebra import (
+    finite_puk_spectrum,
+    generate_algebra,
+    minimal_projections,
+    mixed_spectrum,
+)
 from puklab.cli import _construction_range
 from puklab.constructions import (
     TruncatedAutomorphism,
@@ -152,10 +157,10 @@ def test_spectra_stay_within_declared_workspace(declared, n):
     assert_within_declared(declared, "puk", lambda: finite_puk_spectrum(rotated, shape))
 
 
-@pytest.mark.parametrize("n", [s for s in SPECTRUM_SIZES if s <= 33])
+@pytest.mark.parametrize("n", SPECTRUM_SIZES)
 def test_commutator_failure_path_stays_within_declared_workspace(declared, n):
-    # the failure path forms every commutator of the n generators with the
-    # generators and their adjoints: 4n² products of n × n, seconds at M_96
+    # after the rejected samples, the failure path forms [a, b] and [a, b*]
+    # for two random combinations a, b of the n generators: four n × n products
     rng = np.random.default_rng(n)
     shape = TracedAlgebraShape.full_matrix(n)
     units = [g.real for g in diag_units(n)]
@@ -164,6 +169,13 @@ def test_commutator_failure_path_stays_within_declared_workspace(declared, n):
         declared, "not abelian", lambda: mixed_spectrum(tangled, units, shape)
     )
     assert isinstance(raised, NotAbelianError)
+
+
+def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared):
+    alg = generate_algebra(rotated_masa(np.random.default_rng(32), 32))
+    report = minimal_projections(alg, seed=0)
+    assert report.multiset == (1,) * 32
+    assert_within_declared(declared, "projections", lambda: minimal_projections(alg, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +215,17 @@ def test_refused_spectrum_allocates_nothing(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < SLACK
+
+
+def test_refused_minimal_projections_allocates_nothing(monkeypatch):
+    alg = generate_algebra(diag_units(16))
+    # its 16 dense projections on C^16 alone declare 16 · 256 entries, 65,536 bytes
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            minimal_projections(alg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * (1 << 20)
