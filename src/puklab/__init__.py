@@ -30,7 +30,6 @@ from .constructions import (
     intertwiner_check,
     intertwiner_grams,
     keyclaim_check,
-    step_unitary,
     truncated_masa_pair,
 )
 from .core import (
@@ -38,7 +37,6 @@ from .core import (
     GnsSpace,
     TracedAlgebraShape,
     adjoint,
-    gns_operators,
     normalized_trace,
     tensor,
 )

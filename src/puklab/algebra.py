@@ -315,18 +315,23 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     retries run out, generators that fail :func:`_commutator_defect` (with
     each other or with their adjoints) raise :class:`NotAbelianError`,
     anything else :class:`DegenerateSampleError` with the last reason.  The
-    ``k`` generators, the sample, its eigenbasis and the commutators of the
-    failure path take at most ``(5k + 4)·D²`` entries; a larger workspace
-    raises :class:`ResourceGuardError` before any of them is built.
+    ``k`` generators with one converted input, the sample or the eigenbasis
+    with the residual's products, and the commutators of the failure path
+    take at most ``(k + 6)·D²`` entries; the joint eigenvalues and their
+    cluster comparisons take ``5k·D`` more.  A larger workspace raises
+    :class:`ResourceGuardError` before any of them is built.
     """
     D, gens = shape.total_dim, list(gens)
-    check_workspace((5 * len(gens) + 4) * D * D, f"{len(gens)} generators on C^{D}")
+    entries = (len(gens) + 6) * D * D + 5 * len(gens) * D
+    check_workspace(entries, f"{len(gens)} generators on C^{D}")
     mats = np.empty((len(gens), D, D), dtype=complex)
     for k, g in enumerate(gens):
         g = as_matrix(g)
         shape.check_member(g)
         mats[k] = g
-    scales = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+    # Frobenius norms summed over the real view, with no k·D² temporary
+    parts = mats.view(float).reshape(len(gens), 2 * D * D)
+    scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
     slices = shape.block_slices()
 
     def certify(vecs, clusters):

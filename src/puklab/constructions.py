@@ -14,11 +14,10 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .core import as_matrix, check_workspace, tensor
+from .core import as_matrix, check_workspace
 from .errors import InvalidLambdaError
 from .nsets import INF, NSet, is_valid_value, tensor_mixed, tensor_mixed_infinite
 
@@ -78,16 +77,6 @@ def _shift_eigenvectors(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
 
 
-def step_unitary(gadget: ShiftGadget, r: int, depth: int) -> np.ndarray:
-    """``v`` placed in tensor slots ``r, r+1`` of ``M_n^{⊗(depth+1)}``."""
-    n = gadget.n
-    if not 1 <= r <= depth:
-        raise ValueError(f"slot {r} does not fit depth {depth}")
-    left = np.eye(n ** (r - 1), dtype=complex)
-    right = np.eye(n ** (depth - r), dtype=complex)
-    return tensor(tensor(left, gadget.v), right)
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedAutomorphism:
     """Conjugation by a finite product of commuting step unitaries.
@@ -108,19 +97,24 @@ class TruncatedAutomorphism:
 
     @classmethod
     def build(cls, gadget: ShiftGadget, depth: int, kind: str = "theta") -> "TruncatedAutomorphism":
+        """The product of the steps ``v`` in slots ``r, r+1`` of ``M_n^{⊗(depth+1)}``.
+
+        Each step multiplies the running product from the left, applied as
+        ``v`` to the slot pair ``r, r+1`` of its rows by a reshape, at
+        ``n²·dim²`` per step; no step is embedded as a ``dim × dim`` matrix.
+        The steps commute, so their order does not matter.
+        """
         if kind not in ("theta", "phi"):
             raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         n = gadget.n
         dim = n ** (depth + 1)
-        # the running product, the next step with its factors, and their product
-        check_workspace(7 * dim * dim, f"a depth-{depth} unitary for n={n}")
-        slots = range(1, depth + 1) if kind == "theta" else range(1, depth + 1, 2)
-        if slots:
-            unitary = reduce(np.matmul, (step_unitary(gadget, r, depth) for r in slots))
-        else:
-            unitary = np.eye(dim, dtype=complex)
+        # the running product, the next one, and v with its gather (n⁴ ≤ dim² once a step acts)
+        check_workspace(4 * dim * dim, f"a depth-{depth} unitary for n={n}")
+        unitary = np.eye(dim, dtype=complex)
+        for r in range(1, depth + 1, 1 if kind == "theta" else 2):
+            unitary = (gadget.v @ unitary.reshape(n ** (r - 1), n * n, -1)).reshape(dim, dim)
         return cls(gadget, depth, kind, unitary)
 
     @property

@@ -238,11 +238,3 @@ class GnsSpace:
     def conjugation(self) -> GnsConjugation:
         return self._J
 
-
-def gns_operators(a, b, space: GnsSpace):
-    """Left action of ``a``, right action of ``b``, and the involution ``J``.
-
-    Returns ``(L(a), R(b), J)`` where the first two are ``dim × dim`` complex
-    matrices on the GNS coordinates and ``J`` is a :class:`GnsConjugation`.
-    """
-    return space.left(a), space.right(b), space.conjugation

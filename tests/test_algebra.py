@@ -266,8 +266,8 @@ class TestMixedSpectrum:
             assert moved.multiset == base.multiset
 
     def test_resource_guard(self, monkeypatch):
-        # 8 generators on C^8 declare (5·8 + 4)·64 entries, 45,056 bytes
-        monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 15)
+        # 8 generators on C^8 declare (8 + 6)·64 + 5·8·8 entries, 19,456 bytes
+        monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 14)
         shape = TracedAlgebraShape.full_matrix(8)
         with pytest.raises(ResourceGuardError):
             mixed_spectrum(diag_units(8), diag_units(8), shape)

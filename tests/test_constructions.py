@@ -13,7 +13,6 @@ from puklab.constructions import (
     intertwiner_check,
     intertwiner_grams,
     keyclaim_check,
-    step_unitary,
     truncated_masa_pair,
 )
 from puklab.core import TracedAlgebraShape, normalized_trace, tensor
@@ -23,6 +22,16 @@ from puklab.nsets import INF, NSet
 
 def kron_all(mats):
     return reduce(tensor, mats)
+
+
+def step_unitary(gadget, r, depth):
+    """``v`` placed in tensor slots ``r, r+1`` of ``M_n^{⊗(depth+1)}``: the Kronecker oracle."""
+    n = gadget.n
+    if not 1 <= r <= depth:
+        raise ValueError(f"slot {r} does not fit depth {depth}")
+    left = np.eye(n ** (r - 1), dtype=complex)
+    right = np.eye(n ** (depth - r), dtype=complex)
+    return tensor(tensor(left, gadget.v), right)
 
 
 def trace_inner(x, y, n_dim):
@@ -150,6 +159,18 @@ class TestTruncatedAutomorphism:
         for r in range(3):
             lifted = kron_all([g.f[r], np.eye(3), np.eye(3)])
             assert np.max(np.abs(auto.apply(lifted) - lifted)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["theta", "phi"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_build_matches_kronecker_oracle(self, n, kind):
+        # every depth with dim <= 256, from the bare identity at depth 0
+        g = build_gadget(n)
+        for depth in itertools.takewhile(lambda d: n ** (d + 1) <= 256, itertools.count()):
+            oracle = np.eye(n ** (depth + 1), dtype=complex)
+            for r in range(1, depth + 1, 1 if kind == "theta" else 2):
+                oracle = oracle @ step_unitary(g, r, depth)
+            unitary = TruncatedAutomorphism.build(g, depth, kind).unitary
+            assert np.max(np.abs(unitary - oracle)) <= 1e-15, depth
 
     def test_phi_skips_even_slots(self):
         g = build_gadget(2)

@@ -8,7 +8,6 @@ from puklab.core import (
     GnsSpace,
     TracedAlgebraShape,
     adjoint,
-    gns_operators,
     normalized_trace,
     tensor,
 )
@@ -212,7 +211,7 @@ class TestGnsOperators:
         shape = TracedAlgebraShape.full_matrix(2)
         space = GnsSpace(shape)
         b = random_matrix(rng, 2)
-        left, right, conj = gns_operators(b, adjoint(b), space)
+        left, right, conj = space.left(b), space.right(adjoint(b)), space.conjugation
         for k in range(space.dim):
             vec = np.zeros(space.dim, dtype=complex)
             vec[k] = 1.0

@@ -9,6 +9,11 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 # Lines whose numbers follow from the theory the demo illustrates.
 EXPECTED_LINES = {
+    "01_shift_gadget_identities": [
+        "step unitary v = sum_i w^i (x) f_i is unitary: True",
+        "Gram diagonal on either side (all entries 1/n^3):",
+        "[0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037]",
+    ],
     "02_commutants_and_spectra": [
         "diagonal masa against itself in M_2: 1 (4 blocks)",
         "scalars against scalars (degenerate, allowed): 4",

@@ -141,6 +141,18 @@ def test_certificates_stay_within_declared_workspace(declared, n, m):
         assert_within_declared(declared, label, call)
 
 
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_deep_unitaries_stay_within_declared_workspace(declared, m):
+    # SWEEP stops at dim = 36; these reach dim = 1024, where the steps dominate
+    gadget = build_gadget(2)
+    assert_within_declared(declared, "build", lambda: TruncatedAutomorphism.build(gadget, m))
+    assert_within_declared(declared, "theta factors", lambda: constructions._theta_factors(2, m))
+
+
+def test_deep_keyclaim_stays_within_declared_workspace(declared):
+    assert_within_declared(declared, "keyclaim", lambda: keyclaim_check(2, 8))
+
+
 def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
     # the N³ rows refused m = 8; the factors and one row's Gram take about 6 MiB
     assert_within_declared(declared, "span", lambda: family_span_check(2, 8))
@@ -178,6 +190,17 @@ def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared)
     assert_within_declared(declared, "projections", lambda: minimal_projections(alg, seed=0))
 
 
+def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
+    # 32 generators on C^32 declare 38 · 1024 + 5 · 32 · 32 entries, 704,512 bytes;
+    # the budget sits below the 164 · 1024 entries of the old count
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 20)
+    rng = np.random.default_rng(32)
+    shape = TracedAlgebraShape.full_matrix(32)
+    pair = rotated_masa(rng, 32), rotated_masa(rng, 32)
+    assert mixed_spectrum(*pair, shape).as_set == NSet.of(1)
+    assert_within_declared(declared, "mixed", lambda: mixed_spectrum(*pair, shape))
+
+
 # ---------------------------------------------------------------------------
 # refusals come before any allocation
 
@@ -205,8 +228,8 @@ def test_refused_certificates_allocate_nothing(label, call):
 def test_refused_spectrum_allocates_nothing(monkeypatch):
     units = diag_units(16)
     shape = TracedAlgebraShape.full_matrix(16)
-    # 16 generators on C^16 declare 84 · 256 entries, 344,064 bytes
-    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 18)
+    # 16 generators on C^16 declare 22 · 256 + 5 · 16 · 16 entries, 110,592 bytes
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 16)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceGuardError):
