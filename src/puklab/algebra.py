@@ -4,6 +4,7 @@ Operators are dense matrices on an ambient C^D.  An algebra is held as an
 orthonormal basis of its span under the Hilbert-Schmidt inner product
 ``⟨A, B⟩ = Tr(B* A)``; rank decisions go through SVD with a relative
 threshold so that span computations stay stable near machine precision.
+Commutants are the kernel of one ``D² × D²`` matrix, ``M x = Σ_b [[x, b], b*]``.
 
 The multiplicity spectrum of an abelian algebra (the dimensions of the ranges
 of its minimal projections) is the finite-dimensional stand-in for the type
@@ -42,7 +43,7 @@ from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace
 from .errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
 from .nsets import NSet
 
-# Span closure keeps SVD directions above this relative threshold.
+# Relative rank cut of span closures (singular values) and commutator kernels (eigenvalues).
 SPAN_RTOL = 1e-9
 # Membership residual for projections extracted from an algebra.
 MEMBER_TOL = 1e-8
@@ -60,7 +61,6 @@ class AlgebraBasis:
 
     ambient_dim: int
     basis: np.ndarray  # (dim, D, D), orthonormal under Hilbert-Schmidt
-    unital: bool = True
 
     def __post_init__(self):
         self.basis.flags.writeable = False
@@ -87,14 +87,14 @@ class AlgebraBasis:
         return max((self.span_residual(adjoint(b)) for b in self.basis), default=0.0)
 
 
-def orthonormalize_span(mats, rtol: float = SPAN_RTOL) -> np.ndarray:
+def orthonormalize_span(mats) -> np.ndarray:
     """Orthonormal basis of the span of the given matrices, via SVD."""
     stack = np.stack([as_matrix(m) for m in mats])
     k, D, _ = stack.shape
     _, s, vh = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, D, D), dtype=complex)
-    keep = s > rtol * s[0]
+    keep = s > SPAN_RTOL * s[0]
     return vh[keep].reshape(-1, D, D)
 
 
@@ -127,7 +127,7 @@ def generate_algebra(generators, unital: bool = True) -> AlgebraBasis:
                 basis = np.concatenate([basis, novel])
                 fresh.append(novel)
         frontier = np.concatenate(fresh) if fresh else np.zeros((0, D, D), dtype=complex)
-    return AlgebraBasis(D, np.ascontiguousarray(basis), unital)
+    return AlgebraBasis(D, np.ascontiguousarray(basis))
 
 
 def _components_outside_span(basis: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -150,23 +150,37 @@ def _components_outside_span(basis: np.ndarray, cands: np.ndarray) -> np.ndarray
 
 
 def commutant(algebra: AlgebraBasis) -> AlgebraBasis:
-    """All operators commuting with every basis element, as a nullspace problem.
-
-    The constraints are taken against the orthonormal basis rather than raw
-    generators, which keeps the stacked system well scaled.
-    """
+    """All operators on C^D commuting with every basis element, by :func:`_commutator_kernel`."""
     D = algebra.ambient_dim
-    if algebra.dim == 0:
-        units = np.zeros((D * D, D, D), dtype=complex)
-        ii, jj = np.divmod(np.arange(D * D), D)
-        units[np.arange(D * D), ii, jj] = 1.0
-        return AlgebraBasis(D, units, unital=True)
-    eye = np.eye(D, dtype=complex)
-    rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in algebra.basis]
-    constraints = np.concatenate(rows)
-    _, s, vh = np.linalg.svd(constraints, full_matrices=False)
-    null = np.conj(vh[s <= SPAN_RTOL * max(s[0], 1.0)])
-    return AlgebraBasis(D, null.reshape(-1, D, D), unital=True)
+    return AlgebraBasis(D, _commutator_kernel(algebra.basis, np.arange(D * D)).reshape(-1, D, D))
+
+
+def _commutator_kernel(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Orthonormal rows ``x`` over the row-major ``coords`` of ``D × D`` with every ``[x, b] = 0``.
+
+    The kernel of the ``D² × D²`` Gram matrix of the stacked constraints,
+    ``M x = x S₁ + S₂ x − Σ_b (b x b* + b* x b)`` with ``S₁ = Σ b b*`` and
+    ``S₂ = Σ b* b``, so ``⟨x, M x⟩ = Σ_b ‖[x, b]‖²`` for any basis, *-closed or
+    not; one product over the basis forms it.  ``M ≥ 0``, so its principal
+    submatrix on ``coords`` has exactly the kernel restricted to them.  Zero
+    is ``λ ≤ SPAN_RTOL·max(λ_max, 1)``: the squared singular-value cut
+    ``SPAN_RTOL²`` would sit below the zero eigenvalues, near ``ε·λ_max``.
+    ``M``, its submatrix and its eigenvectors take at most ``6·D⁴`` entries.
+    """
+    D = basis.shape[-1]
+    check_workspace(6 * D**4, f"the commutator system on C^{D}")
+    flat = basis.reshape(len(basis), D * D)
+    # gram[i, k, j, l] = Σ_b b[i, k] · conj(b[j, l])
+    gram = (flat.T @ flat.conj()).reshape(D, D, D, D)
+    s1, s2 = np.einsum("ikjk->ij", gram), np.einsum("kjki->ij", gram)
+    # −Σ_b (b ⊗ b̄ + b* ⊗ bᵀ), the sandwiches on row-major vec(x)
+    system = -gram.transpose(0, 2, 1, 3)
+    system -= gram.transpose(3, 1, 2, 0)
+    for i in range(D):
+        system[i, :, i, :] += s1.T
+        system[:, i, :, i] += s2
+    eigvals, vecs = np.linalg.eigh(system.reshape(D * D, D * D)[np.ix_(coords, coords)])
+    return vecs[:, eigvals <= SPAN_RTOL * max(eigvals[-1], 1.0)].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,29 +430,12 @@ def mixed_spectrum(a_gens, b_gens, shape: TracedAlgebraShape, seed: int = 0) -> 
 def relative_commutant_dim(algebra: AlgebraBasis, shape: TracedAlgebraShape) -> int:
     """Dimension of {T in the multi-matrix algebra : T commutes with the basis}.
 
-    Solves the dense ``D²·dim × Σ_k d_k²`` commutation system.  The spectrum
-    routines need no such system: for an abelian algebra the dimension is
+    The kernel of :func:`_commutator_kernel` on the entries inside the blocks.
+    The spectra need no such system: for an abelian algebra the dimension is
     ``trace(R·Rᵀ)`` of its block-rank matrix (see the module docstring).
     """
-    D = shape.total_dim
-    units = []
-    for sl, d in zip(shape.block_slices(), shape.blocks):
-        for i in range(d):
-            for j in range(d):
-                u = np.zeros((D, D), dtype=complex)
-                u[sl.start + i, sl.start + j] = 1.0
-                units.append(u.reshape(-1))
-    columns = []
-    for u in units:
-        mat = u.reshape(D, D)
-        columns.append(
-            np.concatenate([(mat @ b - b @ mat).reshape(-1) for b in algebra.basis])
-        )
-    system = np.stack(columns, axis=1)
-    s = np.linalg.svd(system, compute_uv=False)
-    if s.size == 0:
-        return len(units)
-    return int(np.sum(s <= SPAN_RTOL * max(s[0], 1.0))) + len(units) - len(s)
+    block = np.repeat(np.arange(len(shape.blocks)), shape.blocks)
+    return len(_commutator_kernel(algebra.basis, np.flatnonzero(block[:, None] == block)))
 
 
 def finite_puk_spectrum(a_gens, shape: TracedAlgebraShape, seed: int = 0) -> SpectrumReport:

@@ -332,14 +332,15 @@ def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
     if k < 1:
         raise ValueError("need k >= 1")
     N = n**k
-    # the N generators of each side, and one conjugation's products
-    check_workspace(3 * N**3, f"the masa pair of M_{n}^⊗{k}")
+    # the N generators of each side
+    check_workspace(2 * N**3, f"the masa pair of M_{n}^⊗{k}")
     a_gens = [np.diag(np.eye(N, dtype=complex)[p]) for p in range(N)]
     if k == 1:
+        # at N = n the gadget alone would hold more than the generators
         return a_gens, [g.copy() for g in a_gens]
-    auto = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind)
-    b_gens = [auto.apply(g) for g in a_gens]
-    return a_gens, b_gens
+    # the image of the unit e_p under conjugation by U is u_p u_p* for column p of U
+    u = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind).unitary
+    return a_gens, [np.outer(u[:, p], u[:, p].conj()) for p in range(N)]
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,17 @@ class TestTruncatedMasaPair:
         for a, b in zip(a_gens, b_gens):
             assert np.max(np.abs(b - g.v @ a @ g.v.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["theta", "phi"])
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (4, 2)])
+    def test_pair_is_conjugation_by_the_automorphism(self, n, k, kind):
+        # the images are read from the columns of U; the oracle conjugates each unit
+        a_gens, b_gens = truncated_masa_pair(n, k, kind)
+        auto = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind)
+        assert len(a_gens) == len(b_gens) == n**k
+        for p, (a, b) in enumerate(zip(a_gens, b_gens)):
+            assert np.array_equal(a, np.diag(np.eye(n**k)[p]))
+            assert np.max(np.abs(b - auto.apply(a))) <= 1e-15
+
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):
             truncated_masa_pair(2, 9)

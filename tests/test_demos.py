@@ -15,6 +15,8 @@ EXPECTED_LINES = {
         "[0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037]",
     ],
     "02_commutants_and_spectra": [
+        "blocks (3,): left action spans dim 9, its commutant has dim 9 (the right action)",
+        "blocks (2, 1): left action spans dim 5, its commutant has dim 5 (the right action)",
         "diagonal masa against itself in M_2: 1 (4 blocks)",
         "scalars against scalars (degenerate, allowed): 4",
         "diagonal of M_2 (x) M_2 against its step-conjugate: 1 (16 blocks)",

@@ -16,10 +16,13 @@ import pytest
 
 from puklab import algebra, constructions, core
 from puklab.algebra import (
+    AlgebraBasis,
+    commutant,
     finite_puk_spectrum,
     generate_algebra,
     minimal_projections,
     mixed_spectrum,
+    relative_commutant_dim,
 )
 from puklab.cli import _construction_range
 from puklab.constructions import (
@@ -190,6 +193,17 @@ def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared)
     assert_within_declared(declared, "projections", lambda: minimal_projections(alg, seed=0))
 
 
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_commutator_kernels_stay_within_declared_workspace(declared, n):
+    # a masa, the full matrix algebra and the scalars: kernels of dimension n, 1 and n²
+    shape = TracedAlgebraShape.from_blocks((n - n // 3, n // 3))
+    units = AlgebraBasis(n, np.eye(n * n, dtype=complex).reshape(-1, n, n))
+    for alg in (generate_algebra(rotated_masa(np.random.default_rng(n), n)), units,
+                generate_algebra([np.eye(n)])):
+        assert_within_declared(declared, "commutant", lambda: commutant(alg))
+        assert_within_declared(declared, "relative", lambda: relative_commutant_dim(alg, shape))
+
+
 def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
     # 32 generators on C^32 declare 38 · 1024 + 5 · 32 · 32 entries, 704,512 bytes;
     # the budget sits below the 164 · 1024 entries of the old count
@@ -234,6 +248,20 @@ def test_refused_spectrum_allocates_nothing(monkeypatch):
     try:
         with pytest.raises(ResourceGuardError):
             mixed_spectrum(units, units, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SLACK
+
+
+def test_refused_commutant_allocates_nothing(monkeypatch):
+    alg = generate_algebra(diag_units(16))
+    # its commutator system on C^16 declares 6 · 16⁴ entries, 6 MiB
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 4 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            commutant(alg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
