@@ -2,8 +2,8 @@
 
 Operators are dense matrices on an ambient C^D.  An algebra is held as an
 orthonormal basis of its span under the Hilbert-Schmidt inner product
-``⟨A, B⟩ = Tr(B* A)``; rank decisions go through SVD with a relative
-threshold so that span computations stay stable near machine precision.
+``⟨A, B⟩ = Tr(B* A)``; a generated algebra grows from spectral projections
+by unit-norm multipliers, so one absolute cut on singular values decides it.
 Commutants are the kernel of one ``D² × D²`` matrix, ``M x = Σ_b [[x, b], b*]``.
 
 The multiplicity spectrum of an abelian algebra (the dimensions of the ranges
@@ -43,7 +43,7 @@ from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace
 from .errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
 from .nsets import NSet
 
-# Relative rank cut of span closures (singular values) and commutator kernels (eigenvalues).
+# Rank cut of spans (singular values, times a scale) and commutator kernels (eigenvalues).
 SPAN_RTOL = 1e-9
 # Membership residual for projections extracted from an algebra.
 MEMBER_TOL = 1e-8
@@ -88,64 +88,63 @@ class AlgebraBasis:
 
 
 def orthonormalize_span(mats) -> np.ndarray:
-    """Orthonormal basis of the span of the given matrices, via SVD."""
+    """Orthonormal basis of the span of the given matrices, cut relative to the largest."""
     stack = np.stack([as_matrix(m) for m in mats])
-    k, D, _ = stack.shape
-    _, s, vh = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, D, D), dtype=complex)
-    keep = s > SPAN_RTOL * s[0]
-    return vh[keep].reshape(-1, D, D)
+    return _extend_span(stack[:0], stack, float(np.max(np.linalg.norm(stack, axis=(1, 2)))))
 
 
-def generate_algebra(generators, unital: bool = True) -> AlgebraBasis:
-    """Smallest *-closed (optionally unital) algebra containing the generators.
+def generate_algebra(generators) -> AlgebraBasis:
+    """Smallest unital *-closed algebra containing the generators.
 
-    The span is grown by left-multiplying the current basis with the
-    generators and their adjoints until the dimension stabilises; since words
-    in a *-closed generating set are *-closed, the resulting span is too.
+    Each non-zero generator is scaled to largest entry modulus 1.  The
+    multipliers, an orthonormal basis of the span of the unit, the scaled
+    generators and their adjoints (cut as in :func:`orthonormalize_span`), seed
+    the span; the spectral projections of each ``g + g*`` and ``i(g − g*)`` not
+    within ``SPAN_RTOL`` of zero follow.  Rounds then multiply the newest
+    elements by every multiplier until one adds nothing or the span is
+    ``M_D``.  Products have norm at most 1, so one absolute cut, ``SPAN_RTOL``,
+    decides each later direction.  Each batch of ``r`` candidates
+    declares ``(4k + 3·dim + 7·r)·D²`` entries first: ``k`` generators with
+    scaled copies and multipliers, the basis thrice, the batch and its SVD.
     """
     gens = [as_matrix(g) for g in generators]
-    if not gens and not unital:
-        raise ValueError("need at least one generator for a non-unital algebra")
     dims = {g.shape[0] for g in gens}
     if len(dims) > 1:
         raise ValueError(f"generators act on different spaces: {sorted(dims)}")
-    D = dims.pop() if dims else 1
-    mult = gens + [adjoint(g) for g in gens]
-    seeds = list(mult)
-    if unital:
-        seeds.append(np.eye(D, dtype=complex))
-    basis = orthonormalize_span(seeds)
-    # each basis element meets each multiplier once; spans only ever grow
-    frontier = basis
-    while mult and frontier.shape[0]:
-        fresh = []
-        for g in mult:
-            novel = _components_outside_span(basis, np.matmul(g, frontier))
-            if novel.shape[0]:
-                basis = np.concatenate([basis, novel])
-                fresh.append(novel)
-        frontier = np.concatenate(fresh) if fresh else np.zeros((0, D, D), dtype=complex)
-    return AlgebraBasis(D, np.ascontiguousarray(basis))
+    D, k = dims.pop() if dims else 1, len(gens)
+
+    def declare(dim, rows):
+        check_workspace((4 * k + 3 * dim + 7 * rows) * D * D, f"{rows} span candidates on C^{D}")
+
+    declare(1, 2 * k + 1)
+    scaled = [g / np.max(np.abs(g)) for g in gens if np.any(g)]
+    mult = basis = orthonormalize_span([*scaled, *map(adjoint, scaled), np.eye(D)])
+    for part in (h for g in scaled for h in (g + adjoint(g), 1j * (g - adjoint(g)))):
+        if len(basis) < D * D and np.linalg.norm(part) > SPAN_RTOL:
+            declare(len(basis), D)
+            eigvals, vecs = np.linalg.eigh(part)
+            seeds = [vecs[:, idx] @ vecs[:, idx].conj().T for idx in _split_eigenvalues(eigvals)]
+            basis = np.concatenate([basis, _extend_span(basis, np.stack(seeds), 1.0)])
+    done = 0
+    while done < len(basis) < D * D:
+        frontier, done = basis[done:], len(basis)
+        for m in mult:
+            declare(len(basis), len(frontier))
+            basis = np.concatenate([basis, _extend_span(basis, m @ frontier, 1.0)])
+    return AlgebraBasis(D, basis)
 
 
-def _components_outside_span(basis: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Orthonormal directions of ``cands`` not already in the span of ``basis``."""
-    k, D, _ = basis.shape
-    b = basis.reshape(k, -1)
-    c = cands.reshape(cands.shape[0], -1)
+def _extend_span(basis: np.ndarray, cands: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal directions of ``cands`` off the span of ``basis``, cut at ``SPAN_RTOL·scale``."""
+    D = cands.shape[-1]
+    b, c = basis.reshape(len(basis), D * D), cands.reshape(len(cands), D * D)
     resid = c - (c @ b.conj().T) @ b
-    scale = max(float(np.max(np.linalg.norm(c, axis=1))), 1.0)
-    live = np.linalg.norm(resid, axis=1) > SPAN_RTOL * scale
-    if not live.any():
-        return np.zeros((0, D, D), dtype=complex)
-    _, s, vh = np.linalg.svd(resid[live], full_matrices=False)
-    keep = s > SPAN_RTOL * scale
-    new = vh[keep]
-    # one clean-up projection pass keeps the enlarged basis orthonormal
-    new = new - (new @ b.conj().T) @ b
-    new /= np.linalg.norm(new, axis=1)[:, None]
+    if np.linalg.norm(resid) <= SPAN_RTOL * scale:  # bounds every singular value
+        return basis[:0]
+    _, s, vh = np.linalg.svd(resid, full_matrices=False)
+    # one clean-up pass keeps the enlarged basis orthonormal; it moves norms to second order
+    new = vh[s > SPAN_RTOL * scale]
+    new -= (new @ b.conj().T) @ b
     return new.reshape(-1, D, D)
 
 
@@ -479,7 +478,7 @@ def cutdown_spectrum(algebra: AlgebraBasis, p, seed: int = 0) -> SpectrumReport:
     report = minimal_projections(algebra, seed)
     keep_mults, keep_blocks = [], []
     for mult, q in zip(report.multiplicities, report.blocks):
-        overlap = float(np.trace(q @ P).real)
+        overlap = float(np.vdot(P, q).real)  # Tr(q P), since P is Hermitian
         if abs(overlap - mult) <= MEMBER_TOL * max(1.0, mult):
             keep_mults.append(mult)
             keep_blocks.append(q)

@@ -6,6 +6,7 @@ import pytest
 
 from puklab import algebra, core
 from puklab.algebra import (
+    AlgebraBasis,
     commutant,
     cutdown_spectrum,
     finite_puk_spectrum,
@@ -113,11 +114,37 @@ class TestGenerateAlgebra:
         assert alg.adjoint_defect() < 1e-9
         assert alg.span_residual(np.eye(4)) < 1e-9
 
-    def test_non_unital(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        alg = generate_algebra([p], unital=False)
-        assert alg.dim == 1
-        assert alg.span_residual(np.eye(2)) > 0.5
+    @pytest.mark.parametrize("D", [16, 20, 24])
+    def test_one_symmetric_generator(self, D):
+        # the powers of h fell below the old relative cut at D = 20 and 24,
+        # and rounding noise grew the span into all of M_D
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((D, D))
+        q, _ = np.linalg.qr(rng.standard_normal((D, D)))
+        for h in ((a + a.T) / 2, q @ np.diag(np.arange(D, dtype=float)) @ q.T):
+            alg = generate_algebra([h])
+            assert alg.dim == D
+            # abelian, with D rank-one minimal projections
+            assert minimal_projections(alg, seed=0).multiset == (1,) * D
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_scale_free(self, c):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        p, q = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        for gens, dim in (([c * g], 16), ([c * p], 2), ([c * p, q / c], 3)):
+            alg = generate_algebra(gens)
+            assert alg.dim == dim
+            assert alg.span_residual(np.eye(len(gens[0]))) < 1e-9
+
+    def test_hermitian_part_within_the_cut_adds_nothing(self):
+        # i(g − g*) has norm 5e-11 after scaling: below SPAN_RTOL, as in the multipliers,
+        # so g generates what its Hermitian part does
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, 6, 6))
+        h = (a + a.T) / np.linalg.norm(a + a.T)
+        g = h + 1e-11j * (b + b.T) / np.linalg.norm(b + b.T)
+        assert generate_algebra([g]).dim == generate_algebra([h]).dim == 6
 
 
 class TestCommutant:
@@ -211,7 +238,7 @@ class TestMinimalProjections:
         sample = algebra._hermitian_sample
         monkeypatch.setattr(algebra, "_hermitian_sample",
                             lambda rng, mats: calls.append(1) or sample(rng, mats))
-        alg = generate_algebra([np.diag([1.0, 0.0, 0.0])], unital=False)
+        alg = AlgebraBasis(3, np.diag([1.0, 0.0, 0.0]).astype(complex)[None])
         with pytest.raises(DegenerateSampleError, match="2 clusters for dim 1"):
             minimal_projections(alg, seed=0)
         assert len(calls) == 1

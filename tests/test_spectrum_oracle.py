@@ -101,15 +101,15 @@ def dense_mixed_spectrum(a_gens, b_gens, shape, seed=0):
     """(multiplicity, projection) pairs of the dense route."""
     space = GnsSpace(shape)
     gens = [space.left(a) for a in a_gens] + [space.right(adjoint(b)) for b in b_gens]
-    return dense_minimal_projections(generate_algebra(gens, unital=True), seed)
+    return dense_minimal_projections(generate_algebra(gens), seed)
 
 
 def dense_puk_spectrum(a_gens, shape, seed=0):
     """(multiplicity, projection) pairs of the dense route, off the masa span."""
     space = GnsSpace(shape)
-    small = generate_algebra(a_gens, unital=True)
+    small = generate_algebra(a_gens)
     gens = [space.left(b) for b in small.basis] + [space.right(adjoint(b)) for b in small.basis]
-    pairs = dense_minimal_projections(generate_algebra(gens, unital=True), seed)
+    pairs = dense_minimal_projections(generate_algebra(gens), seed)
     embedded = np.stack([space.embed(b) for b in small.basis])
     _, s, vh = np.linalg.svd(embedded, full_matrices=False)
     rows = vh[s > SPAN_RTOL * s[0]]
@@ -158,7 +158,7 @@ def dense_diagram_cells(report, partition, right_partition=None):
 
 def cd_block_ranks(gens, shape, seed=0):
     """Minimal projections on C^D and their block ranks, through the algebra basis."""
-    small = generate_algebra(gens or [np.eye(shape.total_dim)], unital=True)
+    small = generate_algebra(gens or [np.eye(shape.total_dim)])
     projs = np.stack([q for _, q in dense_minimal_projections(small, seed)])
     traces = np.stack(
         [np.trace(projs[:, sl, sl], axis1=1, axis2=2).real for sl in shape.block_slices()],

@@ -204,6 +204,45 @@ def test_commutator_kernels_stay_within_declared_workspace(declared, n):
         assert_within_declared(declared, "relative", lambda: relative_commutant_dim(alg, shape))
 
 
+def matrix_units(n):
+    return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+
+
+def batch_peaks(monkeypatch, call):
+    """``(declared, peak)`` per batch of ``call``: the entries one declaration names and the
+    traced peak from it to the next declaration, or to the end of the call."""
+    marks = []
+
+    def recording(entries, what):
+        marks.append((entries, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        check_workspace(entries, what)
+
+    monkeypatch.setattr(algebra, "check_workspace", recording)
+    tracemalloc.start()
+    try:
+        call()
+        end = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peaks = [peak for _, peak in marks[1:]] + [end]
+    return [(entries, peak) for (entries, _), peak in zip(marks, peaks)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rotated_masa(rng, 32),
+    lambda rng: matrix_units(12),
+    lambda rng: list(rng.standard_normal((2, 12, 12)) + 1j * rng.standard_normal((2, 12, 12))),
+], ids=["masa of M_32", "units of M_12", "random pair on C^12"])
+def test_generate_algebra_batches_stay_within_their_declared_counts(monkeypatch, make):
+    # each batch is held to its own count, not to the sum over the call
+    gens = make(np.random.default_rng(12))
+    batches = batch_peaks(monkeypatch, lambda: generate_algebra(gens))
+    assert batches, "generate_algebra declared no workspace"
+    for entries, peak in batches:
+        assert peak <= 16 * entries + SLACK, (entries, peak)
+
+
 def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
     # 32 generators on C^32 declare 38 · 1024 + 5 · 32 · 32 entries, 704,512 bytes;
     # the budget sits below the 164 · 1024 entries of the old count
@@ -262,6 +301,20 @@ def test_refused_commutant_allocates_nothing(monkeypatch):
     try:
         with pytest.raises(ResourceGuardError):
             commutant(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SLACK
+
+
+def test_refused_generate_algebra_allocates_nothing(monkeypatch):
+    units = matrix_units(12)
+    # the first batch, 144 generators' multipliers, declares 2602 · 144 entries, 5.7 MiB
+    monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            generate_algebra(units)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
