@@ -5,10 +5,11 @@ generated by the cyclic shift ``w``; the unitary ``v = Σ_i w^i ⊗ f_i`` lifts
 the shift one tensor slot at a time.  The product automorphisms built from
 copies of ``v`` only ever act through finitely many slots on any fixed
 element, so depth-``k`` truncations on ``M_n^{⊗(k+1)}`` reproduce them
-exactly where it matters.  The check routines here certify, numerically and
+exactly where it matters.  Their unitaries are convolutions
+(:func:`_unitary_kernel`).  The check routines here certify, numerically and
 to stated tolerances, the inner-product, spanning, and intertwining
 identities that the multiplicity analysis of the conjugated masa pair rests
-on.
+on, from the convolution kernel alone (:func:`_row_factors`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fftn, ifft, ifftn
 
 from .core import as_matrix, check_workspace
 from .errors import InvalidLambdaError
@@ -77,6 +79,42 @@ def _shift_eigenvectors(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
 
 
+def _unitary_kernel(n: int, depth: int, kind: str = "theta") -> np.ndarray:
+    """Kernel ``u`` of the depth-``depth`` unitary: ``U[a, b] = u(a − b)`` slot by slot mod ``n``.
+
+    ``w^i = Σ_k ω^{ik} f_k``, so each step ``v = Σ_{i,k} ω^{ik} f_k ⊗ f_i`` is
+    diagonal in the Fourier basis ``φ`` of its two slots, and
+    ``U = φ^{⊗(depth+1)} diag(ω^{q(k)}) φ^{⊗(depth+1)*}`` with
+    ``q(k) = Σ_r k_{r-1}·k_r`` over the step slots ``r`` (every ``r`` up to
+    the depth for ``kind="theta"``, the odd ones for ``"phi"``).  Hence
+    ``u = ifftn(ω^q)`` on shape ``(n,)*(depth+1)``: ``N = n^{depth+1}`` entries.
+    """
+    if kind not in ("theta", "phi"):
+        raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    k = np.arange(n)
+    q = np.zeros((n,) * (depth + 1), dtype=np.int64)
+    for r in range(1, depth + 1, 1 if kind == "theta" else 2):
+        q += np.multiply.outer(k, k).reshape((1,) * (r - 1) + (n, n) + (1,) * (depth - r))
+    return ifftn(np.exp(2j * np.pi * (q % n) / n))
+
+
+def _multilevel_circulant(kernel: np.ndarray, levels: int) -> np.ndarray:
+    """``K[a, b] = kernel(a − b)`` over the first ``levels`` axes, slot by slot mod ``n``.
+
+    ``a`` and ``b`` are flattened with the first slot slowest; the further
+    axes of ``kernel`` trail.
+    """
+    n = kernel.shape[0] if levels else 1
+    a = np.arange(n)
+    diff = (a[:, None] - a) % n
+    flat = np.zeros((1, 1), dtype=np.intp)  # the flat index of a − b over the slots so far
+    for _ in range(levels):
+        flat = (n * flat[:, None, :, None] + diff[:, None, :]).reshape(n * len(flat), -1)
+    return kernel.reshape(n**levels, *kernel.shape[levels:])[flat]
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedAutomorphism:
     """Conjugation by a finite product of commuting step unitaries.
@@ -97,24 +135,12 @@ class TruncatedAutomorphism:
 
     @classmethod
     def build(cls, gadget: ShiftGadget, depth: int, kind: str = "theta") -> "TruncatedAutomorphism":
-        """The product of the steps ``v`` in slots ``r, r+1`` of ``M_n^{⊗(depth+1)}``.
-
-        Each step multiplies the running product from the left, applied as
-        ``v`` to the slot pair ``r, r+1`` of its rows by a reshape, at
-        ``n²·dim²`` per step; no step is embedded as a ``dim × dim`` matrix.
-        The steps commute, so their order does not matter.
-        """
-        if kind not in ("theta", "phi"):
-            raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
+        """The product of the steps ``v`` in slots ``r-1, r``, gathered from its kernel."""
         n = gadget.n
         dim = n ** (depth + 1)
-        # the running product, the next one, and v with its gather (n⁴ ≤ dim² once a step acts)
-        check_workspace(4 * dim * dim, f"a depth-{depth} unitary for n={n}")
-        unitary = np.eye(dim, dtype=complex)
-        for r in range(1, depth + 1, 1 if kind == "theta" else 2):
-            unitary = (gadget.v @ unitary.reshape(n ** (r - 1), n * n, -1)).reshape(dim, dim)
+        # U, and the flat indices it is gathered by with their last step's temporary
+        check_workspace(2 * dim * dim, f"a depth-{depth} unitary for n={n}")
+        unitary = _multilevel_circulant(_unitary_kernel(n, depth, kind), depth + 1)
         return cls(gadget, depth, kind, unitary)
 
     @property
@@ -128,72 +154,50 @@ class TruncatedAutomorphism:
         return self.unitary @ m @ self.unitary.conj().T
 
 
-def _theta_factors(n: int, depth: int):
-    """The factors that every shift-gadget certificate is read from.
+def _row_factors(n: int, depth: int):
+    """The factors ``(y, p̂)`` that every certificate reads its Gram entries from.
 
-    Write ``U`` for the depth-``depth`` θ unitary on ``M_n^{⊗(depth+1)}``,
-    ``dim = n^{depth+1}`` and ``count = n^depth``.  The certified elements are
-    ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J`` over the first ``depth``
-    slots.  Since ``f_t = φ_t φ_t*`` and ``θ(e_J ⊗ 1) = S_J S_J*`` for the
-    ``n`` columns ``S_J`` of ``U`` labelled by ``J``, row ``(i, I')`` of
-    ``X[t, J]`` is ``φ_t[i] · ψ_t[I', J-cols] · S_J*`` with
-    ``ψ_t = (φ_t* ⊗ 1) U``.  So the inner products of the family need only
-    ``ψ`` and ``P = U*U``; ``P`` enters every one of them, and unitarity of
-    ``U`` is never assumed.
+    Let ``U`` be the depth-``depth`` θ unitary with kernel ``u``,
+    ``N = n^{depth+1}``, and ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J``
+    over the first ``depth`` slots; the certified members are rows of these.
 
-    Returns ``(phi, psi, gram)``: ``phi[:, t] = φ_t``, ``psi[t] = ψ_t`` of
-    shape ``(count, dim)`` and ``gram = P``.  The count
-    ``4n³`` covers the gadget's ``e`` and ``f`` with the buffers numpy takes to
-    broadcast ``f``, and ``8·dim²`` covers ``U``, its steps, ``ψ`` and ``P``
-    with the products the certificates form from them.
+    *One representative per shift class.*  The slotwise shifts ``S_δ``
+    commute with every convolution, unitary or not, so with ``U``; they fix
+    every ``f_t`` (its range is an eigenvector of each shift) and send
+    ``e_J`` to ``e_{J+δ}``.  So conjugation by ``S_δ`` maps ``X_{t,J}`` to
+    ``X_{t,J+δ}``, row ``a`` to row ``a+δ``, and keeps trace inner products:
+    the Gram of rows ``a`` of the ``X_{t,J}`` is the Gram of their rows ``0``,
+    ``R[(t, J), (s, J')] = Σ_c X_{t,J}[0, c]·conj(X_{s,J'}[0, c])``, with
+    ``J`` re-indexed to ``J − a`` (``a`` cut to its first ``depth`` slots).
+
+    *The Gram of rows 0.*  Row ``0`` of ``X_{t,J}`` is
+    ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U``,
+    ``ψ_t[0, c] = conj(φ_t[c_0])·fft(u, axis=0)[t, −c_1, …, −c_depth]``, and
+    ``S_J`` the columns of ``U`` labelled by ``J``.  ``S_J* S_J'`` is the block
+    ``P[(J, l), (J', l')] = p(J − J', l − l')`` of ``P = U*U``, whose kernel is
+    ``p(d) = Σ_x conj(u(x))·u(x + d) = ifftn(|fftn(u)|²)``.  Each block is
+    diagonal in the Fourier basis of the last slot, so
+    ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])``
+    with ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the
+    last slot.  Returns ``y`` as ``[t, J, κ]`` and ``p̂`` unflattened.
     """
-    dim, count = n ** (depth + 1), n**depth
-    check_workspace(4 * n**3 + 8 * dim * dim, f"the depth-{depth} θ factors for n={n}")
-    unitary = TruncatedAutomorphism.build(build_gadget(n), depth).unitary
-    phi = _shift_eigenvectors(n)
-    psi = (phi.conj().T @ unitary.reshape(n, count * dim)).reshape(n, count, dim)
-    return phi, psi, unitary.conj().T @ unitary
+    u = _unitary_kernel(n, depth)
+    neg = (-np.arange(n)) % n
+    u_0 = fft(u, axis=0)[(slice(None), *np.ix_(*[neg] * depth))]  # [t, −c_1, …, −c_depth]
+    rows = _shift_eigenvectors(n).conj()[:, :, None] * u_0.reshape(n, 1, -1)  # ψ_t[0, c]
+    y = ifft(rows.reshape(n, -1, n), axis=-1)
+    p_hat = fft(ifftn(np.abs(fftn(u)) ** 2), axis=-1)
+    return y, p_hat
 
 
-def _tiles(psi: np.ndarray, depth: int) -> np.ndarray:
-    """``ψ`` as the tiles ``T[t, I'', k, J, l] = ψ_t[(I'', k), (J, l)]``.
+def _keyclaim_grams(n: int, m: int) -> np.ndarray:
+    """``⟨X_{I,t,J}, X_{I,s,J}⟩`` at ``I = 0`` as ``[J, t, s]``; any ``I`` reads it at ``J − I``.
 
-    A row block of ``n`` rows is ``I = (i, I'')``, the first slot ``i``
-    followed by ``I''``; its rows ``k`` are the last slot.  At depth 0 there
-    is no ``I''`` and the tile of each ``t`` is the single row ``ψ_t``.
+    The ``n`` rows ``(0, k)`` of row block ``0`` each contribute ``R`` of
+    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``.
     """
-    n, count, _ = psi.shape
-    rows = n if depth else 1
-    return psi.reshape(n, count // rows, rows, count, n)
-
-
-def _first_slot_weights(phi: np.ndarray, depth: int) -> np.ndarray:
-    """``w[i, t, s] = φ_t[i] · conj(φ_s[i])``, the first-slot factor of row block ``(i, I'')``.
-
-    At depth 0 the one row block holds every first-slot row, so its ``n``
-    terms add up and the leading axis has length 1.
-    """
-    if depth == 0:
-        return (phi.T @ phi.conj())[None]
-    return phi[:, :, None] * phi.conj()[:, None, :]
-
-
-def _same_j_grams(n: int, m: int) -> np.ndarray:
-    """Inner products ``⟨X_{I,t,J}, X_{I,s,J}⟩`` of the depth-``m`` family, as ``[I, J, t, s]``.
-
-    Within row block ``I = (i, I'')`` the entry is
-    ``φ_t[i] conj(φ_s[i]) · tr(T[t,I'',J] P[J,J] T[s,I'',J]*) / dim``.
-    """
-    phi, psi, gram = _theta_factors(n, m)
-    dim, count = n ** (m + 1), n**m
-    tiles = _tiles(psi, m)
-    by_j = tiles.transpose(3, 1, 0, 2, 4)  # [J, I'', t, k, l]
-    p_diag = np.diagonal(gram.reshape(count, n, count, n), axis1=0, axis2=2)  # P[J, J] as [l, l', J]
-    tiles_p = by_j.reshape(count, -1, n) @ p_diag.transpose(2, 0, 1)
-    flat = (count, by_j.shape[1], n, -1)  # [J, I'', t, (k, l)]
-    traces = tiles_p.reshape(flat) @ by_j.reshape(flat).conj().swapaxes(-1, -2)
-    grams = _first_slot_weights(phi, m)[:, None, None] * traces.swapaxes(0, 1)[None] / dim
-    return grams.reshape(count, count, n, n)
+    y, p_hat = _row_factors(n, m)
+    return np.einsum("tjk,k,sjk->jts", y, p_hat.reshape(-1, n)[0], y.conj()) / n**m
 
 
 def keyclaim_check(n: int, m: int) -> float:
@@ -204,12 +208,15 @@ def keyclaim_check(n: int, m: int) -> float:
     trace inner product of ``M_n^{⊗(m+1)}``, where ``ξ_r`` is the first-slot
     spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
     product unitary.  Since ``e_I`` and ``θ(e_J)`` are projections, that is
-    the Gram entry of the family members at ``(I, r, J)`` and ``(I, s, J)``.
+    the Gram entry of the family members at ``(I, r, J)`` and ``(I, s, J)``,
+    which depends only on ``J − I`` (:func:`_keyclaim_grams`).
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
+    # the row factors and the kernels behind them, the Grams and their deviation
+    check_workspace(5 * n ** (m + 2), f"the keyclaim Grams for n={n}, m={m}")
     expected = float(n) ** (-(2 * m + 1)) * np.eye(n)
-    return float(np.max(np.abs(_same_j_grams(n, m) - expected)))
+    return float(np.max(np.abs(_keyclaim_grams(n, m) - expected)))
 
 
 @dataclass(frozen=True)
@@ -230,79 +237,74 @@ def family_span_check(n: int, m: int) -> FamilySpanReport:
     ``M_n^{⊗m}``; with all index tuples it has exactly the dimension of the
     whole matrix space, so full rank certifies the span.  Members on
     different rows have disjoint support, so the family's Gram is block
-    diagonal with one ``k × k`` block per row ``(i, I')``, ``k = n^m``, and
-    the rank is certified block by block: a block whose diagonal dominates
-    each of its rows is nonsingular (Gershgorin).  With the notation of
-    :func:`_theta_factors` at depth ``m − 1``, the block of row ``(i, I')``
-    is ``D_i H_I' D_i* / n^m`` with ``D_i = diag(φ_t[i])`` and
-    ``H_I'[(t,J),(s,J')] = ψ_t[I',J-cols] P[J,J'] ψ_s[I',J'-cols]*``; since
-    ``|φ_t[i]|² = 1/n``, its entry moduli are ``|H_I'| / n^{m+1}`` for all ``i``.
+    diagonal with one ``k × k`` block per row, ``k = n^m``, and a block whose
+    diagonal dominates each of its rows is nonsingular (Gershgorin).  By
+    :func:`_row_factors` at depth ``m − 1``, the block of row ``I`` is
+    ``R / n^m`` with ``(t, J)`` re-indexed to ``(t, J − I)``, so it alone gives
+    the extremes and the Gershgorin margin of all of them.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    dim, count = n**m, n ** (m - 1)
-    # the factors' count covers the loop: beside ψ and P, one I' holds three dim² buffers
-    _, psi, gram = _theta_factors(n, m - 1)
-    p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
-    tiles = psi.reshape(n, count, count, n).transpose(1, 2, 0, 3)  # [I', J, t, l]
-    min_diag, max_off, margin, certified = np.inf, 0.0, np.inf, 0
-    for tile in tiles:
-        tiles_p = (tile @ p_rows).reshape(dim, count, n)  # [(J, t), J', l']
-        h = tiles_p.transpose(1, 0, 2) @ tile.conj().transpose(0, 2, 1)  # [J', (J, t), s]
-        moduli = np.abs(h.transpose(1, 0, 2)).reshape(dim, dim) / n ** (m + 1)
-        diag = moduli.diagonal().copy()
-        np.fill_diagonal(moduli, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(diag > 0.0, diag / moduli.sum(axis=1), 0.0)
-        least = float(ratios.min())
-        certified += least > 1.0
-        min_diag = min(min_diag, float(diag.min()))
-        max_off = max(max_off, float(moduli.max()))
-        margin = min(margin, least)
-    # each certified I' stands for the n rows (i, I') with the same moduli
-    return FamilySpanReport(dim * dim, min_diag, max_off, n * dim * certified, margin)
+    dim = n**m
+    # the row Gram with its gathered p̂ or its moduli, and the row factors
+    check_workspace(2 * dim * dim + 5 * n * dim, f"the span row Gram for n={n}, m={m}")
+    y, p_hat = _row_factors(n, m - 1)
+    gram = np.einsum("tjk,jJk,sJk->tjsJ", y, _multilevel_circulant(p_hat, m - 1), y.conj())
+    moduli = np.abs(gram.reshape(dim, dim))
+    del gram
+    moduli /= dim
+    diag = moduli.diagonal().copy()
+    np.fill_diagonal(moduli, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(diag > 0.0, diag / moduli.sum(axis=1), 0.0)
+    margin = float(ratios.min())
+    # every row's block passes or fails with the block of row 0
+    rank = dim * dim if margin > 1.0 else 0
+    return FamilySpanReport(dim * dim, float(diag.min()), float(moduli.max()), rank, margin)
+
+
+def _intertwiner_blocks(n: int, m: int) -> np.ndarray:
+    """The blocks of :func:`intertwiner_blocks`, under the caller's workspace check."""
+    y, p_hat = _row_factors(n, m)
+    same_t = np.einsum("tjk,jJk,tJk->tjJ", y, _multilevel_circulant(p_hat, m), y.conj())
+    return same_t / n**m
 
 
 def intertwiner_blocks(n: int, m: int) -> np.ndarray:
-    """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)``, one stack per ``t``.
+    """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)`` at ``I = 0``, one per ``t``.
 
-    Entry ``[t, I, J, J']`` pairs the members ``(I, J)`` and ``(I, J')`` with
-    ``f_t`` in the middle; members with different ``I`` have disjoint support,
-    so for each ``t`` these blocks make up the whole Gram matrix.
+    Entry ``[t, J, J']`` pairs the members ``(0, J)`` and ``(0, J')`` with
+    ``f_t`` in the middle: ``n·R[(t, J), (t, J')] / n^{m+1}`` by
+    :func:`_row_factors`, which also pairs ``(I, J)`` and ``(I, J')`` at
+    ``[t, J − I, J' − I]``.  Members with different ``I`` have disjoint
+    support, so these ``n^{2m+1}`` entries give the whole Gram of each ``t``.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    dim, count = n ** (m + 1), n**m
-    # the blocks, and one t's tile products with their einsum operands
-    check_workspace(4 * n * count**3, f"the intertwiner blocks for n={n}, m={m}")
-    phi, psi, gram = _theta_factors(n, m)
-    weights = np.diagonal(_first_slot_weights(phi, m), axis1=1, axis2=2)  # [i, t]
-    p_rows = gram.reshape(count, n, dim)  # the rows P[(J, l), :] of each J
-    blocks = np.empty((n, count, count, count), dtype=complex)
-    for t, tiles in enumerate(_tiles(psi, m)):
-        # tr(T[t,I'',J] P[J,J'] T[t,I'',J']*) for every (I'', J, J')
-        tiles_p = tiles.transpose(2, 0, 1, 3).reshape(count, -1, n) @ p_rows
-        tiles_p = tiles_p.reshape(count, *tiles.shape[:2], count, n)
-        traces = np.einsum("jakbm,akbm->ajb", tiles_p, tiles.conj())
-        blocks[t] = (weights[:, t, None, None, None] * traces[None]).reshape(count, count, count)
-    return blocks / dim
+    count = n**m
+    # the blocks and the gathered p̂ they are read with, and the row factors
+    check_workspace(2 * n * count**2 + 5 * n ** (m + 2), f"the intertwiner blocks for n={n}, m={m}")
+    return _intertwiner_blocks(n, m)
 
 
 def intertwiner_grams(n: int, m: int, r: int, s: int):
     """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle.
 
-    Rows and columns are indexed by ``(J, I)``, ``J`` major.
+    Rows and columns are indexed by ``(J, I)``, ``J`` major; the entries are
+    gathered from :func:`intertwiner_blocks` at ``(J − I, J' − I)``.
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
     count = n**m
-    check_workspace(2 * count**4, f"the intertwiner Grams for n={n}, m={m}")
-    blocks = intertwiner_blocks(n, m)
+    # the two Grams and one gather into them with its indices, and the blocks with their workspace
+    check_workspace(2 * count**4 + 2 * count**3 + 2 * n * count**2 + 5 * n ** (m + 2),
+                    f"the intertwiner Grams for n={n}, m={m}")
+    shift = _multilevel_circulant(np.arange(count).reshape((n,) * m), m).T  # [I, J] = J − I
     i = np.arange(count)
     grams = []
-    for t in (r, s):
+    for block in _intertwiner_blocks(n, m)[[r, s]]:
         gram = np.zeros((count, count, count, count), dtype=complex)  # (J, I, J', I')
-        gram[:, i, :, i] = blocks[t]
+        gram[:, i, :, i] = block[shift[:, :, None], shift[:, None, :]]
         grams.append(gram.reshape(count * count, count * count))
     return grams[0], grams[1]
 
@@ -312,9 +314,9 @@ def intertwiner_check(n: int, m: int, r: int, s: int) -> float:
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree; this returns the largest entrywise difference.  Outside the
-    blocks of :func:`intertwiner_blocks` both Grams vanish, so the blocks
-    alone give it.
+    agree; this returns the largest entrywise difference.  Both Grams are
+    gathered from the blocks of :func:`intertwiner_blocks` at the same
+    places and vanish elsewhere, so the blocks alone give it.
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
@@ -332,14 +334,11 @@ def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
     if k < 1:
         raise ValueError("need k >= 1")
     N = n**k
-    # the N generators of each side
-    check_workspace(2 * N**3, f"the masa pair of M_{n}^⊗{k}")
+    # the N generators of each side, U with its flat indices, and one unit of the identity
+    check_workspace(2 * N**3 + 3 * N**2, f"the masa pair of M_{n}^⊗{k}")
     a_gens = [np.diag(np.eye(N, dtype=complex)[p]) for p in range(N)]
-    if k == 1:
-        # at N = n the gadget alone would hold more than the generators
-        return a_gens, [g.copy() for g in a_gens]
     # the image of the unit e_p under conjugation by U is u_p u_p* for column p of U
-    u = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind).unitary
+    u = _multilevel_circulant(_unitary_kernel(n, k - 1, kind), k)
     return a_gens, [np.outer(u[:, p], u[:, p].conj()) for p in range(N)]
 
 

@@ -1,19 +1,28 @@
-"""Shift-gadget certificates against two slower routes.
+"""Shift-gadget certificates against three slower routes.
 
 The zero-padded oracle builds the gadget's spectral projections as Fourier
-sums of powers of the shift, and certifies each family element by padding its
-rows into a zero matrix of the full size: keyclaim sums the diagonal of
-``f_r θ(e_J) f_s`` row block by row block, span takes the Gram matrix and the
-singular values of the stack of all padded elements, and the intertwiner Grams
-are the dense Gram matrices of the two padded families.
+sums of powers of the shift and the θ unitary slot by slot, and certifies
+each family element by padding its rows into a zero matrix of the full size:
+keyclaim sums the diagonal of ``f_r θ(e_J) f_s`` row block by row block, span
+takes the Gram matrix and the singular values of the stack of all padded
+elements, and the intertwiner Grams are the dense Gram matrices of the two
+padded families.
 
 The dense-family oracle holds the whole family ``X[t, J] = (f_t ⊗ 1)θ(e_J ⊗ 1)``
-(``N³`` entries) and forms one Gram per row block.  The engine under test reads
-the same Gram entries off ``ψ = (Φ* ⊗ 1)U`` and ``P = U*U`` in ``n × n``
-tiles, so the two agree entry by entry up to rounding, also for a ``U`` that
-is not unitary.  Span reads only the moduli of its single-row Grams, one
-row ``I'`` of ``ψ`` at a time; their smallest diagonal and largest
-off-diagonal entries agree with those of the dense rows.
+(``N³`` entries) for a given dense ``U`` and forms one Gram per row block.
+
+The factor route reads the same Gram entries off ``ψ = (Φ* ⊗ 1)U`` and
+``P = U*U`` in ``n × n`` tiles (``O(N²)`` entries), for any dense ``U``.  It
+agrees with the dense family entry by entry up to rounding, also for a ``U``
+that is neither unitary nor a convolution.
+
+The engine under test reads them off the kernel ``u`` of ``U`` at one
+representative row block ``I = 0``.  Its Grams match the dense family's at
+every ``I`` once ``J`` is re-indexed to ``J − I``, for the θ kernel and for
+kernels distorted by noise, by a scaled or a vanished Fourier coefficient,
+or by a shifted phase.  Span reads only the moduli of one single-row Gram;
+their smallest diagonal and largest off-diagonal entries agree with those of
+every dense row.
 """
 
 import itertools
@@ -24,10 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puklab import constructions
+from puklab.cli import SUITE_TOL
 from puklab.constructions import (
     ShiftGadget,
     TruncatedAutomorphism,
-    _same_j_grams,
+    _keyclaim_grams,
     build_gadget,
     family_span_check,
     intertwiner_blocks,
@@ -38,7 +49,7 @@ from puklab.core import tensor
 
 CAP = 1296
 TOL = 1e-13
-ROUNDING = 1e-15  # entrywise gap allowed between the factored and the dense Grams
+ROUNDING = 1e-15  # entrywise gap allowed between the reduced and the dense Grams
 SWEEP = [(n, m) for n in range(2, 37) for m in range(6) if n ** (2 * (m + 1)) <= CAP]
 
 
@@ -52,10 +63,6 @@ def fourier_gadget(n):
         [sum(omega ** (-i * k) * powers[k] for k in range(n)) / n for i in range(n)]
     )
     return ShiftGadget(n, w, e, f)
-
-
-def theta_unitary(gadget, depth):
-    return TruncatedAutomorphism.build(gadget, depth, "theta").unitary
 
 
 def selected_columns_projection(unitary, columns):
@@ -72,7 +79,7 @@ def oracle_keyclaim(n, m):
         flat = gadget.f.reshape(n, -1)
         gram = (flat @ flat.conj().T) / n
         return float(np.max(np.abs(gram - expected * np.eye(n))))
-    theta_u = theta_unitary(gadget, m)
+    theta_u = slot_by_slot_unitary(gadget, m)
     f_ops = [tensor(gadget.f[r], np.eye(n**m)) for r in range(n)]
     worst = 0.0
     for j_flat in range(n**m):
@@ -90,7 +97,7 @@ def oracle_span(n, m):
     """(count, min Gram diagonal, max off-diagonal, rank) of the padded stack."""
     gadget = fourier_gadget(n)
     N = n**m
-    theta_u = theta_unitary(gadget, m - 1)
+    theta_u = slot_by_slot_unitary(gadget, m - 1)
     f_ops = [tensor(gadget.f[r], np.eye(n ** (m - 1))) for r in range(n)]
     rows = []
     for j_flat in range(n ** (m - 1)):
@@ -113,7 +120,7 @@ def oracle_span(n, m):
 def oracle_intertwiner_grams(n, m, r, s):
     gadget = fourier_gadget(n)
     N = n ** (m + 1)
-    theta_u = theta_unitary(gadget, m)
+    theta_u = slot_by_slot_unitary(gadget, m)
     grams = []
     for t in (r, s):
         f_op = tensor(gadget.f[t], np.eye(n**m))
@@ -164,49 +171,143 @@ def test_intertwiner_grams_every_pair(n, m):
             assert np.max(np.abs(got - want)) <= TOL
 
 
-def product_family(n, depth, row_block):
+def slot_by_slot_unitary(gadget, depth):
+    """The θ unitary as the product of its steps ``v``, each applied to a slot pair of the rows."""
+    n = gadget.n
+    dim = n ** (depth + 1)
+    unitary = np.eye(dim, dtype=complex)
+    for r in range(1, depth + 1):
+        unitary = (gadget.v @ unitary.reshape(n ** (r - 1), n * n, -1)).reshape(dim, dim)
+    return unitary
+
+
+def product_family(unitary, n, depth, row_block):
     """Rows and per-row-block Grams of the whole family ``X[t, J] = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
 
-    ``rows[I, (t, J)]`` is row block ``I`` (``row_block`` rows) of ``X[t, J]``
-    flattened, ``grams[I]`` their Gram matrix in the normalized trace inner
-    product, and ``(t, J)`` is flattened ``t``-major.
+    ``θ`` conjugates by ``unitary``; ``rows[I, (t, J)]`` is row block ``I``
+    (``row_block`` rows) of ``X[t, J]`` flattened, ``grams[I]`` their Gram
+    matrix in the normalized trace inner product, and ``(t, J)`` is flattened
+    ``t``-major.
     """
     dim, count = n ** (depth + 1), n**depth
-    gadget = build_gadget(n)
-    unitary = TruncatedAutomorphism.build(gadget, depth, "theta").unitary
-    f_u = (gadget.f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
+    f = build_gadget(n).f
+    f_u = (f @ unitary.reshape(n, -1)).reshape(n, dim, count, n)
     family = f_u.transpose(0, 2, 1, 3) @ unitary.conj().T.reshape(count, n, dim)
     rows = family.reshape(n * count, dim // row_block, row_block * dim).transpose(1, 0, 2)
     grams = rows @ rows.conj().transpose(0, 2, 1) / dim
     return rows, grams
 
 
-def assert_factored_matches_dense(n, m):
-    """Same-``J`` Grams and intertwiner blocks entry by entry, span Gram moduli at the extremes."""
+def dense_grams(unitary, n, m):
+    """The dense same-``J`` Grams ``[I, J, t, s]`` and same-``t`` blocks ``[t, I, J, J']``."""
     count = n**m
-    _, grams = product_family(n, m, n)
+    _, grams = product_family(unitary, n, m, n)
     pairs = grams.reshape(count, n, count, n, count)  # [I, t, J, s, J']
-    same_j = np.diagonal(pairs, axis1=2, axis2=4).transpose(0, 3, 1, 2)  # [I, J, t, s]
-    same_t = np.moveaxis(np.diagonal(pairs, axis1=1, axis2=3), -1, 0)  # [t, I, J, J']
-    assert np.max(np.abs(_same_j_grams(n, m) - same_j)) <= ROUNDING
-    assert np.max(np.abs(intertwiner_blocks(n, m) - same_t)) <= ROUNDING
+    same_j = np.diagonal(pairs, axis1=2, axis2=4).transpose(0, 3, 1, 2)
+    same_t = np.moveaxis(np.diagonal(pairs, axis1=1, axis2=3), -1, 0)
+    return same_j, same_t
+
+
+def dense_row_extremes(unitary, n, depth):
+    """Per row of the depth-``depth`` family: least Gram diagonal, largest off-diagonal modulus."""
+    _, row_grams = product_family(unitary, n, depth, 1)
+    moduli = np.abs(row_grams)
+    on_diag = np.eye(moduli.shape[1], dtype=bool)
+    return moduli[:, on_diag].min(axis=1), moduli[:, ~on_diag].max(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the factor route: ψ and P of a dense U
+
+
+def theta_factors(unitary, n, depth):
+    """``(φ, ψ, P)``: ``φ[:, t] = φ_t``, ``ψ[t] = (φ_t* ⊗ 1) U`` as ``(count, dim)``, ``P = U*U``.
+
+    Row ``(i, I')`` of ``X[t, J]`` is ``φ_t[i] · ψ_t[I', J-cols] · S_J*`` for
+    the ``n`` columns ``S_J`` of ``U`` labelled by ``J``, so the inner
+    products of the family need only ``ψ`` and ``P``.
+    """
+    dim, count = n ** (depth + 1), n**depth
+    a = np.arange(n)
+    phi = np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
+    psi = (phi.conj().T @ unitary.reshape(n, count * dim)).reshape(n, count, dim)
+    return phi, psi, unitary.conj().T @ unitary
+
+
+def tiles(psi, depth):
+    """``ψ`` as ``T[t, I'', k, J, l] = ψ_t[(I'', k), (J, l)]``; at depth 0, each row ``ψ_t``."""
+    n, count, _ = psi.shape
+    rows = n if depth else 1
+    return psi.reshape(n, count // rows, rows, count, n)
+
+
+def first_slot_weights(phi, depth):
+    """``w[i, t, s] = φ_t[i]·conj(φ_s[i])``; at depth 0 the one row block sums the ``n`` terms."""
+    if depth == 0:
+        return (phi.T @ phi.conj())[None]
+    return phi[:, :, None] * phi.conj()[:, None, :]
+
+
+def factor_same_j_grams(unitary, n, m):
+    """``[I, J, t, s]``: ``φ_t[i] conj(φ_s[i]) · tr(T[t,I'',J] P[J,J] T[s,I'',J]*) / dim``."""
+    phi, psi, gram = theta_factors(unitary, n, m)
+    dim, count = n ** (m + 1), n**m
+    by_j = tiles(psi, m).transpose(3, 1, 0, 2, 4)  # [J, I'', t, k, l]
+    p_diag = np.diagonal(gram.reshape(count, n, count, n), axis1=0, axis2=2)  # [l, l', J]
+    tiles_p = by_j.reshape(count, -1, n) @ p_diag.transpose(2, 0, 1)
+    flat = (count, by_j.shape[1], n, -1)  # [J, I'', t, (k, l)]
+    traces = tiles_p.reshape(flat) @ by_j.reshape(flat).conj().swapaxes(-1, -2)
+    grams = first_slot_weights(phi, m)[:, None, None] * traces.swapaxes(0, 1)[None] / dim
+    return grams.reshape(count, count, n, n)
+
+
+def factor_intertwiner_blocks(unitary, n, m):
+    """``[t, I, J, J']``: ``|φ_t[i]|² · tr(T[t,I'',J] P[J,J'] T[t,I'',J']*) / dim``."""
+    phi, psi, gram = theta_factors(unitary, n, m)
+    dim, count = n ** (m + 1), n**m
+    weights = np.diagonal(first_slot_weights(phi, m), axis1=1, axis2=2)  # [i, t]
+    p_rows = gram.reshape(count, n, dim)
+    blocks = np.empty((n, count, count, count), dtype=complex)
+    for t, tile in enumerate(tiles(psi, m)):
+        tiles_p = tile.transpose(2, 0, 1, 3).reshape(count, -1, n) @ p_rows
+        tiles_p = tiles_p.reshape(count, *tile.shape[:2], count, n)
+        traces = np.einsum("jakbm,akbm->ajb", tiles_p, tile.conj())
+        blocks[t] = (weights[:, t, None, None, None] * traces[None]).reshape(count, count, count)
+    return blocks / dim
+
+
+def factor_span_extremes(unitary, n, m):
+    """Per row ``I'`` of ``ψ`` at depth ``m − 1``: the least diagonal and largest off-diagonal
+    modulus of ``|H_I'| / n^{m+1}``, with
+    ``H_I'[(t,J),(s,J')] = ψ_t[I',J-cols] P[J,J'] ψ_s[I',J'-cols]*``."""
+    _, psi, gram = theta_factors(unitary, n, m - 1)
+    dim, count = n**m, n ** (m - 1)
+    p_rows = gram.reshape(count, n, dim)
+    least, largest = [], []
+    for tile in psi.reshape(n, count, count, n).transpose(1, 2, 0, 3):  # [J, t, l] per I'
+        tiles_p = (tile @ p_rows).reshape(dim, count, n)
+        h = tiles_p.transpose(1, 0, 2) @ tile.conj().transpose(0, 2, 1)  # [J', (J, t), s]
+        moduli = np.abs(h.transpose(1, 0, 2)).reshape(dim, dim) / n ** (m + 1)
+        on_diag = np.eye(dim, dtype=bool)
+        least.append(moduli[on_diag].min())
+        largest.append(moduli[~on_diag].max())
+    return np.array(least), np.array(largest)
+
+
+def assert_factored_matches_dense(n, m, distort=lambda unitary: unitary):
+    """The factor route against the dense family, both for ``distort`` of the slot-by-slot ``U``."""
+    gadget = build_gadget(n)
+    unitary = distort(slot_by_slot_unitary(gadget, m))
+    same_j, same_t = dense_grams(unitary, n, m)
+    assert np.max(np.abs(factor_same_j_grams(unitary, n, m) - same_j)) <= ROUNDING
+    assert np.max(np.abs(factor_intertwiner_blocks(unitary, n, m) - same_t)) <= ROUNDING
     if m >= 1:
-        _, row_grams = product_family(n, m - 1, 1)
-        moduli = np.abs(row_grams)
-        on_diag = np.eye(moduli.shape[1], dtype=bool)
-        rep = family_span_check(n, m)
-        assert abs(rep.min_gram_diag - moduli[:, on_diag].min()) <= ROUNDING
-        assert abs(rep.max_offdiag - moduli[:, ~on_diag].max()) <= ROUNDING
-
-
-def distorted_build(distort):
-    """``TruncatedAutomorphism.build`` with ``distort`` applied to a copy of ``U``."""
-    exact = TruncatedAutomorphism.build
-
-    def build(cls, gadget, depth, kind="theta"):
-        return cls(gadget, depth, kind, distort(exact(gadget, depth, kind).unitary.copy()))
-
-    return classmethod(build)
+        unitary = distort(slot_by_slot_unitary(gadget, m - 1))
+        least, largest = dense_row_extremes(unitary, n, m - 1)
+        got_least, got_largest = factor_span_extremes(unitary, n, m)
+        # row (i, I') of the dense family has the moduli of row I' of ψ
+        assert np.max(np.abs(np.repeat(got_least[None], n, 0).ravel() - least)) <= ROUNDING
+        assert np.max(np.abs(np.repeat(got_largest[None], n, 0).ravel() - largest)) <= ROUNDING
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
@@ -217,31 +318,105 @@ def test_factored_grams_match_dense_family(n, m):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
 def test_factored_grams_match_dense_family_for_non_unitary_u(case, seed, size):
-    # a dense perturbation: U*U gets entries off its diagonal blocks as well
+    # a dense perturbation: U is neither unitary nor a convolution any more
     def distort(unitary):
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(unitary.shape + (2,)) @ np.array([1.0, 1j])
         return unitary + size * noise
 
+    assert_factored_matches_dense(*case, distort)
+
+
+# ---------------------------------------------------------------------------
+# the kernel route under test, against the dense family of the gathered U
+
+
+def difference_index(n, m):
+    """``[I, J]``: the flat index of ``J − I``, subtracting slot by slot mod ``n``."""
+    digits = np.array(list(itertools.product(range(n), repeat=m)), dtype=int).reshape(n**m, m)
+    diff = (digits[None, :, :] - digits[:, None, :]) % n
+    return diff @ n ** np.arange(m - 1, -1, -1, dtype=int)
+
+
+def assert_kernel_route_matches_dense(n, m):
+    """Keyclaim Grams and intertwiner blocks at every row block ``I``, span extremes at every row.
+    """
+    gadget = build_gadget(n)
+    same_j, same_t = dense_grams(TruncatedAutomorphism.build(gadget, m).unitary, n, m)
+    shift = difference_index(n, m)
+    assert np.max(np.abs(_keyclaim_grams(n, m)[shift] - same_j)) <= ROUNDING
+    blocks = intertwiner_blocks(n, m)
+    assert np.max(np.abs(blocks[:, shift[:, :, None], shift[:, None, :]] - same_t)) <= ROUNDING
+    if m >= 1:
+        least, largest = dense_row_extremes(TruncatedAutomorphism.build(gadget, m - 1).unitary,
+                                            n, m - 1)
+        rep = family_span_check(n, m)
+        assert np.max(np.abs(least - rep.min_gram_diag)) <= ROUNDING
+        assert np.max(np.abs(largest - rep.max_offdiag)) <= ROUNDING
+
+
+def distorted_kernel(distort):
+    """``_unitary_kernel`` with ``distort`` applied to the kernel it returns."""
+    exact = constructions._unitary_kernel
+    return lambda n, depth, kind="theta": distort(exact(n, depth, kind))
+
+
+def in_fourier(change):
+    """A kernel distortion applying ``change`` to a copy of the Fourier coefficients ``ω^q``."""
+    def distort(u):
+        u_hat = np.fft.fftn(u)
+        change(u_hat)
+        return np.fft.ifftn(u_hat)
+
+    return distort
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_kernel_route_matches_dense_family(n, m):
+    assert_kernel_route_matches_dense(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_kernel_route_matches_dense_family_for_non_unitary_u(case, seed, size):
+    # noise on u: U stays a convolution, but U*U is no longer the identity.  Scaled by
+    # 1/√(2N), it moves each Fourier coefficient of u, an eigenvalue of U, by about `size`
+    def distort(u):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(u.shape + (2,)) @ np.array([1.0, 1j])
+        return u + size * noise / np.sqrt(2 * u.size)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TruncatedAutomorphism, "build", distorted_build(distort))
-        assert_factored_matches_dense(*case)
+        mp.setattr(constructions, "_unitary_kernel", distorted_kernel(distort))
+        assert_kernel_route_matches_dense(*case)
 
 
 def test_gram_of_u_is_used():
-    # one column of U scaled by 1.001: reading U*U as I would be off by about 2e-3 relative
-    def distort(unitary):
-        unitary[:, 3] *= 1.001
-        return unitary
+    # one Fourier coefficient of u scaled by 1.001: U*U is 1.002 on that Fourier mode
+    def scale(u_hat):
+        u_hat.flat[3] *= 1.001
 
-    exact_grams = _same_j_grams(2, 2), intertwiner_blocks(2, 2)
+    exact_grams = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TruncatedAutomorphism, "build", distorted_build(distort))
-        distorted = _same_j_grams(2, 2), intertwiner_blocks(2, 2)
+        mp.setattr(constructions, "_unitary_kernel", distorted_kernel(in_fourier(scale)))
+        distorted = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
         assert keyclaim_check(2, 2) > 1e-6
-        assert_factored_matches_dense(2, 2)
+        assert_kernel_route_matches_dense(2, 2)
     for got, exact in zip(distorted, exact_grams):
         assert np.max(np.abs(got - exact)) > 1e-6
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_keyclaim_fails_for_every_shifted_phase(n, m):
+    # ω^{q(k)} → ω^{q(k)+1} at one k: U is still a unitary convolution, but not θ's
+    tolerance = SUITE_TOL * float(n) ** (-(2 * m + 1))
+    for k in range(n ** (m + 1)):
+        def shift_phase(u_hat, k=k):
+            u_hat.flat[k] *= np.exp(2j * np.pi / n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_unitary_kernel", distorted_kernel(in_fourier(shift_phase)))
+            assert keyclaim_check(n, m) > tolerance, k
 
 
 @pytest.mark.parametrize(

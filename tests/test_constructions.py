@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from puklab import constructions
 from puklab.constructions import (
     TruncatedAutomorphism,
     build_gadget,
@@ -161,7 +162,7 @@ class TestTruncatedAutomorphism:
             assert np.max(np.abs(auto.apply(lifted) - lifted)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["theta", "phi"])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_build_matches_kronecker_oracle(self, n, kind):
         # every depth with dim <= 256, from the bare identity at depth 0
         g = build_gadget(n)
@@ -229,8 +230,9 @@ class TestKeyclaim:
                 m += 1
 
     def test_resource_guard(self):
+        # the first n = 2 depth whose row factors, 5·2^22 entries, exceed the budget
         with pytest.raises(ResourceGuardError):
-            keyclaim_check(2, 10)
+            keyclaim_check(2, 20)
 
 
 class TestFamilySpan:
@@ -246,15 +248,15 @@ class TestFamilySpan:
         assert rep.margin > 1
 
     def test_gershgorin_fails_on_a_vanished_column(self, monkeypatch):
-        # with a column of U zeroed, the n members (t, J) of its J are dependent
-        exact = TruncatedAutomorphism.build
+        # with one Fourier coefficient of u zeroed, U is singular and the family cannot span
+        exact = constructions._unitary_kernel
 
-        def column_lost(cls, gadget, depth, kind="theta"):
-            unitary = exact(gadget, depth, kind).unitary.copy()
-            unitary[:, 0] = 0.0
-            return cls(gadget, depth, kind, unitary)
+        def coefficient_lost(n, depth, kind="theta"):
+            u_hat = np.fft.fftn(exact(n, depth, kind))
+            u_hat.flat[0] = 0.0
+            return np.fft.ifftn(u_hat)
 
-        monkeypatch.setattr(TruncatedAutomorphism, "build", classmethod(column_lost))
+        monkeypatch.setattr(constructions, "_unitary_kernel", coefficient_lost)
         rep = family_span_check(2, 2)
         assert rep.count == 16 and rep.rank < rep.count
         assert rep.margin <= 1
