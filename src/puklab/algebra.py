@@ -76,7 +76,7 @@ class AlgebraBasis:
     def span_residual(self, mat: np.ndarray) -> float:
         """Frobenius distance from ``mat`` to the span of the basis."""
         v = np.asarray(mat, dtype=complex).reshape(-1)
-        coeffs = self.basis_matrix().conj() @ v
+        coeffs = (self.basis_matrix() @ v.conj()).conj()  # no conjugated copy of the basis
         return float(np.linalg.norm(v - self.basis_matrix().T @ coeffs))
 
     def gram_defect(self) -> float:
@@ -267,18 +267,22 @@ def minimal_projections(algebra: AlgebraBasis, seed: int) -> SpectrumReport:
     abelianness.  Their count must be ``algebra.dim`` and each must lie in the
     span, or :class:`DegenerateSampleError` is raised at once: a fresh sample
     cannot change a certified eigenbasis.  Deterministic given the seed.
-    Multiplicities are the dimensions of the projection ranges; the dense
-    projections take ``dim·D²`` entries beyond the eigenbasis' workspace.
+    Multiplicities are the dimensions of the projection ranges.  Stacking the
+    projections is a stage of its own, ``(dim + 3)·D²`` entries with the
+    eigenbasis and one span residual: within the eigenbasis' ``(dim + 6)·D²``,
+    so a refused call is refused before anything is allocated.
     """
     D = algebra.ambient_dim
     if algebra.dim == 0:
         return SpectrumReport(D, (), np.zeros((0, D, D), dtype=complex))
-    check_workspace(algebra.dim * D * D, f"{algebra.dim} projections on C^{D}")
     joint = _joint_eigenbasis(algebra.basis, TracedAlgebraShape.full_matrix(D), seed)
     mults = joint.ranks[:, 0]
     if len(mults) != algebra.dim:
         raise DegenerateSampleError(f"sample produced {len(mults)} clusters for dim {algebra.dim}")
-    projections = np.stack([joint.projection(i) for i in range(algebra.dim)])
+    check_workspace((algebra.dim + 3) * D * D, f"{algebra.dim} projections on C^{D}")
+    projections = np.empty((algebra.dim, D, D), dtype=complex)
+    for i in range(algebra.dim):
+        projections[i] = joint.projection(i)
     if any(algebra.span_residual(q) > MEMBER_TOL for q in projections):
         raise DegenerateSampleError("spectral projection left the span")
     return SpectrumReport(D, tuple(mults.tolist()), projections)

@@ -5,11 +5,13 @@ generated by the cyclic shift ``w``; the unitary ``v = Σ_i w^i ⊗ f_i`` lifts
 the shift one tensor slot at a time.  The product automorphisms built from
 copies of ``v`` only ever act through finitely many slots on any fixed
 element, so depth-``k`` truncations on ``M_n^{⊗(k+1)}`` reproduce them
-exactly where it matters.  Their unitaries are convolutions
-(:func:`_unitary_kernel`).  The check routines here certify, numerically and
-to stated tolerances, the inner-product, spanning, and intertwining
-identities that the multiplicity analysis of the conjugated masa pair rests
-on, from the convolution kernel alone (:func:`_row_factors`).
+exactly where it matters.  Their unitaries are convolutions, diagonal in the
+Fourier basis with eigenvalues ``λ = ω^q`` (:func:`_unitary_symbol`).  The
+check routines here certify, numerically and to stated tolerances, the
+inner-product, spanning, and intertwining identities that the multiplicity
+analysis of the conjugated masa pair rests on, from ``λ`` alone
+(:func:`_row_factors`); the position-space kernel ``u = ifftn(λ)`` is
+built only to gather a dense unitary.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, fftn, ifft, ifftn
+from numpy.fft import fft, ifft, ifftn
 
 from .core import as_matrix, check_workspace
 from .errors import InvalidLambdaError
@@ -76,18 +78,18 @@ def _shift_eigenvectors(n: int) -> np.ndarray:
     the spectral projections are ``f_i = φ_i φ_i*``.
     """
     a = np.arange(n)
-    return np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / np.sqrt(n)
+    return np.exp(2j * np.pi * a / n)[np.outer(a, a) % n] / np.sqrt(n)
 
 
-def _unitary_kernel(n: int, depth: int, kind: str = "theta") -> np.ndarray:
-    """Kernel ``u`` of the depth-``depth`` unitary: ``U[a, b] = u(a − b)`` slot by slot mod ``n``.
+def _unitary_symbol(n: int, depth: int, kind: str = "theta") -> np.ndarray:
+    """Fourier symbol ``λ = ω^q`` of the depth-``depth`` unitary, on shape ``(n,)*(depth+1)``.
 
     ``w^i = Σ_k ω^{ik} f_k``, so each step ``v = Σ_{i,k} ω^{ik} f_k ⊗ f_i`` is
     diagonal in the Fourier basis ``φ`` of its two slots, and
-    ``U = φ^{⊗(depth+1)} diag(ω^{q(k)}) φ^{⊗(depth+1)*}`` with
+    ``U = φ^{⊗(depth+1)} diag(λ) φ^{⊗(depth+1)*}`` with ``λ = ω^{q(k)}``,
     ``q(k) = Σ_r k_{r-1}·k_r`` over the step slots ``r`` (every ``r`` up to
-    the depth for ``kind="theta"``, the odd ones for ``"phi"``).  Hence
-    ``u = ifftn(ω^q)`` on shape ``(n,)*(depth+1)``: ``N = n^{depth+1}`` entries.
+    the depth for ``kind="theta"``, the odd ones for ``"phi"``): the
+    eigenvalues of ``U``, ``N = n^{depth+1}`` entries.
     """
     if kind not in ("theta", "phi"):
         raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
@@ -97,7 +99,12 @@ def _unitary_kernel(n: int, depth: int, kind: str = "theta") -> np.ndarray:
     q = np.zeros((n,) * (depth + 1), dtype=np.int64)
     for r in range(1, depth + 1, 1 if kind == "theta" else 2):
         q += np.multiply.outer(k, k).reshape((1,) * (r - 1) + (n, n) + (1,) * (depth - r))
-    return ifftn(np.exp(2j * np.pi * (q % n) / n))
+    return np.exp(2j * np.pi * k / n)[q % n]
+
+
+def _unitary_kernel(n: int, depth: int, kind: str = "theta") -> np.ndarray:
+    """Kernel ``u = ifftn(λ)`` of the unitary: ``U[a, b] = u(a − b)`` slot by slot mod ``n``."""
+    return ifftn(_unitary_symbol(n, depth, kind))
 
 
 def _multilevel_circulant(kernel: np.ndarray, levels: int) -> np.ndarray:
@@ -157,9 +164,10 @@ class TruncatedAutomorphism:
 def _row_factors(n: int, depth: int):
     """The factors ``(y, p̂)`` that every certificate reads its Gram entries from.
 
-    Let ``U`` be the depth-``depth`` θ unitary with kernel ``u``,
-    ``N = n^{depth+1}``, and ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J``
-    over the first ``depth`` slots; the certified members are rows of these.
+    Let ``U`` be the depth-``depth`` θ unitary with kernel ``u = ifftn(λ)``
+    and symbol ``λ`` (:func:`_unitary_symbol`), ``N = n^{depth+1}``, and
+    ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J`` over the first ``depth``
+    slots; the certified members are rows of these.
 
     *One representative per shift class.*  The slotwise shifts ``S_δ``
     commute with every convolution, unitary or not, so with ``U``; they fix
@@ -172,32 +180,48 @@ def _row_factors(n: int, depth: int):
 
     *The Gram of rows 0.*  Row ``0`` of ``X_{t,J}`` is
     ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U``,
-    ``ψ_t[0, c] = conj(φ_t[c_0])·fft(u, axis=0)[t, −c_1, …, −c_depth]``, and
-    ``S_J`` the columns of ``U`` labelled by ``J``.  ``S_J* S_J'`` is the block
+    ``ψ_t[0, c] = conj(φ_t[c_0])·u_0[t, c_1, …, c_depth]``, and ``S_J`` the
+    columns of ``U`` labelled by ``J``.  ``S_J* S_J'`` is the block
     ``P[(J, l), (J', l')] = p(J − J', l − l')`` of ``P = U*U``, whose kernel is
-    ``p(d) = Σ_x conj(u(x))·u(x + d) = ifftn(|fftn(u)|²)``.  Each block is
-    diagonal in the Fourier basis of the last slot, so
+    ``p(d) = Σ_x conj(u(x))·u(x + d) = ifftn(|λ|²)``.  Each block is diagonal
+    in the Fourier basis of the last slot, so
     ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])``
     with ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the
     last slot.  Returns ``y`` as ``[t, J, κ]`` and ``p̂`` unflattened.
+
+    *Read off λ.*  Both come from ``λ`` with the round trips through ``u``
+    cancelled, ``2·depth + 1`` axis passes in all: ``u_0`` is
+    ``fft(u, axis=0)[t, −c_1, …, −c_depth]``, where the ``fft`` undoes the
+    ``ifft`` of slot 0 and an inverse transform read at ``−c`` is the forward
+    one over ``n``, so ``u_0 = fftn(λ, slots 1..depth) / n^depth``; and
+    ``fftn(u) = λ`` gives ``p = ifftn(|λ|²)``, whose last slot's ``ifft`` the
+    ``fft`` of ``p̂`` undoes: ``p̂ = ifftn(|λ|², slots 0..depth−1)``.  ``|λ|²``
+    stands wherever ``P`` did, so unitarity is still never assumed.
     """
-    u = _unitary_kernel(n, depth)
-    neg = (-np.arange(n)) % n
-    u_0 = fft(u, axis=0)[(slice(None), *np.ix_(*[neg] * depth))]  # [t, −c_1, …, −c_depth]
+    lam = _unitary_symbol(n, depth)
+    # slot by slot, which skips fftn's per-call set-up: most certified cases have depth 0 or 1
+    p_hat = np.abs(lam) ** 2
+    for axis in range(depth):
+        p_hat = ifft(p_hat, axis=axis)
+    u_0 = lam / n**depth  # [t, c_1, …, c_depth] once transformed
+    for axis in range(1, depth + 1):
+        u_0 = fft(u_0, axis=axis)
     rows = _shift_eigenvectors(n).conj()[:, :, None] * u_0.reshape(n, 1, -1)  # ψ_t[0, c]
-    y = ifft(rows.reshape(n, -1, n), axis=-1)
-    p_hat = fft(ifftn(np.abs(fftn(u)) ** 2), axis=-1)
-    return y, p_hat
+    return ifft(rows.reshape(n, -1, n), axis=-1), p_hat
 
 
 def _keyclaim_grams(n: int, m: int) -> np.ndarray:
     """``⟨X_{I,t,J}, X_{I,s,J}⟩`` at ``I = 0`` as ``[J, t, s]``; any ``I`` reads it at ``J − I``.
 
     The ``n`` rows ``(0, k)`` of row block ``0`` each contribute ``R`` of
-    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``.
+    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``:
+    one ``n × n`` product ``(y_J·p̂_0) y_J*`` per ``J``.
     """
     y, p_hat = _row_factors(n, m)
-    return np.einsum("tjk,k,sjk->jts", y, p_hat.reshape(-1, n)[0], y.conj()) / n**m
+    by_j = y.transpose(1, 0, 2)  # [J, t, κ]
+    weighted = by_j * (p_hat.reshape(-1, n)[0] / n**m)
+    # y is this call's own, so it is conjugated in place: no third copy of the rows
+    return weighted @ np.conjugate(by_j, out=by_j).transpose(0, 2, 1)
 
 
 def keyclaim_check(n: int, m: int) -> float:
@@ -213,10 +237,11 @@ def keyclaim_check(n: int, m: int) -> float:
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    # the row factors and the kernels behind them, the Grams and their deviation
-    check_workspace(5 * n ** (m + 2), f"the keyclaim Grams for n={n}, m={m}")
-    expected = float(n) ** (-(2 * m + 1)) * np.eye(n)
-    return float(np.max(np.abs(_keyclaim_grams(n, m) - expected)))
+    # the row factors y and p̂, the weighted rows and the Grams
+    check_workspace(4 * n ** (m + 2), f"the keyclaim Grams for n={n}, m={m}")
+    deviation = _keyclaim_grams(n, m)
+    deviation -= float(n) ** (-(2 * m + 1)) * np.eye(n)
+    return float(np.max(np.abs(deviation)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +272,7 @@ def family_span_check(n: int, m: int) -> FamilySpanReport:
         raise ValueError("need n >= 2 and m >= 1")
     dim = n**m
     # the row Gram with its gathered p̂ or its moduli, and the row factors
-    check_workspace(2 * dim * dim + 5 * n * dim, f"the span row Gram for n={n}, m={m}")
+    check_workspace(2 * dim * dim + 4 * n * dim, f"the span row Gram for n={n}, m={m}")
     y, p_hat = _row_factors(n, m - 1)
     gram = np.einsum("tjk,jJk,sJk->tjsJ", y, _multilevel_circulant(p_hat, m - 1), y.conj())
     moduli = np.abs(gram.reshape(dim, dim))
@@ -283,7 +308,7 @@ def intertwiner_blocks(n: int, m: int) -> np.ndarray:
         raise ValueError("need n >= 2 and m >= 0")
     count = n**m
     # the blocks and the gathered p̂ they are read with, and the row factors
-    check_workspace(2 * n * count**2 + 5 * n ** (m + 2), f"the intertwiner blocks for n={n}, m={m}")
+    check_workspace(2 * n * count**2 + 4 * n ** (m + 2), f"the intertwiner blocks for n={n}, m={m}")
     return _intertwiner_blocks(n, m)
 
 
@@ -297,7 +322,7 @@ def intertwiner_grams(n: int, m: int, r: int, s: int):
         raise ValueError("need distinct r, s in range(n)")
     count = n**m
     # the two Grams and one gather into them with its indices, and the blocks with their workspace
-    check_workspace(2 * count**4 + 2 * count**3 + 2 * n * count**2 + 5 * n ** (m + 2),
+    check_workspace(2 * count**4 + 2 * count**3 + 2 * n * count**2 + 4 * n ** (m + 2),
                     f"the intertwiner Grams for n={n}, m={m}")
     shift = _multilevel_circulant(np.arange(count).reshape((n,) * m), m).T  # [I, J] = J − I
     i = np.arange(count)

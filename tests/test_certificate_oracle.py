@@ -16,13 +16,19 @@ The factor route reads the same Gram entries off ``ψ = (Φ* ⊗ 1)U`` and
 agrees with the dense family entry by entry up to rounding, also for a ``U``
 that is neither unitary nor a convolution.
 
-The engine under test reads them off the kernel ``u`` of ``U`` at one
-representative row block ``I = 0``.  Its Grams match the dense family's at
-every ``I`` once ``J`` is re-indexed to ``J − I``, for the θ kernel and for
-kernels distorted by noise, by a scaled or a vanished Fourier coefficient,
-or by a shifted phase.  Span reads only the moduli of one single-row Gram;
-their smallest diagonal and largest off-diagonal entries agree with those of
-every dense row.
+The engine under test reads them off the symbol ``λ = ω^q`` of ``U``, the
+Fourier coefficients of its kernel ``u``, at one representative row block
+``I = 0``.  Its Grams match the dense family's at every ``I`` once ``J`` is
+re-indexed to ``J − I``, for the θ symbol and for symbols distorted by the
+transform of noise on ``u``, by a scaled or a vanished coefficient, or by a
+shifted phase.  Span reads only the moduli of one single-row Gram; their
+smallest diagonal and largest off-diagonal entries agree with those of every
+dense row.
+
+The kernel route reads the same row factors off ``u`` in position space,
+through the Fourier transforms that the engine cancels; its factors and
+keyclaim Grams agree with the engine's up to rounding, and no certificate
+builds ``u`` at all.
 """
 
 import itertools
@@ -32,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.fft import fft, fftn, ifft, ifftn
 
 from puklab import constructions
 from puklab.cli import SUITE_TOL
@@ -39,6 +46,9 @@ from puklab.constructions import (
     ShiftGadget,
     TruncatedAutomorphism,
     _keyclaim_grams,
+    _row_factors,
+    _shift_eigenvectors,
+    _unitary_kernel,
     build_gadget,
     family_span_check,
     intertwiner_blocks,
@@ -50,6 +60,9 @@ from puklab.core import tensor
 CAP = 1296
 TOL = 1e-13
 ROUNDING = 1e-15  # entrywise gap allowed between the reduced and the dense Grams
+# and between the two routes' p̂, whose entries are of order one: the kernel route's
+# four transforms of N entries leave up to about 10 ulps of its largest entry
+SYMBOL_ROUNDING = 1e-14
 SWEEP = [(n, m) for n in range(2, 37) for m in range(6) if n ** (2 * (m + 1)) <= CAP]
 
 
@@ -355,20 +368,30 @@ def assert_kernel_route_matches_dense(n, m):
         assert np.max(np.abs(largest - rep.max_offdiag)) <= ROUNDING
 
 
-def distorted_kernel(distort):
-    """``_unitary_kernel`` with ``distort`` applied to the kernel it returns."""
-    exact = constructions._unitary_kernel
-    return lambda n, depth, kind="theta": distort(exact(n, depth, kind))
+def distorted_symbol(change):
+    """``_unitary_symbol`` with ``change`` applied to a copy of the symbol ``λ = ω^q`` it returns."""
+    exact = constructions._unitary_symbol
+
+    def symbol(n, depth, kind="theta"):
+        lam = exact(n, depth, kind).copy()
+        change(lam)
+        return lam
+
+    return symbol
 
 
-def in_fourier(change):
-    """A kernel distortion applying ``change`` to a copy of the Fourier coefficients ``ω^q``."""
-    def distort(u):
-        u_hat = np.fft.fftn(u)
-        change(u_hat)
-        return np.fft.ifftn(u_hat)
+def kernel_noise(seed, size):
+    """Noise on ``u``, added to ``λ`` as its ``fftn``: ``U`` stays a convolution, ``U*U ≠ 1``.
 
-    return distort
+    Scaled by ``1/√(2N)``, the noise moves each Fourier coefficient of ``u``,
+    an eigenvalue of ``U``, by about ``size``.
+    """
+    def add(lam):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(lam.shape + (2,)) @ np.array([1.0, 1j])
+        lam += np.fft.fftn(size * noise / np.sqrt(2 * lam.size))
+
+    return add
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
@@ -379,26 +402,19 @@ def test_kernel_route_matches_dense_family(n, m):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
 def test_kernel_route_matches_dense_family_for_non_unitary_u(case, seed, size):
-    # noise on u: U stays a convolution, but U*U is no longer the identity.  Scaled by
-    # 1/√(2N), it moves each Fourier coefficient of u, an eigenvalue of U, by about `size`
-    def distort(u):
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(u.shape + (2,)) @ np.array([1.0, 1j])
-        return u + size * noise / np.sqrt(2 * u.size)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_unitary_kernel", distorted_kernel(distort))
+        mp.setattr(constructions, "_unitary_symbol", distorted_symbol(kernel_noise(seed, size)))
         assert_kernel_route_matches_dense(*case)
 
 
 def test_gram_of_u_is_used():
     # one Fourier coefficient of u scaled by 1.001: U*U is 1.002 on that Fourier mode
-    def scale(u_hat):
-        u_hat.flat[3] *= 1.001
+    def scale(lam):
+        lam.flat[3] *= 1.001
 
     exact_grams = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_unitary_kernel", distorted_kernel(in_fourier(scale)))
+        mp.setattr(constructions, "_unitary_symbol", distorted_symbol(scale))
         distorted = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
         assert keyclaim_check(2, 2) > 1e-6
         assert_kernel_route_matches_dense(2, 2)
@@ -411,12 +427,68 @@ def test_keyclaim_fails_for_every_shifted_phase(n, m):
     # ω^{q(k)} → ω^{q(k)+1} at one k: U is still a unitary convolution, but not θ's
     tolerance = SUITE_TOL * float(n) ** (-(2 * m + 1))
     for k in range(n ** (m + 1)):
-        def shift_phase(u_hat, k=k):
-            u_hat.flat[k] *= np.exp(2j * np.pi / n)
+        def shift_phase(lam, k=k):
+            lam.flat[k] *= np.exp(2j * np.pi / n)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(constructions, "_unitary_kernel", distorted_kernel(in_fourier(shift_phase)))
+            mp.setattr(constructions, "_unitary_symbol", distorted_symbol(shift_phase))
             assert keyclaim_check(n, m) > tolerance, k
+
+
+# ---------------------------------------------------------------------------
+# the symbol route against the position-space kernel route it replaced
+
+
+def kernel_row_factors(n, depth):
+    """``(y, p̂)`` of :func:`_row_factors` read off the kernel ``u`` in position space."""
+    u = _unitary_kernel(n, depth)
+    neg = (-np.arange(n)) % n
+    u_0 = fft(u, axis=0)[(slice(None), *np.ix_(*[neg] * depth))]  # [t, −c_1, …, −c_depth]
+    rows = _shift_eigenvectors(n).conj()[:, :, None] * u_0.reshape(n, 1, -1)  # ψ_t[0, c]
+    y = ifft(rows.reshape(n, -1, n), axis=-1)
+    p_hat = fft(ifftn(np.abs(fftn(u)) ** 2), axis=-1)
+    return y, p_hat
+
+
+def kernel_keyclaim_grams(n, m):
+    """The Grams of :func:`_keyclaim_grams` from :func:`kernel_row_factors`, by one ``einsum``."""
+    y, p_hat = kernel_row_factors(n, m)
+    return np.einsum("tjk,k,sjk->jts", y, p_hat.reshape(-1, n)[0], y.conj()) / n**m
+
+
+def assert_symbol_route_matches_kernel_route(n, m):
+    y, p_hat = _row_factors(n, m)
+    kernel_y, kernel_p_hat = kernel_row_factors(n, m)
+    assert np.max(np.abs(y - kernel_y)) <= ROUNDING
+    assert np.max(np.abs(p_hat - kernel_p_hat)) <= SYMBOL_ROUNDING
+    assert np.max(np.abs(_keyclaim_grams(n, m) - kernel_keyclaim_grams(n, m))) <= ROUNDING
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_symbol_route_matches_kernel_route(n, m):
+    assert_symbol_route_matches_kernel_route(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_symbol_route_matches_kernel_route_for_non_unitary_symbols(case, seed, size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_unitary_symbol", distorted_symbol(kernel_noise(seed, size)))
+        assert_symbol_route_matches_kernel_route(*case)
+
+
+def test_certificates_never_build_the_position_space_kernel(monkeypatch):
+    def refuse(n, depth, kind="theta"):
+        raise AssertionError(f"the position-space kernel was built for n={n}, depth={depth}")
+
+    monkeypatch.setattr(constructions, "_unitary_kernel", refuse)
+    with pytest.raises(AssertionError, match="position-space kernel"):
+        TruncatedAutomorphism.build(build_gadget(2), 1)
+    for n, m in [(n, m) for n, m in SWEEP if n ** (m + 1) <= 27]:
+        assert keyclaim_check(n, m) <= TOL
+        assert np.max(np.abs(intertwiner_blocks(n, m)[0] - intertwiner_blocks(n, m)[1])) <= TOL
+        if m >= 1:
+            assert family_span_check(n, m).rank == n ** (2 * m)
 
 
 @pytest.mark.parametrize(

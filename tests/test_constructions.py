@@ -230,9 +230,9 @@ class TestKeyclaim:
                 m += 1
 
     def test_resource_guard(self):
-        # the first n = 2 depth whose row factors, 5·2^22 entries, exceed the budget
+        # the first n = 2 depth whose row factors and Grams, 4·2^23 entries, exceed the budget
         with pytest.raises(ResourceGuardError):
-            keyclaim_check(2, 20)
+            keyclaim_check(2, 21)
 
 
 class TestFamilySpan:
@@ -249,14 +249,14 @@ class TestFamilySpan:
 
     def test_gershgorin_fails_on_a_vanished_column(self, monkeypatch):
         # with one Fourier coefficient of u zeroed, U is singular and the family cannot span
-        exact = constructions._unitary_kernel
+        exact = constructions._unitary_symbol
 
         def coefficient_lost(n, depth, kind="theta"):
-            u_hat = np.fft.fftn(exact(n, depth, kind))
-            u_hat.flat[0] = 0.0
-            return np.fft.ifftn(u_hat)
+            lam = exact(n, depth, kind).copy()
+            lam.flat[0] = 0.0
+            return lam
 
-        monkeypatch.setattr(constructions, "_unitary_kernel", coefficient_lost)
+        monkeypatch.setattr(constructions, "_unitary_symbol", coefficient_lost)
         rep = family_span_check(2, 2)
         assert rep.count == 16 and rep.rank < rep.count
         assert rep.margin <= 1
