@@ -269,7 +269,7 @@ def minimal_projections(algebra: AlgebraBasis, seed: int) -> SpectrumReport:
     cannot change a certified eigenbasis.  Deterministic given the seed.
     Multiplicities are the dimensions of the projection ranges.  Stacking the
     projections is a stage of its own, ``(dim + 3)·D²`` entries with the
-    eigenbasis and one span residual: within the eigenbasis' ``(dim + 6)·D²``,
+    eigenbasis and one span residual: within the eigenbasis' ``(dim + 5)·D²``,
     so a refused call is refused before anything is allocated.
     """
     D = algebra.ambient_dim
@@ -334,12 +334,13 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     anything else :class:`DegenerateSampleError` with the last reason.  The
     ``k`` generators with one converted input, the sample or the eigenbasis
     with the residual's products, and the commutators of the failure path
-    take at most ``(k + 6)·D²`` entries; the joint eigenvalues and their
+    take at most ``(k + 4)·D²`` entries, plus ``D²`` for the eigenbasis
+    :func:`mixed_spectrum` already holds; the joint eigenvalues and their
     cluster comparisons take ``5k·D`` more.  A larger workspace raises
     :class:`ResourceGuardError` before any of them is built.
     """
     D, gens = shape.total_dim, list(gens)
-    entries = (len(gens) + 6) * D * D + 5 * len(gens) * D
+    entries = (len(gens) + 5) * D * D + 5 * len(gens) * D
     check_workspace(entries, f"{len(gens)} generators on C^{D}")
     mats = np.empty((len(gens), D, D), dtype=complex)
     for k, g in enumerate(gens):
@@ -351,17 +352,20 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
     slices = shape.block_slices()
 
-    def certify(vecs, clusters):
+    def certify(eigvals, vecs):
+        clusters = _split_eigenvalues(eigvals)
         starts = np.array([idx[0] for idx in clusters])
         labels = np.repeat(np.arange(len(clusters)), [len(idx) for idx in clusters])
         mu = np.empty((len(mats), D), dtype=complex)
-        vecs_conj = vecs.conj()
+        gv = np.empty((D, D), dtype=complex)
         for k, g in enumerate(mats):
-            gv = g @ vecs
-            mu[k] = np.einsum("ij,ij->j", vecs_conj, gv)
-            resid = float(np.linalg.norm(gv - vecs * mu[k])) / scales[k]
+            np.matmul(g, vecs, out=gv)
+            mu[k] = np.vecdot(vecs, gv, axis=0)
+            gv -= vecs * mu[k]
+            resid = float(np.linalg.norm(gv)) / scales[k]
             if resid > MEMBER_TOL:
                 raise _Rejected(f"generator {k} has eigen-residual {resid:.2e}")
+        del gv  # freed before the cluster comparisons
         mu /= scales[:, None]
         tuples = mu[:, starts]
         spread = float(np.max(np.abs(mu - tuples[:, labels]), initial=0.0))
@@ -382,9 +386,8 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
 
     rng = np.random.default_rng(seed)
     for _ in range(1 + MAX_RETRIES):
-        eigvals, vecs = np.linalg.eigh(_hermitian_sample(rng, mats))
         try:
-            return certify(vecs, _split_eigenvalues(eigvals))
+            return certify(*np.linalg.eigh(_hermitian_sample(rng, mats)))
         except _Rejected as exc:
             reason = str(exc)
     mats /= scales[:, None, None]
@@ -404,7 +407,14 @@ def _commutator_defect(mats: np.ndarray, rng: np.random.Generator) -> float:
     the pairwise scan.
     """
     a, b = _combination(rng, mats), _combination(rng, mats)
-    return max(float(np.max(np.abs(a @ h - h @ a), initial=0.0)) for h in (b, adjoint(b)))
+
+    def defect(h):
+        out = a @ h
+        out -= h @ a
+        return float(np.max(np.abs(out), initial=0.0))
+
+    # [a, b] first, then [a, b*] with b* the transpose of b conjugated in place
+    return max(defect(b), defect(np.conjugate(b, out=b).T))
 
 
 def _product_report(shape, left, right, mults: np.ndarray, keep: np.ndarray) -> SpectrumReport:

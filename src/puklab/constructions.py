@@ -132,7 +132,7 @@ class TruncatedAutomorphism:
     normalized trace.
     """
 
-    gadget: ShiftGadget
+    n: int
     depth: int
     kind: str
     unitary: np.ndarray
@@ -141,18 +141,17 @@ class TruncatedAutomorphism:
         self.unitary.flags.writeable = False
 
     @classmethod
-    def build(cls, gadget: ShiftGadget, depth: int, kind: str = "theta") -> "TruncatedAutomorphism":
+    def build(cls, n: int, depth: int, kind: str = "theta") -> "TruncatedAutomorphism":
         """The product of the steps ``v`` in slots ``r-1, r``, gathered from its kernel."""
-        n = gadget.n
         dim = n ** (depth + 1)
         # U, and the flat indices it is gathered by with their last step's temporary
         check_workspace(2 * dim * dim, f"a depth-{depth} unitary for n={n}")
         unitary = _multilevel_circulant(_unitary_kernel(n, depth, kind), depth + 1)
-        return cls(gadget, depth, kind, unitary)
+        return cls(n, depth, kind, unitary)
 
     @property
     def ambient_dim(self) -> int:
-        return self.gadget.n ** (self.depth + 1)
+        return self.n ** (self.depth + 1)
 
     def apply(self, x) -> np.ndarray:
         m = as_matrix(x)

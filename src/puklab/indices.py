@@ -12,7 +12,8 @@ index arithmetic on lexicographic ranks: :func:`_pair_position` decides
 from the ranks whether a pair is a sibling or a cross pair and gives its
 position in that stream in closed form.  One segment table per level,
 ``LambdaSpec._segments``, says which ranges of the sibling and cross streams
-carry which cycled values, by quadrant; value lookups, per-level value sets
+carry which cycled values, by quadrant, with each override a range of one
+position carrying its own value; value lookups, per-level value sets
 and :meth:`LambdaSpec.cell_values` (values grouped by leading words, from
 runs of consecutive positions) all read it.  The enumerators
 :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
@@ -29,7 +30,6 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -126,11 +126,11 @@ def index_count(r: int, m: int) -> int:
     return 1 << ((r + 1) * m + r * (r + 1) // 2)
 
 
-def iter_indices(r: int, m: int, cap: int = ENUMERATION_CAP):
+def iter_indices(r: int, m: int):
     """All multi-indices at ``(r, m)`` in lexicographic order (leading word slowest)."""
     total = index_count(r, m)
-    if total > cap:
-        raise CountCapError(f"{total} indices at ({r}, {m}) exceed the cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CountCapError(f"{total} indices at ({r}, {m}) exceed the cap {ENUMERATION_CAP}")
     ranges = [range(1 << (m + r - t)) for t in range(r + 1)]
     for words in itertools.product(*ranges):
         yield MultiIndex(r, m, words)
@@ -295,15 +295,6 @@ class LambdaSpec:
 
     # -- stream bookkeeping ------------------------------------------------
 
-    @cached_property
-    def _pinned(self) -> dict:
-        """Level → ascending ``(stream position, value, cell)`` of the overrides there."""
-        out: dict = {}
-        for o in self.overrides:
-            cell = (o.i.words[0], o.j.words[0])
-            out.setdefault(o.r, []).append((_pair_position(o.r, o.i, o.j)[1], o.value, cell))
-        return {r: sorted(pins) for r, pins in out.items()}
-
     def max_override_level(self) -> int:
         return max((o.r for o in self.overrides), default=-1)
 
@@ -322,14 +313,16 @@ class LambdaSpec:
         return {}
 
     def _segments(self, r: int, quadrant: str | None = None) -> tuple:
-        """The value-carrying pairs of level ``r`` as ``(quadrant, cross, lo, hi, values, base)``.
+        """The value-carrying pairs of level ``r`` as ``(cross, lo, hi, values, base, quadrant)``.
 
         Positions ``lo … hi−1`` of the sibling stream, or of the cross stream
-        when ``cross`` is set, carry ``values[(base + p) % len(values)]``; the
-        overrides sit on top of the sibling stream.  Segments come in stream
-        order, sibling stream first, and ``quadrant`` keeps only the named
-        one.  The unique level-0 pair is the sibling pair across the branches,
-        so it is ``mixed`` for every spec.
+        when ``cross`` is set, carry ``values[(base + p) % len(values)]``.
+        Each override is cut out of the sibling segment it falls in as a
+        segment of one position carrying ``[value]``, so the table is the only
+        record of which position carries which value.  Segments come in
+        stream order, sibling stream first, so the table is sorted, and
+        ``quadrant`` keeps only the named one.  The unique level-0 pair is the
+        sibling pair across the branches, so it is ``mixed`` for every spec.
         """
         if quadrant not in QUADRANT_NAMES:
             raise ValueError(f"unknown quadrant {quadrant!r}")
@@ -345,28 +338,35 @@ class LambdaSpec:
                 one = (q.both_one.sorted_values(), self._branch_offset(r) - half)
                 mixed = (q.mixed.sorted_values(), self._mixed_offset(r))
             if r == 0:
-                table = (("mixed", False, 0, 1, *mixed),)
+                table = ((False, 0, 1, *mixed, "mixed"),)
             else:
-                table = (("both_zero", False, 0, half, *zero),
-                         ("both_one", False, half, 2 * half, *one))
+                table = ((False, 0, half, *zero, "both_zero"),
+                         (False, half, 2 * half, *one, "both_one"))
                 if q is not None:
-                    table += (("mixed", True, 0, cross_pair_count(r), *mixed),)
+                    table += ((True, 0, cross_pair_count(r), *mixed, "mixed"),)
+            pins = sorted((_pair_position(r, o.i, o.j)[1], o.value)
+                          for o in self.overrides if o.r == r)
+            cut = []
+            for cross, lo, hi, values, base, name in table:
+                for p, v in [] if cross else pins:
+                    if lo <= p < hi:
+                        cut += [(cross, lo, p, values, base, name), (cross, p, p + 1, [v], 0, name)]
+                        lo = p + 1
+                cut.append((cross, lo, hi, values, base, name))
+            table = tuple(s for s in cut if s[1] < s[2])
             self._segment_tables[r] = table
-        return table if quadrant is None else tuple(s for s in table if s[0] == quadrant)
+        return table if quadrant is None else tuple(s for s in table if s[5] == quadrant)
 
     def value(self, r: int, i: MultiIndex, j: MultiIndex):
         """The value carried by the pair ``{i, j}`` at level ``r``; symmetric."""
         if i > j:
             i, j = j, i
         cross, pos = _pair_position(r, i, j)
-        if not cross:
-            pins = self._pinned.get(r, ())
-            k = bisect_left(pins, (pos,))
-            if k < len(pins) and pins[k][0] == pos:
-                return pins[k][1]
-        for _, on_cross, lo, hi, values, base in self._segments(r):
-            if on_cross == cross and lo <= pos < hi:
-                return values[(base + pos) % len(values)]
+        table = self._segments(r)
+        # the last segment with (cross, lo) ≤ (cross, pos); the first is (False, 0, …)
+        on_cross, _, hi, values, base, _ = table[bisect_left(table, (cross, pos + 1)) - 1]
+        if on_cross == cross and pos < hi:
+            return values[(base + pos) % len(values)]
         raise InvalidLambdaError(f"the level-{r} pair {i}, {j} carries no value")
 
     def level_assignments(self, r: int):
@@ -413,14 +413,13 @@ class LambdaSpec:
         mates sharing a leading word are consecutive in the sibling stream,
         and the cross pairs from ``i`` into one leading word of branch 1 are
         consecutive in the cross stream, so every cell is a union of cyclic
-        slices of the segments of :meth:`_segments`.  Override positions come
-        from the closed-form rank and are taken out of the runs they fall in.
+        slices of the segments of :meth:`_segments`, overrides among them.
         Raises :class:`ResourceGuardError` when the runs plus the ``4^{r+1}``
         possible cells exceed :data:`CELL_WORK_CAP`.
         """
         segments = self._segments(r, quadrant)
-        siblings = [s[2:] for s in segments if not s[1]]
-        crosses = [s[2:] for s in segments if s[1]]
+        siblings = [s[1:5] for s in segments if not s[0]]
+        crosses = [s[1:5] for s in segments if s[0]]
         n = index_count(r, 1)
         # a sibling run per index (two when its mates straddle a cell), and a
         # cross run per branch-0 index and branch-1 leading word
@@ -430,12 +429,8 @@ class LambdaSpec:
                 f"level {r} needs {work} stream runs and cells, over the cap {CELL_WORK_CAP}"
             )
         cells: dict = {}
-        pins = self._pinned.get(r, [])
-        _fill(cells, _sibling_runs(r), siblings, [p for p, _, _ in pins])
+        _fill(cells, _sibling_runs(r), siblings)
         _fill(cells, _cross_runs(r), crosses)
-        for p, value, cell in pins:
-            if any(lo <= p < hi for lo, hi, _, _ in siblings):
-                cells.setdefault(cell, set()).add(value)
         return cells
 
     # -- value sets without enumeration -------------------------------------
@@ -445,16 +440,11 @@ class LambdaSpec:
 
         ``quadrant`` is one of ``None`` (everything), ``"both_zero"``,
         ``"both_one"`` or ``"mixed"``.  Each segment is a contiguous range of
-        a stream, so the set is exact from residue counts: a cycled value
-        appears unless the overrides in the range cover every one of its
-        positions there.
+        a stream, so the set is the union of their cyclic slices.
         """
-        pins = self._pinned.get(r, [])
         out: set = set()
-        for _, cross, lo, hi, values, base in self._segments(r, quadrant):
-            inside = [] if cross else [(p, v) for p, v, _ in pins if lo <= p < hi]
-            out |= _run_values(values, base + lo, hi - lo, [base + p for p, _ in inside])
-            out.update(v for _, v in inside)
+        for _, lo, hi, values, base, _ in self._segments(r, quadrant):
+            out |= _cyclic_slice(values, base + lo, hi - lo)
         return NSet.from_iterable(out)
 
     def values_complete_by(self, r: int) -> bool:
@@ -464,8 +454,8 @@ class LambdaSpec:
         seen = NSet()
         for s in range(r + 1):
             seen = seen | self.value_set_at_level(s)
-        # from level 1 on every segment cycles through its whole value list
-        eventual = NSet.from_iterable(v for *_, values, _ in self._segments(1) for v in values)
+        # every level past the overrides cycles through each of these lists whole
+        eventual = NSet.from_iterable(v for s in self._segments(1) for v in s[3])
         return eventual.issubset(seen)
 
 
@@ -476,56 +466,52 @@ def _cycle(target: NSet, position: int):
 
 def _cyclic_slice(values: list, offset: int, count: int) -> set:
     """The values at positions ``offset … offset+count−1``, cycling through ``values``."""
-    if count <= 0:
-        return set()
     if count >= len(values):
         return set(values)
     start = offset % len(values)
     return {values[(start + t) % len(values)] for t in range(count)}
 
 
-def _run_values(values: list, offset: int, count: int, hidden=()) -> set:
-    """:func:`_cyclic_slice` without the positions in ``hidden`` (all inside the run).
-
-    A value survives when the run holds more of its positions than ``hidden``.
-    """
-    if not hidden:
-        return _cyclic_slice(values, offset, count)
-    n = len(values)
-    taken = Counter(p % n for p in hidden)
-
-    def occurrences(k):  # positions ≡ k (mod n) in [offset, offset + count)
-        return (offset + count - k + n - 1) // n - (offset - k + n - 1) // n
-
-    return {v for k, v in enumerate(values) if occurrences(k) > taken[k]}
-
-
-def _fill(cells: dict, runs, segments: list, positions=()):
+def _fill(cells: dict, runs, segments: list):
     """Add each run ``(lead_i, lead_j, start, count)`` of one stream to its cell.
 
-    ``segments`` are the stream's ``(lo, hi, values, base)`` in order, and the
-    runs leave out the ascending override ``positions``.  Runs outside the
-    segments are skipped, and so is a cell already holding every value.
+    ``segments`` are the stream's ``(lo, hi, values, base)`` in order; a run
+    takes the cyclic slice of each segment it overlaps, and runs outside the
+    segments are skipped.  A run inside one segment of more than one position
+    adds to its cell only values of that segment's cycled list, so the cell
+    is complete, and later such runs skipped, once it holds as many values as
+    the list.  Every override is a segment of one position: the runs that meet
+    one, or cross a segment end, gather their values beside the cells, and
+    those join their cells however the walk ends.
     """
     segments = iter(segments)
     hi = -1
-    for a, b, start, count in runs:
-        while start >= hi:
-            segment = next(segments, None)
-            if segment is None:
-                return
-            lo, hi, values, base = segment
-        if start < lo:
-            continue
-        hidden = ()
-        if positions:
-            k, l = bisect_left(positions, start), bisect_left(positions, start + count)
-            hidden = [base + p for p in positions[k:l]]
-        if count <= len(hidden):
-            continue
-        got = cells.setdefault((a, b), set())
-        if len(got) < len(values):
-            got |= _run_values(values, base + start, count, hidden)
+    beside: dict = {}
+    try:
+        for a, b, start, count in runs:
+            while start >= hi:
+                segment = next(segments, None)
+                if segment is None:
+                    return
+                lo, hi, values, base = segment
+                last = hi if hi - lo > 1 else lo  # runs ending past it go beside
+            if start < lo or not count:
+                continue
+            if start + count > last:
+                got = beside.setdefault((a, b), set())
+                while start + count > hi:
+                    got |= _cyclic_slice(values, base + start, hi - start)
+                    start, count = hi, start + count - hi
+                    lo, hi, values, base = next(segments)
+                    last = hi if hi - lo > 1 else lo
+                got |= _cyclic_slice(values, base + start, count)
+                continue
+            got = cells.setdefault((a, b), set())
+            if len(got) < len(values):
+                got |= _cyclic_slice(values, base + start, count)
+    finally:
+        for cell, extra in beside.items():
+            cells.setdefault(cell, set()).update(extra)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +528,11 @@ def _fill(cells: dict, runs, segments: list, positions=()):
 @cache
 def _low_bit_positions(r: int) -> tuple[int, ...]:
     return tuple((r - t) * (r - t + 1) // 2 for t in range(r + 1))
+
+
+@cache
+def _fiber_mask(r: int) -> int:
+    return sum(1 << p for p in _low_bit_positions(r))
 
 
 def _fiber_rank(r: int, rank: int) -> int:
@@ -576,8 +567,7 @@ def _pair_position(r: int, i: MultiIndex, j: MultiIndex) -> tuple[bool, int]:
     if i.r != r or j.r != r or i.m != 1 or j.m != 1:
         raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
     rank_i, rank_j = _lex_rank(i), _lex_rank(j)
-    fiber_mask = sum(1 << p for p in _low_bit_positions(r))
-    if rank_i < rank_j and not (rank_i ^ rank_j) & ~fiber_mask:
+    if rank_i < rank_j and not (rank_i ^ rank_j) & ~_fiber_mask(r):
         step = _fiber_rank(r, rank_j) - _fiber_rank(r, rank_i)
         return False, _pairs_before(r, rank_i) + step - 1
     half = index_count(r, 1) // 2

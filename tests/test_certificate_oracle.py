@@ -354,14 +354,13 @@ def difference_index(n, m):
 def assert_kernel_route_matches_dense(n, m):
     """Keyclaim Grams and intertwiner blocks at every row block ``I``, span extremes at every row.
     """
-    gadget = build_gadget(n)
-    same_j, same_t = dense_grams(TruncatedAutomorphism.build(gadget, m).unitary, n, m)
+    same_j, same_t = dense_grams(TruncatedAutomorphism.build(n, m).unitary, n, m)
     shift = difference_index(n, m)
     assert np.max(np.abs(_keyclaim_grams(n, m)[shift] - same_j)) <= ROUNDING
     blocks = intertwiner_blocks(n, m)
     assert np.max(np.abs(blocks[:, shift[:, :, None], shift[:, None, :]] - same_t)) <= ROUNDING
     if m >= 1:
-        least, largest = dense_row_extremes(TruncatedAutomorphism.build(gadget, m - 1).unitary,
+        least, largest = dense_row_extremes(TruncatedAutomorphism.build(n, m - 1).unitary,
                                             n, m - 1)
         rep = family_span_check(n, m)
         assert np.max(np.abs(least - rep.min_gram_diag)) <= ROUNDING
@@ -483,7 +482,7 @@ def test_certificates_never_build_the_position_space_kernel(monkeypatch):
 
     monkeypatch.setattr(constructions, "_unitary_kernel", refuse)
     with pytest.raises(AssertionError, match="position-space kernel"):
-        TruncatedAutomorphism.build(build_gadget(2), 1)
+        TruncatedAutomorphism.build(2, 1)
     for n, m in [(n, m) for n, m in SWEEP if n ** (m + 1) <= 27]:
         assert keyclaim_check(n, m) <= TOL
         assert np.max(np.abs(intertwiner_blocks(n, m)[0] - intertwiner_blocks(n, m)[1])) <= TOL

@@ -125,16 +125,14 @@ class TestTruncatedAutomorphism:
 
     @pytest.mark.parametrize("kind", ["theta", "phi"])
     def test_unitary_order(self, kind):
-        g = build_gadget(2)
-        auto = TruncatedAutomorphism.build(g, 3, kind)
+        auto = TruncatedAutomorphism.build(2, 3, kind)
         assert np.allclose(
             np.linalg.matrix_power(auto.unitary, 2), np.eye(16), atol=1e-12
         )
 
     def test_trace_preserving(self):
         rng = np.random.default_rng(0)
-        g = build_gadget(2)
-        auto = TruncatedAutomorphism.build(g, 2, "theta")
+        auto = TruncatedAutomorphism.build(2, 2, "theta")
         shape = TracedAlgebraShape.full_matrix(8)
         for _ in range(5):
             x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -146,9 +144,8 @@ class TestTruncatedAutomorphism:
         # on elements living strictly below the depth, deeper truncations agree:
         # the steps beyond an element's last slot fix it
         rng = np.random.default_rng(1)
-        g = build_gadget(2)
-        deep = TruncatedAutomorphism.build(g, 3, "theta")
-        shallow = TruncatedAutomorphism.build(g, 2, "theta")
+        deep = TruncatedAutomorphism.build(2, 3, "theta")
+        shallow = TruncatedAutomorphism.build(2, 2, "theta")
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         via_deep = deep.apply(tensor(x, np.eye(4)))
         via_shallow = tensor(shallow.apply(tensor(x, np.eye(2))), np.eye(2))
@@ -156,7 +153,7 @@ class TestTruncatedAutomorphism:
 
     def test_theta_fixes_first_slot_circulant(self):
         g = build_gadget(3)
-        auto = TruncatedAutomorphism.build(g, 2, "theta")
+        auto = TruncatedAutomorphism.build(3, 2, "theta")
         for r in range(3):
             lifted = kron_all([g.f[r], np.eye(3), np.eye(3)])
             assert np.max(np.abs(auto.apply(lifted) - lifted)) < 1e-12
@@ -170,12 +167,12 @@ class TestTruncatedAutomorphism:
             oracle = np.eye(n ** (depth + 1), dtype=complex)
             for r in range(1, depth + 1, 1 if kind == "theta" else 2):
                 oracle = oracle @ step_unitary(g, r, depth)
-            unitary = TruncatedAutomorphism.build(g, depth, kind).unitary
+            unitary = TruncatedAutomorphism.build(n, depth, kind).unitary
             assert np.max(np.abs(unitary - oracle)) <= 1e-15, depth
 
     def test_phi_skips_even_slots(self):
         g = build_gadget(2)
-        phi = TruncatedAutomorphism.build(g, 2, "phi")
+        phi = TruncatedAutomorphism.build(2, 2, "phi")
         assert np.max(np.abs(phi.unitary - step_unitary(g, 1, 2))) < 1e-12
 
 
@@ -329,7 +326,7 @@ class TestTruncatedMasaPair:
     def test_pair_is_conjugation_by_the_automorphism(self, n, k, kind):
         # the images are read from the columns of U; the oracle conjugates each unit
         a_gens, b_gens = truncated_masa_pair(n, k, kind)
-        auto = TruncatedAutomorphism.build(build_gadget(n), k - 1, kind)
+        auto = TruncatedAutomorphism.build(n, k - 1, kind)
         assert len(a_gens) == len(b_gens) == n**k
         for p, (a, b) in enumerate(zip(a_gens, b_gens)):
             assert np.array_equal(a, np.diag(np.eye(n**k)[p]))

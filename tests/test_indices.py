@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from puklab import indices
 from puklab.errors import (
     CountCapError,
     InvalidLambdaError,
@@ -58,9 +59,11 @@ class TestEnumeration:
         assert seq[0].to_bits() == ("00", "0")
         assert seq[-1].to_bits() == ("11", "1")
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the cap is read when the enumeration starts, not when it is defined
+        monkeypatch.setattr(indices, "ENUMERATION_CAP", 100)
         with pytest.raises(CountCapError):
-            list(iter_indices(3, 3, cap=100))
+            list(iter_indices(3, 3))
 
     def test_from_bits_validation(self):
         with pytest.raises(ValueError):

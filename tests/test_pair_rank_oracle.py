@@ -28,7 +28,7 @@ from puklab.invariant import QUADRANT_NAMES, CutdownOracle, eval_construction
 from puklab.nsets import INF, NSet, nset_product, union_all
 
 SIMPLE = CutdownOracle.simple()
-SIBLINGS = {r: list(iter_sibling_pairs(r)) for r in range(3)}
+SIBLINGS = {r: list(iter_sibling_pairs(r)) for r in range(4)}
 CELL_VALUES = ("1", "2", "1,3", "2,inf", "5")
 
 
@@ -104,8 +104,9 @@ nsets_st = st.builds(
 
 @st.composite
 def overrides_st(draw):
+    # level 3 has many runs per cell, so its overrides split runs mid-cell
     out = []
-    for r in range(3):
+    for r in range(4):
         pairs = SIBLINGS[r]
         # level 1 has 12 pairs: drawing up to all of them can hide the default
         picks = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=min(len(pairs), 12),
@@ -259,11 +260,37 @@ def test_level_four_override_stays_in_its_branch(base):
 
 
 def test_override_map_is_built_once():
+    # the override is a one-position segment of the memoised level-1 table
     i, j = SIBLINGS[1][3]
     spec = LambdaSpec(default=2, overrides=(Override(1, i, j, 7),))
-    assert spec._pinned is spec._pinned
-    assert spec._pinned[1] == [(3, 7, (i.words[0], j.words[0]))]
+    assert spec._segments(1) is spec._segments(1)
+    assert spec._segments(1) == (
+        (False, 0, 3, [2], 0, "both_zero"),
+        (False, 3, 4, [7], 0, "both_zero"),
+        (False, 4, 6, [2], 0, "both_zero"),
+        (False, 6, 12, [2], 0, "both_one"),
+    )
     assert spec.value(1, j, i) == 7
+
+
+@pytest.mark.parametrize("base", [{"default": 4}, {"enumeration": NSet.of(2, 3, 5)}])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_adjacent_overrides_at_the_segment_ends(base, r):
+    # the first two positions, the two on either side of the branch boundary and
+    # the last one: empty cuts between overrides and at both ends of each segment
+    half = len(SIBLINGS[r]) // 2
+    positions = (0, 1, half - 1, half, 2 * half - 1)
+    values = (10, 11, INF, 12, 4)
+    spec = LambdaSpec(overrides=tuple(Override(r, *SIBLINGS[r][p], v)
+                                      for p, v in zip(positions, values)), **base)
+    assignments = list(spec.level_assignments(r))
+    assert [assignments[p][1] for p in positions] == list(values)
+    for (i, j), v in assignments:
+        assert spec.value(r, i, j) == spec.value(r, j, i) == v
+    streamed = streamed_cells(spec, r)
+    for quadrant in QUADRANT_NAMES:
+        assert spec.value_set_at_level(r, quadrant) == streamed_value_set(spec, r, quadrant)
+        assert spec.cell_values(r, quadrant) == streamed[quadrant]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from puklab.algebra import (
 from puklab.cli import _construction_range
 from puklab.constructions import (
     TruncatedAutomorphism,
-    build_gadget,
     family_span_check,
     intertwiner_blocks,
     intertwiner_check,
@@ -135,9 +134,8 @@ def test_rotated_diagonal_masas_beyond_gns_dimension_4096(n):
 
 @pytest.mark.parametrize("n,m", SWEEP)
 def test_certificates_stay_within_declared_workspace(declared, n, m):
-    gadget = build_gadget(n)
     calls = {
-        "build": lambda: TruncatedAutomorphism.build(gadget, m),
+        "build": lambda: TruncatedAutomorphism.build(n, m),
         "keyclaim": lambda: keyclaim_check(n, m),
         "intertwiner blocks": lambda: intertwiner_blocks(n, m),
         "intertwiner check": lambda: intertwiner_check(n, m, 0, 1),
@@ -154,8 +152,7 @@ def test_certificates_stay_within_declared_workspace(declared, n, m):
 @pytest.mark.parametrize("m", [7, 8, 9])
 def test_deep_unitaries_stay_within_declared_workspace(declared, m):
     # SWEEP stops at dim = 36; these reach dim = 1024, where the gather dominates
-    gadget = build_gadget(2)
-    assert_within_declared(declared, "build", lambda: TruncatedAutomorphism.build(gadget, m))
+    assert_within_declared(declared, "build", lambda: TruncatedAutomorphism.build(2, m))
 
 
 def test_deep_keyclaim_stays_within_declared_workspace(declared):
@@ -202,6 +199,22 @@ def test_commutator_failure_path_stays_within_declared_workspace(declared, n):
     assert isinstance(raised, NotAbelianError)
 
 
+@pytest.mark.parametrize("tangled", [False, True], ids=["commuting", "not abelian"])
+def test_two_generators_stay_within_declared_workspace(declared, tangled):
+    # with k = D the 5k·D term adds 5·D² of room; with k = 2 on C^128 it adds 8 %
+    # of one D², so the sample, the eigenbasis with 128 clusters beside the left
+    # one, and the failure path's commutators must each fit the (k + 5)·D² alone
+    rng = np.random.default_rng(2)
+    shape = TracedAlgebraShape.full_matrix(128)
+    u = haar_unitary(rng, 128)
+    gens = [u @ np.diag(rng.standard_normal(128)) @ u.conj().T for _ in range(2)]
+    if tangled:
+        gens[1] = gens[1] @ haar_unitary(rng, 128)
+    raised = assert_within_declared(declared, "two generators",
+                                    lambda: mixed_spectrum(gens, gens, shape))
+    assert isinstance(raised, NotAbelianError) == tangled
+
+
 def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared):
     for n in (32, 64):
         alg = generate_algebra(rotated_masa(np.random.default_rng(n), n))
@@ -239,7 +252,7 @@ def test_generate_algebra_batches_stay_within_their_declared_counts(declared, ma
 
 
 def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
-    # 32 generators on C^32 declare 38 · 1024 + 5 · 32 · 32 entries, 704,512 bytes;
+    # 32 generators on C^32 declare 37 · 1024 + 5 · 32 · 32 entries, 688,128 bytes;
     # the budget sits below the 164 · 1024 entries of the old count
     monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 20)
     rng = np.random.default_rng(32)
@@ -261,7 +274,7 @@ def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 11)),
     ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
     ("masa pair", lambda: truncated_masa_pair(2, 9)),
-    ("build", lambda: TruncatedAutomorphism.build(build_gadget(2), 12)),
+    ("build", lambda: TruncatedAutomorphism.build(2, 12)),
 ])
 def test_refused_certificates_allocate_nothing(label, call):
     tracemalloc.start()
