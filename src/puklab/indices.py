@@ -454,8 +454,9 @@ class LambdaSpec:
         seen = NSet()
         for s in range(r + 1):
             seen = seen | self.value_set_at_level(s)
-        # every level past the overrides cycles through each of these lists whole
-        eventual = NSet.from_iterable(v for s in self._segments(1) for v in s[3])
+        # level r + 1 carries no override, and from level 1 on every segment of
+        # a level without overrides cycles through its whole value list
+        eventual = NSet.from_iterable(v for s in self._segments(r + 1) for v in s[3])
         return eventual.issubset(seen)
 
 
@@ -482,36 +483,33 @@ def _fill(cells: dict, runs, segments: list):
     is complete, and later such runs skipped, once it holds as many values as
     the list.  Every override is a segment of one position: the runs that meet
     one, or cross a segment end, gather their values beside the cells, and
-    those join their cells however the walk ends.
+    those join their cells when the walk ends.
     """
     segments = iter(segments)
     hi = -1
     beside: dict = {}
-    try:
-        for a, b, start, count in runs:
-            while start >= hi:
-                segment = next(segments, None)
-                if segment is None:
-                    return
-                lo, hi, values, base = segment
-                last = hi if hi - lo > 1 else lo  # runs ending past it go beside
-            if start < lo or not count:
-                continue
-            if start + count > last:
-                got = beside.setdefault((a, b), set())
-                while start + count > hi:
-                    got |= _cyclic_slice(values, base + start, hi - start)
-                    start, count = hi, start + count - hi
-                    lo, hi, values, base = next(segments)
-                    last = hi if hi - lo > 1 else lo
-                got |= _cyclic_slice(values, base + start, count)
-                continue
-            got = cells.setdefault((a, b), set())
-            if len(got) < len(values):
-                got |= _cyclic_slice(values, base + start, count)
-    finally:
-        for cell, extra in beside.items():
-            cells.setdefault(cell, set()).update(extra)
+    for a, b, start, count in runs:
+        while start >= hi and (segment := next(segments, None)):
+            lo, hi, values, base = segment
+            last = hi if hi - lo > 1 else lo  # runs ending past it go beside
+        if start >= hi:
+            break  # past the last segment
+        if start < lo or not count:
+            continue
+        if start + count > last:
+            got = beside.setdefault((a, b), set())
+            while start + count > hi:
+                got |= _cyclic_slice(values, base + start, hi - start)
+                start, count = hi, start + count - hi
+                lo, hi, values, base = next(segments)
+                last = hi if hi - lo > 1 else lo
+            got |= _cyclic_slice(values, base + start, count)
+            continue
+        got = cells.setdefault((a, b), set())
+        if len(got) < len(values):
+            got |= _cyclic_slice(values, base + start, count)
+    for cell, extra in beside.items():
+        cells.setdefault(cell, set()).update(extra)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,33 @@ def test_overrides_covering_a_level_hide_the_default():
     assert spec.value_set_at_level(1, "both_zero") == NSet.of(9)
 
 
+@pytest.mark.parametrize("spec", [
+    # every level-1 pair overridden to a value the enumeration already showed at level 0
+    LambdaSpec(enumeration=NSet.of(2, 3, 5),
+               overrides=tuple(Override(1, i, j, 2) for i, j in SIBLINGS[1])),
+    LambdaSpec(overrides=tuple(Override(r, i, j, 2) for r in (0, 1) for i, j in SIBLINGS[r])),
+])
+def test_overrides_covering_a_level_do_not_complete_it(spec):
+    assert spec.value_set_at_level(0) | spec.value_set_at_level(1) == NSet.of(2)
+    assert not spec.value_set_at_level(2).issubset(NSet.of(2))
+    assert not spec.values_complete_by(1)
+    assert not eval_construction(spec, SIMPLE, 1).converged
+    assert spec.values_complete_by(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=all_specs)
+def test_values_complete_by_holds_on_later_levels(spec):
+    # a complete level r: levels r + 1 … 3 carry only values seen by r
+    top = 2 if spec.quadrants is not None else 3
+    seen = NSet()
+    for r in range(top):
+        seen = seen | streamed_value_set(spec, r, None)
+        if spec.values_complete_by(r):
+            for s in range(r + 1, top + 1):
+                assert streamed_value_set(spec, s, None).issubset(seen)
+
+
 def branch_one_pair(r):
     """A level-``r`` sibling pair inside branch 1, built without streaming."""
     i = MultiIndex(r, 1, (1 << r,) + (0,) * r)
