@@ -8,23 +8,26 @@ and multi-indices are arrays of bit strings (e.g. ``["01", "1"]``).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import TracedAlgebraShape
 from .diagrams import MultiplicityDiagram
 from .errors import InvalidInputError
 from .indices import LambdaSpec, MultiIndex, Override, QuadrantRules
 from .invariant import CutdownOracle
 from .nsets import INF, NSet
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import TracedAlgebraShape
+
 
 def matrix_to_config(matrix) -> list:
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return [[[complex(v).real, complex(v).imag] for v in row] for row in matrix]
 
 
 def matrix_from_config(data) -> np.ndarray:
+    import numpy as np
     try:
         rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
     except (TypeError, IndexError) as exc:
@@ -48,6 +51,7 @@ def _weight_from_config(raw) -> Fraction:
 
 
 def shape_from_config(data) -> TracedAlgebraShape:
+    from .core import TracedAlgebraShape
     blocks = tuple(int(d) for d in data["blocks"])
     if "weights" in data:
         weights = tuple(_weight_from_config(w) for w in data["weights"])

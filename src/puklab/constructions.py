@@ -22,8 +22,9 @@ import numpy as np
 from numpy.fft import fft, ifft, ifftn
 
 from .core import as_matrix, check_workspace
-from .errors import InvalidLambdaError
-from .nsets import INF, NSet, is_valid_value, tensor_mixed, tensor_mixed_infinite
+
+# the planner lives in invariant; perfbench's TARGETS still looks it up here
+from .invariant import countable_family_plan  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,89 +365,3 @@ def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
     # the image of the unit e_p under conjugation by U is u_p u_p* for column p of U
     u = _multilevel_circulant(_unitary_kernel(n, k - 1, kind), k)
     return a_gens, [np.outer(u[:, p], u[:, p].conj()) for p in range(N)]
-
-
-# ---------------------------------------------------------------------------
-# assembling families of masas with prescribed pairwise mixed invariants
-
-
-@dataclass(frozen=True)
-class GadgetAssignment:
-    """One tensor factor of the family: a gadget handling a single pair.
-
-    The two members of ``pair`` play the conjugated roles (A and B) with
-    parameter ``n``; every other family member takes the bystander role C,
-    whose mixed invariant against either is ``{1}``.  ``n == inf`` stands for
-    the infinite tensor power of the ``n = 2`` gadget.
-    """
-
-    pair: tuple[int, int]
-    n: object  # int >= 2 or math.inf
-    roles: tuple[str, ...]
-
-    def contribution(self, a: int, b: int) -> NSet:
-        if (a, b) != self.pair and (b, a) != self.pair:
-            return NSet.of(1)
-        if self.n == INF:
-            return tensor_mixed_infinite([NSet.of(2)], tail_all_ones=False)
-        return NSet.of(self.n)
-
-
-@dataclass(frozen=True)
-class FamilyPlan:
-    """Role table realizing a symmetric target matrix of pairwise invariants."""
-
-    size: int
-    matrix: tuple[tuple[object, ...], ...]
-    assignments: tuple[GadgetAssignment, ...]
-
-    def pairwise_invariant(self, a: int, b: int) -> NSet:
-        """Symbolic mixed invariant of family members ``a`` and ``b``."""
-        if a == b:
-            return NSet.of(1)
-        return tensor_mixed(g.contribution(a, b) for g in self.assignments)
-
-    def pairwise_table(self) -> tuple[tuple[NSet, ...], ...]:
-        return tuple(
-            tuple(self.pairwise_invariant(a, b) for b in range(self.size))
-            for a in range(self.size)
-        )
-
-    def direct_sum_union(self) -> NSet:
-        """Invariant of the block-diagonal sum of the family: {1} plus all pairs."""
-        out = NSet.of(1)
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                out = out | self.pairwise_invariant(a, b)
-        return out
-
-
-def countable_family_plan(matrix) -> FamilyPlan:
-    """Plan a family of masas whose pairwise mixed invariants match ``matrix``.
-
-    ``matrix`` is a symmetric square array over positive integers and ``inf``
-    with ones on the diagonal.  Each off-diagonal entry above 1 gets its own
-    gadget; the symbolic evaluation of the plan returns exactly the singleton
-    of the requested entry for every pair.
-    """
-    rows = [tuple(row) for row in matrix]
-    k = len(rows)
-    if any(len(row) != k for row in rows):
-        raise InvalidLambdaError("matrix must be square")
-    for a in range(k):
-        if rows[a][a] != 1:
-            raise InvalidLambdaError("diagonal entries must all be 1")
-        for b in range(k):
-            if not is_valid_value(rows[a][b]):
-                raise InvalidLambdaError(f"entry ({a},{b}) is not in N ∪ {{inf}}")
-            if rows[a][b] != rows[b][a]:
-                raise InvalidLambdaError("matrix must be symmetric")
-    assignments = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            value = rows[a][b]
-            if value == 1:
-                continue
-            roles = tuple("A" if t == a else "B" if t == b else "C" for t in range(k))
-            assignments.append(GadgetAssignment((a, b), value, roles))
-    return FamilyPlan(k, tuple(rows), tuple(assignments))

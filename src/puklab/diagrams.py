@@ -13,15 +13,18 @@ staged pictures come out with ones on the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .algebra import MEMBER_TOL, ProductBlocks, SpectrumReport
-from .core import TracedAlgebraShape, as_matrix
 from .errors import NotInAlgebraError, OracleGapError
 from .indices import LambdaSpec
 from .invariant import CutdownOracle
 from .nsets import NSet, nset_product, union_all
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .algebra import SpectrumReport
+    from .core import TracedAlgebraShape
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,9 @@ def diagram_from_numeric(
     read from the factors on C^D; any positive overlap short of the block's
     multiplicity is a straddle and raises :class:`NotInAlgebraError`.
     """
+    import numpy as np
+
+    from .algebra import MEMBER_TOL, ProductBlocks
     factors = report.blocks
     if not isinstance(factors, ProductBlocks):
         raise ValueError("diagram_from_numeric needs a left-right spectrum report")
@@ -161,6 +167,10 @@ def diagram_from_numeric(
 
 
 def _checked_partition(partition, shape: TracedAlgebraShape) -> list[np.ndarray]:
+    import numpy as np
+
+    from .algebra import MEMBER_TOL
+    from .core import as_matrix
     mats = [as_matrix(p) for p in partition]
     D = shape.total_dim
     total = np.zeros((D, D), dtype=complex)

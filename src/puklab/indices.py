@@ -35,8 +35,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-import numpy as np
-
 from .errors import (
     CountCapError,
     InvalidLambdaError,
@@ -686,7 +684,7 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
     must cover the next index set exactly once (a one-byte seen map plus the
     count).  The dyadic split of each word length is one int64 array check,
     linear in the number of words.  Traces are exact rationals.  Raises :class:`CountCapError`
-    before allocating anything when the largest index set of the grid,
+    before importing numpy or allocating anything when the largest index set of the grid,
     ``(r_max, m_max)``, exceeds :data:`ENUMERATION_CAP`.
     """
     if r_max >= 0 and m_max >= 1 and index_count(r_max, m_max) > ENUMERATION_CAP:
@@ -694,6 +692,8 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
             f"{index_count(r_max, m_max)} indices at ({r_max}, {m_max}) "
             f"exceed the cap {ENUMERATION_CAP}"
         )
+
+    import numpy as np
     failures: list[str] = []
     cases = 0
 
@@ -755,6 +755,7 @@ def glue_check(r_max: int = 3, m_max: int = 3) -> GlueReport:
 
 def _rank_chunks(count: int):
     """The ranks ``0 … count−1`` as int64 arrays of at most :data:`GLUE_CHUNK`."""
+    import numpy as np
     for lo in range(0, count, GLUE_CHUNK):
         yield np.arange(lo, min(lo + GLUE_CHUNK, count), dtype=np.int64)
 
@@ -771,6 +772,7 @@ def _fiber_failures(
     parent, and the children must cover the child index set exactly once:
     every rank seen, and exactly ``child_count`` generated.
     """
+    import numpy as np
     (s, pm), (t, cm) = parent, child
     parent_count, child_count = index_count(s, pm), index_count(t, cm)
     failures = []

@@ -13,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .constructions import FamilyPlan, countable_family_plan
-from .errors import (
-    EmptyInputError,
-    InvalidInputError,
-    OracleGapError,
-)
+from .errors import EmptyInputError, InvalidInputError, InvalidLambdaError, OracleGapError
 from .indices import QUADRANT_NAMES, LambdaSpec, QuadrantRules
-from .nsets import NSet, nset_product, union_all
+from .nsets import (
+    INF,
+    NSet,
+    is_valid_value,
+    nset_product,
+    tensor_mixed,
+    tensor_mixed_infinite,
+    union_all,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,21 +170,88 @@ def choose_lambda_for_efg(e: NSet, f: NSet, g: NSet) -> LambdaSpec:
 
 
 @dataclass(frozen=True)
-class DirectSumPlan:
-    """A block-diagonal family of simple masas realizing a finite set containing 1."""
+class GadgetAssignment:
+    """One tensor factor of the family: a gadget handling a single pair.
+
+    The two members of ``pair`` play the conjugated roles (A and B) with
+    parameter ``n``; every other family member takes the bystander role C,
+    whose mixed invariant against either is ``{1}``.  ``n == inf`` stands for
+    the infinite tensor power of the ``n = 2`` gadget.
+    """
+
+    pair: tuple[int, int]
+    n: object  # int >= 2 or math.inf
+    roles: tuple[str, ...]
+
+    def contribution(self, a: int, b: int) -> NSet:
+        if (a, b) != self.pair and (b, a) != self.pair:
+            return NSet.of(1)
+        if self.n == INF:
+            return tensor_mixed_infinite([NSet.of(2)], tail_all_ones=False)
+        return NSet.of(self.n)
+
+
+@dataclass(frozen=True)
+class FamilyPlan:
+    """Role table realizing a symmetric target matrix of pairwise invariants."""
 
     size: int
     matrix: tuple[tuple[object, ...], ...]
+    assignments: tuple[GadgetAssignment, ...]
 
-    def family_plan(self) -> FamilyPlan:
-        return countable_family_plan(self.matrix)
+    def pairwise_invariant(self, a: int, b: int) -> NSet:
+        """Symbolic mixed invariant of family members ``a`` and ``b``."""
+        if a == b:
+            return NSet.of(1)
+        return tensor_mixed(g.contribution(a, b) for g in self.assignments)
+
+    def pairwise_table(self) -> tuple[tuple[NSet, ...], ...]:
+        return tuple(
+            tuple(self.pairwise_invariant(a, b) for b in range(self.size))
+            for a in range(self.size)
+        )
 
     def evaluate(self) -> NSet:
-        """{1} together with every pairwise mixed invariant of the family."""
-        return self.family_plan().direct_sum_union()
+        """Invariant of the block-diagonal sum of the family: {1} plus all pairs."""
+        out = NSet.of(1)
+        for a in range(self.size):
+            for b in range(a + 1, self.size):
+                out = out | self.pairwise_invariant(a, b)
+        return out
 
 
-def cor_plan_1_in_puk(target: NSet) -> DirectSumPlan:
+def countable_family_plan(matrix) -> FamilyPlan:
+    """Plan a family of masas whose pairwise mixed invariants match ``matrix``.
+
+    ``matrix`` is a symmetric square array over positive integers and ``inf``
+    with ones on the diagonal.  Each off-diagonal entry above 1 gets its own
+    gadget; the symbolic evaluation of the plan returns exactly the singleton
+    of the requested entry for every pair.
+    """
+    rows = [tuple(row) for row in matrix]
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise InvalidLambdaError("matrix must be square")
+    for a in range(k):
+        if rows[a][a] != 1:
+            raise InvalidLambdaError("diagonal entries must all be 1")
+        for b in range(k):
+            if not is_valid_value(rows[a][b]):
+                raise InvalidLambdaError(f"entry ({a},{b}) is not in N ∪ {{inf}}")
+            if rows[a][b] != rows[b][a]:
+                raise InvalidLambdaError("matrix must be symmetric")
+    assignments = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            value = rows[a][b]
+            if value == 1:
+                continue
+            roles = tuple("A" if t == a else "B" if t == b else "C" for t in range(k))
+            assignments.append(GadgetAssignment((a, b), value, roles))
+    return FamilyPlan(k, tuple(rows), tuple(assignments))
+
+
+def cor_plan_1_in_puk(target: NSet) -> FamilyPlan:
     """Plan the smallest block-diagonal family whose invariant is ``target``.
 
     Requires ``1 ∈ target``.  The family size is the least ``k`` with enough
@@ -190,9 +260,7 @@ def cor_plan_1_in_puk(target: NSet) -> DirectSumPlan:
     if 1 not in target:
         raise InvalidInputError("the direct-sum route only reaches sets containing 1")
     values = [v for v in target.sorted_values() if v != 1]
-    if not values:
-        return DirectSumPlan(1, ((1,),))
-    k = 2
+    k = 1
     while comb(k, 2) < len(values):
         k += 1
     grid = [[1] * k for _ in range(k)]
@@ -202,4 +270,4 @@ def cor_plan_1_in_puk(target: NSet) -> DirectSumPlan:
             if position < len(values):
                 grid[a][b] = grid[b][a] = values[position]
                 position += 1
-    return DirectSumPlan(k, tuple(tuple(row) for row in grid))
+    return countable_family_plan(grid)

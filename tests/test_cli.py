@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from puklab import cli
+from puklab import cli, constructions
 from puklab import config as cfg
 from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
@@ -236,7 +236,7 @@ class TestRelativeTolerance:
 
     def test_keyclaim(self, monkeypatch, capsys):
         # within the tolerance 5e-11 of n=2, m=0; over the 1.25e-11 of n=2, m=1
-        monkeypatch.setattr(cli, "keyclaim_check", lambda n, m: 5e-11)
+        monkeypatch.setattr(constructions, "keyclaim_check", lambda n, m: 5e-11)
         assert main(["verify", "--suite", "keyclaim", "--max-dim", "16"]) == 1
         assert "suite keyclaim: FAIL" in capsys.readouterr().out
 
@@ -245,7 +245,7 @@ class TestRelativeTolerance:
             # the smallest Gram diagonal is n^{-2m}, 0.25 at n=2, m=1
             return replace(family_span_check(n, m), max_offdiag=5e-11)
 
-        monkeypatch.setattr(cli, "family_span_check", noisy)
+        monkeypatch.setattr(constructions, "family_span_check", noisy)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         assert "suite span: FAIL" in capsys.readouterr().out
 
@@ -255,7 +255,7 @@ class TestRelativeTolerance:
             rep = family_span_check(n, m)
             return replace(rep, rank=rep.count - n**m, margin=0.5)
 
-        monkeypatch.setattr(cli, "family_span_check", uncertified)
+        monkeypatch.setattr(constructions, "family_span_check", uncertified)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         out = capsys.readouterr().out
         assert "span n=2 m=1: 4 elements, rank 2," in out
@@ -267,7 +267,7 @@ class TestRelativeTolerance:
             blocks[0] += 5e-11
             return blocks
 
-        monkeypatch.setattr(cli, "intertwiner_blocks", noisy)
+        monkeypatch.setattr(constructions, "intertwiner_blocks", noisy)
         assert main(["verify", "--suite", "intertwiner", "--max-dim", "16"]) == 1
         out = capsys.readouterr().out
         assert "intertwiner n=2 m=0: max defect 5.000e-11" in out

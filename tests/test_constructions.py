@@ -377,7 +377,7 @@ class TestFamilyPlan:
 
     def test_direct_sum_union(self):
         plan = countable_family_plan([[1, 4, 1], [4, 1, 7], [1, 7, 1]])
-        assert plan.direct_sum_union() == NSet.of(1, 4, 7)
+        assert plan.evaluate() == NSet.of(1, 4, 7)
 
     def test_validation(self):
         with pytest.raises(InvalidLambdaError):

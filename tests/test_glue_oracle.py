@@ -8,6 +8,7 @@ injected faults in those helpers must show up as failures.
 """
 
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -210,7 +211,7 @@ def test_miscounted_dyadic_split_fails(monkeypatch):
             counts[0] -= 1
             return counts
 
-    monkeypatch.setattr(indices, "np", FirstWordHitOnce())
+    monkeypatch.setitem(sys.modules, "numpy", FirstWordHitOnce())
     report = glue_check(0, 3)
     assert report.failures == (
         "dyadic split of 0 is not its two extensions",
@@ -239,7 +240,7 @@ def test_long_final_length_is_linear_in_words():
 @pytest.mark.parametrize("r_max, m_max", [(4, 3), (3, 5), (2, 7), (6, 1), (0, 23)])
 def test_guard_raises_before_allocating(monkeypatch, r_max, m_max):
     assert index_count(r_max, m_max) > ENUMERATION_CAP
-    monkeypatch.setattr(indices, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(CountCapError):
         glue_check(r_max, m_max)
 
