@@ -100,7 +100,9 @@ def generate_algebra(generators) -> AlgebraBasis:
     multipliers, an orthonormal basis of the span of the unit, the scaled
     generators and their adjoints (cut as in :func:`orthonormalize_span`), seed
     the span; the spectral projections of each ``g + g*`` and ``i(g − g*)`` not
-    within ``SPAN_RTOL`` of zero follow.  Rounds then multiply the newest
+    within ``SPAN_RTOL`` of zero follow, with clusters split only at gaps above
+    ``eps·‖g‖/SPAN_RTOL``, so that the rounding of ``g`` moves no projection by
+    more than the span cut keeps.  Rounds then multiply the newest
     elements by every multiplier until one adds nothing or the span is
     ``M_D``.  Products have norm at most 1, so one absolute cut, ``SPAN_RTOL``,
     decides each later direction.  Each batch of ``r`` candidates
@@ -119,12 +121,17 @@ def generate_algebra(generators) -> AlgebraBasis:
     declare(1, 2 * k + 1)
     scaled = [g / np.max(np.abs(g)) for g in gens if np.any(g)]
     mult = basis = orthonormalize_span([*scaled, *map(adjoint, scaled), np.eye(D)])
-    for part in (h for g in scaled for h in (g + adjoint(g), 1j * (g - adjoint(g)))):
-        if len(basis) < D * D and np.linalg.norm(part) > SPAN_RTOL:
-            declare(len(basis), D)
-            eigvals, vecs = np.linalg.eigh(part)
-            seeds = [vecs[:, idx] @ vecs[:, idx].conj().T for idx in _split_eigenvalues(eigvals)]
-            basis = np.concatenate([basis, _extend_span(basis, np.stack(seeds), 1.0)])
+    for g in scaled:
+        # rounding of about eps·‖g‖ moves a cluster's projection by about that over the
+        # cluster's gap (Davis–Kahan): below this gap the move would pass the span cut
+        floor = np.finfo(float).eps * np.linalg.norm(g) / SPAN_RTOL
+        for part in (g + adjoint(g), 1j * (g - adjoint(g))):
+            if len(basis) < D * D and np.linalg.norm(part) > SPAN_RTOL:
+                declare(len(basis), D)
+                eigvals, vecs = np.linalg.eigh(part)
+                clusters = _split_eigenvalues(eigvals, floor)
+                seeds = [vecs[:, idx] @ vecs[:, idx].conj().T for idx in clusters]
+                basis = np.concatenate([basis, _extend_span(basis, np.stack(seeds), 1.0)])
     done = 0
     while done < len(basis) < D * D:
         frontier, done = basis[done:], len(basis)
@@ -304,15 +311,15 @@ def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
     return sample + adjoint(sample)
 
 
-def _split_eigenvalues(eigvals: np.ndarray) -> list[np.ndarray]:
-    """Indices of eigenvalue clusters, split at relative gaps above EIG_GAP_RTOL."""
+def _split_eigenvalues(eigvals: np.ndarray, floor: float = 0.0) -> list[np.ndarray]:
+    """Indices of eigenvalue clusters, split at gaps above ``EIG_GAP_RTOL·spread`` and ``floor``."""
     scale = max(1.0, float(np.max(np.abs(eigvals))))
     spread = float(eigvals[-1] - eigvals[0])
-    if spread <= 1e-12 * scale:
+    if spread <= max(1e-12 * scale, floor):
         # the whole spectrum is one atom; any spread is rounding noise
         return [np.arange(len(eigvals))]
     gaps = np.diff(eigvals)
-    boundaries = np.flatnonzero(gaps > EIG_GAP_RTOL * spread)
+    boundaries = np.flatnonzero(gaps > max(EIG_GAP_RTOL * spread, floor))
     return np.split(np.arange(len(eigvals)), boundaries + 1)
 
 
@@ -332,12 +339,15 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     retries run out, generators that fail :func:`_commutator_defect` (with
     each other or with their adjoints) raise :class:`NotAbelianError`,
     anything else :class:`DegenerateSampleError` with the last reason.  The
-    ``k`` generators with one converted input, the sample or the eigenbasis
-    with the residual's products, and the commutators of the failure path
-    take at most ``(k + 4)·D²`` entries, plus ``D²`` for the eigenbasis
-    :func:`mixed_spectrum` already holds; the joint eigenvalues and their
-    cluster comparisons take ``5k·D`` more.  A larger workspace raises
-    :class:`ResourceGuardError` before any of them is built.
+    ``k`` generators with one converted input take ``(k + 1)·D²`` entries;
+    beside them the sample, or the eigenbasis with the residual's products,
+    or the eigenbasis with the cluster comparisons (the gaps, one row's
+    differences and their moduli: up to ``2·D²`` when every eigenvalue is
+    its own cluster, formed once the residual's products are freed), or the
+    commutators of the failure path take at most ``3·D²``.  That is
+    ``(k + 4)·D²``, plus ``D²`` for the eigenbasis :func:`mixed_spectrum`
+    already holds; the joint eigenvalues take ``5k·D`` more.  A larger
+    workspace raises :class:`ResourceGuardError` before any of them is built.
     """
     D, gens = shape.total_dim, list(gens)
     entries = (len(gens) + 5) * D * D + 5 * len(gens) * D

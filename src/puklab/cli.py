@@ -177,11 +177,21 @@ def _run_span(max_dim: int) -> bool:
 
 
 def _run_intertwiner(max_dim: int) -> bool:
+    import numpy as np
+
     from .constructions import intertwiner_blocks
+    from .core import check_workspace
     ok = True
     for n, m in _construction_range(max_dim):
         blocks = intertwiner_blocks(n, m)
-        worst = max(float(abs(blocks[r + 1:] - blocks[r]).max()) for r in range(n - 1))
+        # the n blocks; for the n(n−1)/2 pairs r < s their indices, blocks[r] and blocks[s]
+        check_workspace(n * n * blocks[0].size + n * (n - 1) // 2,
+                        f"the intertwiner comparisons for n={n}, m={m}")
+        r, s = np.triu_indices(n, 1)
+        defects = blocks[r]
+        defects -= blocks[s]
+        worst = float(np.abs(defects).max())
+        del blocks, defects  # freed before the next case's blocks
         tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
         ok = ok and worst <= tol
         print(f"intertwiner n={n} m={m}: max defect {worst:.3e}, {_tolerance_note(worst, tol)}")

@@ -162,7 +162,7 @@ class TruncatedAutomorphism:
 
 
 def _row_factors(n: int, depth: int):
-    """The factors ``(y, p̂)`` that every certificate reads its Gram entries from.
+    """The factors ``(y, p̂)`` of every certificate's Gram entries.
 
     Let ``U`` be the depth-``depth`` θ unitary with kernel ``u = ifftn(λ)``
     and symbol ``λ`` (:func:`_unitary_symbol`), ``N = n^{depth+1}``, and
@@ -210,18 +210,26 @@ def _row_factors(n: int, depth: int):
     return ifft(rows.reshape(n, -1, n), axis=-1), p_hat
 
 
-def _keyclaim_grams(n: int, m: int) -> np.ndarray:
-    """``⟨X_{I,t,J}, X_{I,s,J}⟩`` at ``I = 0`` as ``[J, t, s]``; any ``I`` reads it at ``J − I``.
+def _keyclaim_gram(n: int, m: int) -> np.ndarray:
+    """``H[c′, t, s]`` for ``m ≥ 1``, with ``G[(c₀, c′), t, s] = ω^{(s−t)c₀}·H[c′, t, s]``.
 
-    The ``n`` rows ``(0, k)`` of row block ``0`` each contribute ``R`` of
-    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``:
-    one ``n × n`` product ``(y_J·p̂_0) y_J*`` per ``J``.
+    The keyclaim Gram ``G[J, t, s] = ⟨X_{0,t,J}, X_{0,s,J}⟩`` is
+    ``n·R[(t, J), (s, J)] / n^{m+1}`` by :func:`_row_factors`, which reads ``p̂``
+    at ``J − J = 0`` only: an inverse DFT read at 0 is a mean, so ``p̂₀`` is the
+    mean of ``|λ|²`` over slots ``0 … m−1``.  With ``J = (c₀, c′)`` the rows are
+    ``y[t, J] = conj(φ_t[c₀])·w[t, c′] / n^m`` for ``w = fft(λ)`` over slots
+    ``1 … m−1`` (the last slot's ``fft`` and ``ifft`` cancel), for any symbol;
+    ``conj(φ_t[c₀])·φ_s[c₀] = ω^{(s−t)c₀}/n`` then leaves
+    ``H = Σ_κ p̂₀[κ]·w[t, c′, κ]·conj(w[s, c′, κ]) / n^{3m+1}``, ``N`` entries.
     """
-    y, p_hat = _row_factors(n, m)
-    by_j = y.transpose(1, 0, 2)  # [J, t, κ]
-    weighted = by_j * (p_hat.reshape(-1, n)[0] / n**m)
-    # y is this call's own, so it is conjugated in place: no third copy of the rows
-    return weighted @ np.conjugate(by_j, out=by_j).transpose(0, 2, 1)
+    w = _unitary_symbol(n, m)
+    p_hat_0 = (np.abs(w.reshape(-1, n)) ** 2).mean(axis=0) / float(n) ** (3 * m + 1)
+    for axis in range(1, m):
+        w = fft(w, axis=axis)
+    by_c = w.reshape(n, -1, n).transpose(1, 0, 2)  # [c′, t, κ]
+    weighted = by_c * p_hat_0
+    # w is this call's own, so it is conjugated in place: no third copy of the rows
+    return weighted @ np.conjugate(by_c, out=by_c).transpose(0, 2, 1)
 
 
 def keyclaim_check(n: int, m: int) -> float:
@@ -233,14 +241,21 @@ def keyclaim_check(n: int, m: int) -> float:
     spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
     product unitary.  Since ``e_I`` and ``θ(e_J)`` are projections, that is
     the Gram entry of the family members at ``(I, r, J)`` and ``(I, s, J)``,
-    which depends only on ``J − I`` (:func:`_keyclaim_grams`).
+    which depends only on ``J − I``.  The phase of :func:`_keyclaim_gram` has
+    modulus 1 and is 1 where ``r = s``, so ``H`` alone gives the deviation.
+    At ``m = 0`` the rows are ``y[t, κ] = λ_t·δ_{tκ}/√n`` and the Gram is
+    ``diag(|λ_t|⁴)/n``, with no off-diagonal entry to read.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    # the row factors y and p̂, the weighted rows and the Grams
-    check_workspace(4 * n ** (m + 2), f"the keyclaim Grams for n={n}, m={m}")
-    deviation = _keyclaim_grams(n, m)
-    deviation -= float(n) ** (-(2 * m + 1)) * np.eye(n)
+    # the symbol with q and q mod n; then w with one FFT temporary; then w, its
+    # weighted copy and H; then H and its moduli: at most 3N at any one time
+    check_workspace(3 * n ** (m + 1), f"the keyclaim Gram for n={n}, m={m}")
+    if m == 0:
+        return float(np.max(np.abs(np.abs(_unitary_symbol(n, 0)) ** 4 - 1.0))) / n
+    deviation = _keyclaim_gram(n, m)
+    t = np.arange(n)
+    deviation[:, t, t] -= float(n) ** (-(2 * m + 1))
     return float(np.max(np.abs(deviation)))
 
 

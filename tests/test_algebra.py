@@ -127,6 +127,19 @@ class TestGenerateAlgebra:
             # abelian, with D rank-one minimal projections
             assert minimal_projections(alg, seed=0).multiset == (1,) * D
 
+    @pytest.mark.parametrize("D", [3, 8, 16])
+    @pytest.mark.parametrize("theta", [5e-10, 3e-8, 3e-7])
+    def test_normal_generator_with_a_tiny_phase(self, D, theta):
+        # e^{iθ}h is normal, so it generates the masa of h; its skew part i(g − g*) is
+        # about θ, where the rounding of g split its spectrum into projections that
+        # missed the algebra by more than the span cut, and the span grew towards M_D
+        rng = np.random.default_rng(D)
+        q, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+        h = q @ np.diag(np.arange(1.0, D + 1)) @ q.conj().T
+        alg = generate_algebra([np.exp(1j * theta) * h])
+        assert alg.dim == D
+        assert minimal_projections(alg, seed=0).multiset == (1,) * D
+
     @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
     def test_scale_free(self, c):
         rng = np.random.default_rng(6)

@@ -25,6 +25,12 @@ shifted phase.  Span reads only the moduli of one single-row Gram; their
 smallest diagonal and largest off-diagonal entries agree with those of every
 dense row.
 
+The row-factor Grams ``G[J, t, s]`` (``n·N`` entries) are the oracle for
+the keyclaim, which reads only ``H[c′, t, s]`` (``N`` entries) with the
+first slot ``c₀`` of ``J = (c₀, c′)`` factored out: ``G = ω^{(s−t)c₀}·H``
+holds entry by entry, and at depth 0 ``G = diag(|λ_t|⁴)/n``, for the θ
+symbol and for distorted ones, and the deviations agree up to rounding.
+
 The kernel route reads the same row factors off ``u`` in position space,
 through the Fourier transforms that the engine cancels; its factors and
 keyclaim Grams agree with the engine's up to rounding, and no certificate
@@ -45,7 +51,7 @@ from puklab.cli import SUITE_TOL
 from puklab.constructions import (
     ShiftGadget,
     TruncatedAutomorphism,
-    _keyclaim_grams,
+    _keyclaim_gram,
     _row_factors,
     _shift_eigenvectors,
     _unitary_kernel,
@@ -356,7 +362,7 @@ def assert_kernel_route_matches_dense(n, m):
     """
     same_j, same_t = dense_grams(TruncatedAutomorphism.build(n, m).unitary, n, m)
     shift = difference_index(n, m)
-    assert np.max(np.abs(_keyclaim_grams(n, m)[shift] - same_j)) <= ROUNDING
+    assert np.max(np.abs(keyclaim_grams(n, m)[shift] - same_j)) <= ROUNDING
     blocks = intertwiner_blocks(n, m)
     assert np.max(np.abs(blocks[:, shift[:, :, None], shift[:, None, :]] - same_t)) <= ROUNDING
     if m >= 1:
@@ -411,14 +417,27 @@ def test_gram_of_u_is_used():
     def scale(lam):
         lam.flat[3] *= 1.001
 
-    exact_grams = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
+    exact_grams = keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constructions, "_unitary_symbol", distorted_symbol(scale))
-        distorted = _keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
+        distorted = keyclaim_grams(2, 2), intertwiner_blocks(2, 2)
         assert keyclaim_check(2, 2) > 1e-6
         assert_kernel_route_matches_dense(2, 2)
     for got, exact in zip(distorted, exact_grams):
         assert np.max(np.abs(got - exact)) > 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_keyclaim_fails_for_every_scaled_modulus_at_depth_zero(n):
+    # |λ_t| → 1.001·|λ_t| at one t: the Gram's diagonal entry |λ_t|⁴/n moves by 0.4 %
+    tolerance = SUITE_TOL / n
+    for t in range(n):
+        def scale(lam, t=t):
+            lam[t] *= 1.001
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_unitary_symbol", distorted_symbol(scale))
+            assert keyclaim_check(n, 0) > tolerance, t
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (2, 3)])
@@ -432,6 +451,53 @@ def test_keyclaim_fails_for_every_shifted_phase(n, m):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(constructions, "_unitary_symbol", distorted_symbol(shift_phase))
             assert keyclaim_check(n, m) > tolerance, k
+
+
+# ---------------------------------------------------------------------------
+# the keyclaim's first-slot-free Gram against the Grams of the row factors
+
+
+def keyclaim_grams(n, m):
+    """``⟨X_{I,t,J}, X_{I,s,J}⟩`` at ``I = 0`` as ``[J, t, s]``; any ``I`` reads it at ``J − I``.
+
+    The ``n`` rows ``(0, k)`` of row block ``0`` each contribute ``R`` of
+    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``:
+    one ``n × n`` product ``(y_J·p̂_0) y_J*`` per ``J``, ``n·N`` entries in all.
+    """
+    y, p_hat = _row_factors(n, m)
+    by_j = y.transpose(1, 0, 2)  # [J, t, κ]
+    weighted = by_j * (p_hat.reshape(-1, n)[0] / n**m)
+    return weighted @ by_j.conj().transpose(0, 2, 1)
+
+
+def first_slot_phases(n):
+    """``[c₀, t, s] = ω^{(s−t)c₀}``, reduced mod ``n`` before the exponential."""
+    a = np.arange(n)
+    return np.exp(2j * np.pi * ((a[:, None, None] * (a[None, None, :] - a[None, :, None])) % n) / n)
+
+
+def assert_keyclaim_reads_the_first_slot_free_gram(n, m):
+    grams = keyclaim_grams(n, m)
+    if m == 0:
+        want = np.diag(np.abs(constructions._unitary_symbol(n, 0)) ** 4 / n)[None]
+    else:
+        want = (first_slot_phases(n)[:, None] * _keyclaim_gram(n, m)[None]).reshape(grams.shape)
+    assert np.max(np.abs(grams - want)) <= ROUNDING
+    deviation = float(np.max(np.abs(grams - float(n) ** (-(2 * m + 1)) * np.eye(n))))
+    assert abs(keyclaim_check(n, m) - deviation) <= ROUNDING
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_keyclaim_reads_the_first_slot_free_gram(n, m):
+    assert_keyclaim_reads_the_first_slot_free_gram(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_keyclaim_reads_the_first_slot_free_gram_for_non_unitary_symbols(case, seed, size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_unitary_symbol", distorted_symbol(kernel_noise(seed, size)))
+        assert_keyclaim_reads_the_first_slot_free_gram(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +516,7 @@ def kernel_row_factors(n, depth):
 
 
 def kernel_keyclaim_grams(n, m):
-    """The Grams of :func:`_keyclaim_grams` from :func:`kernel_row_factors`, by one ``einsum``."""
+    """The Grams of :func:`keyclaim_grams` from :func:`kernel_row_factors`, by one ``einsum``."""
     y, p_hat = kernel_row_factors(n, m)
     return np.einsum("tjk,k,sjk->jts", y, p_hat.reshape(-1, n)[0], y.conj()) / n**m
 
@@ -460,7 +526,7 @@ def assert_symbol_route_matches_kernel_route(n, m):
     kernel_y, kernel_p_hat = kernel_row_factors(n, m)
     assert np.max(np.abs(y - kernel_y)) <= ROUNDING
     assert np.max(np.abs(p_hat - kernel_p_hat)) <= SYMBOL_ROUNDING
-    assert np.max(np.abs(_keyclaim_grams(n, m) - kernel_keyclaim_grams(n, m))) <= ROUNDING
+    assert np.max(np.abs(keyclaim_grams(n, m) - kernel_keyclaim_grams(n, m))) <= ROUNDING
 
 
 @pytest.mark.parametrize("n,m", SWEEP)

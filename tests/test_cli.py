@@ -209,6 +209,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "keyclaim n=2 m=0" in out
         assert "suite keyclaim: PASS" in out
+        # at m = 0 the θ symbol is exactly 1, so the Gram diag(|λ_t|⁴)/n is exactly δ/n
+        depth_zero = [ln for ln in out.splitlines() if ln.startswith("keyclaim") and " m=0:" in ln]
+        assert len(depth_zero) == 15
+        assert all("max deviation 0.000e+00" in ln and ln.endswith("margin inf")
+                   for ln in depth_zero)
 
     def test_span_suite_small(self, capsys):
         assert main(["verify", "--suite", "span", "--max-dim", "256"]) == 0

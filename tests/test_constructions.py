@@ -227,9 +227,9 @@ class TestKeyclaim:
                 m += 1
 
     def test_resource_guard(self):
-        # the first n = 2 depth whose row factors and Grams, 4·2^23 entries, exceed the budget
+        # the first n = 2 depth whose three N-entry arrays, 3·2^23 entries, exceed the budget
         with pytest.raises(ResourceGuardError):
-            keyclaim_check(2, 21)
+            keyclaim_check(2, 22)
 
 
 class TestFamilySpan:

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from puklab import algebra, constructions, core
+from puklab import algebra, cli, constructions, core
 from puklab.algebra import (
     AlgebraBasis,
     commutant,
@@ -73,7 +73,8 @@ def declared(monkeypatch):
         stages.append([entries, 0])
         check_workspace(entries, what)
 
-    for module in (algebra, constructions):
+    # the CLI's runners import it from core when they run
+    for module in (algebra, constructions, core):
         monkeypatch.setattr(module, "check_workspace", recording)
     return stages
 
@@ -164,6 +165,13 @@ def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
     assert_within_declared(declared, "span", lambda: family_span_check(2, 8))
 
 
+def test_intertwiner_comparisons_stay_within_declared_workspace(declared):
+    # n = 128 at m = 0 compares 8,128 pairs at once: the pairs' indices and both gathered
+    # stacks come to 3·8,128 entries beside the 128 blocks, over the slack on their own
+    assert_within_declared(declared, "intertwiner suite", lambda: cli._run_intertwiner(16384))
+    assert 128 * 128 + 128 * 127 // 2 in [entries for entries, _ in declared]
+
+
 @pytest.mark.parametrize("label,call", [
     ("keyclaim", lambda: keyclaim_check(2, 12)),
     ("span", lambda: family_span_check(2, 10)),
@@ -213,6 +221,18 @@ def test_two_generators_stay_within_declared_workspace(declared, tangled):
     raised = assert_within_declared(declared, "two generators",
                                     lambda: mixed_spectrum(gens, gens, shape))
     assert isinstance(raised, NotAbelianError) == tangled
+
+
+def test_one_generator_of_distinct_eigenvalues_stays_within_declared_workspace(declared):
+    # 256 clusters of one eigenvalue each: the cluster comparisons take 2·D², beside the
+    # generator, the eigenbasis and the left eigenbasis mixed_spectrum holds
+    rng = np.random.default_rng(256)
+    u = haar_unitary(rng, 256)
+    gen = (u * np.arange(1.0, 257.0)) @ u.conj().T
+    shape = TracedAlgebraShape.full_matrix(256)
+    raised = assert_within_declared(declared, "distinct eigenvalues",
+                                    lambda: mixed_spectrum([gen], [gen], shape))
+    assert raised is None and len(declared) == 2
 
 
 def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared):
@@ -267,9 +287,9 @@ def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
 
 
 @pytest.mark.parametrize("label,call", [
-    # the first sizes past the budget: 4·2^23 row entries for keyclaim, the 4096² row
+    # the first sizes past the budget: 3·2^23 entries for keyclaim, the 4096² row
     # Gram and its moduli for span, the 2·2048² blocks and gathered p̂ for the intertwiner
-    ("keyclaim", lambda: keyclaim_check(2, 21)),
+    ("keyclaim", lambda: keyclaim_check(2, 22)),
     ("span", lambda: family_span_check(2, 12)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 11)),
     ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
