@@ -340,8 +340,10 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     each other or with their adjoints) raise :class:`NotAbelianError`,
     anything else :class:`DegenerateSampleError` with the last reason.  The
     ``k`` generators with one converted input take ``(k + 1)·D²`` entries;
-    beside them the sample, or the eigenbasis with the residual's products,
-    or the eigenbasis with the cluster comparisons (the gaps, one row's
+    the converted input is freed before the sample, which leaves that ``D²``
+    to numpy's ufunc buffer (up to 128 KiB) at the residual.  Beside them
+    the sample, or the eigenbasis with the residual's products, or the
+    eigenbasis with the cluster comparisons (the gaps, one row's
     differences and their moduli: up to ``2·D²`` when every eigenvalue is
     its own cluster, formed once the residual's products are freed), or the
     commutators of the failure path take at most ``3·D²``.  That is
@@ -357,6 +359,7 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
         g = as_matrix(g)
         shape.check_member(g)
         mats[k] = g
+        del g  # a real generator's complex copy: not held beside the eigenbases
     # Frobenius norms summed over the real view, with no k·D² temporary
     parts = mats.view(float).reshape(len(gens), 2 * D * D)
     scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))

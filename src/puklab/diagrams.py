@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import NotInAlgebraError, OracleGapError
-from .indices import LambdaSpec
+from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
+from .indices import CELL_WORK_CAP, LambdaSpec
 from .invariant import CutdownOracle
 from .nsets import NSet, nset_product, union_all
 
@@ -90,11 +90,16 @@ def diagram_from_construction(
     of every pair (at any level up to ``r``) whose pair of leading indices is
     a prefix pair of the cell's labels, multiplied by the oracle entry at the
     cell; the diagonal shows the oracle and carries the marker.  The values
-    come per leading cell from :meth:`LambdaSpec.cell_values`, whose guard
-    bounds the work at each level.
+    come per leading cell from :meth:`LambdaSpec.cell_values`; its guard,
+    :data:`CELL_WORK_CAP`, bounds the cells and runs walked at each level,
+    and the grid's ``4^{r+1}`` cells before any walk.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
+    if 4 ** (r + 1) > CELL_WORK_CAP:
+        raise ResourceGuardError(
+            f"a level-{r} grid has {4 ** (r + 1)} cells, over the cap {CELL_WORK_CAP}"
+        )
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
     buckets: dict[tuple[int, int, int], set] = {}  # (level, lead_i, lead_j) -> values

@@ -14,8 +14,8 @@ position in that stream in closed form.  One segment table per level,
 ``LambdaSpec._segments``, says which ranges of the sibling and cross streams
 carry which cycled values, by quadrant, with each override a range of one
 position carrying its own value; value lookups, per-level value sets
-and :meth:`LambdaSpec.cell_values` (values grouped by leading words, from
-runs of consecutive positions) all read it.  The enumerators
+and :meth:`LambdaSpec.cell_values` (values grouped by leading words, walked
+cell by cell over runs of consecutive positions) all read it.  The enumerators
 :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
 :meth:`LambdaSpec.level_assignments` stay as the independent reference.
 
@@ -46,7 +46,8 @@ from .nsets import NSet, is_valid_value
 # Enumerations larger than this raise instead of looping for minutes.
 ENUMERATION_CAP = 1 << 22
 
-# Bound on the stream runs plus leading cells one ``cell_values`` call builds.
+# Bound on the leading cells plus the stream runs one ``cell_values`` call walks,
+# and on the cells of one rendered grid.
 CELL_WORK_CAP = 1 << 20
 
 # Ranks per int64 array in ``glue_check``; bounds its working set.
@@ -407,28 +408,42 @@ class LambdaSpec:
 
         Keys are ``(i.words[0], j.words[0])`` over the value-carrying pairs
         ``i < j``, optionally of one quadrant; each maps to the set of values
-        those pairs carry.  No pair is enumerated.  For a fixed ``i`` the
-        mates sharing a leading word are consecutive in the sibling stream,
-        and the cross pairs from ``i`` into one leading word of branch 1 are
-        consecutive in the cross stream, so every cell is a union of cyclic
-        slices of the segments of :meth:`_segments`, overrides among them.
-        Raises :class:`ResourceGuardError` when the runs plus the ``4^{r+1}``
-        possible cells exceed :data:`CELL_WORK_CAP`.
+        those pairs carry.  No pair is enumerated: a cell's pairs are runs of
+        stream positions (:func:`_leading_cells`), each carrying the cyclic
+        slices of the segments of :meth:`_segments` it meets, walked until the
+        cell holds every value of the segments its span meets.  Raises
+        :class:`ResourceGuardError` when the cells, counted before any walk,
+        or the cells plus the runs walked exceed :data:`CELL_WORK_CAP`.
         """
         segments = self._segments(r, quadrant)
-        siblings = [s[1:5] for s in segments if not s[0]]
-        crosses = [s[1:5] for s in segments if s[0]]
-        n = index_count(r, 1)
-        # a sibling run per index (two when its mates straddle a cell), and a
-        # cross run per branch-0 index and branch-1 leading word
-        work = n + n // 2 + (((n // 2) << r) if crosses else 0) + 4 ** (r + 1)
+        streams = ([s[1:5] for s in segments if not s[0]], [s[1:5] for s in segments if s[0]])
+        half = 1 << r
+        work = 3 * half + (half * half if streams[1] else 0)
         if work > CELL_WORK_CAP:
             raise ResourceGuardError(
-                f"level {r} needs {work} stream runs and cells, over the cap {CELL_WORK_CAP}"
+                f"level {r} has {work} leading cells, over the cap {CELL_WORK_CAP}"
             )
         cells: dict = {}
-        _fill(cells, _sibling_runs(r), siblings)
-        _fill(cells, _cross_runs(r), crosses)
+        for cell, cross, span, runs in _leading_cells(r, *map(bool, streams)):
+            # the runs lie inside the span, so they meet only the span's segments;
+            # one segment, the usual case, needs no bisection
+            meet = _meeting(streams[cross], *span)
+            one = len(meet) == 1
+            target = len(meet[0][2] if one else set().union(*(s[2] for s in meet)))
+            got: set = set()
+            for start, stop in runs if meet else ():
+                work += 1
+                if work > CELL_WORK_CAP:
+                    raise ResourceGuardError(
+                        f"level {r} walks more cells and runs than the cap {CELL_WORK_CAP}"
+                    )
+                for lo, hi, values, base in meet if one else _meeting(meet, start, stop):
+                    lo, hi = max(lo, start), min(hi, stop)
+                    got |= _cyclic_slice(values, base + lo, hi - lo)
+                if len(got) == target:
+                    break
+            if got:
+                cells[cell] = got
         return cells
 
     # -- value sets without enumeration -------------------------------------
@@ -471,43 +486,13 @@ def _cyclic_slice(values: list, offset: int, count: int) -> set:
     return {values[(start + t) % len(values)] for t in range(count)}
 
 
-def _fill(cells: dict, runs, segments: list):
-    """Add each run ``(lead_i, lead_j, start, count)`` of one stream to its cell.
-
-    ``segments`` are the stream's ``(lo, hi, values, base)`` in order; a run
-    takes the cyclic slice of each segment it overlaps, and runs outside the
-    segments are skipped.  A run inside one segment of more than one position
-    adds to its cell only values of that segment's cycled list, so the cell
-    is complete, and later such runs skipped, once it holds as many values as
-    the list.  Every override is a segment of one position: the runs that meet
-    one, or cross a segment end, gather their values beside the cells, and
-    those join their cells when the walk ends.
-    """
-    segments = iter(segments)
-    hi = -1
-    beside: dict = {}
-    for a, b, start, count in runs:
-        while start >= hi and (segment := next(segments, None)):
-            lo, hi, values, base = segment
-            last = hi if hi - lo > 1 else lo  # runs ending past it go beside
-        if start >= hi:
-            break  # past the last segment
-        if start < lo or not count:
-            continue
-        if start + count > last:
-            got = beside.setdefault((a, b), set())
-            while start + count > hi:
-                got |= _cyclic_slice(values, base + start, hi - start)
-                start, count = hi, start + count - hi
-                lo, hi, values, base = next(segments)
-                last = hi if hi - lo > 1 else lo
-            got |= _cyclic_slice(values, base + start, count)
-            continue
-        got = cells.setdefault((a, b), set())
-        if len(got) < len(values):
-            got |= _cyclic_slice(values, base + start, count)
-    for cell, extra in beside.items():
-        cells.setdefault(cell, set()).update(extra)
+def _meeting(segments: list, start: int, stop: int) -> list:
+    """The ``(lo, hi, values, base)`` of sorted stream segments meeting ``start … stop−1``."""
+    # from the one holding start, up to the first beginning at stop
+    k = bisect_left(segments, (start,))
+    if k and segments[k - 1][1] > start:
+        k -= 1
+    return segments[k:bisect_left(segments, (stop,))]
 
 
 # ---------------------------------------------------------------------------
@@ -572,38 +557,42 @@ def _pair_position(r: int, i: MultiIndex, j: MultiIndex) -> tuple[bool, int]:
     raise InvalidLambdaError(f"not a sibling or cross pair at level {r}: {i}, {j}")
 
 
-def _sibling_runs(r: int):
-    """Runs of the level-``r`` sibling stream inside one leading cell.
+def _leading_cells(r: int, siblings: bool, crosses: bool):
+    """The leading cells of level ``r`` in the streams asked for, with lazy runs.
 
-    Yields ``(lead_i, lead_j, start, count)`` in stream order.  The mates of
-    ``i`` above it come in fiber order; the top bit of the fiber rank is the
-    low bit of word 0, so they split into at most two cells.
+    Yields ``((lead_i, lead_j), cross, (lo, hi), runs)``: the cell's pairs are
+    the positions ``start … stop−1`` of each ``(start, stop)`` of ``runs``,
+    inside ``lo … hi−1`` of the sibling or the cross stream.  The ``i`` of
+    leading word ``a`` list their mates above them in fiber order, whose top
+    bit is the low bit of ``a``: for odd ``a`` all share ``a``, one run; for
+    even ``a`` each ``i`` has ``half−1−fr`` in ``(a, a)``, then ``half`` in
+    ``(a, a|1)``.  Cross pairs from ``a`` into ``half|b`` are runs of ``2^rest``.
     """
-    fiber, rest = 2 << r, r * (r + 1) // 2
-    half = fiber >> 1
-    start = 0
-    for rank in range(index_count(r, 1)):
-        fr, lead = _fiber_rank(r, rank), rank >> rest
-        if fr < half:
-            yield lead, lead, start, half - 1 - fr
-            yield lead, lead | 1, start + half - 1 - fr, half
-        else:
-            yield lead, lead, start, fiber - 1 - fr
-        start += fiber - 1 - fr
+    rest, half = r * (r + 1) // 2, 1 << r
+    size = 1 << rest
+    # fr mod half averages (half − 1)/2 over a leading word, so its i have
+    # (3·half − 1)/2 mates above them on average when it is even, (half − 1)/2 when odd
+    even, odd = ((3 * half - 1) << rest) >> 1, ((half - 1) << rest) >> 1
+    for a in range(0, 2 * half, 2) if siblings else ():
+        lo, ranks = (a >> 1) * (even + odd), range(a << rest, (a + 1) << rest)
+        span, odd_span = (lo, lo + even), (lo + even, lo + even + odd)
+        yield (a, a), False, span, _even_lead_runs(r, ranks, lo, False)
+        yield (a, a | 1), False, span, _even_lead_runs(r, ranks, lo, True)
+        yield (a | 1, a | 1), False, odd_span, (odd_span,)
+    stride = index_count(r, 1) // 2
+    for a, b in itertools.product(range(half), repeat=2) if crosses else ():
+        first = (a << rest) * stride + b * size
+        starts = range(first, first + size * stride, stride)
+        yield (a, half | b), True, (first, starts[-1] + size), ((p, p + size) for p in starts)
 
 
-def _cross_runs(r: int):
-    """Runs of the level-``r`` cross stream (``r ≥ 1``) inside one leading cell.
-
-    The cross pair ``(i, j)`` sits at ``rank_i·half + rank_j − half``; for
-    fixed ``i`` the ``j`` sharing a leading word form a run of ``half/2^r``.
-    """
-    rest = r * (r + 1) // 2
-    run, half = 1 << rest, index_count(r, 1) // 2
-    for rank in range(half):
-        lead = rank >> rest
-        for b in range(1 << r):
-            yield lead, (1 << r) | b, rank * half + b * run, run
+def _even_lead_runs(r: int, ranks: range, start: int, mate: bool):
+    """The runs of ``(a, a)``, or of ``(a, a|1)`` if ``mate``, over the ranks of an even ``a``."""
+    half = 1 << r
+    for k in ranks:
+        own = half - 1 - _fiber_rank(r, k)
+        yield (start + own, start + own + half) if mate else (start, start + own)
+        start += own + half
 
 
 def _lex_rank(i: MultiIndex) -> int:

@@ -108,7 +108,8 @@ def eval_construction(
 
     Each level contributes the products of its pair values with the oracle
     entries at the pairs' leading indices; a table oracle is read once per
-    leading cell (:meth:`LambdaSpec.cell_values`), never once per pair.  The
+    leading cell (:meth:`LambdaSpec.cell_values`, whose guard bounds the
+    cells and runs walked at each level), never once per pair.  The
     convergence flag is set when the cumulative union is stable over the last
     two levels and the value specification cannot produce new values at
     deeper levels; when it is false the result is a truncation and possibly

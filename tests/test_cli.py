@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -385,13 +386,16 @@ class TestRenderCommand:
         main(["render", "--input", src, "--format", "svg", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_quadrant_spec_renders_at_rmax_four_and_is_guarded_at_five(self, tmp_path, capsys):
+    def test_quadrant_spec_renders_at_rmax_four_and_is_guarded_at_ten(self, tmp_path, capsys):
         spec = {"quadrants": {"both_zero": "2", "both_one": "5,inf", "mixed": "7"}}
         src = write_json(tmp_path / "q.json", spec)
         out = tmp_path / "grid.txt"
         assert main(["render", "--input", src, "--format", "ascii", "--out", str(out),
                      "--rmax", "4"]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2 + 2 * 32
+        # the 4^11 cells of a level-10 grid are refused before any level is walked
+        start = time.perf_counter()
         assert main(["render", "--input", src, "--format", "ascii", "--out", str(out),
-                     "--rmax", "5"]) == 2
+                     "--rmax", "10"]) == 2
+        assert time.perf_counter() - start < 0.5
         assert "cap" in capsys.readouterr().err

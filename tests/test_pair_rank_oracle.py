@@ -6,8 +6,12 @@ they are the oracle here.  The closed-form sibling rank, ``cell_values``,
 ``value_set_at_level``, table evaluations and rendered diagrams are compared
 with references that stream those pairs: the evaluation and diagram
 references below are the per-pair routes the library used before it read
-values per leading cell.
+values per leading cell.  Level 4 is past what the streams can visit, so
+there ``cell_values`` is compared with the rank-by-rank walk the library used
+before it walked each leading cell.
 """
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +19,25 @@ from hypothesis import strategies as st
 
 from puklab.diagrams import MultiplicityDiagram, diagram_from_construction, render
 from puklab.errors import InvalidLambdaError, ResourceGuardError
+from puklab import indices
 from puklab.indices import (
+    CELL_WORK_CAP,
     LambdaSpec,
     MultiIndex,
     Override,
     QuadrantRules,
+    index_count,
     iter_cross_pairs,
     iter_sibling_pairs,
+    sibling_pair_count,
 )
-from puklab.indices import _pair_position
+from puklab.indices import (
+    _cyclic_slice,
+    _decode_rank,
+    _fiber_rank,
+    _pair_position,
+    _pairs_before,
+)
 from puklab.invariant import QUADRANT_NAMES, CutdownOracle, eval_construction
 from puklab.nsets import INF, NSet, nset_product, union_all
 
@@ -91,6 +105,107 @@ def streamed_diagram(spec, oracle, r) -> MultiplicityDiagram:
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
 
 
+def walked_cells(spec, r, quadrant) -> dict:
+    """``cell_values`` by the rank-by-rank walk: every run of both streams, in order."""
+    segments = spec._segments(r, quadrant)
+    siblings = [s[1:5] for s in segments if not s[0]]
+    crosses = [s[1:5] for s in segments if s[0]]
+    n = index_count(r, 1)
+    # a sibling run per index (two when its mates straddle a cell), and a
+    # cross run per branch-0 index and branch-1 leading word
+    work = n + n // 2 + (((n // 2) << r) if crosses else 0) + 4 ** (r + 1)
+    assert work <= CELL_WORK_CAP, f"the walk at level {r} takes {work} runs and cells"
+    cells: dict = {}
+    fill(cells, sibling_runs(r), siblings)
+    fill(cells, cross_runs(r), crosses)
+    return cells
+
+
+def fill(cells: dict, runs, segments: list):
+    """Add each run ``(lead_i, lead_j, start, count)`` of one stream to its cell.
+
+    ``segments`` are the stream's ``(lo, hi, values, base)`` in order; a run
+    takes the cyclic slice of each segment it overlaps, and runs outside the
+    segments are skipped.  A run inside one segment of more than one position
+    adds to its cell only values of that segment's cycled list, so the cell
+    is complete, and later such runs skipped, once it holds as many values as
+    the list.  Every override is a segment of one position: the runs that meet
+    one, or cross a segment end, gather their values beside the cells, and
+    those join their cells when the walk ends.
+    """
+    segments = iter(segments)
+    hi = -1
+    beside: dict = {}
+    for a, b, start, count in runs:
+        while start >= hi and (segment := next(segments, None)):
+            lo, hi, values, base = segment
+            last = hi if hi - lo > 1 else lo  # runs ending past it go beside
+        if start >= hi:
+            break  # past the last segment
+        if start < lo or not count:
+            continue
+        if start + count > last:
+            got = beside.setdefault((a, b), set())
+            while start + count > hi:
+                got |= _cyclic_slice(values, base + start, hi - start)
+                start, count = hi, start + count - hi
+                lo, hi, values, base = next(segments)
+                last = hi if hi - lo > 1 else lo
+            got |= _cyclic_slice(values, base + start, count)
+            continue
+        got = cells.setdefault((a, b), set())
+        if len(got) < len(values):
+            got |= _cyclic_slice(values, base + start, count)
+    for cell, extra in beside.items():
+        cells.setdefault(cell, set()).update(extra)
+
+
+def sibling_runs(r: int):
+    """Runs of the level-``r`` sibling stream inside one leading cell.
+
+    Yields ``(lead_i, lead_j, start, count)`` in stream order.  The mates of
+    ``i`` above it come in fiber order; the top bit of the fiber rank is the
+    low bit of word 0, so they split into at most two cells.
+    """
+    fiber, rest = 2 << r, r * (r + 1) // 2
+    half = fiber >> 1
+    start = 0
+    for rank in range(index_count(r, 1)):
+        fr, lead = _fiber_rank(r, rank), rank >> rest
+        if fr < half:
+            yield lead, lead, start, half - 1 - fr
+            yield lead, lead | 1, start + half - 1 - fr, half
+        else:
+            yield lead, lead, start, fiber - 1 - fr
+        start += fiber - 1 - fr
+
+
+def cross_runs(r: int):
+    """Runs of the level-``r`` cross stream (``r ≥ 1``) inside one leading cell.
+
+    The cross pair ``(i, j)`` sits at ``rank_i·half + rank_j − half``; for
+    fixed ``i`` the ``j`` sharing a leading word form a run of ``half/2^r``.
+    """
+    rest = r * (r + 1) // 2
+    run, half = 1 << rest, index_count(r, 1) // 2
+    for rank in range(half):
+        lead = rank >> rest
+        for b in range(1 << r):
+            yield lead, (1 << r) | b, rank * half + b * run, run
+
+
+def sibling_pair_at(r, pos):
+    """The pair at ``pos`` of the level-``r`` sibling stream, without streaming."""
+    # the last index with at most pos pairs before it has pos among its mates
+    rank = bisect_right(range(index_count(r, 1)), pos, key=lambda k: _pairs_before(r, k)) - 1
+    mate = _fiber_rank(r, rank) + pos - _pairs_before(r, rank) + 1
+    words = _decode_rank(rank, r, 1)
+    i = MultiIndex(r, 1, words)
+    j = MultiIndex(r, 1, tuple((w & ~1) | (mate >> (r - t) & 1) for t, w in enumerate(words)))
+    assert _pair_position(r, i, j) == (False, pos)
+    return i, j
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -112,6 +227,19 @@ def overrides_st(draw):
         picks = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=min(len(pairs), 12),
                               unique=True))
         out += [Override(r, *pairs[k], draw(values_st)) for k in picks]
+    return tuple(out)
+
+
+@st.composite
+def deep_overrides_st(draw):
+    # levels 3 and 4: the segment ends, both sides of the branch boundary, or anywhere
+    out = []
+    for r in (3, 4):
+        count = sibling_pair_count(r)
+        ends = (0, 1, count // 2 - 1, count // 2, count - 1)
+        picks = draw(st.lists(st.one_of(st.sampled_from(ends), st.integers(0, count - 1)),
+                              max_size=6, unique=True))
+        out += [Override(r, *sibling_pair_at(r, p), draw(values_st)) for p in picks]
     return tuple(out)
 
 
@@ -192,6 +320,35 @@ def test_quadrant_cell_values_match_stream_at_level_three(spec):
     streamed = streamed_cells(spec, 3)
     for quadrant in QUADRANT_NAMES:
         assert spec.cell_values(3, quadrant) == streamed[quadrant]
+
+
+deep_specs = st.one_of(
+    st.builds(lambda e: LambdaSpec(enumeration=e), nsets_st),
+    st.builds(lambda d, o: LambdaSpec(default=d, overrides=o), values_st, deep_overrides_st()),
+    st.builds(lambda e, o: LambdaSpec(enumeration=e, overrides=o), nsets_st, deep_overrides_st()),
+    quadrant_specs,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=deep_specs)
+def test_cell_values_match_walk_at_levels_three_and_four(spec):
+    for r in (3, 4):
+        for quadrant in QUADRANT_NAMES:
+            assert spec.cell_values(r, quadrant) == walked_cells(spec, r, quadrant)
+
+
+def test_walk_matches_stream_at_level_three():
+    # the walk is the level-4 reference; at level 3 the stream checks it
+    count = sibling_pair_count(3)
+    positions = (0, 1, count // 2 - 1, count // 2, count - 1, 777)
+    spec = LambdaSpec(enumeration=NSet.of(2, 3, 5, INF), overrides=tuple(
+        Override(3, *sibling_pair_at(3, p), v) for p, v in zip(positions, (9, 10, 11, 12, 13, 3))
+    ))
+    assert [spec.value(3, *SIBLINGS[3][p]) for p in positions] == [9, 10, 11, 12, 13, 3]
+    streamed = streamed_cells(spec, 3)
+    for quadrant in QUADRANT_NAMES:
+        assert walked_cells(spec, 3, quadrant) == streamed[quadrant]
 
 
 @settings(max_examples=25, deadline=None)
@@ -382,21 +539,50 @@ README_SPECS = [
 ]
 
 
+@pytest.mark.parametrize("r", [5, 6])
 @pytest.mark.parametrize("spec", README_SPECS)
-def test_cell_work_cap_passes_level_four_and_trips_at_five(spec):
+def test_readme_specs_give_every_value_per_cell_at_levels_five_and_six(spec, r):
+    cells = spec.cell_values(r)
+    assert NSet.from_iterable(set().union(*cells.values())) == spec.value_set_at_level(r)
+
+
+@pytest.mark.parametrize("spec", README_SPECS)
+def test_cell_work_cap_passes_level_four_and_trips_at_five(spec, monkeypatch):
+    # each level-4 cell of these specs is met by one run: the walk costs two per cell,
+    # so a cap of exactly that fits level 4 and level 5's doubled cells overrun it
     cells = spec.cell_values(4)
     assert NSet.from_iterable(set().union(*cells.values())) == spec.value_set_at_level(4)
+    monkeypatch.setattr(indices, "CELL_WORK_CAP", 2 * len(cells))
+    assert spec.cell_values(4) == cells
     with pytest.raises(ResourceGuardError):
         spec.cell_values(5)
 
 
-def test_guard_trips_at_level_five():
-    spec = LambdaSpec(enumeration=NSet.of(2, 3))
-    with pytest.raises(ResourceGuardError):
-        spec.cell_values(5)
-    with pytest.raises(ResourceGuardError):
-        diagram_from_construction(spec, SIMPLE, 5)
-    with pytest.raises(ResourceGuardError):
-        eval_construction(spec, constant_table(6), 5)
+def test_guard_trips_before_any_walk_at_level_ten(monkeypatch):
+    # 3·2^10 sibling and 4^10 cross cells: over the cap before a single run
+    spec = README_SPECS[2]
+
+    def no_walk(*args):
+        raise AssertionError("walked past the guard")
+
+    monkeypatch.setattr(indices, "_leading_cells", no_walk)
+    with pytest.raises(ResourceGuardError, match="cap"):
+        spec.cell_values(10)
+    # an enumeration has 3·2^10 cells at level 10, but its grid has 4^11
+    for lam in (spec, README_SPECS[1]):
+        with pytest.raises(ResourceGuardError, match="grid"):
+            diagram_from_construction(lam, SIMPLE, 10)
     # a constant oracle needs no cells and still evaluates
-    assert eval_construction(spec, SIMPLE, 5).value == NSet.of(2, 3)
+    assert eval_construction(spec, SIMPLE, 10).value == NSet.of(2, 5, 7, INF)
+
+
+def test_guard_counts_the_runs_walked(monkeypatch):
+    # an override at position 0 is in cell (0, 0); cell (0, 1) shares its span, never
+    # sees the value and walks all 1,024 of its runs, past a cap of 1,000 with 48 cells
+    spec = LambdaSpec(enumeration=NSet.of(2, 3),
+                      overrides=(Override(4, *sibling_pair_at(4, 0), 9),))
+    assert 9 in spec.cell_values(4)[0, 0] and 9 not in spec.cell_values(4)[0, 1]
+    monkeypatch.setattr(indices, "CELL_WORK_CAP", 1000)
+    with pytest.raises(ResourceGuardError, match="runs"):
+        spec.cell_values(4)
+    assert spec.cell_values(3)

@@ -235,6 +235,18 @@ def test_one_generator_of_distinct_eigenvalues_stays_within_declared_workspace(d
     assert raised is None and len(declared) == 2
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_real_generators_of_distinct_eigenvalues_stay_within_declared_workspace(declared, k):
+    # real generators are converted to complex on the way in; no copy of one may stay
+    # held beside the k converted ones at the residual, where numpy's ufunc buffer sits
+    o, _ = np.linalg.qr(np.random.default_rng(k).standard_normal((256, 256)))
+    gens = [(o * np.arange(1.0, 257.0) ** (p + 1)) @ o.T for p in range(k)]
+    shape = TracedAlgebraShape.full_matrix(256)
+    raised = assert_within_declared(declared, f"{k} real generators",
+                                    lambda: mixed_spectrum(gens, gens, shape))
+    assert raised is None and len(declared) == 2
+
+
 def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared):
     for n in (32, 64):
         alg = generate_algebra(rotated_masa(np.random.default_rng(n), n))
