@@ -95,7 +95,7 @@ def cmd_spectrum(args) -> int:
     data = _load_json(args.config)
     shape = cfg.shape_from_config(data["shape"])
     a_gens = [cfg.matrix_from_config(m) for m in data["a_generators"]]
-    seed = int(data.get("seed", 0))
+    seed = cfg.int_from_config(data.get("seed", 0), "seed")
     mode = data.get("mode", "mixed")
     if mode == "mixed":
         b_gens = [cfg.matrix_from_config(m) for m in data.get("b_generators", data["a_generators"])]

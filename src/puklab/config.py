@@ -50,9 +50,16 @@ def _weight_from_config(raw) -> Fraction:
     raise InvalidInputError(f"bad trace weight {raw!r}")
 
 
+def int_from_config(raw, name: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise InvalidInputError(f"{name} must be an integer, got {raw!r}")
+
+
 def shape_from_config(data) -> TracedAlgebraShape:
     from .core import TracedAlgebraShape
-    blocks = tuple(int(d) for d in data["blocks"])
+    blocks = tuple(int_from_config(d, "block size") for d in data["blocks"])
     if "weights" in data:
         weights = tuple(_weight_from_config(w) for w in data["weights"])
         return TracedAlgebraShape(blocks, weights)
@@ -71,11 +78,7 @@ def value_to_config(value):
 
 
 def value_from_config(raw):
-    if raw == "inf":
-        return INF
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise InvalidInputError(f"bad pair value {raw!r}")
+    return INF if raw == "inf" else int_from_config(raw, "pair value")
 
 
 def lambda_to_config(spec: LambdaSpec) -> dict:
@@ -104,7 +107,7 @@ def lambda_to_config(spec: LambdaSpec) -> dict:
 def lambda_from_config(data) -> LambdaSpec:
     overrides = tuple(
         Override(
-            r=int(o["r"]),
+            r=int_from_config(o["r"], "override level"),
             i=MultiIndex.from_bits(o["i"]),
             j=MultiIndex.from_bits(o["j"]),
             value=value_from_config(o["value"]),
@@ -131,9 +134,11 @@ def lambda_from_config(data) -> LambdaSpec:
 def oracle_to_config(oracle: CutdownOracle) -> dict:
     if oracle.constant_value is not None:
         return {"constant": str(oracle.constant_value)}
+    finest = oracle.grids[-1]
+    labels = finest.labels()
     entries = [
-        {"row": row, "col": col, "value": str(value)}
-        for (row, col), value in sorted(oracle.table.items())
+        {"row": row, "col": col, "value": str(finest.cells[x][y])}
+        for x, row in enumerate(labels) for y, col in enumerate(labels)
     ]
     return {"level": oracle.level, "entries": entries}
 
@@ -144,7 +149,7 @@ def oracle_from_config(data) -> CutdownOracle:
     entries = {
         (e["row"], e["col"]): NSet.parse(e["value"]) for e in data["entries"]
     }
-    return CutdownOracle.from_table(int(data["level"]), entries)
+    return CutdownOracle.from_table(int_from_config(data["level"], "oracle level"), entries)
 
 
 def diagram_to_config(diagram: MultiplicityDiagram) -> dict:
@@ -157,4 +162,7 @@ def diagram_to_config(diagram: MultiplicityDiagram) -> dict:
 
 def diagram_from_config(data) -> MultiplicityDiagram:
     cells = tuple(tuple(NSet.parse(c) for c in row) for row in data["cells"])
-    return MultiplicityDiagram(int(data["level"]), cells, bool(data.get("diagonal", False)))
+    diagonal = data.get("diagonal", False)
+    if not isinstance(diagonal, bool):
+        raise InvalidInputError(f"diagonal must be true or false, got {diagonal!r}")
+    return MultiplicityDiagram(int_from_config(data["level"], "diagram level"), cells, diagonal)

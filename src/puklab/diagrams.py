@@ -7,7 +7,8 @@ that cell, multiplied by the oracle entry there; diagonal cells show the
 oracle alone and can carry the marker for the diagonal line of the limit
 picture.  Pairs whose two leading indices coincide sit strictly inside a
 diagonal cell at this resolution and are not drawn, which is what makes the
-staged pictures come out with ones on the diagonal.
+staged pictures come out with ones on the diagonal.  A table oracle keeps
+its cutdown types as these grids, one per level, coarsened from the finest.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
 from .indices import CELL_WORK_CAP, LambdaSpec
-from .invariant import CutdownOracle
 from .nsets import NSet, nset_product, union_all
 
 if TYPE_CHECKING:
@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 
     from .algebra import SpectrumReport
     from .core import TracedAlgebraShape
+    from .invariant import CutdownOracle
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,11 @@ def diagram_from_construction(
 
     The grid has side ``2^{r+1}``.  An off-diagonal cell collects the values
     of every pair (at any level up to ``r``) whose pair of leading indices is
-    a prefix pair of the cell's labels, multiplied by the oracle entry at the
-    cell; the diagonal shows the oracle and carries the marker.  The values
-    come per leading cell from :meth:`LambdaSpec.cell_values`; its guard,
-    :data:`CELL_WORK_CAP`, bounds the cells and runs walked at each level,
-    and the grid's ``4^{r+1}`` cells before any walk.
+    a prefix pair of the cell's labels, times that cell of the oracle's grid
+    at level ``r+1``; the diagonal shows the oracle and carries the marker.
+    The values come per leading cell from :meth:`LambdaSpec.cell_values`;
+    its guard, :data:`CELL_WORK_CAP`, bounds the cells and runs walked at each
+    level, and the grid's ``4^{r+1}`` cells before any walk.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -109,19 +110,18 @@ def diagram_from_construction(
                 buckets.setdefault((s, a, b), set()).update(values)
                 buckets.setdefault((s, b, a), set()).update(values)
     level = r + 1
-    labels = [format(x, f"0{level}b") for x in range(1 << level)]
+    size = 1 << level
+    cutdown = (oracle.grids[level].cells if oracle.constant_value is None
+               else ((oracle.constant_value,) * size,) * size)
     rows = []
-    for x, row_label in enumerate(labels):
+    for x in range(size):
         row = []
-        for y, col_label in enumerate(labels):
-            if x == y:
-                row.append(oracle.entry(row_label, col_label))
-                continue
+        for y in range(size):
             values: set = set()
             for t in range(r + 1):
                 values |= buckets.get((t, x >> (r - t), y >> (r - t)), set())
-            cell = oracle.entry(row_label, col_label)
-            row.append(nset_product(NSet.from_iterable(values), cell) if values else NSet())
+            cell = cutdown[x][y]
+            row.append(cell if x == y else nset_product(NSet.from_iterable(values), cell))
         rows.append(tuple(row))
     return MultiplicityDiagram(level, tuple(rows), diagonal_marked=True)
 

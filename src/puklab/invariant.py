@@ -2,10 +2,11 @@
 
 The invariant of a masa built by the inductive construction is the union,
 over all levels and sibling pairs, of the pair value times the base-masa
-cutdown type at the pair's leading dyadic indices.  Here the base-masa data
-is a :class:`CutdownOracle`, evaluation truncates at a chosen level with an
-honest convergence flag, and the planners invert the formula: they pick pair
-values realizing a requested set (or triple of sets, or family matrix).
+cutdown type at the pair's leading dyadic indices.  Here that type comes
+from a :class:`CutdownOracle` (a constant, or one dyadic grid per level),
+evaluation truncates at a chosen level with an honest convergence flag, and
+the planners invert the formula: they pick pair values realizing a requested
+set (or triple of sets, or family matrix).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .diagrams import MultiplicityDiagram
 from .errors import EmptyInputError, InvalidInputError, InvalidLambdaError, OracleGapError
 from .indices import QUADRANT_NAMES, LambdaSpec, QuadrantRules
 from .nsets import (
@@ -31,20 +33,23 @@ class CutdownOracle:
     """Cutdown types of the base masa over dyadic index pairs.
 
     Either a constant (every pair at every level maps to the same set) or a
-    table at a fixed ``level``: entries for all ordered pairs of ``level``-bit
-    strings.  Entries at coarser pairs are unions over their refinements, so
-    the table is refinement-consistent by construction.
+    stack of grids, ``grids[d]`` at the pairs of ``d``-bit strings: the finest
+    is the table and each coarser one its :meth:`MultiplicityDiagram.coarsen`,
+    so every entry is the union over its refinements.
     """
 
-    level: int | None = None
-    table: dict | None = None  # (row_bits, col_bits) -> NSet
+    grids: tuple[MultiplicityDiagram, ...] = ()
     constant_value: NSet | None = None
+
+    @property
+    def level(self) -> int | None:
+        return len(self.grids) - 1 if self.grids else None
 
     @classmethod
     def constant(cls, value: NSet) -> "CutdownOracle":
         if value.is_empty:
             raise EmptyInputError("oracle entries must be non-empty")
-        return cls(None, None, value)
+        return cls((), value)
 
     @classmethod
     def simple(cls) -> "CutdownOracle":
@@ -55,38 +60,32 @@ class CutdownOracle:
     def from_table(cls, level: int, entries: dict) -> "CutdownOracle":
         if level < 0:
             raise ValueError("oracle level must be non-negative")
-        table = {}
+        cells = [[None] * (1 << level) for _ in range(1 << level)]
         for (row, col), value in entries.items():
             if len(row) != level or len(col) != level or set(row + col) - {"0", "1"}:
                 raise ValueError(f"bad oracle key ({row!r}, {col!r}) for level {level}")
             if value.is_empty:
                 raise EmptyInputError("oracle entries must be non-empty")
-            table[(row, col)] = value
-        expected = 1 << (2 * level)
-        if len(table) != expected:
-            raise OracleGapError(f"oracle table needs all {expected} pairs at level {level}")
-        return cls(level, table, None)
+            cells[int(row or "0", 2)][int(col or "0", 2)] = value
+        if len(entries) != 4 ** level:
+            raise OracleGapError(f"oracle table needs all {4 ** level} pairs at level {level}")
+        grids = [MultiplicityDiagram(level, tuple(map(tuple, cells)))]
+        while grids[-1].level:
+            grids.append(grids[-1].coarsen())
+        return cls(tuple(reversed(grids)))
 
     def covers_level(self, level: int) -> bool:
         return self.level is None or level <= self.level
 
     def entry(self, row: str, col: str) -> NSet:
-        """Cutdown type at an ordered pair of equal-length bit strings."""
+        """Cutdown type at equal-length bit strings: their cell in the grid of that length."""
         if self.constant_value is not None:
             return self.constant_value
-        depth = len(row)
-        if len(col) != depth:
+        if len(col) != len(row):
             raise OracleGapError(f"mismatched key lengths {row!r}, {col!r}")
-        if depth > self.level:
-            raise OracleGapError(f"oracle stores level {self.level}, asked for {depth}")
-        pad = self.level - depth
-        out = NSet()
-        for a in range(1 << pad):
-            for b in range(1 << pad):
-                key = (row + format(a, f"0{pad}b") if pad else row,
-                       col + format(b, f"0{pad}b") if pad else col)
-                out = out | self.table[key]
-        return out
+        if len(row) > self.level:
+            raise OracleGapError(f"oracle stores level {self.level}, asked for {len(row)}")
+        return self.grids[len(row)].cell(row, col)
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,10 @@ def eval_construction(
 
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
+    cells = oracle.grids[r + 1].cells
     out = NSet()
     for (a, b), values in lam.cell_values(r, quadrant).items():
-        row, col = format(a, f"0{r + 1}b"), format(b, f"0{r + 1}b")
-        out = out | nset_product(NSet.from_iterable(values), oracle.entry(row, col))
+        out = out | nset_product(NSet.from_iterable(values), cells[a][b])
     return out
 
 

@@ -3,6 +3,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from puklab import cli, constructions
 from puklab import config as cfg
@@ -82,9 +83,35 @@ class TestConfigRoundTrips:
             },
         )
         again = cfg.oracle_from_config(cfg.oracle_to_config(oracle))
-        assert again.level == 1 and again.table == oracle.table
+        assert again.level == 1 and again.grids == oracle.grids
         constant = CutdownOracle.simple()
         assert cfg.oracle_from_config(cfg.oracle_to_config(constant)).constant_value == NSet.of(1)
+
+    def test_oracle_table_config_is_row_major(self):
+        labels = ("00", "01", "10", "11")
+        entries = {(labels[x], labels[y]): NSet.of(1 + 4 * x + y) for x in range(4) for y in range(4)}
+        entries[("11", "10")] = NSet.parse("3,inf")
+        # keys given last to first: the written order comes from the grid, not the dict
+        oracle = CutdownOracle.from_table(2, dict(reversed(entries.items())))
+        expected = {"level": 2, "entries": [
+            {"row": "00", "col": "00", "value": "1"},
+            {"row": "00", "col": "01", "value": "2"},
+            {"row": "00", "col": "10", "value": "3"},
+            {"row": "00", "col": "11", "value": "4"},
+            {"row": "01", "col": "00", "value": "5"},
+            {"row": "01", "col": "01", "value": "6"},
+            {"row": "01", "col": "10", "value": "7"},
+            {"row": "01", "col": "11", "value": "8"},
+            {"row": "10", "col": "00", "value": "9"},
+            {"row": "10", "col": "01", "value": "10"},
+            {"row": "10", "col": "10", "value": "11"},
+            {"row": "10", "col": "11", "value": "12"},
+            {"row": "11", "col": "00", "value": "13"},
+            {"row": "11", "col": "01", "value": "14"},
+            {"row": "11", "col": "10", "value": "3,inf"},
+            {"row": "11", "col": "11", "value": "16"},
+        ]}
+        assert json.dumps(cfg.oracle_to_config(oracle)) == json.dumps(expected)
 
     def test_diagram_identity(self):
         data = {
@@ -317,6 +344,44 @@ class TestPukEvalCommand:
             },
         )
         assert main(["puk-eval", "--lambda", lam, "--oracle", oracle, "--rmax", "3"]) == 2
+
+
+LEVEL_ONE_ENTRIES = [{"row": r, "col": c, "value": "1"} for r in "01" for c in "01"]
+ONE_BY_ONE = [[[1.0, 0.0]]]
+
+# each config field that takes a JSON integer (or, for "diagonal", a bool): the
+# command that reads it and the file it reads, with the field set to ``bad``
+TYPED_FIELDS = {
+    "oracle level": ("oracle", lambda bad: {"level": bad, "entries": LEVEL_ONE_ENTRIES}),
+    "override r": ("lambda", lambda bad: {"default": 3, "overrides": [
+        {"r": bad, "i": ["00", "0"], "j": ["00", "1"], "value": 2}]}),
+    "blocks": ("spectrum", lambda bad: {"shape": {"blocks": [bad]}, "a_generators": [ONE_BY_ONE]}),
+    "seed": ("spectrum", lambda bad: {"shape": {"blocks": [1]}, "a_generators": [ONE_BY_ONE],
+                                      "seed": bad}),
+    "diagram level": ("render", lambda bad: {"level": bad, "diagonal": True,
+                                             "cells": [["1", "2"], ["2", "1"]]}),
+    "diagonal": ("render", lambda bad: {"level": 1, "diagonal": bad,
+                                        "cells": [["1", "2"], ["2", "1"]]}),
+}
+
+
+@pytest.mark.parametrize("field, bad", [
+    *((field, bad) for field in TYPED_FIELDS if field != "diagonal" for bad in (1.7, True, "2")),
+    *(("diagonal", bad) for bad in (1.7, "2", "false")),
+])
+def test_out_of_domain_config_field_exits_2(tmp_path, capsys, field, bad):
+    kind, payload = TYPED_FIELDS[field]
+    path = write_json(tmp_path / "config.json", payload(bad))
+    argv = {
+        "oracle": ["puk-eval", "--lambda", write_json(tmp_path / "lam.json", {"default": 2}),
+                   "--oracle", path, "--rmax", "0"],
+        "lambda": ["puk-eval", "--lambda", path, "--rmax", "1"],
+        "spectrum": ["spectrum", "--config", path],
+        "render": ["render", "--input", path, "--format", "ascii",
+                   "--out", str(tmp_path / "grid.txt")],
+    }[kind]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestPlanCommand:

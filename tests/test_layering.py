@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,16 @@ def test_symbolic_module_imports_nothing_numeric(name):
     numeric = [m for m in import_time_modules(tree)
                if m.split(".")[0] == "numpy" or m in NUMERIC]
     assert numeric == []
+
+
+def test_symbolic_imports_form_no_cycle():
+    graph = {}
+    for name in SYMBOLIC:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        graph[f"puklab.{name}"] = {m for m in import_time_modules(tree) if m.startswith("puklab.")}
+    # raises CycleError naming the modules of any cycle
+    order = list(TopologicalSorter(graph).static_order())
+    assert order.index("puklab.diagrams") < order.index("puklab.invariant")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ they are the oracle here.  The closed-form sibling rank, ``cell_values``,
 ``value_set_at_level``, table evaluations and rendered diagrams are compared
 with references that stream those pairs: the evaluation and diagram
 references below are the per-pair routes the library used before it read
-values per leading cell.  Level 4 is past what the streams can visit, so
-there ``cell_values`` is compared with the rank-by-rank walk the library used
-before it walked each leading cell.
+values per leading cell, and they read a raw table through ``padded_entry``,
+the union over refinements that ``CutdownOracle.entry`` took per call before
+the oracle kept one grid per level.  Level 4 is past what the streams can
+visit, so there ``cell_values`` is compared with the rank-by-rank walk the
+library used before it walked each leading cell.
 """
 
 from bisect import bisect_right
@@ -72,15 +74,27 @@ def streamed_value_set(spec, r, quadrant) -> NSet:
     )
 
 
-def streamed_level(spec, oracle, r, quadrant) -> NSet:
+def padded_entry(entries, row, col) -> NSet:
+    """A raw table's type at a pair of prefixes: the union over every padding of both keys."""
+    pad = len(next(iter(entries))[0]) - len(row)
     out = NSet()
-    for (i, j), value in spec.level_assignments(r):
-        if quadrant is None or quadrant_of(i, j) == quadrant:
-            out = out | nset_product(NSet.of(value), oracle.entry(i.bits(0), j.bits(0)))
+    for a in range(1 << pad):
+        for b in range(1 << pad):
+            key = (row + format(a, f"0{pad}b") if pad else row,
+                   col + format(b, f"0{pad}b") if pad else col)
+            out = out | entries[key]
     return out
 
 
-def streamed_diagram(spec, oracle, r) -> MultiplicityDiagram:
+def streamed_level(spec, entries, r, quadrant) -> NSet:
+    out = NSet()
+    for (i, j), value in spec.level_assignments(r):
+        if quadrant is None or quadrant_of(i, j) == quadrant:
+            out = out | nset_product(NSet.of(value), padded_entry(entries, i.bits(0), j.bits(0)))
+    return out
+
+
+def streamed_diagram(spec, entries, r) -> MultiplicityDiagram:
     buckets: dict = {}
     for s in range(r + 1):
         for (i, j), value in spec.level_assignments(s):
@@ -88,18 +102,17 @@ def streamed_diagram(spec, oracle, r) -> MultiplicityDiagram:
             if bi != bj:
                 buckets.setdefault((bi, bj), set()).add(value)
                 buckets.setdefault((bj, bi), set()).add(value)
-    labels = [format(x, f"0{r + 1}b") for x in range(1 << (r + 1))]
     rows = []
-    for x in labels:
+    for x in labels(r + 1):
         row = []
-        for y in labels:
+        for y in labels(r + 1):
             if x == y:
-                row.append(oracle.entry(x, y))
+                row.append(padded_entry(entries, x, y))
                 continue
             values = set()
             for t in range(r + 1):
                 values |= buckets.get((x[: t + 1], y[: t + 1]), set())
-            row.append(nset_product(NSet.from_iterable(values), oracle.entry(x, y))
+            row.append(nset_product(NSet.from_iterable(values), padded_entry(entries, x, y))
                        if values else NSet())
         rows.append(tuple(row))
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
@@ -255,11 +268,20 @@ quadrant_specs = st.builds(
 all_specs = st.one_of(stream_specs, quadrant_specs)
 
 
-def table_oracle(data, level) -> CutdownOracle:
-    labels = [format(x, f"0{level}b") for x in range(1 << level)]
-    return CutdownOracle.from_table(level, {
-        (a, b): NSet.parse(data.draw(st.sampled_from(CELL_VALUES))) for a in labels for b in labels
-    })
+def labels(level) -> list[str]:
+    return [format(x, f"0{level}b") if level else "" for x in range(1 << level)]
+
+
+def table_entries(data, level) -> dict:
+    return {
+        (a, b): NSet.parse(data.draw(st.sampled_from(CELL_VALUES)))
+        for a in labels(level) for b in labels(level)
+    }
+
+
+def constant_entries(level, value="1") -> dict:
+    """The raw table that the constant oracle of ``value`` agrees with up to ``level``."""
+    return {(a, b): NSet.parse(value) for a in labels(level) for b in labels(level)}
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +503,28 @@ def test_adjacent_overrides_at_the_segment_ends(base, r):
 # table evaluations and diagrams
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_oracle_grids_match_padded_table(data):
+    level = data.draw(st.integers(0, 4))
+    entries = table_entries(data, level)
+    oracle = CutdownOracle.from_table(level, entries)
+    assert oracle.level == level
+    for depth in range(level + 1):
+        for row in labels(depth):
+            for col in labels(depth):
+                assert oracle.entry(row, col) == padded_entry(entries, row, col)
+
+
 @settings(max_examples=30, deadline=None)
 @given(spec=all_specs, data=st.data())
 def test_table_evaluation_matches_stream(spec, data):
     r_max = data.draw(st.integers(0, 2))
-    oracle = table_oracle(data, r_max + 1)
+    entries = table_entries(data, r_max + 1)
+    oracle = CutdownOracle.from_table(r_max + 1, entries)
     for quadrant in QUADRANT_NAMES:
         got = eval_construction(spec, oracle, r_max, quadrant)
-        expected = [streamed_level(spec, oracle, r, quadrant) for r in range(r_max + 1)]
+        expected = [streamed_level(spec, entries, r, quadrant) for r in range(r_max + 1)]
         assert list(got.per_level) == expected
         assert got.value == union_all(expected)
 
@@ -497,9 +533,13 @@ def test_table_evaluation_matches_stream(spec, data):
 @given(spec=all_specs, data=st.data())
 def test_diagram_and_render_match_stream(spec, data):
     r = data.draw(st.integers(0, 2))
-    oracle = SIMPLE if data.draw(st.booleans()) else table_oracle(data, r + 1)
+    if data.draw(st.booleans()):
+        oracle, entries = SIMPLE, constant_entries(r + 1)
+    else:
+        entries = table_entries(data, r + 1)
+        oracle = CutdownOracle.from_table(r + 1, entries)
     got = diagram_from_construction(spec, oracle, r)
-    expected = streamed_diagram(spec, oracle, r)
+    expected = streamed_diagram(spec, entries, r)
     assert got == expected
     for fmt in ("ascii", "svg"):
         assert render(got, fmt) == render(expected, fmt)
@@ -512,7 +552,7 @@ def test_diagram_and_render_match_stream(spec, data):
 ])
 def test_level_three_diagram_matches_stream(spec):
     got = diagram_from_construction(spec, SIMPLE, 3)
-    assert render(got, "ascii") == render(streamed_diagram(spec, SIMPLE, 3), "ascii")
+    assert render(got, "ascii") == render(streamed_diagram(spec, constant_entries(4), 3), "ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +560,7 @@ def test_level_three_diagram_matches_stream(spec):
 
 
 def constant_table(level, value="1"):
-    labels = [format(x, f"0{level}b") for x in range(1 << level)]
-    entries = {(a, b): NSet.parse(value) for a in labels for b in labels}
-    return CutdownOracle.from_table(level, entries)
+    return CutdownOracle.from_table(level, constant_entries(level, value))
 
 
 def test_quadrant_table_evaluation_reaches_level_four():
