@@ -55,19 +55,12 @@ class MultiplicityDiagram:
         """The level below, each cell the union of its four refinements."""
         if self.level == 0:
             raise ValueError("cannot coarsen a single cell")
-        half = self.size // 2
-        rows = []
-        for x in range(half):
-            row = []
-            for y in range(half):
-                row.append(
-                    self.cells[2 * x][2 * y]
-                    | self.cells[2 * x][2 * y + 1]
-                    | self.cells[2 * x + 1][2 * y]
-                    | self.cells[2 * x + 1][2 * y + 1]
-                )
-            rows.append(tuple(row))
-        return MultiplicityDiagram(self.level - 1, tuple(rows), self.diagonal_marked)
+        c, steps = self.cells, range(0, self.size, 2)
+        rows = tuple(
+            tuple(c[x][y] | c[x][y + 1] | c[x + 1][y] | c[x + 1][y + 1] for y in steps)
+            for x in steps
+        )
+        return MultiplicityDiagram(self.level - 1, rows, self.diagonal_marked)
 
     def off_diagonal_union(self) -> NSet:
         return union_all(
@@ -111,8 +104,7 @@ def diagram_from_construction(
                 buckets.setdefault((s, b, a), set()).update(values)
     level = r + 1
     size = 1 << level
-    cutdown = (oracle.grids[level].cells if oracle.constant_value is None
-               else ((oracle.constant_value,) * size,) * size)
+    cutdown = oracle.cells(level)
     rows = []
     for x in range(size):
         row = []

@@ -35,7 +35,8 @@ class CutdownOracle:
     Either a constant (every pair at every level maps to the same set) or a
     stack of grids, ``grids[d]`` at the pairs of ``d``-bit strings: the finest
     is the table and each coarser one its :meth:`MultiplicityDiagram.coarsen`,
-    so every entry is the union over its refinements.
+    so every entry is the union over its refinements.  Readers take a level's
+    cutdown types from :meth:`cells`, which serves both kinds.
     """
 
     grids: tuple[MultiplicityDiagram, ...] = ()
@@ -60,16 +61,17 @@ class CutdownOracle:
     def from_table(cls, level: int, entries: dict) -> "CutdownOracle":
         if level < 0:
             raise ValueError("oracle level must be non-negative")
-        cells = [[None] * (1 << level) for _ in range(1 << level)]
+        table = {}
         for (row, col), value in entries.items():
             if len(row) != level or len(col) != level or set(row + col) - {"0", "1"}:
                 raise ValueError(f"bad oracle key ({row!r}, {col!r}) for level {level}")
             if value.is_empty:
                 raise EmptyInputError("oracle entries must be non-empty")
-            cells[int(row or "0", 2)][int(col or "0", 2)] = value
-        if len(entries) != 4 ** level:
+            table[int(row or "0", 2), int(col or "0", 2)] = value
+        if len(table) != 4 ** level:
             raise OracleGapError(f"oracle table needs all {4 ** level} pairs at level {level}")
-        grids = [MultiplicityDiagram(level, tuple(map(tuple, cells)))]
+        cells = tuple(tuple(table[x, y] for y in range(1 << level)) for x in range(1 << level))
+        grids = [MultiplicityDiagram(level, cells)]
         while grids[-1].level:
             grids.append(grids[-1].coarsen())
         return cls(tuple(reversed(grids)))
@@ -78,14 +80,20 @@ class CutdownOracle:
         return self.level is None or level <= self.level
 
     def entry(self, row: str, col: str) -> NSet:
-        """Cutdown type at equal-length bit strings: their cell in the grid of that length."""
+        """Cutdown type at equal-length bit strings: their cell in :meth:`cells` of that length."""
         if self.constant_value is not None:
             return self.constant_value
         if len(col) != len(row):
             raise OracleGapError(f"mismatched key lengths {row!r}, {col!r}")
-        if len(row) > self.level:
-            raise OracleGapError(f"oracle stores level {self.level}, asked for {len(row)}")
-        return self.grids[len(row)].cell(row, col)
+        return self.cells(len(row))[int(row or "0", 2)][int(col or "0", 2)]
+
+    def cells(self, level: int) -> tuple[tuple[NSet, ...], ...]:
+        """Cutdown types at every pair of ``level``-bit strings, rows and columns in label order."""
+        if self.constant_value is not None:
+            return ((self.constant_value,) * (1 << level),) * (1 << level)
+        if level > self.level:
+            raise OracleGapError(f"oracle stores level {self.level}, asked for {level}")
+        return self.grids[level].cells
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def eval_construction(
 
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
-    cells = oracle.grids[r + 1].cells
+    cells = oracle.cells(r + 1)
     out = NSet()
     for (a, b), values in lam.cell_values(r, quadrant).items():
         out = out | nset_product(NSet.from_iterable(values), cells[a][b])

@@ -368,6 +368,7 @@ TYPED_FIELDS = {
 @pytest.mark.parametrize("field, bad", [
     *((field, bad) for field in TYPED_FIELDS if field != "diagonal" for bad in (1.7, True, "2")),
     *(("diagonal", bad) for bad in (1.7, "2", "false")),
+    ("oracle level", 40),  # rejected by its keys before a 2^40-wide grid is built
 ])
 def test_out_of_domain_config_field_exits_2(tmp_path, capsys, field, bad):
     kind, payload = TYPED_FIELDS[field]

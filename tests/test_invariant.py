@@ -73,6 +73,22 @@ class TestOracle:
         with pytest.raises(OracleGapError):
             CutdownOracle.from_table(1, {("0", "0"): NSet.of(1)})
 
+    def test_huge_level_rejected_before_its_grid_is_built(self):
+        with pytest.raises(ValueError, match="bad oracle key"):
+            CutdownOracle.from_table(40, {("0", "0"): NSet.of(1)})
+        with pytest.raises(OracleGapError):
+            CutdownOracle.from_table(40, {})
+
+    def test_cells_of_both_kinds(self):
+        constant = CutdownOracle.constant(NSet.of(1, 2))
+        assert constant.cells(2) == ((NSet.of(1, 2),) * 4,) * 4
+        entries = {(r, c): NSet.of(2 if r == c else 3) for r in "01" for c in "01"}
+        table = CutdownOracle.from_table(1, entries)
+        assert table.cells(1) == ((NSet.of(2), NSet.of(3)), (NSet.of(3), NSet.of(2)))
+        assert table.cells(0) == ((NSet.of(2, 3),),)
+        with pytest.raises(OracleGapError):
+            table.cells(2)
+
     def test_empty_entry_rejected(self):
         with pytest.raises(EmptyInputError):
             CutdownOracle.constant(NSet())
