@@ -1,9 +1,11 @@
 """Command-line surface: spectra, identity suites, invariant evaluation, planning, rendering.
 
 Exit codes: 0 on success, 1 when a verification suite breaches its tolerance,
-2 on malformed input.  The keyclaim and intertwiner tolerances are
-``SUITE_TOL`` times the expected size ``n^{-(2m+1)}`` of the inner products,
-the span tolerance ``SUITE_TOL`` times the smallest Gram diagonal entry.
+2 on malformed input.  The keyclaim and intertwiner suites print, per case
+``(n, m)``, the one defect their ``constructions`` check returns (the
+intertwiner's is the largest over all pairs ``r < s``), against ``SUITE_TOL``
+times the expected size ``n^{-(2m+1)}`` of the inner products; the span
+tolerance is ``SUITE_TOL`` times the smallest Gram diagonal entry.
 The span rank counts only the members whose row Gram is certified
 nonsingular by Gershgorin's theorem; each span line ends with the least
 ratio of a Gram diagonal entry to the sum of the off-diagonal moduli in its row.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import config as cfg
 from .diagrams import diagram_from_construction, render
@@ -143,14 +146,17 @@ def _tolerance_note(defect: float, tolerance: float) -> str:
     return f"tolerance {tolerance:.3e}, margin {margin:.3g}"
 
 
-def _run_keyclaim(max_dim: int) -> bool:
-    from .constructions import keyclaim_check
+def _run_scaled(suite: str, measure: str, max_dim: int) -> bool:
+    """Each case's ``constructions.<suite>_check`` defect against ``SUITE_TOL·n^{−(2m+1)}``."""
+    from . import constructions
+    # looked up per run, so a replaced check is the one run
+    check = getattr(constructions, f"{suite}_check")
     ok = True
     for n, m in _construction_range(max_dim):
-        dev = keyclaim_check(n, m)
+        defect = check(n, m)
         tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
-        ok = ok and dev <= tol
-        print(f"keyclaim n={n} m={m}: max deviation {dev:.3e}, {_tolerance_note(dev, tol)}")
+        ok = ok and defect <= tol
+        print(f"{suite} n={n} m={m}: max {measure} {defect:.3e}, {_tolerance_note(defect, tol)}")
     return ok
 
 
@@ -176,28 +182,6 @@ def _run_span(max_dim: int) -> bool:
     return ok
 
 
-def _run_intertwiner(max_dim: int) -> bool:
-    import numpy as np
-
-    from .constructions import intertwiner_blocks
-    from .core import check_workspace
-    ok = True
-    for n, m in _construction_range(max_dim):
-        blocks = intertwiner_blocks(n, m)
-        # the n blocks; for the n(n−1)/2 pairs r < s their indices, blocks[r] and blocks[s]
-        check_workspace(n * n * blocks[0].size + n * (n - 1) // 2,
-                        f"the intertwiner comparisons for n={n}, m={m}")
-        r, s = np.triu_indices(n, 1)
-        defects = blocks[r]
-        defects -= blocks[s]
-        worst = float(np.abs(defects).max())
-        del blocks, defects  # freed before the next case's blocks
-        tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
-        ok = ok and worst <= tol
-        print(f"intertwiner n={n} m={m}: max defect {worst:.3e}, {_tolerance_note(worst, tol)}")
-    return ok
-
-
 def _run_algebra(max_dim: int) -> bool:
     import numpy as np
 
@@ -209,13 +193,7 @@ def _run_algebra(max_dim: int) -> bool:
               TracedAlgebraShape.from_blocks((2, 1))]
     for shape in shapes:
         space = GnsSpace(shape)
-        units = []
-        for sl, d in zip(shape.block_slices(), shape.blocks):
-            for i in range(d):
-                for j in range(d):
-                    u = np.zeros((shape.total_dim, shape.total_dim), dtype=complex)
-                    u[sl.start + i, sl.start + j] = 1.0
-                    units.append(u)
+        units = [space.basis_element(k) for k in range(space.dim)]
         left_alg = generate_algebra([space.left(u) for u in units])
         comm = commutant(left_alg)
         rights = generate_algebra([space.right(u) for u in units])
@@ -270,9 +248,9 @@ def _run_glue(max_dim: int) -> bool:
 
 
 _RUNNERS = {
-    "keyclaim": _run_keyclaim,
+    "keyclaim": partial(_run_scaled, "keyclaim", "deviation"),
     "span": _run_span,
-    "intertwiner": _run_intertwiner,
+    "intertwiner": partial(_run_scaled, "intertwiner", "defect"),
     "algebra": _run_algebra,
     "glue": _run_glue,
 }

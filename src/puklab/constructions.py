@@ -11,7 +11,7 @@ check routines here certify, numerically and to stated tolerances, the
 inner-product, spanning, and intertwining identities that the multiplicity
 analysis of the conjugated masa pair rests on, from ``λ`` alone
 (:func:`_row_factors`); the position-space kernel ``u = ifftn(λ)`` is
-built only to gather a dense unitary.
+built only for a dense unitary and the columns of the masa pair.
 """
 
 from __future__ import annotations
@@ -349,19 +349,23 @@ def intertwiner_grams(n: int, m: int, r: int, s: int):
     return grams[0], grams[1]
 
 
-def intertwiner_check(n: int, m: int, r: int, s: int) -> float:
-    """Max disagreement between the two Gram matrices (the isometry defect).
+def intertwiner_check(n: int, m: int) -> float:
+    """Max disagreement between the Gram matrices of ``f_r`` and ``f_s``, over all ``r < s``.
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree; this returns the largest entrywise difference.  Both Grams are
-    gathered from the blocks of :func:`intertwiner_blocks` at the same
-    places and vanish elsewhere, so the blocks alone give it.
+    agree; this returns the largest entrywise difference over every pair.
+    Both Grams are gathered from the blocks of :func:`intertwiner_blocks` at
+    the same places and vanish elsewhere, so the blocks alone give it.
     """
-    if r == s or not (0 <= r < n and 0 <= s < n):
-        raise ValueError("need distinct r, s in range(n)")
     blocks = intertwiner_blocks(n, m)
-    return float(np.max(np.abs(blocks[r] - blocks[s])))
+    # the n blocks; for the n(n−1)/2 pairs r < s their indices, blocks[r] and blocks[s]
+    check_workspace(n * n * blocks[0].size + n * (n - 1) // 2,
+                    f"the intertwiner comparisons for n={n}, m={m}")
+    r, s = np.triu_indices(n, 1)
+    defects = blocks[r]
+    defects -= blocks[s]
+    return float(np.abs(defects).max())
 
 
 def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
@@ -374,9 +378,11 @@ def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
     if k < 1:
         raise ValueError("need k >= 1")
     N = n**k
-    # the N generators of each side, U with its flat indices, and one unit of the identity
-    check_workspace(2 * N**3 + 3 * N**2, f"the masa pair of M_{n}^⊗{k}")
+    # the N generators of each side, the temporary of the outer product that builds
+    # each image, and one N² more for the kernel and the 2N arrays' headers
+    check_workspace(2 * N**3 + 2 * N**2, f"the masa pair of M_{n}^⊗{k}")
     a_gens = [np.diag(np.eye(N, dtype=complex)[p]) for p in range(N)]
-    # the image of the unit e_p under conjugation by U is u_p u_p* for column p of U
-    u = _multilevel_circulant(_unitary_kernel(n, k - 1, kind), k)
-    return a_gens, [np.outer(u[:, p], u[:, p].conj()) for p in range(N)]
+    # e_p's image under conjugation by U is u_p u_p*: column p of U is u rolled by p's slots
+    u = _unitary_kernel(n, k - 1, kind)
+    columns = (np.roll(u, np.unravel_index(p, u.shape), axis=range(k)).ravel() for p in range(N))
+    return a_gens, [np.outer(c, c.conj()) for c in columns]

@@ -96,26 +96,25 @@ def diagram_from_construction(
         )
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
-    buckets: dict[tuple[int, int, int], set] = {}  # (level, lead_i, lead_j) -> values
-    for s in range(r + 1):
-        for (a, b), values in lam.cell_values(s).items():
-            if a != b:
-                buckets.setdefault((s, a, b), set()).update(values)
-                buckets.setdefault((s, b, a), set()).update(values)
-    level = r + 1
-    size = 1 << level
-    cutdown = oracle.cells(level)
-    rows = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            values: set = set()
-            for t in range(r + 1):
-                values |= buckets.get((t, x >> (r - t), y >> (r - t)), set())
-            cell = cutdown[x][y]
-            row.append(cell if x == y else nset_product(NSet.from_iterable(values), cell))
-        rows.append(tuple(row))
-    return MultiplicityDiagram(level, tuple(rows), diagonal_marked=True)
+    empty: frozenset = frozenset()
+    grid, distinct = [[empty]], {empty: empty}  # cells share one object per distinct value set
+    for t in range(r + 1):
+        values = lam.cell_values(t)
+        # each level refines the last once; its keys are (lead_i, lead_j) with lead_i <= lead_j.
+        # The diagonal is reset to empty: a pair with one leading index sits inside a
+        # diagonal cell, is not drawn, and so seeds no off-diagonal child
+        grid = [
+            [empty if x == y else distinct.setdefault(
+                union := grid[x >> 1][y >> 1] | values.get((min(x, y), max(x, y)), empty), union)
+             for y in range(2 << t)]
+            for x in range(2 << t)
+        ]
+    rows = tuple(
+        tuple(cell if x == y else nset_product(NSet.from_iterable(grid[x][y]), cell)
+              for y, cell in enumerate(row))
+        for x, row in enumerate(oracle.cells(r + 1))
+    )
+    return MultiplicityDiagram(r + 1, rows, diagonal_marked=True)
 
 
 def diagram_from_numeric(

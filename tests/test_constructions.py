@@ -271,10 +271,16 @@ class TestFamilySpan:
                     assert abs(val) < 1e-12
 
 
+def dense_defects(n, m):
+    """The largest entrywise difference of the dense Grams of each pair ``r < s``."""
+    return [float(np.max(np.abs(np.subtract(*intertwiner_grams(n, m, r, s)))))
+            for r, s in itertools.combinations(range(n), 2)]
+
+
 class TestIntertwiner:
-    @pytest.mark.parametrize("n,m,r,s", [(2, 1, 0, 1), (3, 1, 1, 2), (2, 2, 0, 1)])
-    def test_defect_small(self, n, m, r, s):
-        assert intertwiner_check(n, m, r, s) < 1e-10
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2)])
+    def test_defect_small(self, n, m):
+        assert intertwiner_check(n, m) == max(dense_defects(n, m)) < 1e-10
 
     def test_grams_diagonal_with_expected_entries(self):
         n, m = 3, 1
@@ -285,20 +291,20 @@ class TestIntertwiner:
             assert np.max(np.abs(off)) < 1e-10
             assert np.allclose(np.diagonal(gram).real, expected, atol=1e-10)
 
-    def test_requires_distinct_indices(self):
-        with pytest.raises(ValueError):
-            intertwiner_check(2, 1, 0, 0)
+    def test_requires_n_at_least_two(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                intertwiner_check(n, 1)
 
-    @pytest.mark.parametrize("n,m,r,s", [(2, 2, 0, 1), (3, 1, 2, 0), (3, 2, 1, 2)])
-    def test_check_is_the_dense_gram_difference(self, n, m, r, s):
-        gram_r, gram_s = intertwiner_grams(n, m, r, s)
-        assert intertwiner_check(n, m, r, s) == float(np.max(np.abs(gram_r - gram_s)))
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 2)])
+    def test_check_is_the_dense_gram_difference(self, n, m):
+        assert intertwiner_check(n, m) == max(dense_defects(n, m))
 
     def test_check_builds_no_dense_gram(self):
         # each dense Gram at (2, 5) holds 32^4 complex entries: 16 MiB
         tracemalloc.start()
         try:
-            defect = intertwiner_check(2, 5, 0, 1)
+            defect = intertwiner_check(2, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

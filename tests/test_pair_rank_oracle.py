@@ -118,6 +118,33 @@ def streamed_diagram(spec, entries, r) -> MultiplicityDiagram:
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
 
 
+def bucketed_diagram(spec, oracle, r) -> MultiplicityDiagram:
+    """``diagram_from_construction`` by the per-level buckets it read before it refined one grid.
+
+    Every level's values are kept by ``(level, lead_i, lead_j)`` in both orders,
+    and each cell of the level-``r+1`` grid unions the bucket of its label
+    prefixes at every level.
+    """
+    buckets: dict = {}
+    for s in range(r + 1):
+        for (a, b), values in spec.cell_values(s).items():
+            if a != b:
+                buckets.setdefault((s, a, b), set()).update(values)
+                buckets.setdefault((s, b, a), set()).update(values)
+    cutdown = oracle.cells(r + 1)
+    rows = []
+    for x in range(2 << r):
+        row = []
+        for y in range(2 << r):
+            values: set = set()
+            for t in range(r + 1):
+                values |= buckets.get((t, x >> (r - t), y >> (r - t)), set())
+            cell = cutdown[x][y]
+            row.append(cell if x == y else nset_product(NSet.from_iterable(values), cell))
+        rows.append(tuple(row))
+    return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
+
+
 def walked_cells(spec, r, quadrant) -> dict:
     """``cell_values`` by the rank-by-rank walk: every run of both streams, in order."""
     segments = spec._segments(r, quadrant)
@@ -553,6 +580,18 @@ def test_diagram_and_render_match_stream(spec, data):
 def test_level_three_diagram_matches_stream(spec):
     got = diagram_from_construction(spec, SIMPLE, 3)
     assert render(got, "ascii") == render(streamed_diagram(spec, constant_entries(4), 3), "ascii")
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.one_of(all_specs, deep_specs), data=st.data())
+def test_refined_diagram_matches_buckets(spec, data):
+    r = data.draw(st.integers(0, 4))
+    if data.draw(st.booleans()):
+        oracle = SIMPLE
+    else:
+        oracle = CutdownOracle.from_table(r + 1, table_entries(data, r + 1))
+    got = diagram_from_construction(spec, oracle, r)
+    assert got == bucketed_diagram(spec, oracle, r)
 
 
 # ---------------------------------------------------------------------------

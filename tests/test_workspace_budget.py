@@ -139,7 +139,7 @@ def test_certificates_stay_within_declared_workspace(declared, n, m):
         "build": lambda: TruncatedAutomorphism.build(n, m),
         "keyclaim": lambda: keyclaim_check(n, m),
         "intertwiner blocks": lambda: intertwiner_blocks(n, m),
-        "intertwiner check": lambda: intertwiner_check(n, m, 0, 1),
+        "intertwiner check": lambda: intertwiner_check(n, m),
         "masa pair": lambda: truncated_masa_pair(n, m + 1),
     }
     if m >= 1:
@@ -168,7 +168,7 @@ def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
 def test_intertwiner_comparisons_stay_within_declared_workspace(declared):
     # n = 128 at m = 0 compares 8,128 pairs at once: the pairs' indices and both gathered
     # stacks come to 3·8,128 entries beside the 128 blocks, over the slack on their own
-    assert_within_declared(declared, "intertwiner suite", lambda: cli._run_intertwiner(16384))
+    assert_within_declared(declared, "intertwiner suite", lambda: cli._RUNNERS["intertwiner"](16384))
     assert 128 * 128 + 128 * 127 // 2 in [entries for entries, _ in declared]
 
 
