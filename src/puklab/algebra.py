@@ -255,7 +255,7 @@ class SpectrumReport:
 
     @property
     def as_set(self) -> NSet:
-        return NSet.from_iterable(self.multiplicities)
+        return NSet(self.multiplicities)
 
     @property
     def total(self) -> int:

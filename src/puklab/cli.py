@@ -33,7 +33,7 @@ from .invariant import (
     countable_family_plan,
     eval_construction,
 )
-from .nsets import NSet
+from .nsets import NSet, parse_value
 
 SUITE_TOL = 1e-10
 SUITES = ("keyclaim", "span", "intertwiner", "algebra", "glue")
@@ -317,11 +317,7 @@ def cmd_plan(args) -> int:
             "evaluation": str(plan.evaluate()),
         }
     else:
-        rows = [
-            [cfg.value_from_config(v if v == "inf" else int(v))
-             for v in row.split(",")]
-            for row in args.target.split(";")
-        ]
+        rows = [[parse_value(v) for v in row.split(",")] for row in args.target.split(";")]
         plan = countable_family_plan(rows)
         payload = {
             "kind": "family",

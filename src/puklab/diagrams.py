@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
 from .indices import CELL_WORK_CAP, LambdaSpec
-from .nsets import NSet, nset_product, union_all
+from .nsets import EMPTY, NSet, nset_product, union_all
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,21 +96,20 @@ def diagram_from_construction(
         )
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
-    empty: frozenset = frozenset()
-    grid, distinct = [[empty]], {empty: empty}  # cells share one object per distinct value set
+    grid, distinct = [[EMPTY]], {EMPTY: EMPTY}  # cells share one object per distinct value set
     for t in range(r + 1):
         values = lam.cell_values(t)
         # each level refines the last once; its keys are (lead_i, lead_j) with lead_i <= lead_j.
         # The diagonal is reset to empty: a pair with one leading index sits inside a
         # diagonal cell, is not drawn, and so seeds no off-diagonal child
         grid = [
-            [empty if x == y else distinct.setdefault(
-                union := grid[x >> 1][y >> 1] | values.get((min(x, y), max(x, y)), empty), union)
+            [EMPTY if x == y else distinct.setdefault(
+                union := grid[x >> 1][y >> 1] | values.get((min(x, y), max(x, y)), EMPTY), union)
              for y in range(2 << t)]
             for x in range(2 << t)
         ]
     rows = tuple(
-        tuple(cell if x == y else nset_product(NSet.from_iterable(grid[x][y]), cell)
+        tuple(cell if x == y else nset_product(grid[x][y], cell)
               for y, cell in enumerate(row))
         for x, row in enumerate(oracle.cells(r + 1))
     )
@@ -158,7 +157,7 @@ def diagram_from_numeric(
     inside = np.abs(overlaps - mults) <= slack
     if np.any(~inside & (overlaps > slack)):
         raise NotInAlgebraError("a report block straddles the partition cutdown")
-    cells = [[NSet.from_iterable(mults[cell].tolist()) for cell in row] for row in inside]
+    cells = [[NSet(mults[cell].tolist()) for cell in row] for row in inside]
     return MultiplicityDiagram(level, tuple(map(tuple, cells)), diagonal_marked=False)
 
 

@@ -403,7 +403,7 @@ class LambdaSpec:
 
     # -- values grouped by leading cell -------------------------------------
 
-    def cell_values(self, r: int, quadrant: str | None = None) -> dict[tuple[int, int], set]:
+    def cell_values(self, r: int, quadrant: str | None = None) -> dict[tuple[int, int], NSet]:
         """Values of the level-``r`` pairs grouped by leading cell.
 
         Keys are ``(i.words[0], j.words[0])`` over the value-carrying pairs
@@ -443,7 +443,7 @@ class LambdaSpec:
                 if len(got) == target:
                     break
             if got:
-                cells[cell] = got
+                cells[cell] = NSet(got)
         return cells
 
     # -- value sets without enumeration -------------------------------------
@@ -458,7 +458,7 @@ class LambdaSpec:
         out: set = set()
         for _, lo, hi, values, base, _ in self._segments(r, quadrant):
             out |= _cyclic_slice(values, base + lo, hi - lo)
-        return NSet.from_iterable(out)
+        return NSet(out)
 
     def values_complete_by(self, r: int) -> bool:
         """True when levels beyond ``r`` can only repeat values already seen by ``r``."""
@@ -469,7 +469,7 @@ class LambdaSpec:
             seen = seen | self.value_set_at_level(s)
         # level r + 1 carries no override, and from level 1 on every segment of
         # a level without overrides cycles through its whole value list
-        eventual = NSet.from_iterable(v for s in self._segments(r + 1) for v in s[3])
+        eventual = NSet(v for s in self._segments(r + 1) for v in s[3])
         return eventual.issubset(seen)
 
 

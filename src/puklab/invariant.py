@@ -146,7 +146,7 @@ def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -
     cells = oracle.cells(r + 1)
     out = NSet()
     for (a, b), values in lam.cell_values(r, quadrant).items():
-        out = out | nset_product(NSet.from_iterable(values), cells[a][b])
+        out = out | nset_product(values, cells[a][b])
     return out
 
 

@@ -1,14 +1,13 @@
 """Subsets of N ∪ {∞} and the set arithmetic the invariant formulas use.
 
-An :class:`NSet` stores an explicit finite set of positive integers plus an
-infinity flag; ``math.inf`` stands for ∞ wherever single values are passed
-around.  The product convention is ``n·∞ = ∞·n = ∞``.
+An :class:`NSet` is a frozenset whose members are positive integers and
+``math.inf`` (:data:`INF`), the one form ∞ takes everywhere.  The product
+convention ``n·∞ = ∞·n = ∞`` is float arithmetic, so no rule here branches on ∞.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import EmptyInputError, NonSingletonInfiniteError
@@ -23,76 +22,56 @@ def is_valid_value(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
-@dataclass(frozen=True)
-class NSet:
-    """A finite explicit subset of N plus an optional ∞ element."""
+def parse_value(token: str):
+    """One value of the textual form: ``"inf"`` or an integer, spaces allowed."""
+    token = token.strip()
+    return INF if token == "inf" else int(token)
 
-    finite: frozenset[int] = frozenset()
-    has_infinity: bool = False
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) and v >= 1 for v in self.finite):
-            raise ValueError(f"finite part must contain positive integers: {self.finite}")
+class NSet(frozenset):
+    """A subset of N ∪ {∞}: a frozenset of positive ints and :data:`INF`.
+
+    The constructor takes an iterable and rejects any other member with
+    ``ValueError``.  ``|`` and ``*`` of two ``NSet`` objects build an ``NSet``
+    without that check; any other operand is checked first.  The other
+    frozenset operations (``&``, ``-``, ``^``, ``.union``) return a plain
+    ``frozenset``, and ``<=`` means subset.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values=()):
+        out = frozenset.__new__(cls, values)
+        for v in out:
+            if not is_valid_value(v):
+                raise ValueError(f"not a value in N ∪ {{∞}}: {v!r}")
+        return out
 
     @classmethod
     def of(cls, *values) -> "NSet":
-        return cls.from_iterable(values)
-
-    @classmethod
-    def from_iterable(cls, values) -> "NSet":
-        finite, has_inf = set(), False
-        for v in values:
-            if v == INF:
-                has_inf = True
-            elif is_valid_value(v):
-                finite.add(int(v))
-            else:
-                raise ValueError(f"not a value in N ∪ {{∞}}: {v!r}")
-        return cls(frozenset(finite), has_inf)
+        return cls(values)
 
     @classmethod
     def parse(cls, text: str) -> "NSet":
         """Parse the textual form, e.g. ``"2,3,inf"``; empty text is the empty set."""
         text = text.strip()
-        if not text:
-            return cls()
-        values = []
-        for token in text.split(","):
-            token = token.strip()
-            values.append(INF if token == "inf" else int(token))
-        return cls.from_iterable(values)
+        return cls(map(parse_value, text.split(","))) if text else cls()
 
     def __str__(self) -> str:
-        parts = [str(v) for v in sorted(self.finite)]
-        if self.has_infinity:
-            parts.append("inf")
-        return ",".join(parts)
+        # str(INF) is "inf", and it sorts last
+        return ",".join(map(str, sorted(self)))
 
-    def __contains__(self, v) -> bool:
-        if v == INF:
-            return self.has_infinity
-        return v in self.finite
+    def __or__(self, other) -> "NSet":
+        if not isinstance(other, NSet):
+            other = NSet(other)
+        return _valid(frozenset.__or__(self, other))
 
-    def __len__(self) -> int:
-        return len(self.finite) + (1 if self.has_infinity else 0)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __or__(self, other: "NSet") -> "NSet":
-        return NSet(self.finite | other.finite, self.has_infinity or other.has_infinity)
-
-    def __mul__(self, other: "NSet") -> "NSet":
+    def __mul__(self, other) -> "NSet":
         return nset_product(self, other)
-
-    def issubset(self, other: "NSet") -> bool:
-        if self.has_infinity and not other.has_infinity:
-            return False
-        return self.finite <= other.finite
 
     @property
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return not self
 
     @property
     def is_singleton(self) -> bool:
@@ -100,15 +79,17 @@ class NSet:
 
     def sorted_values(self) -> list:
         """Members ascending, with ∞ last; useful for round-robin assignment."""
-        out: list = sorted(self.finite)
-        if self.has_infinity:
-            out.append(INF)
-        return out
+        return sorted(self)
+
+
+def _valid(members) -> NSet:
+    """An ``NSet`` of members already known to be valid: no check."""
+    return frozenset.__new__(NSet, members)
 
 
 EMPTY = NSet()
-ONE = NSet(frozenset({1}))
-INFINITY_SET = NSet(frozenset(), True)
+ONE = NSet.of(1)
+INFINITY_SET = NSet.of(INF)
 
 
 def union_all(sets) -> NSet:
@@ -116,10 +97,12 @@ def union_all(sets) -> NSet:
 
 
 def nset_product(e: NSet, f: NSet) -> NSet:
-    """All pairwise products; ∞ appears iff one factor has ∞ and the other is non-empty."""
-    finite = frozenset(m * n for m in e.finite for n in f.finite)
-    has_inf = (e.has_infinity and bool(f)) or (f.has_infinity and bool(e))
-    return NSet(finite, has_inf)
+    """All pairwise products ``m·n``; ``∞·n = ∞`` needs no case of its own."""
+    if not isinstance(e, NSet):
+        e = NSet(e)
+    if not isinstance(f, NSet):
+        f = NSet(f)
+    return _valid({m * n for m in e for n in f})
 
 
 def tensor_mixed(factors) -> NSet:

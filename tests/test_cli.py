@@ -414,6 +414,15 @@ class TestPlanCommand:
         assert payload["table"][0] == ["1", "3", "1", "1"]
         assert {"pair": [0, 1], "n": 3, "roles": ["A", "B", "C", "C"]} in payload["gadgets"]
 
+    def test_family_tokens_may_be_spaced(self, capsys):
+        # NSet.parse strips its tokens; a family row reads them the same way
+        payloads = []
+        for target in ("1,inf;inf,1", "1, inf; inf, 1"):
+            assert main(["plan", "--target", target, "--kind", "family"]) == 0
+            payloads.append(capsys.readouterr().out)
+        assert payloads[0] == payloads[1]
+        assert json.loads(payloads[0])["table"] == [["1", "inf"], ["inf", "1"]]
+
     def test_cor1_without_one_exits_2(self, capsys):
         assert main(["plan", "--target", "2,3", "--kind", "cor1"]) == 2
 

@@ -251,7 +251,7 @@ class TestLambdaSpec:
                     bucket = "both_one"
                 if quadrant is None or bucket == quadrant:
                     expected.add(v)
-            assert spec.value_set_at_level(r, quadrant) == NSet.from_iterable(expected)
+            assert spec.value_set_at_level(r, quadrant) == NSet(expected)
 
     def test_values_complete_by(self):
         assert not INTRO.values_complete_by(0)

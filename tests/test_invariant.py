@@ -25,7 +25,7 @@ def nonempty_subsets(values):
     out = []
     for size in range(1, len(values) + 1):
         for combo in itertools.combinations(values, size):
-            out.append(NSet.from_iterable(combo))
+            out.append(NSet(combo))
     return out
 
 

@@ -68,7 +68,7 @@ def streamed_cells(spec, r) -> dict:
 
 
 def streamed_value_set(spec, r, quadrant) -> NSet:
-    return NSet.from_iterable(
+    return NSet(
         v for (i, j), v in spec.level_assignments(r)
         if quadrant is None or quadrant_of(i, j) == quadrant
     )
@@ -112,7 +112,7 @@ def streamed_diagram(spec, entries, r) -> MultiplicityDiagram:
             values = set()
             for t in range(r + 1):
                 values |= buckets.get((x[: t + 1], y[: t + 1]), set())
-            row.append(nset_product(NSet.from_iterable(values), padded_entry(entries, x, y))
+            row.append(nset_product(NSet(values), padded_entry(entries, x, y))
                        if values else NSet())
         rows.append(tuple(row))
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
@@ -140,7 +140,7 @@ def bucketed_diagram(spec, oracle, r) -> MultiplicityDiagram:
             for t in range(r + 1):
                 values |= buckets.get((t, x >> (r - t), y >> (r - t)), set())
             cell = cutdown[x][y]
-            row.append(cell if x == y else nset_product(NSet.from_iterable(values), cell))
+            row.append(cell if x == y else nset_product(NSet(values), cell))
         rows.append(tuple(row))
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
 
@@ -251,7 +251,7 @@ def sibling_pair_at(r, pos):
 
 values_st = st.one_of(st.integers(1, 12), st.just(INF))
 nsets_st = st.builds(
-    lambda finite, inf: NSet.from_iterable(finite + [INF] * inf),
+    lambda finite, inf: NSet(finite + [INF] * inf),
     st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True),
     st.booleans(),
 )
@@ -620,7 +620,7 @@ README_SPECS = [
 @pytest.mark.parametrize("spec", README_SPECS)
 def test_readme_specs_give_every_value_per_cell_at_levels_five_and_six(spec, r):
     cells = spec.cell_values(r)
-    assert NSet.from_iterable(set().union(*cells.values())) == spec.value_set_at_level(r)
+    assert NSet(set().union(*cells.values())) == spec.value_set_at_level(r)
 
 
 @pytest.mark.parametrize("spec", README_SPECS)
@@ -628,7 +628,7 @@ def test_cell_work_cap_passes_level_four_and_trips_at_five(spec, monkeypatch):
     # each level-4 cell of these specs is met by one run: the walk costs two per cell,
     # so a cap of exactly that fits level 4 and level 5's doubled cells overrun it
     cells = spec.cell_values(4)
-    assert NSet.from_iterable(set().union(*cells.values())) == spec.value_set_at_level(4)
+    assert NSet(set().union(*cells.values())) == spec.value_set_at_level(4)
     monkeypatch.setattr(indices, "CELL_WORK_CAP", 2 * len(cells))
     assert spec.cell_values(4) == cells
     with pytest.raises(ResourceGuardError):

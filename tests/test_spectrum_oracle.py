@@ -151,7 +151,7 @@ def dense_diagram_cells(report, partition, right_partition=None):
                     mults.append(mult)
                 elif overlap > MEMBER_TOL * max(1.0, mult):
                     raise NotInAlgebraError("a report block straddles the partition cutdown")
-            row.append(NSet.from_iterable(mults))
+            row.append(NSet(mults))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -380,7 +380,7 @@ def counted_cells(shape, a_keys, b_keys, a_groups, b_groups, level, off_diagonal
             if meets:
                 a, b = meets[0]
                 cells[a][b].add(len(meets))
-    return tuple(tuple(NSet.from_iterable(c) for c in row) for row in cells)
+    return tuple(tuple(NSet(c) for c in row) for row in cells)
 
 
 def cells_or_straddle(cells):
