@@ -1,14 +1,16 @@
 """Command-line surface: spectra, identity suites, invariant evaluation, planning, rendering.
 
 Exit codes: 0 on success, 1 when a verification suite breaches its tolerance,
-2 on malformed input.  The keyclaim and intertwiner suites print, per case
+2 on malformed input, and 141 (128 + SIGPIPE) when the reader of the output
+closes it early.  The keyclaim and intertwiner suites print, per case
 ``(n, m)``, the one defect their ``constructions`` check returns (the
 intertwiner's is the largest over all pairs ``r < s``), against ``SUITE_TOL``
 times the expected size ``n^{-(2m+1)}`` of the inner products; the span
-tolerance is ``SUITE_TOL`` times the smallest Gram diagonal entry.
-The span rank counts only the members whose row Gram is certified
-nonsingular by Gershgorin's theorem; each span line ends with the least
-ratio of a Gram diagonal entry to the sum of the off-diagonal moduli in its row.
+tolerance is ``SUITE_TOL`` times the smallest Gram diagonal entry.  The three
+checks are exact, so a defect is 0 or the size of an inner product.  The span
+rank is the exact rank of the family's Gram, not a Gershgorin certificate;
+each span line ends with the least ratio of a Gram diagonal entry to the sum
+of the off-diagonal moduli in its row, ``inf`` for a diagonal Gram.
 The algebra suite's commutant lines end with the ratio by which the singular
 values on either side of the rank cut, the last kept and the first dropped,
 cleared it.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -80,6 +83,11 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so that the flush at
+        # interpreter exit has nowhere to fail, and exit as SIGPIPE would have ended us
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PuklabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

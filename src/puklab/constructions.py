@@ -1,4 +1,4 @@
-"""Shift gadgets, truncated tensor-product automorphisms, and their certified identities.
+"""Shift gadgets, truncated tensor-product automorphisms, and their exact identities.
 
 The gadget on ``M_n`` pairs the diagonal masa with the circulant masa
 generated by the cyclic shift ``w``; the unitary ``v = Σ_i w^i ⊗ f_i`` lifts
@@ -6,17 +6,22 @@ the shift one tensor slot at a time.  The product automorphisms built from
 copies of ``v`` only ever act through finitely many slots on any fixed
 element, so depth-``k`` truncations on ``M_n^{⊗(k+1)}`` reproduce them
 exactly where it matters.  Their unitaries are convolutions, diagonal in the
-Fourier basis with eigenvalues ``λ = ω^q`` (:func:`_unitary_symbol`).  The
-check routines here certify, numerically and to stated tolerances, the
-inner-product, spanning, and intertwining identities that the multiplicity
-analysis of the conjugated masa pair rests on, from ``λ`` alone
-(:func:`_row_factors`); the position-space kernel ``u = ifftn(λ)`` is
-built only for a dense unitary and the columns of the masa pair.
+Fourier basis with eigenvalues ``λ = ω^q`` (:func:`_unitary_symbol`), where
+``q = Σ a·k_i·k_j`` over the edges of :func:`_symbol_edges`.  The check
+routines decide the inner-product, spanning, and intertwining identities that
+the multiplicity analysis of the conjugated masa pair rests on exactly, from
+those edges alone: ``|λ| = 1``, and one walk along the θ symbol's path
+(:func:`_kappa_coefficient`) reduces each identity to whether one coefficient
+is a unit mod ``n``, in ``O(m)`` integer steps and with no array.  The dense
+Grams of :func:`intertwiner_grams` are read off ``λ`` in floating point
+(:func:`_row_factors`); the position-space kernel ``u = ifftn(λ)`` is built
+only for a dense unitary and the columns of the masa pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 from numpy.fft import fft, ifft, ifftn
@@ -82,24 +87,35 @@ def _shift_eigenvectors(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * a / n)[np.outer(a, a) % n] / np.sqrt(n)
 
 
-def _unitary_symbol(n: int, depth: int, kind: str = "theta") -> np.ndarray:
-    """Fourier symbol ``λ = ω^q`` of the depth-``depth`` unitary, on shape ``(n,)*(depth+1)``.
+def _symbol_edges(depth: int, kind: str = "theta") -> list[tuple[int, int, int]]:
+    """The phase ``q = Σ a·k_i·k_j`` of the depth-``depth`` symbol as its ``(i, j, a)`` triples.
 
-    ``w^i = Σ_k ω^{ik} f_k``, so each step ``v = Σ_{i,k} ω^{ik} f_k ⊗ f_i`` is
-    diagonal in the Fourier basis ``φ`` of its two slots, and
-    ``U = φ^{⊗(depth+1)} diag(λ) φ^{⊗(depth+1)*}`` with ``λ = ω^{q(k)}``,
-    ``q(k) = Σ_r k_{r-1}·k_r`` over the step slots ``r`` (every ``r`` up to
-    the depth for ``kind="theta"``, the odd ones for ``"phi"``): the
-    eigenvalues of ``U``, ``N = n^{depth+1}`` entries.
+    The step ``v`` in slots ``r − 1, r`` contributes ``k_{r−1}·k_r``, at every
+    ``r`` up to the depth for ``kind="theta"`` and at the odd ones for
+    ``"phi"``; θ's edges form the path ``0 – 1 – … – depth``.
     """
     if kind not in ("theta", "phi"):
         raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    return [(r - 1, r, 1) for r in range(1, depth + 1, 1 if kind == "theta" else 2)]
+
+
+def _unitary_symbol(n: int, depth: int, kind: str = "theta") -> np.ndarray:
+    """Fourier symbol ``λ = ω^q`` of the depth-``depth`` unitary, on shape ``(n,)*(depth+1)``.
+
+    ``w^i = Σ_k ω^{ik} f_k``, so each step ``v = Σ_{i,k} ω^{ik} f_k ⊗ f_i`` is
+    diagonal in the Fourier basis ``φ`` of its two slots, and
+    ``U = φ^{⊗(depth+1)} diag(λ) φ^{⊗(depth+1)*}`` with ``λ = ω^{q(k)}`` and
+    ``q`` summed over :func:`_symbol_edges`: the eigenvalues of ``U``,
+    ``N = n^{depth+1}`` entries.
+    """
+    edges = _symbol_edges(depth, kind)  # checks kind and depth before any allocation
     k = np.arange(n)
+    slots = [k.reshape((1,) * r + (n,) + (1,) * (depth - r)) for r in range(depth + 1)]
     q = np.zeros((n,) * (depth + 1), dtype=np.int64)
-    for r in range(1, depth + 1, 1 if kind == "theta" else 2):
-        q += np.multiply.outer(k, k).reshape((1,) * (r - 1) + (n, n) + (1,) * (depth - r))
+    for i, j, a in edges:
+        q += a * slots[i] * slots[j]
     return np.exp(2j * np.pi * k / n)[q % n]
 
 
@@ -162,41 +178,24 @@ class TruncatedAutomorphism:
 
 
 def _row_factors(n: int, depth: int):
-    """The factors ``(y, p̂)`` of every certificate's Gram entries.
+    """The factors ``(y, p̂)`` of the Gram entries of ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
 
-    Let ``U`` be the depth-``depth`` θ unitary with kernel ``u = ifftn(λ)``
-    and symbol ``λ`` (:func:`_unitary_symbol`), ``N = n^{depth+1}``, and
-    ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)`` with ``J`` over the first ``depth``
-    slots; the certified members are rows of these.
-
-    *One representative per shift class.*  The slotwise shifts ``S_δ``
-    commute with every convolution, unitary or not, so with ``U``; they fix
-    every ``f_t`` (its range is an eigenvector of each shift) and send
-    ``e_J`` to ``e_{J+δ}``.  So conjugation by ``S_δ`` maps ``X_{t,J}`` to
-    ``X_{t,J+δ}``, row ``a`` to row ``a+δ``, and keeps trace inner products:
-    the Gram of rows ``a`` of the ``X_{t,J}`` is the Gram of their rows ``0``,
-    ``R[(t, J), (s, J')] = Σ_c X_{t,J}[0, c]·conj(X_{s,J'}[0, c])``, with
-    ``J`` re-indexed to ``J − a`` (``a`` cut to its first ``depth`` slots).
-
-    *The Gram of rows 0.*  Row ``0`` of ``X_{t,J}`` is
-    ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U``,
-    ``ψ_t[0, c] = conj(φ_t[c_0])·u_0[t, c_1, …, c_depth]``, and ``S_J`` the
-    columns of ``U`` labelled by ``J``.  ``S_J* S_J'`` is the block
-    ``P[(J, l), (J', l')] = p(J − J', l − l')`` of ``P = U*U``, whose kernel is
-    ``p(d) = Σ_x conj(u(x))·u(x + d) = ifftn(|λ|²)``.  Each block is diagonal
-    in the Fourier basis of the last slot, so
-    ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])``
-    with ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the
-    last slot.  Returns ``y`` as ``[t, J, κ]`` and ``p̂`` unflattened.
-
-    *Read off λ.*  Both come from ``λ`` with the round trips through ``u``
-    cancelled, ``2·depth + 1`` axis passes in all: ``u_0`` is
-    ``fft(u, axis=0)[t, −c_1, …, −c_depth]``, where the ``fft`` undoes the
-    ``ifft`` of slot 0 and an inverse transform read at ``−c`` is the forward
-    one over ``n``, so ``u_0 = fftn(λ, slots 1..depth) / n^depth``; and
-    ``fftn(u) = λ`` gives ``p = ifftn(|λ|²)``, whose last slot's ``ifft`` the
-    ``fft`` of ``p̂`` undoes: ``p̂ = ifftn(|λ|², slots 0..depth−1)``.  ``|λ|²``
-    stands wherever ``P`` did, so unitarity is still never assumed.
+    ``U`` is the depth-``depth`` θ unitary with symbol ``λ`` (:func:`_unitary_symbol`)
+    and kernel ``u = ifftn(λ)``, and ``J`` runs over the first ``depth`` slots.  The
+    slotwise shifts ``S_δ`` commute with every convolution, so with ``U``; they fix every
+    ``f_t`` and send ``e_J`` to ``e_{J+δ}``, so conjugation by ``S_δ`` maps row ``a`` of
+    ``X_{t,J}`` to row ``a + δ`` of ``X_{t,J+δ}`` and keeps inner products: the Gram of
+    rows ``a`` is the Gram ``R`` of rows ``0`` with ``J`` re-indexed to ``J − a``.  Row
+    ``0`` of ``X_{t,J}`` is ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U`` and
+    ``S_J`` the columns of ``U`` labelled by ``J``, and ``S_J* S_J'`` is the block
+    ``p(J − J', ·)`` of ``P = U*U``, with kernel ``p = ifftn(|λ|²)``, diagonal in the
+    Fourier basis of the last slot.  So
+    ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])`` with
+    ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the last slot, returned as
+    ``[t, J, κ]`` and unflattened.  Both are read off ``λ`` with the round trips through
+    ``u`` cancelled: ``ψ_t[0, c] = conj(φ_t[c_0])·u_0[t, c_1, …]`` with
+    ``u_0 = fftn(λ, slots 1..depth) / n^depth``, and ``p̂ = ifftn(|λ|², slots 0..depth−1)``.
+    ``|λ|²`` stands wherever ``P`` did, so unitarity is never assumed.
     """
     lam = _unitary_symbol(n, depth)
     # slot by slot, which skips fftn's per-call set-up: most certified cases have depth 0 or 1
@@ -210,107 +209,7 @@ def _row_factors(n: int, depth: int):
     return ifft(rows.reshape(n, -1, n), axis=-1), p_hat
 
 
-def _keyclaim_gram(n: int, m: int) -> np.ndarray:
-    """``H[c′, t, s]`` for ``m ≥ 1``, with ``G[(c₀, c′), t, s] = ω^{(s−t)c₀}·H[c′, t, s]``.
-
-    The keyclaim Gram ``G[J, t, s] = ⟨X_{0,t,J}, X_{0,s,J}⟩`` is
-    ``n·R[(t, J), (s, J)] / n^{m+1}`` by :func:`_row_factors`, which reads ``p̂``
-    at ``J − J = 0`` only: an inverse DFT read at 0 is a mean, so ``p̂₀`` is the
-    mean of ``|λ|²`` over slots ``0 … m−1``.  With ``J = (c₀, c′)`` the rows are
-    ``y[t, J] = conj(φ_t[c₀])·w[t, c′] / n^m`` for ``w = fft(λ)`` over slots
-    ``1 … m−1`` (the last slot's ``fft`` and ``ifft`` cancel), for any symbol;
-    ``conj(φ_t[c₀])·φ_s[c₀] = ω^{(s−t)c₀}/n`` then leaves
-    ``H = Σ_κ p̂₀[κ]·w[t, c′, κ]·conj(w[s, c′, κ]) / n^{3m+1}``, ``N`` entries.
-    """
-    w = _unitary_symbol(n, m)
-    p_hat_0 = (np.abs(w.reshape(-1, n)) ** 2).mean(axis=0) / float(n) ** (3 * m + 1)
-    for axis in range(1, m):
-        w = fft(w, axis=axis)
-    by_c = w.reshape(n, -1, n).transpose(1, 0, 2)  # [c′, t, κ]
-    weighted = by_c * p_hat_0
-    # w is this call's own, so it is conjugated in place: no third copy of the rows
-    return weighted @ np.conjugate(by_c, out=by_c).transpose(0, 2, 1)
-
-
-def keyclaim_check(n: int, m: int) -> float:
-    """Max deviation of the conjugated inner products from ``δ_{r,s} n^{-(2m+1)}``.
-
-    Sweeps every tuple ``(i_1..i_m, j_1..j_m, r, s)``: the inner product of
-    ``(e_{i_1}⊗…⊗e_{i_m}) ξ_r θ(e_{j_1}⊗…⊗e_{j_m})`` against ``ξ_s`` in the
-    trace inner product of ``M_n^{⊗(m+1)}``, where ``ξ_r`` is the first-slot
-    spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
-    product unitary.  Since ``e_I`` and ``θ(e_J)`` are projections, that is
-    the Gram entry of the family members at ``(I, r, J)`` and ``(I, s, J)``,
-    which depends only on ``J − I``.  The phase of :func:`_keyclaim_gram` has
-    modulus 1 and is 1 where ``r = s``, so ``H`` alone gives the deviation.
-    At ``m = 0`` the rows are ``y[t, κ] = λ_t·δ_{tκ}/√n`` and the Gram is
-    ``diag(|λ_t|⁴)/n``, with no off-diagonal entry to read.
-    """
-    if n < 2 or m < 0:
-        raise ValueError("need n >= 2 and m >= 0")
-    # the symbol with q and q mod n; then w with one FFT temporary; then w, its
-    # weighted copy and H; then H and its moduli: at most 3N at any one time
-    check_workspace(3 * n ** (m + 1), f"the keyclaim Gram for n={n}, m={m}")
-    if m == 0:
-        return float(np.max(np.abs(np.abs(_unitary_symbol(n, 0)) ** 4 - 1.0))) / n
-    deviation = _keyclaim_gram(n, m)
-    t = np.arange(n)
-    deviation[:, t, t] -= float(n) ** (-(2 * m + 1))
-    return float(np.max(np.abs(deviation)))
-
-
-@dataclass(frozen=True)
-class FamilySpanReport:
-    """Gram statistics of the orthogonal family spanning a full tensor power."""
-
-    count: int
-    min_gram_diag: float
-    max_offdiag: float
-    rank: int  # members on the rows whose Gram passes Gershgorin's test
-    margin: float  # the least |g_aa| / Σ_{b≠a} |g_ab| over all members
-
-
-def family_span_check(n: int, m: int) -> FamilySpanReport:
-    """Certify the ``n^{2m}`` products as orthogonal, non-zero, and spanning.
-
-    The family ``(e_{i_1}⊗…⊗e_{i_m}) f_r θ(e_{j_1}⊗…⊗e_{j_{m-1}}⊗1)`` sits in
-    ``M_n^{⊗m}``; with all index tuples it has exactly the dimension of the
-    whole matrix space, so full rank certifies the span.  Members on
-    different rows have disjoint support, so the family's Gram is block
-    diagonal with one ``k × k`` block per row, ``k = n^m``, and a block whose
-    diagonal dominates each of its rows is nonsingular (Gershgorin).  By
-    :func:`_row_factors` at depth ``m − 1``, the block of row ``I`` is
-    ``R / n^m`` with ``(t, J)`` re-indexed to ``(t, J − I)``, so it alone gives
-    the extremes and the Gershgorin margin of all of them.
-    """
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
-    dim = n**m
-    # the row Gram with its gathered p̂ or its moduli, and the row factors
-    check_workspace(2 * dim * dim + 4 * n * dim, f"the span row Gram for n={n}, m={m}")
-    y, p_hat = _row_factors(n, m - 1)
-    gram = np.einsum("tjk,jJk,sJk->tjsJ", y, _multilevel_circulant(p_hat, m - 1), y.conj())
-    moduli = np.abs(gram.reshape(dim, dim))
-    del gram
-    moduli /= dim
-    diag = moduli.diagonal().copy()
-    np.fill_diagonal(moduli, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(diag > 0.0, diag / moduli.sum(axis=1), 0.0)
-    margin = float(ratios.min())
-    # every row's block passes or fails with the block of row 0
-    rank = dim * dim if margin > 1.0 else 0
-    return FamilySpanReport(dim * dim, float(diag.min()), float(moduli.max()), rank, margin)
-
-
 def _intertwiner_blocks(n: int, m: int) -> np.ndarray:
-    """The blocks of :func:`intertwiner_blocks`, under the caller's workspace check."""
-    y, p_hat = _row_factors(n, m)
-    same_t = np.einsum("tjk,jJk,tJk->tjJ", y, _multilevel_circulant(p_hat, m), y.conj())
-    return same_t / n**m
-
-
-def intertwiner_blocks(n: int, m: int) -> np.ndarray:
     """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)`` at ``I = 0``, one per ``t``.
 
     Entry ``[t, J, J']`` pairs the members ``(0, J)`` and ``(0, J')`` with
@@ -318,20 +217,18 @@ def intertwiner_blocks(n: int, m: int) -> np.ndarray:
     :func:`_row_factors`, which also pairs ``(I, J)`` and ``(I, J')`` at
     ``[t, J − I, J' − I]``.  Members with different ``I`` have disjoint
     support, so these ``n^{2m+1}`` entries give the whole Gram of each ``t``.
+    The caller declares the workspace.
     """
-    if n < 2 or m < 0:
-        raise ValueError("need n >= 2 and m >= 0")
-    count = n**m
-    # the blocks and the gathered p̂ they are read with, and the row factors
-    check_workspace(2 * n * count**2 + 4 * n ** (m + 2), f"the intertwiner blocks for n={n}, m={m}")
-    return _intertwiner_blocks(n, m)
+    y, p_hat = _row_factors(n, m)
+    same_t = np.einsum("tjk,jJk,tJk->tjJ", y, _multilevel_circulant(p_hat, m), y.conj())
+    return same_t / n**m
 
 
 def intertwiner_grams(n: int, m: int, r: int, s: int):
     """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle.
 
     Rows and columns are indexed by ``(J, I)``, ``J`` major; the entries are
-    gathered from :func:`intertwiner_blocks` at ``(J − I, J' − I)``.
+    gathered from :func:`_intertwiner_blocks` at ``(J − I, J' − I)``.
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
@@ -349,23 +246,108 @@ def intertwiner_grams(n: int, m: int, r: int, s: int):
     return grams[0], grams[1]
 
 
+def _kappa_coefficient(n: int, depth: int) -> int:
+    """The coefficient of ``t``, mod ``n``, in the form of the θ symbol that meets ``κ``.
+
+    The certificates read the depth-``d`` symbol ``λ = ω^q``, with
+    ``q = Σ a_r·k_{r−1}·k_r`` over the path ``0 – 1 – … – d`` of
+    :func:`_symbol_edges`, through ``w[t, c, κ] = Σ ω^{q − Σ_r c_r·k_r}``
+    over the interior slots ``k_1 … k_{d−1}``, with ``t = k_0`` and ``κ = k_d``.
+    An odd interior slot ``r`` enters ``q`` only as
+    ``k_r·(a_r·k_{r−1} + a_{r+1}·k_{r+1})``, so its sum is
+    ``n·δ(a_r·k_{r−1} + a_{r+1}·k_{r+1} ≡ c_r)``: a unit ``a_{r+1}`` fixes
+    ``k_{r+1}`` as an affine form in ``t`` and ``c``.  Every edge has one odd
+    end, so a phase in ``t`` and ``c`` alone is left, times ``ω^{a_d·k_{d−1}·κ}``
+    for odd ``d``; for even ``d`` the last sum solves for ``κ``.  So
+    ``Σ_κ w[t, c, κ]·conj(w[s, c, κ])`` is ``f(t)·conj(f(s))``, of modulus
+    ``n^d`` where ``coef·(t − s) ≡ 0`` and 0 elsewhere, for the returned
+    ``coef`` of ``t`` in ``a_d·k_{d−1}`` (odd ``d``) or ``κ`` (even ``d``, and
+    ``κ = t`` at ``d = 0``).  Raises ``ValueError`` for edges other than the
+    path with each edge once, and for a solve by a weight that is not a unit.
+    """
+    weights = {}
+    for i, j, a in _symbol_edges(depth):
+        if j != i + 1 or not 0 < j <= depth or j in weights:
+            raise ValueError(f"the edge ({i}, {j}) is not a new edge of the path 0 – … – {depth}")
+        weights[j] = a % n
+    if len(weights) != depth:
+        missing = sorted(set(range(1, depth + 1)) - weights.keys())
+        raise ValueError(f"the path 0 – … – {depth} misses the edges into slots {missing}")
+    coef = 1  # of t in k_0 = t
+    for r in range(1, depth, 2):
+        if gcd(weights[r + 1], n) != 1:
+            raise ValueError(f"slot {r + 1} is solved for by the weight {weights[r + 1]}, "
+                             f"not a unit mod {n}")
+        coef = -coef * weights[r] * pow(weights[r + 1], -1, n) % n
+    return coef * weights[depth] % n if depth % 2 else coef
+
+
+def keyclaim_check(n: int, m: int) -> float:
+    """Max deviation of the conjugated inner products from ``δ_{r,s} n^{-(2m+1)}``.
+
+    Sweeps every tuple ``(i_1..i_m, j_1..j_m, r, s)``: the inner product of
+    ``(e_{i_1}⊗…⊗e_{i_m}) ξ_r θ(e_{j_1}⊗…⊗e_{j_m})`` against ``ξ_s`` in the
+    trace inner product of ``M_n^{⊗(m+1)}``, where ``ξ_r`` is the first-slot
+    spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
+    product unitary.  By :func:`_row_factors` with ``|λ| = 1`` that is
+    ``ω^{(s−t)c₀}·Σ_κ w[t, c′, κ]·conj(w[s, c′, κ]) / n^{3m+1}`` for
+    ``J − I = (c₀, c′)``, so by :func:`_kappa_coefficient` the deviation is 0
+    when ``coef`` is a unit mod ``n`` and ``n^{-(2m+1)}``, off the diagonal,
+    when it is not.
+    """
+    if n < 2 or m < 0:
+        raise ValueError("need n >= 2 and m >= 0")
+    return 0.0 if gcd(_kappa_coefficient(n, m), n) == 1 else float(n) ** (-(2 * m + 1))
+
+
+@dataclass(frozen=True)
+class FamilySpanReport:
+    """Gram statistics of the orthogonal family spanning a full tensor power."""
+
+    count: int
+    min_gram_diag: float
+    max_offdiag: float
+    rank: int  # the rank of the family's Gram
+    margin: float  # the least |g_aa| / Σ_{b≠a} |g_ab| over all members, inf for a diagonal Gram
+
+
+def family_span_check(n: int, m: int) -> FamilySpanReport:
+    """Gram statistics of the ``n^{2m}`` products, which span when the rank is full.
+
+    The family ``(e_{i_1}⊗…⊗e_{i_m}) f_r θ(e_{j_1}⊗…⊗e_{j_{m-1}}⊗1)`` sits in
+    ``M_n^{⊗m}``; with all index tuples it has exactly the dimension of the
+    whole matrix space.  Members on different rows have disjoint support, and
+    by :func:`_row_factors` at depth ``m − 1`` with ``U*U = 1`` each row's
+    Gram pairs only members with the same ``J``: ``n × n`` blocks in
+    ``(t, s)`` whose entries have modulus ``n^{-2m}`` where
+    ``coef·(t − s) ≡ 0`` (:func:`_kappa_coefficient`), and vanish elsewhere.
+    Their phase is ``f(t)·conj(f(s))``, so with ``g = gcd(coef, n)`` each
+    block has ``n / g`` rank-one classes of ``g`` members: the rank is
+    ``count / g``, and each row holds ``g − 1`` off-diagonal entries.
+    """
+    if n < 2 or m < 1:
+        raise ValueError("need n >= 2 and m >= 1")
+    count, entry = n ** (2 * m), float(n) ** (-2 * m)
+    g = gcd(_kappa_coefficient(n, m - 1), n)
+    if g == 1:
+        return FamilySpanReport(count, entry, 0.0, count, float("inf"))
+    return FamilySpanReport(count, entry, entry, count // g, 1.0 / (g - 1))
+
+
 def intertwiner_check(n: int, m: int) -> float:
     """Max disagreement between the Gram matrices of ``f_r`` and ``f_s``, over all ``r < s``.
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree; this returns the largest entrywise difference over every pair.
-    Both Grams are gathered from the blocks of :func:`intertwiner_blocks` at
-    the same places and vanish elsewhere, so the blocks alone give it.
+    agree.  Both Grams are gathered from :func:`_intertwiner_blocks`, and
+    ``|λ| = 1`` makes ``p̂`` a ``δ`` at ``J = J′``: each block is diagonal,
+    with entries ``Σ_κ |w[t, c′, κ]|² / n^{3m+1} = n^{-(2m+1)}`` for every
+    ``t`` once the forms of :func:`_kappa_coefficient` exist.
     """
-    blocks = intertwiner_blocks(n, m)
-    # the n blocks; for the n(n−1)/2 pairs r < s their indices, blocks[r] and blocks[s]
-    check_workspace(n * n * blocks[0].size + n * (n - 1) // 2,
-                    f"the intertwiner comparisons for n={n}, m={m}")
-    r, s = np.triu_indices(n, 1)
-    defects = blocks[r]
-    defects -= blocks[s]
-    return float(np.abs(defects).max())
+    if n < 2 or m < 0:
+        raise ValueError("need n >= 2 and m >= 0")
+    _kappa_coefficient(n, m)
+    return 0.0
 
 
 def truncated_masa_pair(n: int, k: int, kind: str = "theta"):

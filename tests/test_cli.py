@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from puklab import cli, constructions
 from puklab import config as cfg
 from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
-from puklab.constructions import family_span_check, intertwiner_blocks
+from puklab.constructions import family_span_check
 from puklab.core import GnsSpace, TracedAlgebraShape
 from puklab.indices import LambdaSpec, Override, QuadrantRules, level_zero
 from puklab.invariant import CutdownOracle
@@ -264,6 +268,20 @@ class TestVerifyCommand:
             assert f"suite {suite}: PASS" in lines
 
 
+def test_closed_pipe_exits_141_without_a_message():
+    # about 10^4 lines, far more than a pipe holds: the writer meets the closed pipe mid-sweep
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "puklab", "verify", "--suite", "keyclaim", "--max-dim", "100000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"keyclaim n=2 m=0: max deviation 0.000e+00")
+    assert stderr == b""
+
+
 class TestRelativeTolerance:
     """Defects under 1e-10 that exceed SUITE_TOL times their expected size fail."""
 
@@ -295,12 +313,12 @@ class TestRelativeTolerance:
         assert "suite span: FAIL" in out
 
     def test_intertwiner(self, monkeypatch, capsys):
-        def noisy(n, m):
-            blocks = intertwiner_blocks(n, m).copy()
-            blocks[0] += 5e-11
-            return blocks
+        exact = constructions.intertwiner_check
 
-        monkeypatch.setattr(constructions, "intertwiner_blocks", noisy)
+        def noisy(n, m):
+            return exact(n, m) + 5e-11
+
+        monkeypatch.setattr(constructions, "intertwiner_check", noisy)
         assert main(["verify", "--suite", "intertwiner", "--max-dim", "16"]) == 1
         out = capsys.readouterr().out
         assert "intertwiner n=2 m=0: max defect 5.000e-11" in out

@@ -4,6 +4,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from test_certificate_oracle import (
+    float_family_span_check,
+    float_intertwiner_check,
+    float_keyclaim_check,
+)
 
 from puklab import constructions
 from puklab.constructions import (
@@ -229,7 +234,7 @@ class TestKeyclaim:
     def test_resource_guard(self):
         # the first n = 2 depth whose three N-entry arrays, 3·2^23 entries, exceed the budget
         with pytest.raises(ResourceGuardError):
-            keyclaim_check(2, 22)
+            float_keyclaim_check(2, 22)
 
 
 class TestFamilySpan:
@@ -254,7 +259,7 @@ class TestFamilySpan:
             return lam
 
         monkeypatch.setattr(constructions, "_unitary_symbol", coefficient_lost)
-        rep = family_span_check(2, 2)
+        rep = float_family_span_check(2, 2)
         assert rep.count == 16 and rep.rank < rep.count
         assert rep.margin <= 1
 
@@ -280,7 +285,7 @@ def dense_defects(n, m):
 class TestIntertwiner:
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2)])
     def test_defect_small(self, n, m):
-        assert intertwiner_check(n, m) == max(dense_defects(n, m)) < 1e-10
+        assert float_intertwiner_check(n, m) == max(dense_defects(n, m)) < 1e-10
 
     def test_grams_diagonal_with_expected_entries(self):
         n, m = 3, 1
@@ -298,13 +303,13 @@ class TestIntertwiner:
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 2)])
     def test_check_is_the_dense_gram_difference(self, n, m):
-        assert intertwiner_check(n, m) == max(dense_defects(n, m))
+        assert float_intertwiner_check(n, m) == max(dense_defects(n, m))
 
     def test_check_builds_no_dense_gram(self):
         # each dense Gram at (2, 5) holds 32^4 complex entries: 16 MiB
         tracemalloc.start()
         try:
-            defect = intertwiner_check(2, 5)
+            defect = float_intertwiner_check(2, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

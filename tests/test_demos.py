@@ -13,6 +13,9 @@ EXPECTED_LINES = {
         "step unitary v = sum_i w^i (x) f_i is unitary: True",
         "Gram diagonal on either side (all entries 1/n^3):",
         "[0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037 0.037]",
+        "  m=1: expected 0.037037, max deviation 0.00e+00",
+        "  m=1: 9 elements, rank 9, min gram diag 0.1111, max offdiag 0.00e+00",
+        "  m=1, every pair r < s: max Gram disagreement 0.00e+00",
     ],
     "02_commutants_and_spectra": [
         "blocks (3,): left action spans dim 9, its commutant has dim 9 (the right action)",

@@ -6,7 +6,9 @@ stages declares each stage.  Here ``tracemalloc`` measures every such routine
 over the ``verify`` sweep at ``--max-dim 16384`` and over spectra up to
 ``M_96``: the peak of each stage, from one declaration to the next or to the
 end of the call, stays within 16 bytes per entry of its own declaration,
-plus a fixed allowance for Python objects and small temporaries.
+plus a fixed allowance for Python objects and small temporaries.  The
+certificates are measured on their float route, the oracle of
+``test_certificate_oracle``; the exact verdicts allocate no array at all.
 ``tracemalloc`` sees numpy's array buffers; LAPACK's per-call workspace is
 allocated outside it.
 """
@@ -15,6 +17,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_certificate_oracle import (
+    float_family_span_check,
+    float_intertwiner_check,
+    float_keyclaim_check,
+    intertwiner_blocks,
+)
 
 from puklab import algebra, cli, constructions, core
 from puklab.algebra import (
@@ -30,7 +38,6 @@ from puklab.cli import _construction_range
 from puklab.constructions import (
     TruncatedAutomorphism,
     family_span_check,
-    intertwiner_blocks,
     intertwiner_check,
     intertwiner_grams,
     keyclaim_check,
@@ -137,13 +144,13 @@ def test_rotated_diagonal_masas_beyond_gns_dimension_4096(n):
 def test_certificates_stay_within_declared_workspace(declared, n, m):
     calls = {
         "build": lambda: TruncatedAutomorphism.build(n, m),
-        "keyclaim": lambda: keyclaim_check(n, m),
+        "keyclaim": lambda: float_keyclaim_check(n, m),
         "intertwiner blocks": lambda: intertwiner_blocks(n, m),
-        "intertwiner check": lambda: intertwiner_check(n, m),
+        "intertwiner check": lambda: float_intertwiner_check(n, m),
         "masa pair": lambda: truncated_masa_pair(n, m + 1),
     }
     if m >= 1:
-        calls["span"] = lambda: family_span_check(n, m)
+        calls["span"] = lambda: float_family_span_check(n, m)
     if 16 * 2 * n ** (4 * m) <= core.WORKSPACE_BYTES:
         calls["intertwiner grams"] = lambda: intertwiner_grams(n, m, 0, 1)
     for label, call in calls.items():
@@ -157,24 +164,25 @@ def test_deep_unitaries_stay_within_declared_workspace(declared, m):
 
 
 def test_deep_keyclaim_stays_within_declared_workspace(declared):
-    assert_within_declared(declared, "keyclaim", lambda: keyclaim_check(2, 8))
+    assert_within_declared(declared, "keyclaim", lambda: float_keyclaim_check(2, 8))
 
 
 def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
     # the N³ rows refused m = 8; the factors and one row's Gram take about 6 MiB
-    assert_within_declared(declared, "span", lambda: family_span_check(2, 8))
+    assert_within_declared(declared, "span", lambda: float_family_span_check(2, 8))
 
 
-def test_intertwiner_comparisons_stay_within_declared_workspace(declared):
+def test_intertwiner_comparisons_stay_within_declared_workspace(declared, monkeypatch):
     # n = 128 at m = 0 compares 8,128 pairs at once: the pairs' indices and both gathered
     # stacks come to 3·8,128 entries beside the 128 blocks, over the slack on their own
+    monkeypatch.setattr(constructions, "intertwiner_check", float_intertwiner_check)
     assert_within_declared(declared, "intertwiner suite", lambda: cli._RUNNERS["intertwiner"](16384))
     assert 128 * 128 + 128 * 127 // 2 in [entries for entries, _ in declared]
 
 
 @pytest.mark.parametrize("label,call", [
-    ("keyclaim", lambda: keyclaim_check(2, 12)),
-    ("span", lambda: family_span_check(2, 10)),
+    ("keyclaim", lambda: float_keyclaim_check(2, 12)),
+    ("span", lambda: float_family_span_check(2, 10)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 10)),
 ])
 def test_certificates_at_their_quoted_reach_stay_within_declared_workspace(declared, label, call):
@@ -294,6 +302,19 @@ def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
     assert_within_declared(declared, "mixed", lambda: mixed_spectrum(*pair, shape))
 
 
+@pytest.mark.parametrize("n,m", [(2, 40), (97, 6), (4096, 1)])
+def test_exact_certificates_declare_and_allocate_nothing(declared, n, m):
+    # the verdicts walk the θ symbol's edges: past any array the budget could hold
+    tracemalloc.start()
+    try:
+        verdicts = keyclaim_check(n, m), family_span_check(n, m), intertwiner_check(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts[0] == verdicts[2] == 0.0 and verdicts[1].rank == n ** (2 * m)
+    assert declared == [] and peak < 4096
+
+
 # ---------------------------------------------------------------------------
 # refusals come before any allocation
 
@@ -301,8 +322,8 @@ def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
 @pytest.mark.parametrize("label,call", [
     # the first sizes past the budget: 3·2^23 entries for keyclaim, the 4096² row
     # Gram and its moduli for span, the 2·2048² blocks and gathered p̂ for the intertwiner
-    ("keyclaim", lambda: keyclaim_check(2, 22)),
-    ("span", lambda: family_span_check(2, 12)),
+    ("keyclaim", lambda: float_keyclaim_check(2, 22)),
+    ("span", lambda: float_family_span_check(2, 12)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 11)),
     ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
     ("masa pair", lambda: truncated_masa_pair(2, 9)),
