@@ -13,7 +13,8 @@ each span line ends with the least ratio of a Gram diagonal entry to the sum
 of the off-diagonal moduli in its row, ``inf`` for a diagonal Gram.
 The algebra suite's commutant lines end with the ratio by which the singular
 values on either side of the rank cut, the last kept and the first dropped,
-cleared it.
+cleared it.  A suite whose sweep holds no case prints ``<suite>: 0 cases``
+before its verdict.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .invariant import (
 from .nsets import NSet, parse_value
 
 SUITE_TOL = 1e-10
-SUITES = ("keyclaim", "span", "intertwiner", "algebra", "glue")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PARSER = build_parser()
-
-
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     # looked up per call, so a replaced ``cmd_<command>`` attribute is the one run
@@ -88,10 +85,7 @@ def main(argv=None) -> int:
         # interpreter exit has nowhere to fail, and exit as SIGPIPE would have ended us
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except PuklabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (PuklabError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -142,7 +136,13 @@ def cmd_verify(args) -> int:
     wanted = SUITES if args.suite == "all" else (args.suite,)
     all_ok = True
     for name in wanted:
-        ok = _RUNNERS[name](args.max_dim)
+        verdicts = []
+        for good, line in _RUNNERS[name](args.max_dim):
+            print(line)
+            verdicts.append(good)
+        if not verdicts:
+            print(f"{name}: 0 cases")
+        ok = all(verdicts)
         print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
         all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -154,23 +154,20 @@ def _tolerance_note(defect: float, tolerance: float) -> str:
     return f"tolerance {tolerance:.3e}, margin {margin:.3g}"
 
 
-def _run_scaled(suite: str, measure: str, max_dim: int) -> bool:
+def _run_scaled(suite: str, measure: str, max_dim: int):
     """Each case's ``constructions.<suite>_check`` defect against ``SUITE_TOL·n^{−(2m+1)}``."""
     from . import constructions
     # looked up per run, so a replaced check is the one run
     check = getattr(constructions, f"{suite}_check")
-    ok = True
     for n, m in _construction_range(max_dim):
         defect = check(n, m)
         tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
-        ok = ok and defect <= tol
-        print(f"{suite} n={n} m={m}: max {measure} {defect:.3e}, {_tolerance_note(defect, tol)}")
-    return ok
+        yield defect <= tol, (
+            f"{suite} n={n} m={m}: max {measure} {defect:.3e}, {_tolerance_note(defect, tol)}")
 
 
-def _run_span(max_dim: int) -> bool:
+def _run_span(max_dim: int):
     from .constructions import family_span_check
-    ok = True
     for n, m in _construction_range(max_dim):
         if m < 1:
             continue
@@ -181,22 +178,19 @@ def _run_span(max_dim: int) -> bool:
             and rep.min_gram_diag > 0.0
             and rep.max_offdiag <= tol
         )
-        ok = ok and good
-        print(
+        yield good, (
             f"span n={n} m={m}: {rep.count} elements, rank {rep.rank}, "
             f"min diag {rep.min_gram_diag:.3e}, offdiag {rep.max_offdiag:.3e}, "
             f"{_tolerance_note(rep.max_offdiag, tol)}, Gershgorin margin {rep.margin:.3g}"
         )
-    return ok
 
 
-def _run_algebra(max_dim: int) -> bool:
+def _run_algebra(max_dim: int):
     import numpy as np
 
     from .algebra import SPAN_RTOL, commutant, finite_puk_spectrum, generate_algebra, mixed_spectrum
     from .constructions import truncated_masa_pair
     from .core import GnsSpace, TracedAlgebraShape
-    ok = True
     shapes = [TracedAlgebraShape.full_matrix(2), TracedAlgebraShape.full_matrix(3),
               TracedAlgebraShape.from_blocks((2, 1))]
     for shape in shapes:
@@ -214,9 +208,7 @@ def _run_algebra(max_dim: int) -> bool:
         # the nearer side of the cut: the last kept or the first dropped value
         dropped = float(np.max(sing[kept.size:], initial=0.0))
         margin = min(kept[-1] / cut, cut / dropped) if dropped else kept[-1] / cut
-        good = comm.dim == rights.dim == kept.size == shape.gns_dim
-        ok = ok and good
-        print(
+        yield comm.dim == rights.dim == kept.size == shape.gns_dim, (
             f"commutant of left action (blocks {shape.blocks}): dim {comm.dim}, "
             f"right-action dim {rights.dim}, joint rank {kept.size}, "
             f"rank cut {cut:.3e}, margin {margin:.3g}"
@@ -224,16 +216,14 @@ def _run_algebra(max_dim: int) -> bool:
     for n in (2, 3):
         a_gens, b_gens = truncated_masa_pair(n, 2)
         rep = mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(n * n))
-        good = rep.as_set == NSet.of(1) and rep.block_count == n**4
-        ok = ok and good
-        print(f"mixed spectrum of conjugated pair in M_{n}⊗M_{n}: {rep.as_set} "
-              f"({rep.block_count} blocks)")
+        yield rep.as_set == NSet.of(1) and rep.block_count == n**4, (
+            f"mixed spectrum of conjugated pair in M_{n}⊗M_{n}: {rep.as_set} "
+            f"({rep.block_count} blocks)")
     for n in (2, 3, 4):
         gens = [np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)]
         rep = finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
-        good = rep.as_set == NSet.of(1) and rep.block_count == n * n - n
-        ok = ok and good
-        print(f"diagonal masa of M_{n}: {rep.as_set} ({rep.block_count} off-diagonal blocks)")
+        yield rep.as_set == NSet.of(1) and rep.block_count == n * n - n, (
+            f"diagonal masa of M_{n}: {rep.as_set} ({rep.block_count} off-diagonal blocks)")
     rng = np.random.default_rng(7)
     for trial in range(5):
         dim = int(rng.integers(2, 7))
@@ -241,18 +231,16 @@ def _run_algebra(max_dim: int) -> bool:
                 for _ in range(2)]
         alg = generate_algebra(gens)
         bicomm = commutant(commutant(alg))
-        good = bicomm.dim == alg.dim
-        ok = ok and good
-        print(f"bicommutant trial {trial} (D={dim}): dim {alg.dim} -> {bicomm.dim}")
-    return ok
+        yield bicomm.dim == alg.dim, (
+            f"bicommutant trial {trial} (D={dim}): dim {alg.dim} -> {bicomm.dim}")
 
 
-def _run_glue(max_dim: int) -> bool:
+def _run_glue(max_dim: int):
     report = glue_check(3, 3)
-    print(f"glue: {report.cases_checked} cases checked, {len(report.failures)} failures")
+    yield report.passed, (
+        f"glue: {report.cases_checked} cases checked, {len(report.failures)} failures")
     for line in report.failures:
-        print(f"  {line}")
-    return report.passed
+        yield False, f"  {line}"
 
 
 _RUNNERS = {
@@ -262,6 +250,7 @@ _RUNNERS = {
     "algebra": _run_algebra,
     "glue": _run_glue,
 }
+SUITES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +341,9 @@ def cmd_render(args) -> int:
         handle.write(text)
     print(f"wrote {args.out}")
     return 0
+
+
+PARSER = build_parser()
 
 
 if __name__ == "__main__":

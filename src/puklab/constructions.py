@@ -263,23 +263,25 @@ def _kappa_coefficient(n: int, depth: int) -> int:
     ``n^d`` where ``coef·(t − s) ≡ 0`` and 0 elsewhere, for the returned
     ``coef`` of ``t`` in ``a_d·k_{d−1}`` (odd ``d``) or ``κ`` (even ``d``, and
     ``κ = t`` at ``d = 0``).  Raises ``ValueError`` for edges other than the
-    path with each edge once, and for a solve by a weight that is not a unit.
+    path with each edge once, in path order, and for a solve by a weight that
+    is not a unit.
     """
-    weights = {}
+    coef, slot = 1, 0  # of t in k_0 = t, then in each even slot the walk solves for
     for i, j, a in _symbol_edges(depth):
-        if j != i + 1 or not 0 < j <= depth or j in weights:
-            raise ValueError(f"the edge ({i}, {j}) is not a new edge of the path 0 – … – {depth}")
-        weights[j] = a % n
-    if len(weights) != depth:
-        missing = sorted(set(range(1, depth + 1)) - weights.keys())
-        raise ValueError(f"the path 0 – … – {depth} misses the edges into slots {missing}")
-    coef = 1  # of t in k_0 = t
-    for r in range(1, depth, 2):
-        if gcd(weights[r + 1], n) != 1:
-            raise ValueError(f"slot {r + 1} is solved for by the weight {weights[r + 1]}, "
-                             f"not a unit mod {n}")
-        coef = -coef * weights[r] * pow(weights[r + 1], -1, n) % n
-    return coef * weights[depth] % n if depth % 2 else coef
+        if (i, j) != (slot, slot + 1) or j > depth:
+            raise ValueError(f"the edge ({i}, {j}) is not the next edge of the path "
+                             f"0 – … – {depth}")
+        slot, a = j, a % n
+        if j % 2:
+            odd = a  # the weight into odd slot j, which the next edge solves against
+        elif gcd(a, n) != 1:
+            raise ValueError(f"slot {j} is solved for by the weight {a}, not a unit mod {n}")
+        else:
+            coef = -coef * odd * pow(a, -1, n) % n
+    if slot != depth:
+        raise ValueError(f"the path 0 – … – {depth} misses the edges into slots "
+                         f"{list(range(slot + 1, depth + 1))}")
+    return coef * odd % n if depth % 2 else coef
 
 
 def keyclaim_check(n: int, m: int) -> float:
@@ -339,10 +341,11 @@ def intertwiner_check(n: int, m: int) -> float:
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree.  Both Grams are gathered from :func:`_intertwiner_blocks`, and
-    ``|λ| = 1`` makes ``p̂`` a ``δ`` at ``J = J′``: each block is diagonal,
-    with entries ``Σ_κ |w[t, c′, κ]|² / n^{3m+1} = n^{-(2m+1)}`` for every
-    ``t`` once the forms of :func:`_kappa_coefficient` exist.
+    agree.  No Gram is formed: ``|λ| = 1`` makes ``p̂`` a ``δ`` at ``J = J′``,
+    so each block of :func:`_intertwiner_blocks` is diagonal, with entries
+    ``Σ_κ |w[t, c′, κ]|² / n^{3m+1} = n^{-(2m+1)}`` for every ``t`` once the
+    forms of :func:`_kappa_coefficient` exist.  So the defect is 0 whenever
+    that walk succeeds, and the walk's ``ValueError`` is raised otherwise.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")

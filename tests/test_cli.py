@@ -267,6 +267,19 @@ class TestVerifyCommand:
         for suite in SUITES:
             assert f"suite {suite}: PASS" in lines
 
+    @pytest.mark.parametrize("suite,cap", [("span", 15), ("keyclaim", 3), ("intertwiner", 3)])
+    def test_empty_sweep_says_zero_cases(self, suite, cap, capsys):
+        assert main(["verify", "--suite", suite, "--max-dim", str(cap)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"{suite}: 0 cases",
+                                                        f"suite {suite}: PASS"]
+
+    def test_only_the_empty_sweep_says_zero_cases(self, capsys):
+        # at 15 the keyclaim and intertwiner sweeps hold n = 2, 3 at m = 0; span needs m >= 1
+        assert main(["verify", "--suite", "all", "--max-dim", "15"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.endswith(": 0 cases")] == ["span: 0 cases"]
+        assert lines[lines.index("span: 0 cases") + 1] == "suite span: PASS"
+
 
 def test_closed_pipe_exits_141_without_a_message():
     # about 10^4 lines, far more than a pipe holds: the writer meets the closed pipe mid-sweep

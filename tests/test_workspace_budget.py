@@ -176,7 +176,10 @@ def test_intertwiner_comparisons_stay_within_declared_workspace(declared, monkey
     # n = 128 at m = 0 compares 8,128 pairs at once: the pairs' indices and both gathered
     # stacks come to 3·8,128 entries beside the 128 blocks, over the slack on their own
     monkeypatch.setattr(constructions, "intertwiner_check", float_intertwiner_check)
-    assert_within_declared(declared, "intertwiner suite", lambda: cli._RUNNERS["intertwiner"](16384))
+    verdicts = []
+    assert_within_declared(declared, "intertwiner suite", lambda: verdicts.extend(
+        good for good, _ in cli._RUNNERS["intertwiner"](16384)))
+    assert len(verdicts) == len(SWEEP) and all(verdicts)
     assert 128 * 128 + 128 * 127 // 2 in [entries for entries, _ in declared]
 
 
