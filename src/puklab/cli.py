@@ -27,7 +27,7 @@ from functools import partial
 
 from . import config as cfg
 from .diagrams import diagram_from_construction, render
-from .errors import PuklabError
+from .errors import InvalidInputError, PuklabError
 from .indices import glue_check, sibling_pair_count
 from .invariant import (
     CutdownOracle,
@@ -85,14 +85,17 @@ def main(argv=None) -> int:
         # interpreter exit has nowhere to fail, and exit as SIGPIPE would have ended us
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (PuklabError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (PuklabError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def cmd_spectrum(args) -> int:

@@ -12,19 +12,20 @@ routines decide the inner-product, spanning, and intertwining identities that
 the multiplicity analysis of the conjugated masa pair rests on exactly, from
 those edges alone: ``|λ| = 1``, and one walk along the θ symbol's path
 (:func:`_kappa_coefficient`) reduces each identity to whether one coefficient
-is a unit mod ``n``, in ``O(m)`` integer steps and with no array.  The dense
-Grams of :func:`intertwiner_grams` are read off ``λ`` in floating point
-(:func:`_row_factors`); the position-space kernel ``u = ifftn(λ)`` is built
-only for a dense unitary and the columns of the masa pair.
+is a unit mod ``n``, in ``O(m)`` integer steps and with no array.  The one
+float route is the position-space kernel ``u = ifftn(λ)``: it is gathered into
+the dense unitary of :class:`TruncatedAutomorphism` and
+:func:`intertwiner_grams`, and rolled into the columns of the masa pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from numpy.fft import fft, ifft, ifftn
+from numpy.fft import ifftn
 
 from .core import as_matrix, check_workspace
 
@@ -87,18 +88,19 @@ def _shift_eigenvectors(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * a / n)[np.outer(a, a) % n] / np.sqrt(n)
 
 
-def _symbol_edges(depth: int, kind: str = "theta") -> list[tuple[int, int, int]]:
+def _symbol_edges(depth: int, kind: str = "theta") -> Iterator[tuple[int, int, int]]:
     """The phase ``q = Σ a·k_i·k_j`` of the depth-``depth`` symbol as its ``(i, j, a)`` triples.
 
     The step ``v`` in slots ``r − 1, r`` contributes ``k_{r−1}·k_r``, at every
     ``r`` up to the depth for ``kind="theta"`` and at the odd ones for
-    ``"phi"``; θ's edges form the path ``0 – 1 – … – depth``.
+    ``"phi"``; θ's edges form the path ``0 – 1 – … – depth``.  ``kind`` and
+    ``depth`` are checked at the call; the edges come one at a time.
     """
     if kind not in ("theta", "phi"):
         raise ValueError(f"kind must be 'theta' or 'phi', got {kind!r}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return [(r - 1, r, 1) for r in range(1, depth + 1, 1 if kind == "theta" else 2)]
+    return ((r - 1, r, 1) for r in range(1, depth + 1, 1 if kind == "theta" else 2))
 
 
 def _unitary_symbol(n: int, depth: int, kind: str = "theta") -> np.ndarray:
@@ -177,71 +179,36 @@ class TruncatedAutomorphism:
         return self.unitary @ m @ self.unitary.conj().T
 
 
-def _row_factors(n: int, depth: int):
-    """The factors ``(y, p̂)`` of the Gram entries of ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
-
-    ``U`` is the depth-``depth`` θ unitary with symbol ``λ`` (:func:`_unitary_symbol`)
-    and kernel ``u = ifftn(λ)``, and ``J`` runs over the first ``depth`` slots.  The
-    slotwise shifts ``S_δ`` commute with every convolution, so with ``U``; they fix every
-    ``f_t`` and send ``e_J`` to ``e_{J+δ}``, so conjugation by ``S_δ`` maps row ``a`` of
-    ``X_{t,J}`` to row ``a + δ`` of ``X_{t,J+δ}`` and keeps inner products: the Gram of
-    rows ``a`` is the Gram ``R`` of rows ``0`` with ``J`` re-indexed to ``J − a``.  Row
-    ``0`` of ``X_{t,J}`` is ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U`` and
-    ``S_J`` the columns of ``U`` labelled by ``J``, and ``S_J* S_J'`` is the block
-    ``p(J − J', ·)`` of ``P = U*U``, with kernel ``p = ifftn(|λ|²)``, diagonal in the
-    Fourier basis of the last slot.  So
-    ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])`` with
-    ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the last slot, returned as
-    ``[t, J, κ]`` and unflattened.  Both are read off ``λ`` with the round trips through
-    ``u`` cancelled: ``ψ_t[0, c] = conj(φ_t[c_0])·u_0[t, c_1, …]`` with
-    ``u_0 = fftn(λ, slots 1..depth) / n^depth``, and ``p̂ = ifftn(|λ|², slots 0..depth−1)``.
-    ``|λ|²`` stands wherever ``P`` did, so unitarity is never assumed.
-    """
-    lam = _unitary_symbol(n, depth)
-    # slot by slot, which skips fftn's per-call set-up: most certified cases have depth 0 or 1
-    p_hat = np.abs(lam) ** 2
-    for axis in range(depth):
-        p_hat = ifft(p_hat, axis=axis)
-    u_0 = lam / n**depth  # [t, c_1, …, c_depth] once transformed
-    for axis in range(1, depth + 1):
-        u_0 = fft(u_0, axis=axis)
-    rows = _shift_eigenvectors(n).conj()[:, :, None] * u_0.reshape(n, 1, -1)  # ψ_t[0, c]
-    return ifft(rows.reshape(n, -1, n), axis=-1), p_hat
-
-
-def _intertwiner_blocks(n: int, m: int) -> np.ndarray:
-    """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)`` at ``I = 0``, one per ``t``.
-
-    Entry ``[t, J, J']`` pairs the members ``(0, J)`` and ``(0, J')`` with
-    ``f_t`` in the middle: ``n·R[(t, J), (t, J')] / n^{m+1}`` by
-    :func:`_row_factors`, which also pairs ``(I, J)`` and ``(I, J')`` at
-    ``[t, J − I, J' − I]``.  Members with different ``I`` have disjoint
-    support, so these ``n^{2m+1}`` entries give the whole Gram of each ``t``.
-    The caller declares the workspace.
-    """
-    y, p_hat = _row_factors(n, m)
-    same_t = np.einsum("tjk,jJk,tJk->tjJ", y, _multilevel_circulant(p_hat, m), y.conj())
-    return same_t / n**m
-
-
 def intertwiner_grams(n: int, m: int, r: int, s: int):
     """Gram matrices of the relabelled families with ``f_r`` and ``f_s`` in the middle.
 
-    Rows and columns are indexed by ``(J, I)``, ``J`` major; the entries are
-    gathered from :func:`_intertwiner_blocks` at ``(J − I, J' − I)``.
+    Member ``(J, I)`` of the family of ``t`` is ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)``: row
+    block ``I`` of ``W = (f_t ⊗ 1)·U`` times the adjoint of ``U``'s columns ``J``,
+    for the dense θ unitary ``U``.  So its entry against ``(J′, I)`` is
+    ``Σ_{c,c′} (U*U)[(J,c),(J′,c′)]·Σ_a W[(I,a),(J,c)]·conj(W[(I,a),(J′,c′)]) / N``:
+    one ``N × N`` product per row block, weighted by ``U*U`` and summed over its
+    ``n × n`` tiles.  Members with different ``I`` have disjoint support, so
+    their entries are 0.  Rows and columns are indexed by ``(J, I)``, ``J`` major.
     """
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
-    count = n**m
-    # the two Grams and one gather into them with its indices, and the blocks with their workspace
-    check_workspace(2 * count**4 + 2 * count**3 + 2 * n * count**2 + 4 * n ** (m + 2),
-                    f"the intertwiner Grams for n={n}, m={m}")
-    shift = _multilevel_circulant(np.arange(count).reshape((n,) * m), m).T  # [I, J] = J − I
-    i = np.arange(count)
+    count, dim = n**m, n ** (m + 1)
+    # U with the indices it is gathered by, U*U with the conjugate it is formed from, W,
+    # one row block's product with its conjugated rows, and the two Grams
+    check_workspace(8 * dim * dim + 2 * count**4, f"the intertwiner Grams for n={n}, m={m}")
+    unitary = _multilevel_circulant(_unitary_kernel(n, m), m + 1)
+    weights = unitary.conj().T @ unitary
+    weights /= dim  # the normalized trace
+    phi = _shift_eigenvectors(n)
     grams = []
-    for block in _intertwiner_blocks(n, m)[[r, s]]:
+    for t in (r, s):
+        # f_t = φ_t φ_t* acts on the first slot of the rows
+        rows = np.outer(phi[t], phi[t].conj() @ unitary.reshape(n, -1)).reshape(count, n, dim)
         gram = np.zeros((count, count, count, count), dtype=complex)  # (J, I, J', I')
-        gram[:, i, :, i] = block[shift[:, :, None], shift[:, None, :]]
+        for block, w in enumerate(rows):
+            product = w.T @ w.conj()
+            product *= weights
+            gram[:, block, :, block] = np.einsum("icjd->ij", product.reshape(count, n, count, n))
         grams.append(gram.reshape(count * count, count * count))
     return grams[0], grams[1]
 
@@ -291,11 +258,14 @@ def keyclaim_check(n: int, m: int) -> float:
     ``(e_{i_1}⊗…⊗e_{i_m}) ξ_r θ(e_{j_1}⊗…⊗e_{j_m})`` against ``ξ_s`` in the
     trace inner product of ``M_n^{⊗(m+1)}``, where ``ξ_r`` is the first-slot
     spectral projection ``f_r`` and ``θ`` conjugates by the depth-``m``
-    product unitary.  By :func:`_row_factors` with ``|λ| = 1`` that is
-    ``ω^{(s−t)c₀}·Σ_κ w[t, c′, κ]·conj(w[s, c′, κ]) / n^{3m+1}`` for
-    ``J − I = (c₀, c′)``, so by :func:`_kappa_coefficient` the deviation is 0
-    when ``coef`` is a unit mod ``n`` and ``n^{-(2m+1)}``, off the diagonal,
-    when it is not.
+    product unitary.  The slotwise shifts commute with that unitary and fix
+    every ``f_t``, so they move row block ``I`` to ``0`` with ``J`` re-indexed
+    to ``J − I = (c₀, c′)``.  With ``|λ| = 1`` the inner product is then
+    ``ω^{(s−t)c₀}·Σ_κ w[t, c′, κ]·conj(w[s, c′, κ]) / n^{3m+1}`` for the ``w``
+    of :func:`_kappa_coefficient`, so the deviation is 0 when ``coef`` is a
+    unit mod ``n`` and ``n^{-(2m+1)}``, off the diagonal, when it is not.  The
+    float form of this reduction is the oracle in
+    ``tests/test_certificate_oracle.py``.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
@@ -319,9 +289,9 @@ def family_span_check(n: int, m: int) -> FamilySpanReport:
     The family ``(e_{i_1}⊗…⊗e_{i_m}) f_r θ(e_{j_1}⊗…⊗e_{j_{m-1}}⊗1)`` sits in
     ``M_n^{⊗m}``; with all index tuples it has exactly the dimension of the
     whole matrix space.  Members on different rows have disjoint support, and
-    by :func:`_row_factors` at depth ``m − 1`` with ``U*U = 1`` each row's
-    Gram pairs only members with the same ``J``: ``n × n`` blocks in
-    ``(t, s)`` whose entries have modulus ``n^{-2m}`` where
+    by the reduction of :func:`keyclaim_check` at depth ``m − 1``, with
+    ``U*U = 1``, each row's Gram pairs only members with the same ``J``:
+    ``n × n`` blocks in ``(t, s)`` whose entries have modulus ``n^{-2m}`` where
     ``coef·(t − s) ≡ 0`` (:func:`_kappa_coefficient`), and vanish elsewhere.
     Their phase is ``f(t)·conj(f(s))``, so with ``g = gcd(coef, n)`` each
     block has ``n / g`` rank-one classes of ``g`` members: the rank is
@@ -341,11 +311,12 @@ def intertwiner_check(n: int, m: int) -> float:
 
     Relabelling ``f_r`` to ``f_s`` inside the span of the mixed products
     extends to a partial isometry exactly when all pairwise inner products
-    agree.  No Gram is formed: ``|λ| = 1`` makes ``p̂`` a ``δ`` at ``J = J′``,
-    so each block of :func:`_intertwiner_blocks` is diagonal, with entries
-    ``Σ_κ |w[t, c′, κ]|² / n^{3m+1} = n^{-(2m+1)}`` for every ``t`` once the
-    forms of :func:`_kappa_coefficient` exist.  So the defect is 0 whenever
-    that walk succeeds, and the walk's ``ValueError`` is raised otherwise.
+    agree.  No Gram is formed: ``|λ| = 1`` makes ``U*U = 1`` in the Grams of
+    :func:`intertwiner_grams`, so each is diagonal, with the entries
+    ``Σ_κ |w[t, c′, κ]|² / n^{3m+1}`` of :func:`keyclaim_check`.  They are
+    ``n^{-(2m+1)}`` for every ``t`` once the forms of :func:`_kappa_coefficient`
+    exist.  So the defect is 0 whenever that walk succeeds, and the walk's
+    ``ValueError`` is raised otherwise.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")

@@ -45,7 +45,7 @@ class EmptyInputError(PuklabError, ValueError):
     """An operation requiring non-empty value sets received an empty one."""
 
 
-class OracleGapError(PuklabError, KeyError):
+class OracleGapError(PuklabError, LookupError):
     """A cutdown oracle has no entry at the requested level or index pair."""
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .errors import EmptyInputError, NonSingletonInfiniteError
+from .errors import EmptyInputError, InvalidInputError, NonSingletonInfiniteError
 
 INF = math.inf
 
@@ -54,6 +54,8 @@ class NSet(frozenset):
     @classmethod
     def parse(cls, text: str) -> "NSet":
         """Parse the textual form, e.g. ``"2,3,inf"``; empty text is the empty set."""
+        if not isinstance(text, str):
+            raise InvalidInputError(f'a value set must be a string like "2,3,inf", got {text!r}')
         text = text.strip()
         return cls(map(parse_value, text.split(","))) if text else cls()
 

@@ -10,7 +10,10 @@ rounding.  On symbols with one edge reweighted, an edge dropped or repeated, a
 chord ``(0, 2)``, or φ's edges in place of θ's, each exact verdict passes
 where the float one reads rounding, fails by exactly the size the float one
 reads (keyclaim ``n^{-(2m+1)}``; span short of full rank by the factor the
-float row Gram's SVD shows), or refuses a symbol outside its lemma.
+float row Gram's SVD shows), or refuses a symbol outside its lemma.  The dense
+Grams of ``intertwiner_grams``, formed on the gathered θ unitary, match the
+intertwiner blocks gathered at every row block, for θ and for those mutated
+symbols.
 
 The zero-padded oracle builds the gadget's spectral projections as Fourier
 sums of powers of the shift and the θ unitary slot by slot, and certifies
@@ -65,7 +68,6 @@ from puklab.constructions import (
     FamilySpanReport,
     ShiftGadget,
     TruncatedAutomorphism,
-    _row_factors,
     _shift_eigenvectors,
     _unitary_kernel,
     build_gadget,
@@ -207,11 +209,43 @@ def test_intertwiner_grams_every_pair(n, m):
 # the float route: the oracle of the exact verdicts, with the workspace it declares
 
 
+def row_factors(n, depth):
+    """The factors ``(y, p̂)`` of the Gram entries of ``X_{t,J} = (f_t ⊗ 1) θ(e_J ⊗ 1)``.
+
+    ``U`` is the depth-``depth`` θ unitary with symbol ``λ`` (``_unitary_symbol``)
+    and kernel ``u = ifftn(λ)``, and ``J`` runs over the first ``depth`` slots.  The
+    slotwise shifts ``S_δ`` commute with every convolution, so with ``U``; they fix every
+    ``f_t`` and send ``e_J`` to ``e_{J+δ}``, so conjugation by ``S_δ`` maps row ``a`` of
+    ``X_{t,J}`` to row ``a + δ`` of ``X_{t,J+δ}`` and keeps inner products: the Gram of
+    rows ``a`` is the Gram ``R`` of rows ``0`` with ``J`` re-indexed to ``J − a``.  Row
+    ``0`` of ``X_{t,J}`` is ``φ_t[0]·ψ_t[0, J-cols]·S_J*`` with ``ψ_t = (φ_t* ⊗ 1) U`` and
+    ``S_J`` the columns of ``U`` labelled by ``J``, and ``S_J* S_J'`` is the block
+    ``p(J − J', ·)`` of ``P = U*U``, with kernel ``p = ifftn(|λ|²)``, diagonal in the
+    Fourier basis of the last slot.  So
+    ``R[(t, J), (s, J')] = Σ_κ p̂(J − J', κ)·y[t, J, κ]·conj(y[s, J', κ])`` with
+    ``y[t, J] = ifft(ψ_t[0, (J, ·)])`` and ``p̂ = fft(p)`` along the last slot, returned as
+    ``[t, J, κ]`` and unflattened.  Both are read off ``λ`` with the round trips through
+    ``u`` cancelled: ``ψ_t[0, c] = conj(φ_t[c_0])·u_0[t, c_1, …]`` with
+    ``u_0 = fftn(λ, slots 1..depth) / n^depth``, and ``p̂ = ifftn(|λ|², slots 0..depth−1)``.
+    ``|λ|²`` stands wherever ``P`` did, so unitarity is never assumed.
+    """
+    lam = constructions._unitary_symbol(n, depth)
+    # slot by slot, which skips fftn's per-call set-up: most certified cases have depth 0 or 1
+    p_hat = np.abs(lam) ** 2
+    for axis in range(depth):
+        p_hat = ifft(p_hat, axis=axis)
+    u_0 = lam / n**depth  # [t, c_1, …, c_depth] once transformed
+    for axis in range(1, depth + 1):
+        u_0 = fft(u_0, axis=axis)
+    rows = _shift_eigenvectors(n).conj()[:, :, None] * u_0.reshape(n, 1, -1)  # ψ_t[0, c]
+    return ifft(rows.reshape(n, -1, n), axis=-1), p_hat
+
+
 def first_slot_free_gram(n, m):
     """``H[c′, t, s]`` for ``m ≥ 1``, with ``G[(c₀, c′), t, s] = ω^{(s−t)c₀}·H[c′, t, s]``.
 
     The keyclaim Gram ``G[J, t, s] = ⟨X_{0,t,J}, X_{0,s,J}⟩`` is
-    ``n·R[(t, J), (s, J)] / n^{m+1}`` by :func:`_row_factors`, which reads ``p̂``
+    ``n·R[(t, J), (s, J)] / n^{m+1}`` by :func:`row_factors`, which reads ``p̂``
     at ``J − J = 0`` only: an inverse DFT read at 0 is a mean, so ``p̂₀`` is the
     mean of ``|λ|²`` over slots ``0 … m−1``.  With ``J = (c₀, c′)`` the rows are
     ``y[t, J] = conj(φ_t[c₀])·w[t, c′] / n^m`` for ``w = fft(λ)`` over slots
@@ -253,10 +287,10 @@ def float_keyclaim_check(n, m):
 def span_row_gram(n, m):
     """The Gram ``R`` of row ``I = 0`` of the span family, ``(t, J)`` by ``(s, J')``.
 
-    By :func:`_row_factors` at depth ``m − 1``; the block of row ``I`` is
+    By :func:`row_factors` at depth ``m − 1``; the block of row ``I`` is
     ``R / n^m`` with ``(t, J)`` re-indexed to ``(t, J − I)``.
     """
-    y, p_hat = _row_factors(n, m - 1)
+    y, p_hat = row_factors(n, m - 1)
     gram = np.einsum("tjk,jJk,sJk->tjsJ", y, constructions._multilevel_circulant(p_hat, m - 1),
                      y.conj())
     return gram.reshape(n**m, n**m)
@@ -285,14 +319,41 @@ def float_family_span_check(n, m):
 
 
 def intertwiner_blocks(n, m):
-    """The blocks of ``constructions._intertwiner_blocks`` under their workspace check."""
+    """Gram blocks of the families ``(e_I ⊗ 1) f_t θ(e_J ⊗ 1)`` at ``I = 0``, one per ``t``.
+
+    Entry ``[t, J, J']`` pairs the members ``(0, J)`` and ``(0, J')`` with
+    ``f_t`` in the middle: ``n·R[(t, J), (t, J')] / n^{m+1}`` by
+    :func:`row_factors`, which also pairs ``(I, J)`` and ``(I, J')`` at
+    ``[t, J − I, J' − I]``.  Members with different ``I`` have disjoint
+    support, so these ``n^{2m+1}`` entries give the whole Gram of each ``t``.
+    """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     count = n**m
     # the blocks and the gathered p̂ they are read with, and the row factors
     core.check_workspace(2 * n * count**2 + 4 * n ** (m + 2),
                          f"the intertwiner blocks for n={n}, m={m}")
-    return constructions._intertwiner_blocks(n, m)
+    y, p_hat = row_factors(n, m)
+    same_t = np.einsum("tjk,jJk,tJk->tjJ", y, constructions._multilevel_circulant(p_hat, m),
+                       y.conj())
+    return same_t / n**m
+
+
+def float_intertwiner_grams(n, m, r, s):
+    """The Grams of ``intertwiner_grams`` gathered from :func:`intertwiner_blocks`.
+
+    Rows and columns are indexed by ``(J, I)``, ``J`` major; the entries are
+    the blocks' at ``(J − I, J' − I)``.
+    """
+    count = n**m
+    shift = difference_index(n, m)
+    i = np.arange(count)
+    grams = []
+    for block in intertwiner_blocks(n, m)[[r, s]]:
+        gram = np.zeros((count, count, count, count), dtype=complex)  # (J, I, J', I')
+        gram[:, i, :, i] = block[shift[:, :, None], shift[:, None, :]]
+        grams.append(gram.reshape(count * count, count * count))
+    return grams
 
 
 def float_intertwiner_check(n, m):
@@ -335,13 +396,9 @@ def assert_exact_verdict_matches_float_oracle(suite, n, m, edges, classes):
     pass, or ``None`` where the exact route must refuse the symbol.  ``t`` and
     ``s`` pair exactly when ``t ≡ s`` mod ``n / classes``.
     """
-    depth = m - 1 if suite == "span" else m
-
-    def patched(d, kind="theta"):
-        return edges if (d, kind) == (depth, "theta") else THETA_EDGES(d, kind)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_symbol_edges", patched)
+        mp.setattr(constructions, "_symbol_edges",
+                   patched_edges(m - 1 if suite == "span" else m, edges))
         if classes is None:
             with pytest.raises(ValueError):
                 EXACT[suite](n, m)
@@ -368,6 +425,11 @@ def assert_exact_verdict_matches_float_oracle(suite, n, m, edges, classes):
                 assert math.isclose(verdict.margin, floated.margin, rel_tol=1e-12)
         else:
             assert verdict == 0.0 and float_intertwiner_check(n, m) <= ROUNDING
+
+
+def patched_edges(depth, edges):
+    """``_symbol_edges`` with θ's edges at ``depth`` replaced by the list ``edges``."""
+    return lambda d, kind="theta": edges if (d, kind) == (depth, "theta") else THETA_EDGES(d, kind)
 
 
 def reweighted(depth, slot, weight):
@@ -422,32 +484,58 @@ MUTATION_CASES = {
 }
 
 
-@st.composite
-def mutated_symbols(draw):
-    """``(suite, n, m, edges, classes)``: θ's edges at the suite's depth, mutated once."""
-    suite = draw(st.sampled_from(sorted(MUTATION_CASES)))
-    n, m = draw(st.sampled_from(MUTATION_CASES[suite]))
-    depth = m - 1 if suite == "span" else m
-    edges = THETA_EDGES(depth)
+def mutated_edges(draw, n, depth):
+    """``(edges, classes)``: θ's edges at ``depth ≥ 1`` mutated once, drawn with ``draw``."""
+    edges = list(THETA_EDGES(depth))
     kinds = ["weight", "drop", "repeat"] + (["chord", "phi"] if depth >= 2 else [])
     kind = draw(st.sampled_from(kinds))
     slot = draw(st.integers(1, depth))
     if kind == "weight":
         weight = draw(st.integers(0, n - 1))
-        return suite, n, m, reweighted(depth, slot, weight), reweighted_classes(n, slot, weight)
+        return reweighted(depth, slot, weight), reweighted_classes(n, slot, weight)
     mutated = {
         "drop": [e for e in edges if e[1] != slot],
         "repeat": edges + [edges[slot - 1]],
         "chord": edges + [(0, 2, 1)],
-        "phi": THETA_EDGES(depth, "phi"),
+        "phi": list(THETA_EDGES(depth, "phi")),
     }[kind]
-    return suite, n, m, mutated, None
+    return mutated, None
+
+
+@st.composite
+def mutated_symbols(draw):
+    """``(suite, n, m, edges, classes)``: θ's edges at the suite's depth, mutated once."""
+    suite = draw(st.sampled_from(sorted(MUTATION_CASES)))
+    n, m = draw(st.sampled_from(MUTATION_CASES[suite]))
+    return (suite, n, m, *mutated_edges(draw, n, m - 1 if suite == "span" else m))
 
 
 @settings(max_examples=60, deadline=None)
 @given(mutated_symbols())
 def test_mutated_symbols_pass_fail_or_are_refused_as_the_float_oracle_reads(case):
     assert_exact_verdict_matches_float_oracle(*case)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n, m in SWEEP if n <= 8])
+def test_intertwiner_grams_match_the_float_route(n, m):
+    for r, s in itertools.combinations(range(n), 2):
+        for got, want in zip(intertwiner_grams(n, m, r, s), float_intertwiner_grams(n, m, r, s)):
+            assert np.max(np.abs(got - want)) <= ROUNDING
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_intertwiner_grams_read_a_mutated_symbol_as_the_float_route_does(data):
+    # both routes read the patched edges: where the float blocks of f_r and f_s
+    # disagree, so must the dense Grams, which therefore cannot restate the lemma
+    n, m = data.draw(st.sampled_from([(n, m) for n in range(2, 9) for m in range(1, 4)
+                                      if n ** (4 * m) <= 2**14]))
+    edges, _ = mutated_edges(data.draw, n, m)
+    r, s = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_symbol_edges", patched_edges(m, edges))
+        for got, want in zip(intertwiner_grams(n, m, r, s), float_intertwiner_grams(n, m, r, s)):
+            assert np.max(np.abs(got - want)) <= ROUNDING
 
 
 def slot_by_slot_unitary(gadget, depth):
@@ -721,10 +809,10 @@ def keyclaim_grams(n, m):
     """``⟨X_{I,t,J}, X_{I,s,J}⟩`` at ``I = 0`` as ``[J, t, s]``; any ``I`` reads it at ``J − I``.
 
     The ``n`` rows ``(0, k)`` of row block ``0`` each contribute ``R`` of
-    :func:`_row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``:
+    :func:`row_factors`, so the entry is ``n·R[(t, J), (s, J)] / n^{m+1}``:
     one ``n × n`` product ``(y_J·p̂_0) y_J*`` per ``J``, ``n·N`` entries in all.
     """
-    y, p_hat = _row_factors(n, m)
+    y, p_hat = row_factors(n, m)
     by_j = y.transpose(1, 0, 2)  # [J, t, κ]
     weighted = by_j * (p_hat.reshape(-1, n)[0] / n**m)
     return weighted @ by_j.conj().transpose(0, 2, 1)
@@ -766,7 +854,7 @@ def test_keyclaim_reads_the_first_slot_free_gram_for_non_unitary_symbols(case, s
 
 
 def kernel_row_factors(n, depth):
-    """``(y, p̂)`` of :func:`_row_factors` read off the kernel ``u`` in position space."""
+    """``(y, p̂)`` of :func:`row_factors` read off the kernel ``u`` in position space."""
     u = _unitary_kernel(n, depth)
     neg = (-np.arange(n)) % n
     u_0 = fft(u, axis=0)[(slice(None), *np.ix_(*[neg] * depth))]  # [t, −c_1, …, −c_depth]
@@ -783,7 +871,7 @@ def kernel_keyclaim_grams(n, m):
 
 
 def assert_symbol_route_matches_kernel_route(n, m):
-    y, p_hat = _row_factors(n, m)
+    y, p_hat = row_factors(n, m)
     kernel_y, kernel_p_hat = kernel_row_factors(n, m)
     assert np.max(np.abs(y - kernel_y)) <= ROUNDING
     assert np.max(np.abs(p_hat - kernel_p_hat)) <= SYMBOL_ROUNDING

@@ -376,6 +376,39 @@ class TestPukEvalCommand:
         )
         assert main(["puk-eval", "--lambda", lam, "--oracle", oracle, "--rmax", "3"]) == 2
 
+    def test_oracle_gap_message_is_not_quoted(self, tmp_path, capsys):
+        lam = write_json(tmp_path / "lam.json", {"default": 2})
+        oracle = write_json(tmp_path / "oracle.json", {"level": 1, "entries": LEVEL_ONE_ENTRIES})
+        assert main(["puk-eval", "--lambda", lam, "--oracle", oracle, "--rmax", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle level 1 does not cover the pairs at level 3\n")
+
+
+# configs whose values have the wrong JSON type: the file each command reads
+WRONG_JSON_TYPES = {
+    "enumerate": ("lambda", {"enumerate": 3}),
+    "quadrant value": ("lambda", {"quadrants": {"both_zero": 2, "both_one": "1", "mixed": "1"}}),
+    "constant oracle": ("oracle", {"constant": 1}),
+    "diagram cell": ("render", {"level": 0, "cells": [[1]]}),
+    "render of a list": ("render", []),
+    "puk-eval of a list": ("lambda", []),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_JSON_TYPES)
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
+    kind, payload = WRONG_JSON_TYPES[case]
+    path = write_json(tmp_path / "config.json", payload)
+    argv = {
+        "lambda": ["puk-eval", "--lambda", path, "--rmax", "1"],
+        "oracle": ["puk-eval", "--lambda", write_json(tmp_path / "lam.json", {"default": 2}),
+                   "--oracle", path, "--rmax", "0"],
+        "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
 
 LEVEL_ONE_ENTRIES = [{"row": r, "col": c, "value": "1"} for r in "01" for c in "01"]
 ONE_BY_ONE = [[[1.0, 0.0]]]

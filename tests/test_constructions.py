@@ -7,6 +7,7 @@ import pytest
 from test_certificate_oracle import (
     float_family_span_check,
     float_intertwiner_check,
+    float_intertwiner_grams,
     float_keyclaim_check,
 )
 
@@ -277,8 +278,8 @@ class TestFamilySpan:
 
 
 def dense_defects(n, m):
-    """The largest entrywise difference of the dense Grams of each pair ``r < s``."""
-    return [float(np.max(np.abs(np.subtract(*intertwiner_grams(n, m, r, s)))))
+    """The largest entrywise difference of the float route's dense Grams of each pair ``r < s``."""
+    return [float(np.max(np.abs(np.subtract(*float_intertwiner_grams(n, m, r, s)))))
             for r, s in itertools.combinations(range(n), 2)]
 
 

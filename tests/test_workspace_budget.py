@@ -187,6 +187,7 @@ def test_intertwiner_comparisons_stay_within_declared_workspace(declared, monkey
     ("keyclaim", lambda: float_keyclaim_check(2, 12)),
     ("span", lambda: float_family_span_check(2, 10)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 10)),
+    ("intertwiner grams", lambda: intertwiner_grams(2, 5, 0, 1)),
 ])
 def test_certificates_at_their_quoted_reach_stay_within_declared_workspace(declared, label, call):
     # the sizes the README quotes for each certificate under the default budget
@@ -305,7 +306,7 @@ def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
     assert_within_declared(declared, "mixed", lambda: mixed_spectrum(*pair, shape))
 
 
-@pytest.mark.parametrize("n,m", [(2, 40), (97, 6), (4096, 1)])
+@pytest.mark.parametrize("n,m", [(2, 40), (97, 6), (4096, 1), (2, 400), (3, 1000)])
 def test_exact_certificates_declare_and_allocate_nothing(declared, n, m):
     # the verdicts walk the θ symbol's edges: past any array the budget could hold
     tracemalloc.start()
