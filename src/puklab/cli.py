@@ -24,11 +24,12 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import count
 
 from . import config as cfg
 from .diagrams import diagram_from_construction, render
 from .errors import InvalidInputError, PuklabError
-from .indices import glue_check, sibling_pair_count
+from .indices import glue_check
 from .invariant import (
     CutdownOracle,
     choose_lambda_for_e,
@@ -274,19 +275,16 @@ def cmd_puk_eval(args) -> int:
     return 0
 
 
-def _rmax_for_enumeration(size: int) -> int:
-    r, cumulative = 0, sibling_pair_count(0)
-    while cumulative < size:
-        r += 1
-        cumulative += sibling_pair_count(r)
-    return max(2, r + 1)
+def _plan_depth(spec) -> int:
+    """One level past the first by which the spec's values are complete, and at least 2."""
+    return max(2, 1 + next(r for r in count() if spec.values_complete_by(r)))
 
 
 def cmd_plan(args) -> int:
     if args.kind == "E":
         target = NSet.parse(args.target)
         spec = choose_lambda_for_e(target)
-        result = eval_construction(spec, CutdownOracle.simple(), _rmax_for_enumeration(len(target)))
+        result = eval_construction(spec, CutdownOracle.simple(), _plan_depth(spec))
         payload = {
             "kind": "E",
             "lambda": cfg.lambda_to_config(spec),
@@ -298,7 +296,7 @@ def cmd_plan(args) -> int:
             raise ValueError("EFG planning needs three ';'-separated sets")
         e, f, g = (NSet.parse(p) for p in parts)
         spec = choose_lambda_for_efg(e, f, g)
-        rmax = _rmax_for_enumeration(max(len(e), len(f), len(g)))
+        rmax = _plan_depth(spec)
         evaluation = {}
         for quadrant in ("both_zero", "both_one", "mixed"):
             evaluation[quadrant] = str(

@@ -29,8 +29,8 @@ def matrix_to_config(matrix) -> list:
 def matrix_from_config(data) -> np.ndarray:
     import numpy as np
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     out = np.array(rows, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
@@ -161,7 +161,10 @@ def diagram_to_config(diagram: MultiplicityDiagram) -> dict:
 
 
 def diagram_from_config(data) -> MultiplicityDiagram:
-    cells = tuple(tuple(NSet.parse(c) for c in row) for row in data["cells"])
+    rows = data["cells"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidInputError("diagram cells must be a list of rows, each a list of value sets")
+    cells = tuple(tuple(NSet.parse(c) for c in row) for row in rows)
     diagonal = data.get("diagonal", False)
     if not isinstance(diagonal, bool):
         raise InvalidInputError(f"diagonal must be true or false, got {diagonal!r}")

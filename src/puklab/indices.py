@@ -7,17 +7,20 @@ after restriction to level ``r−1``.  Sibling pairs are the carriers of the
 pair values that drive the inductive masa construction, bundled here as
 :class:`LambdaSpec`.
 
-The pair streams are ordered lexicographically, so a pair's position is
-index arithmetic on lexicographic ranks: :func:`_pair_position` decides
-from the ranks whether a pair is a sibling or a cross pair and gives its
-position in that stream in closed form.  One segment table per level,
-``LambdaSpec._segments``, says which ranges of the sibling and cross streams
-carry which cycled values, by quadrant, with each override a range of one
-position carrying its own value; value lookups, per-level value sets
-and :meth:`LambdaSpec.cell_values` (values grouped by leading words, walked
-cell by cell over runs of consecutive positions) all read it.  The enumerators
-:func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
-:meth:`LambdaSpec.level_assignments` stay as the independent reference.
+The pair streams run level by level, lexicographically within a level;
+level −1 is the one root, so level 0 needs no case of its own, and
+:func:`_stream_starts` is the one table of where each level's streams start.
+A pair's position within its level is index arithmetic on lexicographic ranks:
+:func:`_pair_position` decides from the ranks whether a pair is a sibling or a
+cross pair and gives its position in that stream in closed form.  One segment
+table per level, ``LambdaSpec._segments``, says which ranges of the sibling
+and cross streams carry which cycled values, by quadrant, with each override a
+range of one position carrying its own value; value lookups, per-level value
+sets and :meth:`LambdaSpec.cell_values` (values grouped by leading words,
+walked cell by cell over runs of consecutive positions) all read it.  The
+enumerators :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
+:meth:`LambdaSpec.level_assignments`, which sums its own stream starts, stay
+as the independent reference.
 
 :func:`glue_check` certifies the nested projection families exhaustively
 without building ``MultiIndex`` objects: it runs the word arithmetic of
@@ -171,9 +174,7 @@ def fiber(parent: MultiIndex) -> list[MultiIndex]:
 
 
 def sibling_pair_count(r: int) -> int:
-    """Number of sibling pairs at level ``r``."""
-    if r == 0:
-        return 1
+    """Number of sibling pairs at level ``r``; level 0's siblings share the one root."""
     return index_count(r - 1, 1) * comb(1 << (r + 1), 2)
 
 
@@ -190,23 +191,30 @@ def iter_sibling_pairs(r: int):
 
 
 def cross_pair_count(r: int) -> int:
-    """Pairs with one index in each branch; only the sibling pair exists at level 0."""
-    if r == 0:
-        return 1
+    """Pairs with one index in each branch; at level 0 that is the one sibling pair."""
     half = index_count(r, 1) // 2
     return half * half
 
 
 def iter_cross_pairs(r: int):
     """Cross-branch pairs ``(i, j)`` with ``i`` in branch 0, lexicographic by pair."""
-    if r == 0:
-        yield (level_zero(0), level_zero(1))
-        return
     everything = list(iter_indices(r, 1))
     half = len(everything) // 2
     for i in everything[:half]:
         for j in everything[half:]:
             yield (i, j)
+
+
+_STREAM_STARTS = [(0, 0)]
+
+
+def _stream_starts(r: int) -> tuple[int, int]:
+    """Where level ``r`` starts in each stream: the sibling and cross pairs on the levels below."""
+    while len(_STREAM_STARTS) <= r:
+        s = len(_STREAM_STARTS) - 1
+        siblings, crosses = _STREAM_STARTS[s]
+        _STREAM_STARTS.append((siblings + sibling_pair_count(s), crosses + cross_pair_count(s)))
+    return _STREAM_STARTS[r]
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +305,6 @@ class LambdaSpec:
     def max_override_level(self) -> int:
         return max((o.r for o in self.overrides), default=-1)
 
-    def _enum_offset(self, r: int) -> int:
-        return sum(sibling_pair_count(s) for s in range(r))
-
-    def _branch_offset(self, r: int) -> int:
-        # branch pairs appear from level 1 on; both branch streams grow alike
-        return sum(sibling_pair_count(s) // 2 for s in range(1, r))
-
-    def _mixed_offset(self, r: int) -> int:
-        return sum(cross_pair_count(s) for s in range(r))
-
     @cached_property
     def _segment_tables(self) -> dict:
         return {}
@@ -328,14 +326,16 @@ class LambdaSpec:
         table = self._segment_tables.get(r)
         if table is None:
             q, half = self.quadrants, sibling_pair_count(r) // 2
+            siblings, crosses = _stream_starts(r)
             if q is None:
                 enum = self.enumeration
                 zero = one = mixed = (([self.default], 0) if enum is None
-                                      else (enum.sorted_values(), self._enum_offset(r)))
+                                      else (enum.sorted_values(), siblings))
             else:
-                zero = (q.both_zero.sorted_values(), self._branch_offset(r))
-                one = (q.both_one.sorted_values(), self._branch_offset(r) - half)
-                mixed = (q.mixed.sorted_values(), self._mixed_offset(r))
+                # each branch holds half of every level's siblings from level 1 on
+                zero = (q.both_zero.sorted_values(), siblings // 2)
+                one = (q.both_one.sorted_values(), siblings // 2 - half)
+                mixed = (q.mixed.sorted_values(), crosses)
             if r == 0:
                 table = ((False, 0, 1, *mixed, "mixed"),)
             else:
@@ -375,31 +375,27 @@ class LambdaSpec:
         grouped by leading cell without enumerating.
         """
         overrides = {(o.r, o.i, o.j): o.value for o in self.overrides}
+        # its own sums, not _stream_starts, so that a wrong table shows as a difference
         if self.quadrants is None:
-            offset = self._enum_offset(r) if self.enumeration is not None else 0
+            offset = sum(sibling_pair_count(s) for s in range(r))
+            values = self.enumeration or NSet.of(self.default)
             for pos, (i, j) in enumerate(iter_sibling_pairs(r)):
                 hit = overrides.get((r, i, j))
-                if hit is not None:
-                    yield (i, j), hit
-                elif self.enumeration is not None:
-                    yield (i, j), _cycle(self.enumeration, offset + pos)
-                else:
-                    yield (i, j), self.default
+                yield (i, j), _cycle(values, offset + pos) if hit is None else hit
             return
         # quadrant rules: branch siblings carry E/F, cross pairs carry G
         if r == 0:
             yield (level_zero(0), level_zero(1)), _cycle(self.quadrants.mixed, 0)
             return
         half = sibling_pair_count(r) // 2
+        branch = sum(sibling_pair_count(s) // 2 for s in range(1, r))
         for pos, (i, j) in enumerate(iter_sibling_pairs(r)):
-            if i.branch == 0:
-                yield (i, j), _cycle(self.quadrants.both_zero, self._branch_offset(r) + pos)
-            else:
-                yield (i, j), _cycle(
-                    self.quadrants.both_one, self._branch_offset(r) + pos - half
-                )
+            rule, start = ((self.quadrants.both_zero, branch) if i.branch == 0
+                           else (self.quadrants.both_one, branch - half))
+            yield (i, j), _cycle(rule, start + pos)
+        mixed = sum(cross_pair_count(s) for s in range(r))
         for pos, (i, j) in enumerate(iter_cross_pairs(r)):
-            yield (i, j), _cycle(self.quadrants.mixed, self._mixed_offset(r) + pos)
+            yield (i, j), _cycle(self.quadrants.mixed, mixed + pos)
 
     # -- values grouped by leading cell -------------------------------------
 

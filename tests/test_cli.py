@@ -410,6 +410,32 @@ def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+# config arrays of the wrong shape: the command and the file it reads
+WRONG_SHAPES = {
+    "matrix entry of three numbers": ("spectrum", {
+        "shape": {"blocks": [1]}, "a_generators": [[[[1.0, 0.0, 99.0]]]]}),
+    "b generator entry of three numbers": ("spectrum", {
+        "shape": {"blocks": [1]}, "a_generators": [[[[1.0, 0.0]]]],
+        "b_generators": [[[[1.0, 0.0, 99.0]]]]}),
+    "cells as strings": ("render", {"level": 1, "cells": ["12", "34"]}),
+    "cells as an object": ("render", {"level": 0, "cells": {"1": 0}}),
+    "one row a string": ("render", {"level": 1, "cells": [["1", "2"], "21"]}),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_config_array_of_the_wrong_shape_exits_2(tmp_path, capsys, case):
+    kind, payload = WRONG_SHAPES[case]
+    path = write_json(tmp_path / "config.json", payload)
+    argv = {
+        "spectrum": ["spectrum", "--config", path],
+        "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 LEVEL_ONE_ENTRIES = [{"row": r, "col": c, "value": "1"} for r in "01" for c in "01"]
 ONE_BY_ONE = [[[1.0, 0.0]]]
 
@@ -463,6 +489,19 @@ class TestPlanCommand:
         assert payload["evaluation"]["both_one"] == "5,inf"
         assert payload["evaluation"]["mixed"] == "7"
         assert payload["evaluation"]["union"] == "2,5,7,inf"
+
+    @pytest.mark.parametrize("size", [*range(1, 16), 17, 18, 118, 119, 237, 238, 300])
+    def test_e_and_efg_plans_reproduce_their_targets_and_converge(self, size, capsys):
+        # disjoint sets, so each must be complete on its own; perfbench's check_plan
+        # expects the same evaluations
+        e, f, g = (NSet(range(start, start + size)) for start in (1, 1001, 2001))
+        assert main(["plan", "--target", str(e), "--kind", "E"]) == 0
+        assert json.loads(capsys.readouterr().out)["evaluation"] == {
+            "value": str(e), "converged": True}
+        assert main(["plan", "--target", f"{e};{f};{g}", "--kind", "EFG"]) == 0
+        assert json.loads(capsys.readouterr().out)["evaluation"] == {
+            "both_zero": str(e), "both_one": str(f), "mixed": str(g),
+            "union": str(e | f | g), "converged": True}
 
     def test_kind_cor1(self, capsys):
         assert main(["plan", "--target", "1,4", "--kind", "cor1"]) == 0

@@ -27,6 +27,7 @@ from puklab.indices import (
     restrict,
     sibling_pair_count,
 )
+from puklab.invariant import CutdownOracle, eval_construction
 from puklab.nsets import INF, NSet
 
 
@@ -166,6 +167,40 @@ class TestSiblingPairs:
         pairs = list(iter_cross_pairs(1))
         assert len(pairs) == 16
         assert all(i.branch == 0 and j.branch == 1 for i, j in pairs)
+
+
+class TestStreamStarts:
+    """``indices._stream_starts``, the one table of where each level's streams start."""
+
+    def test_table_counts_the_enumerated_streams(self, monkeypatch):
+        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
+        siblings = [sum(1 for _ in iter_sibling_pairs(s)) for s in range(4)]
+        crosses = [sum(1 for _ in iter_cross_pairs(s)) for s in range(3)]
+        assert [indices._stream_starts(r)[0] for r in range(5)] == [
+            sum(siblings[:r]) for r in range(5)]
+        assert [indices._stream_starts(r)[1] for r in range(4)] == [
+            sum(crosses[:r]) for r in range(4)]
+
+    def test_table_matches_plain_sums_through_level_60(self, monkeypatch):
+        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
+        # the first call extends the table to level 60, the others read it
+        for r in reversed(range(61)):
+            assert indices._stream_starts(r) == (
+                sum(sibling_pair_count(s) for s in range(r)),
+                sum(cross_pair_count(s) for s in range(r)),
+            )
+        # the branch streams start at half the sibling start
+        assert all(sibling_pair_count(r) % 2 == 0 for r in range(1, 61))
+
+    def test_deep_evaluation_counts_each_level_a_few_times(self, monkeypatch):
+        count, calls = indices.sibling_pair_count, []
+        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
+        monkeypatch.setattr(indices, "sibling_pair_count", lambda r: calls.append(r) or count(r))
+        spec = LambdaSpec(enumeration=NSet.of(2, 3, 5))
+        result = eval_construction(spec, CutdownOracle.simple(), 200)
+        assert result.value == NSet.of(2, 3, 5) and result.converged
+        # each level's start is summed once, not once per later level
+        assert len(calls) <= 3 * 201
 
 
 class TestGlueCheck:
