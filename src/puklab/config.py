@@ -104,15 +104,25 @@ def lambda_to_config(spec: LambdaSpec) -> dict:
     return out
 
 
+def _bits_from_config(raw, name: str) -> MultiIndex:
+    """A multi-index from a list of bit strings; a bare string is refused, not split."""
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise InvalidInputError(f"{name} must be a list of bit strings, got {raw!r}")
+    return MultiIndex.from_bits(raw)
+
+
 def lambda_from_config(data) -> LambdaSpec:
+    raw = data.get("overrides", [])
+    if not isinstance(raw, list) or not all(isinstance(o, dict) for o in raw):
+        raise InvalidInputError(f"overrides must be a list of objects, got {raw!r}")
     overrides = tuple(
         Override(
             r=int_from_config(o["r"], "override level"),
-            i=MultiIndex.from_bits(o["i"]),
-            j=MultiIndex.from_bits(o["j"]),
+            i=_bits_from_config(o["i"], "override i"),
+            j=_bits_from_config(o["j"], "override j"),
             value=value_from_config(o["value"]),
         )
-        for o in data.get("overrides", ())
+        for o in raw
     )
     enumeration = NSet.parse(data["enumerate"]) if "enumerate" in data else None
     quadrants = None

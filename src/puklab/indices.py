@@ -8,17 +8,19 @@ pair values that drive the inductive masa construction, bundled here as
 :class:`LambdaSpec`.
 
 The pair streams run level by level, lexicographically within a level;
-level −1 is the one root, so level 0 needs no case of its own, and
-:func:`_stream_starts` is the one table of where each level's streams start.
+level −1 is the one root, so level 0 needs no case of its own.  A cycled value
+is read at its stream position modulo its list's length, so no table of
+starts is kept: :func:`_stream_starts` sums the levels below modulo the lists.
 A pair's position within its level is index arithmetic on lexicographic ranks:
 :func:`_pair_position` decides from the ranks whether a pair is a sibling or a
 cross pair and gives its position in that stream in closed form.  One segment
-table per level, ``LambdaSpec._segments``, says which ranges of the sibling
-and cross streams carry which cycled values, by quadrant, with each override a
-range of one position carrying its own value; value lookups, per-level value
-sets and :meth:`LambdaSpec.cell_values` (values grouped by leading words,
-walked cell by cell over runs of consecutive positions) all read it.  The
-enumerators :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
+table per level, built by ``LambdaSpec._segments`` when read, says which
+ranges of the sibling and cross streams carry which cycled values, by
+quadrant, with each override a range of one position carrying its own value;
+value lookups, per-level value sets and :meth:`LambdaSpec.cell_values`
+(values grouped by leading words, walked cell by cell over runs of
+consecutive positions) all read it.  Completeness is decided once per spec.
+The enumerators :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
 :meth:`LambdaSpec.level_assignments`, which sums its own stream starts, stay
 as the independent reference.
 
@@ -35,8 +37,8 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 
 from .errors import (
     CountCapError,
@@ -205,16 +207,16 @@ def iter_cross_pairs(r: int):
             yield (i, j)
 
 
-_STREAM_STARTS = [(0, 0)]
-
-
-def _stream_starts(r: int) -> tuple[int, int]:
-    """Where level ``r`` starts in each stream: the sibling and cross pairs on the levels below."""
-    while len(_STREAM_STARTS) <= r:
-        s = len(_STREAM_STARTS) - 1
-        siblings, crosses = _STREAM_STARTS[s]
-        _STREAM_STARTS.append((siblings + sibling_pair_count(s), crosses + cross_pair_count(s)))
-    return _STREAM_STARTS[r]
+def _stream_starts(r: int, modulus: int) -> tuple[int, int]:
+    """Where level ``r`` starts in the sibling and the cross stream, modulo ``modulus``."""
+    # level s holds 2^{s(s+3)/2}·(2^{s+1} − 1) sibling pairs and 2^{s(s+3)} cross pairs
+    siblings = crosses = 0
+    power, fiber = 1, 2  # 2^{s(s+3)/2} and 2^{s+1}, as running products
+    for _ in range(r):
+        siblings = (siblings + power * (fiber - 1)) % modulus
+        crosses = (crosses + power * power) % modulus
+        power, fiber = power * 2 * fiber % modulus, 2 * fiber % modulus
+    return siblings, crosses
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +307,6 @@ class LambdaSpec:
     def max_override_level(self) -> int:
         return max((o.r for o in self.overrides), default=-1)
 
-    @cached_property
-    def _segment_tables(self) -> dict:
-        return {}
-
     def _segments(self, r: int, quadrant: str | None = None) -> tuple:
         """The value-carrying pairs of level ``r`` as ``(cross, lo, hi, values, base, quadrant)``.
 
@@ -323,38 +321,33 @@ class LambdaSpec:
         """
         if quadrant not in QUADRANT_NAMES:
             raise ValueError(f"unknown quadrant {quadrant!r}")
-        table = self._segment_tables.get(r)
-        if table is None:
-            q, half = self.quadrants, sibling_pair_count(r) // 2
-            siblings, crosses = _stream_starts(r)
-            if q is None:
-                enum = self.enumeration
-                zero = one = mixed = (([self.default], 0) if enum is None
-                                      else (enum.sorted_values(), siblings))
-            else:
-                # each branch holds half of every level's siblings from level 1 on
-                zero = (q.both_zero.sorted_values(), siblings // 2)
-                one = (q.both_one.sorted_values(), siblings // 2 - half)
-                mixed = (q.mixed.sorted_values(), crosses)
-            if r == 0:
-                table = ((False, 0, 1, *mixed, "mixed"),)
-            else:
-                table = ((False, 0, half, *zero, "both_zero"),
-                         (False, half, 2 * half, *one, "both_one"))
-                if q is not None:
-                    table += ((True, 0, cross_pair_count(r), *mixed, "mixed"),)
-            pins = sorted((_pair_position(r, o.i, o.j)[1], o.value)
-                          for o in self.overrides if o.r == r)
-            cut = []
-            for cross, lo, hi, values, base, name in table:
-                for p, v in [] if cross else pins:
-                    if lo <= p < hi:
-                        cut += [(cross, lo, p, values, base, name), (cross, p, p + 1, [v], 0, name)]
-                        lo = p + 1
-                cut.append((cross, lo, hi, values, base, name))
-            table = tuple(s for s in cut if s[1] < s[2])
-            self._segment_tables[r] = table
-        return table if quadrant is None else tuple(s for s in table if s[5] == quadrant)
+        q, half = self.quadrants, sibling_pair_count(r) // 2
+        lists = [s.sorted_values() for s in (q.both_zero, q.both_one, q.mixed)] if q else [
+            [self.default] if self.enumeration is None else self.enumeration.sorted_values()]
+        # bases are read modulo their lists, and the branch starts halve the odd sibling start
+        siblings, crosses = _stream_starts(r, 2 * lcm(*map(len, lists)))
+        if q is None:
+            zero = one = mixed = (lists[0], 0 if self.enumeration is None else siblings)
+        else:
+            # each branch holds half of every level's siblings from level 1 on
+            zero, one, mixed = zip(lists, (siblings // 2, siblings // 2 - half, crosses))
+        if r == 0:
+            table = ((False, 0, 1, *mixed, "mixed"),)
+        else:
+            table = ((False, 0, half, *zero, "both_zero"),
+                     (False, half, 2 * half, *one, "both_one"))
+            if q is not None:
+                table += ((True, 0, cross_pair_count(r), *mixed, "mixed"),)
+        pins = sorted((_pair_position(r, o.i, o.j)[1], o.value)
+                      for o in self.overrides if o.r == r)
+        cut = []
+        for cross, lo, hi, values, base, name in table:
+            for p, v in [] if cross else pins:
+                if lo <= p < hi:
+                    cut += [(cross, lo, p, values, base, name), (cross, p, p + 1, [v], 0, name)]
+                    lo = p + 1
+            cut.append((cross, lo, hi, values, base, name))
+        return tuple(s for s in cut if s[1] < s[2] and quadrant in (None, s[5]))
 
     def value(self, r: int, i: MultiIndex, j: MultiIndex):
         """The value carried by the pair ``{i, j}`` at level ``r``; symmetric."""
@@ -458,15 +451,20 @@ class LambdaSpec:
 
     def values_complete_by(self, r: int) -> bool:
         """True when levels beyond ``r`` can only repeat values already seen by ``r``."""
-        if self.max_override_level() > r:
-            return False
-        seen = NSet()
-        for s in range(r + 1):
-            seen = seen | self.value_set_at_level(s)
-        # level r + 1 carries no override, and from level 1 on every segment of
-        # a level without overrides cycles through its whole value list
-        eventual = NSet(v for s in self._segments(r + 1) for v in s[3])
-        return eventual.issubset(seen)
+        return r >= self._complete_level
+
+    @cached_property
+    def _complete_level(self) -> int:
+        """The first level from the last override level on by which every listed value is seen."""
+        # the next level carries no override, and from level 1 on every segment
+        # of a level without overrides cycles through its whole value list
+        top = max(self.max_override_level(), 0)
+        listed = {v for s in self._segments(top + 1) for v in s[3]}
+        seen, r = set(), -1
+        while r < top or not listed <= seen:
+            r += 1
+            seen |= self.value_set_at_level(r)
+        return r
 
 
 def _cycle(target: NSet, position: int):
@@ -502,20 +500,10 @@ def _meeting(segments: list, start: int, stop: int) -> list:
 # order, its F−1−fr(i) mates above it (F = 2^{r+1} is the fiber size).
 
 
-@cache
-def _low_bit_positions(r: int) -> tuple[int, ...]:
-    return tuple((r - t) * (r - t + 1) // 2 for t in range(r + 1))
-
-
-@cache
-def _fiber_mask(r: int) -> int:
-    return sum(1 << p for p in _low_bit_positions(r))
-
-
 def _fiber_rank(r: int, rank: int) -> int:
     out = 0
-    for p in _low_bit_positions(r):
-        out = (out << 1) | ((rank >> p) & 1)
+    for s in range(r, -1, -1):  # word r − s's low bit
+        out = (out << 1) | ((rank >> (s * (s + 1) >> 1)) & 1)
     return out
 
 
@@ -527,9 +515,7 @@ def _ones_below(n: int, p: int) -> int:
 
 def _pairs_before(r: int, rank: int) -> int:
     """Sibling pairs whose first index ranks below ``rank``: Σ_{i′<rank} (F−1−fr(i′))."""
-    fibre_sum = sum(
-        _ones_below(rank, p) << (r - t) for t, p in enumerate(_low_bit_positions(r))
-    )
+    fibre_sum = sum(_ones_below(rank, s * (s + 1) >> 1) << s for s in range(r + 1))
     return rank * ((2 << r) - 1) - fibre_sum
 
 
@@ -544,7 +530,7 @@ def _pair_position(r: int, i: MultiIndex, j: MultiIndex) -> tuple[bool, int]:
     if i.r != r or j.r != r or i.m != 1 or j.m != 1:
         raise InvalidLambdaError(f"not a level-{r} pair: {i}, {j}")
     rank_i, rank_j = _lex_rank(i), _lex_rank(j)
-    if rank_i < rank_j and not (rank_i ^ rank_j) & ~_fiber_mask(r):
+    if rank_i < rank_j and all(a >> 1 == b >> 1 for a, b in zip(i.words, j.words)):
         step = _fiber_rank(r, rank_j) - _fiber_rank(r, rank_i)
         return False, _pairs_before(r, rank_i) + step - 1
     half = index_count(r, 1) // 2

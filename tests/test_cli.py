@@ -420,6 +420,9 @@ WRONG_SHAPES = {
     "cells as strings": ("render", {"level": 1, "cells": ["12", "34"]}),
     "cells as an object": ("render", {"level": 0, "cells": {"1": 0}}),
     "one row a string": ("render", {"level": 1, "cells": [["1", "2"], "21"]}),
+    "override indices as strings": ("puk-eval", {"default": 3, "overrides": [
+        {"r": 0, "i": "0", "j": "1", "value": 2}]}),
+    "overrides as an object": ("puk-eval", {"default": 3, "overrides": {"r": 0}}),
 }
 
 
@@ -430,6 +433,7 @@ def test_config_array_of_the_wrong_shape_exits_2(tmp_path, capsys, case):
     argv = {
         "spectrum": ["spectrum", "--config", path],
         "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")],
+        "puk-eval": ["puk-eval", "--lambda", path, "--rmax", "1"],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err

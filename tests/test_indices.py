@@ -169,37 +169,41 @@ class TestSiblingPairs:
         assert all(i.branch == 0 and j.branch == 1 for i, j in pairs)
 
 
-class TestStreamStarts:
-    """``indices._stream_starts``, the one table of where each level's streams start."""
+# 2·lcm of odd list lengths, of even ones, and of mixed ones, as the value lists give them
+STREAM_MODULI = (2, 6, 2 * 3 * 5 * 7, 8, 2 * 12, 2 * 2 * 3 * 5 * 7)
 
-    def test_table_counts_the_enumerated_streams(self, monkeypatch):
-        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
+
+class TestStreamStarts:
+    """``indices._stream_starts``: where each level's streams start, modulo the value lists."""
+
+    def test_table_counts_the_enumerated_streams(self):
         siblings = [sum(1 for _ in iter_sibling_pairs(s)) for s in range(4)]
         crosses = [sum(1 for _ in iter_cross_pairs(s)) for s in range(3)]
-        assert [indices._stream_starts(r)[0] for r in range(5)] == [
-            sum(siblings[:r]) for r in range(5)]
-        assert [indices._stream_starts(r)[1] for r in range(4)] == [
-            sum(crosses[:r]) for r in range(4)]
+        for m in STREAM_MODULI:
+            assert [indices._stream_starts(r, m)[0] for r in range(5)] == [
+                sum(siblings[:r]) % m for r in range(5)]
+            assert [indices._stream_starts(r, m)[1] for r in range(4)] == [
+                sum(crosses[:r]) % m for r in range(4)]
 
-    def test_table_matches_plain_sums_through_level_60(self, monkeypatch):
-        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
-        # the first call extends the table to level 60, the others read it
-        for r in reversed(range(61)):
-            assert indices._stream_starts(r) == (
-                sum(sibling_pair_count(s) for s in range(r)),
-                sum(cross_pair_count(s) for s in range(r)),
-            )
-        # the branch streams start at half the sibling start
+    def test_table_matches_plain_sums_through_level_60(self):
+        for r in range(61):
+            siblings = sum(sibling_pair_count(s) for s in range(r))
+            crosses = sum(cross_pair_count(s) for s in range(r))
+            for m in STREAM_MODULI:
+                start = indices._stream_starts(r, m)
+                assert start == (siblings % m, crosses % m)
+                # the branch streams start at half the sibling start, which
+                # the start modulo m gives modulo m / 2
+                assert start[0] // 2 % (m // 2) == siblings // 2 % (m // 2)
         assert all(sibling_pair_count(r) % 2 == 0 for r in range(1, 61))
 
     def test_deep_evaluation_counts_each_level_a_few_times(self, monkeypatch):
         count, calls = indices.sibling_pair_count, []
-        monkeypatch.setattr(indices, "_STREAM_STARTS", [(0, 0)])
         monkeypatch.setattr(indices, "sibling_pair_count", lambda r: calls.append(r) or count(r))
         spec = LambdaSpec(enumeration=NSet.of(2, 3, 5))
         result = eval_construction(spec, CutdownOracle.simple(), 200)
         assert result.value == NSet.of(2, 3, 5) and result.converged
-        # each level's start is summed once, not once per later level
+        # each level's table is built a few times, not once per later level
         assert len(calls) <= 3 * 201
 
 

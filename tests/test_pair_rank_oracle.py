@@ -469,6 +469,21 @@ def test_values_complete_by_holds_on_later_levels(spec):
                 assert streamed_value_set(spec, s, None).issubset(seen)
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=all_specs)
+def test_values_complete_by_matches_its_per_level_definition(spec):
+    # complete by r: no override past r, and the value lists of level r + 1,
+    # which carries no override, lie inside the values the streams showed by r
+    q = spec.quadrants
+    listed = (q.both_zero | q.both_one | q.mixed if q is not None
+              else spec.enumeration or NSet.of(spec.default))
+    seen = NSet()
+    for r in range(4):
+        if not listed <= seen:  # once it holds, deeper levels cannot undo it
+            seen = seen | streamed_value_set(spec, r, None)
+        assert spec.values_complete_by(r) == (r >= spec.max_override_level() and listed <= seen)
+
+
 def branch_one_pair(r):
     """A level-``r`` sibling pair inside branch 1, built without streaming."""
     i = MultiIndex(r, 1, (1 << r,) + (0,) * r)
@@ -492,11 +507,10 @@ def test_level_four_override_stays_in_its_branch(base):
     assert spec.value(4, i, j) == 99
 
 
-def test_override_map_is_built_once():
-    # the override is a one-position segment of the memoised level-1 table
+def test_override_is_a_one_position_segment():
+    # the override is cut out of the level-1 table as a segment of its own
     i, j = SIBLINGS[1][3]
     spec = LambdaSpec(default=2, overrides=(Override(1, i, j, 7),))
-    assert spec._segments(1) is spec._segments(1)
     assert spec._segments(1) == (
         (False, 0, 3, [2], 0, "both_zero"),
         (False, 3, 4, [7], 0, "both_zero"),

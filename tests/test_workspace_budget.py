@@ -10,7 +10,8 @@ plus a fixed allowance for Python objects and small temporaries.  The
 certificates are measured on their float route, the oracle of
 ``test_certificate_oracle``; the exact verdicts allocate no array at all.
 ``tracemalloc`` sees numpy's array buffers; LAPACK's per-call workspace is
-allocated outside it.
+allocated outside it.  The symbolic evaluation declares nothing, and its peak
+stays small at any depth: it keeps no table of the levels it has passed.
 """
 
 import tracemalloc
@@ -43,8 +44,11 @@ from puklab.constructions import (
     keyclaim_check,
     truncated_masa_pair,
 )
+from puklab.config import lambda_from_config
 from puklab.core import TracedAlgebraShape, check_workspace
 from puklab.errors import NotAbelianError, ResourceGuardError
+from puklab.indices import LambdaSpec, MultiIndex
+from puklab.invariant import CutdownOracle, eval_construction
 from puklab.nsets import NSet
 
 SLACK = 64 * 1024
@@ -317,6 +321,38 @@ def test_exact_certificates_declare_and_allocate_nothing(declared, n, m):
         tracemalloc.stop()
     assert verdicts[0] == verdicts[2] == 0.0 and verdicts[1].rank == n ** (2 * m)
     assert declared == [] and peak < 4096
+
+
+@pytest.mark.parametrize("config", [
+    {"enumerate": "2,3,5"},
+    {"quadrants": {"both_zero": "2,3", "both_one": "5", "mixed": "7,11,inf"}},
+])
+def test_deep_evaluation_peak_is_bounded(config):
+    # stream starts are taken modulo the value lists and each level's segment
+    # table is dropped once read: no level's exact bounds outlive its level
+    spec = lambda_from_config(config)
+    tracemalloc.start()
+    try:
+        result = eval_construction(spec, CutdownOracle.simple(), 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and peak < 2 << 20, peak
+
+
+def test_value_lookups_at_deep_levels_hold_nothing():
+    # a pair's rank is index arithmetic with no per-level memo left behind
+    spec = LambdaSpec(enumeration=NSet.of(2, 3, 5))
+    pairs = [(MultiIndex(r, 1, (0,) * (r + 1)), MultiIndex(r, 1, (0,) * r + (1,)))
+             for r in range(301)]
+    tracemalloc.start()
+    try:
+        for r, (i, j) in enumerate(pairs):
+            spec.value(r, i, j)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < SLACK, held
 
 
 # ---------------------------------------------------------------------------
