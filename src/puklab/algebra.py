@@ -37,9 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace
+from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace, np
 from .errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
 from .nsets import NSet
 

@@ -134,8 +134,9 @@ def _construction_range(max_dim: int):
 
 
 def cmd_verify(args) -> int:
-    # the suites load the numeric half whole: perfbench's tracer patches every
-    # layer once a verify job has run
+    # loaded for perfbench's tracer, which patches every layer once a verify job has
+    # run; numpy runs only when an array is built, and this import can go once the
+    # tracer loads the layers it patches itself
     from . import algebra, constructions  # noqa: F401
     wanted = SUITES if args.suite == "all" else (args.suite,)
     all_ok = True

@@ -24,10 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-from numpy.fft import ifftn
-
-from .core import as_matrix, check_workspace
+from .core import as_matrix, check_workspace, np
 
 # the planner lives in invariant; perfbench's TARGETS still looks it up here
 from .invariant import countable_family_plan  # noqa: F401
@@ -123,7 +120,7 @@ def _unitary_symbol(n: int, depth: int, kind: str = "theta") -> np.ndarray:
 
 def _unitary_kernel(n: int, depth: int, kind: str = "theta") -> np.ndarray:
     """Kernel ``u = ifftn(λ)`` of the unitary: ``U[a, b] = u(a − b)`` slot by slot mod ``n``."""
-    return ifftn(_unitary_symbol(n, depth, kind))
+    return np.fft.ifftn(_unitary_symbol(n, depth, kind))
 
 
 def _multilevel_circulant(kernel: np.ndarray, levels: int) -> np.ndarray:

@@ -9,12 +9,31 @@ with the conjugate-linear involution ``J`` sending ``x`` to ``x*``.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ResourceGuardError, ShapeMismatchError
+
+
+def _lazy_module(name: str):
+    """``name`` if it is loaded, else a module that runs its code on first attribute access.
+
+    A missing module, or one blocked by ``None`` in ``sys.modules``, raises here.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")  # runs on the first array: the exact certificates never load it
 
 # Entrywise tolerance for identities that hold exactly in exact arithmetic.
 ENTRY_TOL = 1e-12

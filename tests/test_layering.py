@@ -1,9 +1,11 @@
 """The package's imports run one way: numerical modules may import symbolic ones, never back.
 
-``core``, ``algebra`` and ``constructions`` load numpy; the symbolic modules
-import neither them nor numpy when they run, so ``plan``, ``puk-eval`` and
-``render`` work in a process where numpy cannot be imported at all, and
-``import puklab`` resolves its numerical names on first access.
+``core`` binds numpy lazily and ``algebra`` and ``constructions`` take it from
+there, so numpy runs only when the first array is built: the exact ``verify``
+suites never load it.  The symbolic modules import neither the numerical ones
+nor numpy when they run, so ``plan``, ``puk-eval`` and ``render`` work in a
+process where numpy cannot be imported at all, and ``import puklab`` resolves
+its numerical names on first access.
 """
 
 import ast
@@ -86,6 +88,12 @@ def test_symbolic_module_imports_nothing_numeric(name):
     assert numeric == []
 
 
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_numeric_module_imports_no_numpy(name):
+    tree = ast.parse((PACKAGE / f"{name.removeprefix('puklab.')}.py").read_text(encoding="utf-8"))
+    assert [m for m in import_time_modules(tree) if m.split(".")[0] == "numpy"] == []
+
+
 def test_symbolic_imports_form_no_cycle():
     graph = {}
     for name in SYMBOLIC:
@@ -163,6 +171,73 @@ def test_symbolic_commands_run_without_numpy(tmp_path, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == stdout, argv
         assert rendered(argv) == text, argv
+
+
+# ---------------------------------------------------------------------------
+# numpy runs on the first array: the exact suites never load it
+
+NUMPY_RUNNER = """
+import contextlib, io, json, sys
+from puklab.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue(), sorted(m for m in sys.modules if m.startswith("numpy."))])
+print(json.dumps(runs))
+"""
+
+
+def test_exact_suites_run_without_loading_numpy(tmp_path, capsys):
+    verify = [["verify", "--suite", suite, *cap] for cap in ([], ["--max-dim", "100000000"])
+              for suite in ("keyclaim", "span", "intertwiner")]
+    masa = write_json(tmp_path / "masa.json", {
+        "shape": {"blocks": [2]}, "mode": "mixed",
+        "a_generators": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                         [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+    })
+    commands = [*verify, ["spectrum", "--config", masa]]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_RUNNER], input=json.dumps(commands),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for argv, (code, stdout, numpy_modules) in zip(commands, runs):
+        # the same exit code and stdout as a run in this process, with numpy loaded
+        assert code == 0, argv
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout, argv
+        if argv[0] == "verify":
+            assert numpy_modules == [], argv
+    # the spectrum's first array ran numpy
+    assert runs[-1][2] != []
+
+
+BLOCKED_IMPORT = """
+import sys
+sys.modules["numpy"] = None
+try:
+    import puklab.core
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+
+
+def test_core_fails_at_import_when_numpy_is_blocked():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "numpy\n"), proc.stderr
+
+
+def test_lazy_binding_fails_at_once_for_a_missing_module():
+    from puklab import core
+
+    assert core._lazy_module("numpy") is sys.modules["numpy"]
+    with pytest.raises(ModuleNotFoundError, match="puklab_no_such_module"):
+        core._lazy_module("puklab_no_such_module")
+    assert "puklab_no_such_module" not in sys.modules
 
 
 def test_every_public_name_resolves():
