@@ -26,19 +26,9 @@ import sys
 from functools import partial
 from itertools import count
 
+from . import algebra, constructions, diagrams, indices, invariant, nsets
 from . import config as cfg
-from .diagrams import diagram_from_construction, render
 from .errors import InvalidInputError, PuklabError
-from .indices import glue_check
-from .invariant import (
-    CutdownOracle,
-    choose_lambda_for_e,
-    choose_lambda_for_efg,
-    cor_plan_1_in_puk,
-    countable_family_plan,
-    eval_construction,
-)
-from .nsets import NSet, parse_value
 
 SUITE_TOL = 1e-10
 
@@ -100,7 +90,6 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    from .algebra import finite_puk_spectrum, mixed_spectrum
     data = _load_json(args.config)
     shape = cfg.shape_from_config(data["shape"])
     a_gens = [cfg.matrix_from_config(m) for m in data["a_generators"]]
@@ -108,9 +97,9 @@ def cmd_spectrum(args) -> int:
     mode = data.get("mode", "mixed")
     if mode == "mixed":
         b_gens = [cfg.matrix_from_config(m) for m in data.get("b_generators", data["a_generators"])]
-        report = mixed_spectrum(a_gens, b_gens, shape, seed=seed)
+        report = algebra.mixed_spectrum(a_gens, b_gens, shape, seed=seed)
     elif mode == "puk":
-        report = finite_puk_spectrum(a_gens, shape, seed=seed)
+        report = algebra.finite_puk_spectrum(a_gens, shape, seed=seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     print(f"blocks: {report.block_count}")
@@ -134,10 +123,6 @@ def _construction_range(max_dim: int):
 
 
 def cmd_verify(args) -> int:
-    # loaded for perfbench's tracer, which patches every layer once a verify job has
-    # run; numpy runs only when an array is built, and this import can go once the
-    # tracer loads the layers it patches itself
-    from . import algebra, constructions  # noqa: F401
     wanted = SUITES if args.suite == "all" else (args.suite,)
     all_ok = True
     for name in wanted:
@@ -161,7 +146,6 @@ def _tolerance_note(defect: float, tolerance: float) -> str:
 
 def _run_scaled(suite: str, measure: str, max_dim: int):
     """Each case's ``constructions.<suite>_check`` defect against ``SUITE_TOL·n^{−(2m+1)}``."""
-    from . import constructions
     # looked up per run, so a replaced check is the one run
     check = getattr(constructions, f"{suite}_check")
     for n, m in _construction_range(max_dim):
@@ -172,11 +156,10 @@ def _run_scaled(suite: str, measure: str, max_dim: int):
 
 
 def _run_span(max_dim: int):
-    from .constructions import family_span_check
     for n, m in _construction_range(max_dim):
         if m < 1:
             continue
-        rep = family_span_check(n, m)
+        rep = constructions.family_span_check(n, m)
         tol = SUITE_TOL * rep.min_gram_diag
         good = (
             rep.rank == rep.count == n ** (2 * m)
@@ -193,22 +176,20 @@ def _run_span(max_dim: int):
 def _run_algebra(max_dim: int):
     import numpy as np
 
-    from .algebra import SPAN_RTOL, commutant, finite_puk_spectrum, generate_algebra, mixed_spectrum
-    from .constructions import truncated_masa_pair
     from .core import GnsSpace, TracedAlgebraShape
     shapes = [TracedAlgebraShape.full_matrix(2), TracedAlgebraShape.full_matrix(3),
               TracedAlgebraShape.from_blocks((2, 1))]
     for shape in shapes:
         space = GnsSpace(shape)
         units = [space.basis_element(k) for k in range(space.dim)]
-        left_alg = generate_algebra([space.left(u) for u in units])
-        comm = commutant(left_alg)
-        rights = generate_algebra([space.right(u) for u in units])
+        left_alg = algebra.generate_algebra([space.left(u) for u in units])
+        comm = algebra.commutant(left_alg)
+        rights = algebra.generate_algebra([space.right(u) for u in units])
         joined = np.concatenate([comm.basis, rights.basis]).reshape(
             comm.dim + rights.dim, -1
         )
         sing = np.linalg.svd(joined, compute_uv=False)
-        cut = SPAN_RTOL * sing[0]
+        cut = algebra.SPAN_RTOL * sing[0]
         kept = sing[sing > cut]
         # the nearer side of the cut: the last kept or the first dropped value
         dropped = float(np.max(sing[kept.size:], initial=0.0))
@@ -219,29 +200,29 @@ def _run_algebra(max_dim: int):
             f"rank cut {cut:.3e}, margin {margin:.3g}"
         )
     for n in (2, 3):
-        a_gens, b_gens = truncated_masa_pair(n, 2)
-        rep = mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(n * n))
-        yield rep.as_set == NSet.of(1) and rep.block_count == n**4, (
+        a_gens, b_gens = constructions.truncated_masa_pair(n, 2)
+        rep = algebra.mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(n * n))
+        yield rep.as_set == nsets.NSet.of(1) and rep.block_count == n**4, (
             f"mixed spectrum of conjugated pair in M_{n}⊗M_{n}: {rep.as_set} "
             f"({rep.block_count} blocks)")
     for n in (2, 3, 4):
         gens = [np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)]
-        rep = finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
-        yield rep.as_set == NSet.of(1) and rep.block_count == n * n - n, (
+        rep = algebra.finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
+        yield rep.as_set == nsets.NSet.of(1) and rep.block_count == n * n - n, (
             f"diagonal masa of M_{n}: {rep.as_set} ({rep.block_count} off-diagonal blocks)")
     rng = np.random.default_rng(7)
     for trial in range(5):
         dim = int(rng.integers(2, 7))
         gens = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                 for _ in range(2)]
-        alg = generate_algebra(gens)
-        bicomm = commutant(commutant(alg))
+        alg = algebra.generate_algebra(gens)
+        bicomm = algebra.commutant(algebra.commutant(alg))
         yield bicomm.dim == alg.dim, (
             f"bicommutant trial {trial} (D={dim}): dim {alg.dim} -> {bicomm.dim}")
 
 
 def _run_glue(max_dim: int):
-    report = glue_check(3, 3)
+    report = indices.glue_check(3, 3)
     yield report.passed, (
         f"glue: {report.cases_checked} cases checked, {len(report.failures)} failures")
     for line in report.failures:
@@ -266,9 +247,9 @@ def cmd_puk_eval(args) -> int:
     spec = cfg.lambda_from_config(_load_json(args.lambda_file))
     oracle = (
         cfg.oracle_from_config(_load_json(args.oracle)) if args.oracle
-        else CutdownOracle.simple()
+        else invariant.CutdownOracle.simple()
     )
-    result = eval_construction(spec, oracle, args.rmax)
+    result = invariant.eval_construction(spec, oracle, args.rmax)
     print(f"value: {result.value}")
     print(f"converged: {'true' if result.converged else 'false'}")
     for r, level in enumerate(result.per_level):
@@ -283,9 +264,10 @@ def _plan_depth(spec) -> int:
 
 def cmd_plan(args) -> int:
     if args.kind == "E":
-        target = NSet.parse(args.target)
-        spec = choose_lambda_for_e(target)
-        result = eval_construction(spec, CutdownOracle.simple(), _plan_depth(spec))
+        target = nsets.NSet.parse(args.target)
+        spec = invariant.choose_lambda_for_e(target)
+        result = invariant.eval_construction(spec, invariant.CutdownOracle.simple(),
+                                              _plan_depth(spec))
         payload = {
             "kind": "E",
             "lambda": cfg.lambda_to_config(spec),
@@ -295,20 +277,21 @@ def cmd_plan(args) -> int:
         parts = args.target.split(";")
         if len(parts) != 3:
             raise ValueError("EFG planning needs three ';'-separated sets")
-        e, f, g = (NSet.parse(p) for p in parts)
-        spec = choose_lambda_for_efg(e, f, g)
+        e, f, g = (nsets.NSet.parse(p) for p in parts)
+        spec = invariant.choose_lambda_for_efg(e, f, g)
         rmax = _plan_depth(spec)
         evaluation = {}
         for quadrant in ("both_zero", "both_one", "mixed"):
             evaluation[quadrant] = str(
-                eval_construction(spec, CutdownOracle.simple(), rmax, quadrant).value
+                invariant.eval_construction(spec, invariant.CutdownOracle.simple(), rmax,
+                                            quadrant).value
             )
-        full = eval_construction(spec, CutdownOracle.simple(), rmax)
+        full = invariant.eval_construction(spec, invariant.CutdownOracle.simple(), rmax)
         evaluation["union"] = str(full.value)
         evaluation["converged"] = full.converged
         payload = {"kind": "EFG", "lambda": cfg.lambda_to_config(spec), "evaluation": evaluation}
     elif args.kind == "cor1":
-        plan = cor_plan_1_in_puk(NSet.parse(args.target))
+        plan = invariant.cor_plan_1_in_puk(nsets.NSet.parse(args.target))
         payload = {
             "kind": "cor1",
             "size": plan.size,
@@ -316,8 +299,8 @@ def cmd_plan(args) -> int:
             "evaluation": str(plan.evaluate()),
         }
     else:
-        rows = [[parse_value(v) for v in row.split(",")] for row in args.target.split(";")]
-        plan = countable_family_plan(rows)
+        rows = [[nsets.parse_value(v) for v in row.split(",")] for row in args.target.split(";")]
+        plan = invariant.countable_family_plan(rows)
         payload = {
             "kind": "family",
             "size": plan.size,
@@ -337,8 +320,9 @@ def cmd_render(args) -> int:
         diagram = cfg.diagram_from_config(data)
     else:
         spec = cfg.lambda_from_config(data)
-        diagram = diagram_from_construction(spec, CutdownOracle.simple(), args.rmax)
-    text = render(diagram, args.format)
+        diagram = diagrams.diagram_from_construction(spec, invariant.CutdownOracle.simple(),
+                                                     args.rmax)
+    text = diagrams.render(diagram, args.format)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {args.out}")

@@ -10,10 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .diagrams import MultiplicityDiagram
+from . import diagrams, indices, invariant
 from .errors import InvalidInputError
-from .indices import LambdaSpec, MultiIndex, Override, QuadrantRules
-from .invariant import CutdownOracle
 from .nsets import INF, NSet
 
 if TYPE_CHECKING:
@@ -81,7 +79,7 @@ def value_from_config(raw):
     return INF if raw == "inf" else int_from_config(raw, "pair value")
 
 
-def lambda_to_config(spec: LambdaSpec) -> dict:
+def lambda_to_config(spec: indices.LambdaSpec) -> dict:
     out: dict = {"default": value_to_config(spec.default)}
     if spec.overrides:
         out["overrides"] = [
@@ -104,19 +102,19 @@ def lambda_to_config(spec: LambdaSpec) -> dict:
     return out
 
 
-def _bits_from_config(raw, name: str) -> MultiIndex:
+def _bits_from_config(raw, name: str) -> indices.MultiIndex:
     """A multi-index from a list of bit strings; a bare string is refused, not split."""
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise InvalidInputError(f"{name} must be a list of bit strings, got {raw!r}")
-    return MultiIndex.from_bits(raw)
+    return indices.MultiIndex.from_bits(raw)
 
 
-def lambda_from_config(data) -> LambdaSpec:
+def lambda_from_config(data) -> indices.LambdaSpec:
     raw = data.get("overrides", [])
     if not isinstance(raw, list) or not all(isinstance(o, dict) for o in raw):
         raise InvalidInputError(f"overrides must be a list of objects, got {raw!r}")
     overrides = tuple(
-        Override(
+        indices.Override(
             r=int_from_config(o["r"], "override level"),
             i=_bits_from_config(o["i"], "override i"),
             j=_bits_from_config(o["j"], "override j"),
@@ -128,12 +126,12 @@ def lambda_from_config(data) -> LambdaSpec:
     quadrants = None
     if "quadrants" in data:
         q = data["quadrants"]
-        quadrants = QuadrantRules(
+        quadrants = indices.QuadrantRules(
             both_zero=NSet.parse(q["both_zero"]),
             both_one=NSet.parse(q["both_one"]),
             mixed=NSet.parse(q["mixed"]),
         )
-    return LambdaSpec(
+    return indices.LambdaSpec(
         default=value_from_config(data.get("default", 1)),
         overrides=overrides,
         enumeration=enumeration,
@@ -141,7 +139,7 @@ def lambda_from_config(data) -> LambdaSpec:
     )
 
 
-def oracle_to_config(oracle: CutdownOracle) -> dict:
+def oracle_to_config(oracle: invariant.CutdownOracle) -> dict:
     if oracle.constant_value is not None:
         return {"constant": str(oracle.constant_value)}
     finest = oracle.grids[-1]
@@ -153,16 +151,17 @@ def oracle_to_config(oracle: CutdownOracle) -> dict:
     return {"level": oracle.level, "entries": entries}
 
 
-def oracle_from_config(data) -> CutdownOracle:
+def oracle_from_config(data) -> invariant.CutdownOracle:
     if "constant" in data:
-        return CutdownOracle.constant(NSet.parse(data["constant"]))
+        return invariant.CutdownOracle.constant(NSet.parse(data["constant"]))
     entries = {
         (e["row"], e["col"]): NSet.parse(e["value"]) for e in data["entries"]
     }
-    return CutdownOracle.from_table(int_from_config(data["level"], "oracle level"), entries)
+    level = int_from_config(data["level"], "oracle level")
+    return invariant.CutdownOracle.from_table(level, entries)
 
 
-def diagram_to_config(diagram: MultiplicityDiagram) -> dict:
+def diagram_to_config(diagram: diagrams.MultiplicityDiagram) -> dict:
     return {
         "level": diagram.level,
         "diagonal": diagram.diagonal_marked,
@@ -170,7 +169,7 @@ def diagram_to_config(diagram: MultiplicityDiagram) -> dict:
     }
 
 
-def diagram_from_config(data) -> MultiplicityDiagram:
+def diagram_from_config(data) -> diagrams.MultiplicityDiagram:
     rows = data["cells"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InvalidInputError("diagram cells must be a list of rows, each a list of value sets")
@@ -178,4 +177,5 @@ def diagram_from_config(data) -> MultiplicityDiagram:
     diagonal = data.get("diagonal", False)
     if not isinstance(diagonal, bool):
         raise InvalidInputError(f"diagonal must be true or false, got {diagonal!r}")
-    return MultiplicityDiagram(int_from_config(data["level"], "diagram level"), cells, diagonal)
+    level = int_from_config(data["level"], "diagram level")
+    return diagrams.MultiplicityDiagram(level, cells, diagonal)

@@ -9,29 +9,11 @@ with the conjugate-linear involution ``J`` sending ``x`` to ``x*``.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _lazy_module
 from .errors import ResourceGuardError, ShapeMismatchError
-
-
-def _lazy_module(name: str):
-    """``name`` if it is loaded, else a module that runs its code on first attribute access.
-
-    A missing module, or one blocked by ``None`` in ``sys.modules``, raises here.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        if spec is None:
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
-
 
 np = _lazy_module("numpy")  # runs on the first array: the exact certificates never load it
 
@@ -101,6 +83,8 @@ class TracedAlgebraShape:
     def from_blocks(cls, blocks) -> "TracedAlgebraShape":
         """Blocks with the trace inherited from ``B(C^D)``: weight ``d_k / D``."""
         blocks = tuple(int(d) for d in blocks)
+        if any(d < 1 for d in blocks):
+            raise ShapeMismatchError("block sizes must be positive")
         total = sum(blocks)
         return cls(blocks, tuple(Fraction(d, total) for d in blocks))
 

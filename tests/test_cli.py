@@ -417,6 +417,11 @@ WRONG_SHAPES = {
     "b generator entry of three numbers": ("spectrum", {
         "shape": {"blocks": [1]}, "a_generators": [[[[1.0, 0.0]]]],
         "b_generators": [[[[1.0, 0.0, 99.0]]]]}),
+    # the trace weights d / Σd of ``from_blocks`` would divide by zero
+    "a zero-sized block": ("spectrum", {
+        "shape": {"blocks": [0]}, "a_generators": [[[[1.0, 0.0]]]]}),
+    "blocks summing to zero": ("spectrum", {
+        "shape": {"blocks": [-1, 1]}, "a_generators": [[[[1.0, 0.0]]]]}),
     "cells as strings": ("render", {"level": 1, "cells": ["12", "34"]}),
     "cells as an object": ("render", {"level": 0, "cells": {"1": 0}}),
     "one row a string": ("render", {"level": 1, "cells": [["1", "2"], "21"]}),

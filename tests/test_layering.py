@@ -4,8 +4,13 @@
 there, so numpy runs only when the first array is built: the exact ``verify``
 suites never load it.  The symbolic modules import neither the numerical ones
 nor numpy when they run, so ``plan``, ``puk-eval`` and ``render`` work in a
-process where numpy cannot be imported at all, and ``import puklab`` resolves
-its numerical names on first access.
+process where numpy cannot be imported at all.
+
+``import puklab`` runs no layer: it binds every one but ``core`` and ``cli``
+lazily and resolves the public names on first access, and ``cli`` and
+``config`` call the layers through module bindings.  So each command runs only
+the layers it calls, which a fresh process checks after every command: a
+lazily bound module that has run is a plain ``types.ModuleType`` again.
 """
 
 import ast
@@ -174,44 +179,83 @@ def test_symbolic_commands_run_without_numpy(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# numpy runs on the first array: the exact suites never load it
+# each command runs only the layers it calls, and numpy only on its first array
 
-NUMPY_RUNNER = """
-import contextlib, io, json, sys
+FRESH_RUNNER = """
+import contextlib, io, json, sys, types
 from puklab.cli import main
 runs = []
 for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    runs.append([code, out.getvalue(), sorted(m for m in sys.modules if m.startswith("numpy."))])
+    # a lazily bound module that has run is a plain module again
+    ran = sorted(k.removeprefix("puklab.") for k, m in sys.modules.items()
+                 if k.split(".")[0] == "puklab" and type(m) is types.ModuleType)
+    numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
+    runs.append([code, out.getvalue(), ran, numpy])
 print(json.dumps(runs))
 """
 
 
-def test_exact_suites_run_without_loading_numpy(tmp_path, capsys):
-    verify = [["verify", "--suite", suite, *cap] for cap in ([], ["--max-dim", "100000000"])
-              for suite in ("keyclaim", "span", "intertwiner")]
-    masa = write_json(tmp_path / "masa.json", {
+def fresh_runs(commands, capsys) -> list[tuple[list[str], list[str]]]:
+    """Run ``commands`` in one fresh process: the layers that have run and the
+    ``numpy.`` modules loaded after each, whose exit code and stdout match a run here."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNNER], input=json.dumps(commands),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for argv, (code, stdout, _, _) in zip(commands, runs):
+        # the same exit code and stdout as a run in this process, with every layer loaded
+        assert code == 0, argv
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout, argv
+    return [(ran, numpy) for _, _, ran, numpy in runs]
+
+
+def masa_config(tmp_path) -> str:
+    """The masa config of the README."""
+    return write_json(tmp_path / "masa.json", {
         "shape": {"blocks": [2]}, "mode": "mixed",
         "a_generators": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
                          [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
     })
-    commands = [*verify, ["spectrum", "--config", masa]]
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_RUNNER], input=json.dumps(commands),
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    for argv, (code, stdout, numpy_modules) in zip(commands, runs):
-        # the same exit code and stdout as a run in this process, with numpy loaded
-        assert code == 0, argv
-        assert main(argv) == 0
-        assert capsys.readouterr().out == stdout, argv
-        if argv[0] == "verify":
-            assert numpy_modules == [], argv
+
+
+EXACT_SUITES = [["verify", "--suite", suite, *cap] for cap in ([], ["--max-dim", "100000000"])
+                for suite in ("keyclaim", "span", "intertwiner")]
+
+
+def test_exact_suites_run_without_loading_numpy(tmp_path, capsys):
+    commands = [*EXACT_SUITES, ["spectrum", "--config", masa_config(tmp_path)]]
+    runs = fresh_runs(commands, capsys)
+    for argv, (_, numpy_modules) in zip(commands[:-1], runs):
+        assert numpy_modules == [], argv
     # the spectrum's first array ran numpy
-    assert runs[-1][2] != []
+    assert runs[-1][1] != []
+
+
+# the commands of one fresh process, and the package modules run after each of them
+LAYERS_RUN = {
+    "exact suites": (lambda tmp_path: EXACT_SUITES,
+                     {"puklab", "cli", "errors", "constructions", "core"}),
+    "glue": (lambda tmp_path: [["verify", "--suite", "glue"]],
+             {"puklab", "cli", "errors", "indices", "nsets"}),
+    "spectrum": (lambda tmp_path: [["spectrum", "--config", masa_config(tmp_path)]],
+                 {"puklab", "cli", "errors", "config", "core", "algebra", "nsets"}),
+    "symbolic": (symbolic_commands,
+                 {"puklab", "cli", "errors", "config", "diagrams", "indices", "invariant",
+                  "nsets"}),
+}
+
+
+@pytest.mark.parametrize("group", LAYERS_RUN)
+def test_each_command_runs_only_the_layers_it_calls(tmp_path, capsys, group):
+    commands, layers = LAYERS_RUN[group]
+    commands = commands(tmp_path)
+    for argv, (ran, _) in zip(commands, fresh_runs(commands, capsys)):
+        assert set(ran) == layers, argv
 
 
 BLOCKED_IMPORT = """
