@@ -23,10 +23,12 @@ algebra of commuting normal generators are their joint eigenspaces, so one
 ``eigh`` of a random self-adjoint combination of the generators gives them,
 once every generator is certified diagonal in its eigenbasis (the one-element
 block-diagonalisation of Murota, Kanno, Kojima and Kojima, Japan J. Indust.
-Appl. Math. 27, 2010).  The masa test needs no commutant either: the commutant
-of an abelian ``A`` in ``⊕_k M_{d_k}`` is ``⊕_{i,k} M_{rank_k(p_i)}``, of
-dimension ``trace(R_A · R_Aᵀ)``, so ``A`` is maximal exactly when the diagonal
-of ``R_A · R_Aᵀ`` is all ones.
+Appl. Math. 27, 2010); one rounding bound, from the measured eigen-residuals,
+splits that eigenbasis into joint eigenspaces and refuses samples it cannot
+split.  The masa test needs no commutant either: the commutant of an abelian
+``A`` in ``⊕_k M_{d_k}`` is ``⊕_{i,k} M_{rank_k(p_i)}``, of dimension
+``trace(R_A · R_Aᵀ)``, so ``A`` is maximal exactly when the diagonal of
+``R_A · R_Aᵀ`` is all ones.
 
 ``minimal_projections`` reads the same certificate, with an algebra's basis
 as the generators, so one eigendecomposition also decides whether an algebra
@@ -47,8 +49,6 @@ SPAN_RTOL = 1e-9
 MEMBER_TOL = 1e-8
 # Commutator entries at most this count as zero in the abelian test.
 COMMUTE_TOL = 1e-9
-# Eigenvalue clusters split at relative gaps above this.
-EIG_GAP_RTOL = 1e-7
 # Fresh random samples drawn before giving up on separating projections.
 MAX_RETRIES = 8
 
@@ -127,8 +127,8 @@ def generate_algebra(generators) -> AlgebraBasis:
             if len(basis) < D * D and np.linalg.norm(part) > SPAN_RTOL:
                 declare(len(basis), D)
                 eigvals, vecs = np.linalg.eigh(part)
-                clusters = _split_eigenvalues(eigvals, floor)
-                seeds = [vecs[:, idx] @ vecs[:, idx].conj().T for idx in clusters]
+                cuts = np.flatnonzero(np.diff(eigvals) > floor) + 1
+                seeds = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
                 basis = np.concatenate([basis, _extend_span(basis, np.stack(seeds), 1.0)])
     done = 0
     while done < len(basis) < D * D:
@@ -309,45 +309,35 @@ def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
     return sample + adjoint(sample)
 
 
-def _split_eigenvalues(eigvals: np.ndarray, floor: float = 0.0) -> list[np.ndarray]:
-    """Indices of eigenvalue clusters, split at gaps above ``EIG_GAP_RTOL·spread`` and ``floor``."""
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    spread = float(eigvals[-1] - eigvals[0])
-    if spread <= max(1e-12 * scale, floor):
-        # the whole spectrum is one atom; any spread is rounding noise
-        return [np.arange(len(eigvals))]
-    gaps = np.diff(eigvals)
-    boundaries = np.flatnonzero(gaps > max(EIG_GAP_RTOL * spread, floor))
-    return np.split(np.arange(len(eigvals)), boundaries + 1)
-
-
 def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenbasis:
     """Minimal projections and block ranks of the unital algebra of commuting normal generators.
 
     The generators must lie in ``⊕_k M_{d_k}``.  The projections are their
     joint eigenspaces, read off one ``eigh`` of a random
-    ``h = Σ_k (c_k g_k + c̄_k g_k*)`` with eigenbasis ``V``.  The sample is
-    accepted only when every generator is diagonal in ``V`` (the residual
+    ``h = Σ_k (c_k g_k + c̄_k g_k*)`` with eigenbasis ``V``.  A sample is
+    accepted when every generator is diagonal in ``V`` (the residual
     ``‖g V − V diag(μ_g)‖``, ``μ_g = diag(V* g V)``, is at most
-    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm), the joint
-    eigenvalue tuple is constant on each eigenvalue cluster of ``h`` and
-    differs between clusters, and each block rank ``‖V[sl_k, cluster_i]‖²``
-    is within :data:`MEMBER_TOL` of an integer.  A rejected sample is redrawn
-    from the same seeded stream, up to :data:`MAX_RETRIES` times; once the
-    retries run out, generators that fail :func:`_commutator_defect` (with
-    each other or with their adjoints) raise :class:`NotAbelianError`,
-    anything else :class:`DegenerateSampleError` with the last reason.  The
-    ``k`` generators with one converted input take ``(k + 1)·D²`` entries;
-    the converted input is freed before the sample, which leaves that ``D²``
-    to numpy's ufunc buffer (up to 128 KiB) at the residual.  Beside them
-    the sample, or the eigenbasis with the residual's products, or the
-    eigenbasis with the cluster comparisons (the gaps, one row's
-    differences and their moduli: up to ``2·D²`` when every eigenvalue is
-    its own cluster, formed once the residual's products are freed), or the
-    commutators of the failure path take at most ``3·D²``.  That is
-    ``(k + 4)·D²``, plus ``D²`` for the eigenbasis :func:`mixed_spectrum`
-    already holds; the joint eigenvalues take ``5k·D`` more.  A larger
-    workspace raises :class:`ResourceGuardError` before any of them is built.
+    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm), the
+    clusters (runs of columns, in the order of ``h``'s eigenvalues, whose
+    neighbouring tuples ``μ`` differ by at most one rounding bound ``b``)
+    carry tuples more than ``b`` apart, and each block rank
+    ``‖V[sl_k, cluster_i]‖²`` is within :data:`MEMBER_TOL` of an integer.
+    A rejected sample is redrawn from the same seeded stream, up to
+    :data:`MAX_RETRIES` times; then generators that fail
+    :func:`_commutator_defect` (with each other or with their adjoints)
+    raise :class:`NotAbelianError`, and anything else
+    :class:`DegenerateSampleError` with the last reason.  The ``k``
+    generators with one converted input take ``(k + 1)·D²`` entries; the
+    converted input is freed before the sample, which leaves that ``D²`` to
+    numpy's ufunc buffer (up to 128 KiB) at the residual.  Beside them the
+    sample, or the eigenbasis with the residual's products, or the eigenbasis
+    with the cluster comparisons (up to ``2·D²`` for the gaps, one row's
+    differences and their moduli, once the residual's products are freed),
+    or the commutators of the failure path take at most ``3·D²``: with the
+    eigenbasis :func:`mixed_spectrum` already holds, ``(k + 5)·D²``.  The
+    joint eigenvalues, their steps and the ``k`` residuals take at most
+    ``3k·D`` of the ``5k·D`` more declared.  A larger workspace raises
+    :class:`ResourceGuardError` before any of them is built.
     """
     D, gens = shape.total_dim, list(gens)
     entries = (len(gens) + 5) * D * D + 5 * len(gens) * D
@@ -363,30 +353,33 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
     slices = shape.block_slices()
 
-    def certify(eigvals, vecs):
-        clusters = _split_eigenvalues(eigvals)
-        starts = np.array([idx[0] for idx in clusters])
-        labels = np.repeat(np.arange(len(clusters)), [len(idx) for idx in clusters])
+    def certify(vecs):
         mu = np.empty((len(mats), D), dtype=complex)
+        resid = np.empty(len(mats))
         gv = np.empty((D, D), dtype=complex)
         for k, g in enumerate(mats):
             np.matmul(g, vecs, out=gv)
             mu[k] = np.vecdot(vecs, gv, axis=0)
             gv -= vecs * mu[k]
-            resid = float(np.linalg.norm(gv)) / scales[k]
-            if resid > MEMBER_TOL:
-                raise _Rejected(f"generator {k} has eigen-residual {resid:.2e}")
+            resid[k] = np.linalg.norm(gv) / scales[k]
+            if resid[k] > MEMBER_TOL:
+                raise _Rejected(f"generator {k} has eigen-residual {resid[k]:.2e}")
         del gv  # freed before the cluster comparisons
         mu /= scales[:, None]
+        # b: μ lies within its column's residual of an eigenvalue of the normal g
+        # (Bauer–Fike), so two columns at one joint eigenvalue differ by at most 2·resid;
+        # μ and the residual each round by at most 2·D·eps for a scaled g, 8·D·eps for a
+        # pair, doubled for V's loss of orthonormality.  A diagonal h gives V a permutation.
+        bound = 2 * resid.max(initial=0.0) + 16 * D * np.finfo(float).eps
+        step = np.max(np.abs(np.diff(mu, axis=1)), axis=0, initial=0.0)
+        cut = np.concatenate(([True], step > bound))
+        starts, labels = np.flatnonzero(cut), np.cumsum(cut) - 1
         tuples = mu[:, starts]
-        spread = float(np.max(np.abs(mu - tuples[:, labels]), initial=0.0))
-        if spread > MEMBER_TOL:
-            raise _Rejected(f"a cluster merges joint eigenvalues {spread:.2e} apart")
-        gap = np.zeros((len(clusters), len(clusters)))
+        gap = np.zeros((len(starts), len(starts)))
         for row in tuples:
             np.maximum(gap, np.abs(row[:, None] - row[None, :]), out=gap)
         np.fill_diagonal(gap, np.inf)
-        if gap.min() <= MEMBER_TOL:
+        if gap.min() <= bound:
             raise _Rejected("two clusters carry the same joint eigenvalues")
         traces = _cluster_block_traces(vecs, vecs, starts, slices)
         ranks = np.rint(traces)
@@ -398,7 +391,7 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     rng = np.random.default_rng(seed)
     for _ in range(1 + MAX_RETRIES):
         try:
-            return certify(*np.linalg.eigh(_hermitian_sample(rng, mats)))
+            return certify(np.linalg.eigh(_hermitian_sample(rng, mats))[1])
         except _Rejected as exc:
             reason = str(exc)
     mats /= scales[:, None, None]

@@ -91,6 +91,7 @@ def _load_json(path: str) -> dict:
 
 def cmd_spectrum(args) -> int:
     data = _load_json(args.config)
+    cfg.check_keys(data, ("shape", "mode", "seed", "a_generators", "b_generators"), "spectrum")
     shape = cfg.shape_from_config(data["shape"])
     a_gens = [cfg.matrix_from_config(m) for m in data["a_generators"]]
     seed = cfg.int_from_config(data.get("seed", 0), "seed")
@@ -99,6 +100,8 @@ def cmd_spectrum(args) -> int:
         b_gens = [cfg.matrix_from_config(m) for m in data.get("b_generators", data["a_generators"])]
         report = algebra.mixed_spectrum(a_gens, b_gens, shape, seed=seed)
     elif mode == "puk":
+        if "b_generators" in data:
+            raise InvalidInputError("mode puk reads a_generators alone; drop b_generators")
         report = algebra.finite_puk_spectrum(a_gens, shape, seed=seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")

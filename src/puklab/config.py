@@ -48,6 +48,14 @@ def _weight_from_config(raw) -> Fraction:
     raise InvalidInputError(f"bad trace weight {raw!r}")
 
 
+def check_keys(data, allowed: tuple[str, ...], name: str):
+    """Refuse a config object holding a key no reader looks at: a misspelt key is no default."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{name} must be an object, got {type(data).__name__}")
+    if unknown := sorted(set(data) - set(allowed)):
+        raise InvalidInputError(f"unknown {name} key {unknown[0]!r}; expected {', '.join(allowed)}")
+
+
 def int_from_config(raw, name: str) -> int:
     """A JSON integer; floats, bools and strings are refused, not truncated."""
     if isinstance(raw, int) and not isinstance(raw, bool):
@@ -57,6 +65,7 @@ def int_from_config(raw, name: str) -> int:
 
 def shape_from_config(data) -> TracedAlgebraShape:
     from .core import TracedAlgebraShape
+    check_keys(data, ("blocks", "weights"), "shape")
     blocks = tuple(int_from_config(d, "block size") for d in data["blocks"])
     if "weights" in data:
         weights = tuple(_weight_from_config(w) for w in data["weights"])
@@ -110,9 +119,12 @@ def _bits_from_config(raw, name: str) -> indices.MultiIndex:
 
 
 def lambda_from_config(data) -> indices.LambdaSpec:
+    check_keys(data, ("default", "overrides", "enumerate", "quadrants"), "value spec")
     raw = data.get("overrides", [])
-    if not isinstance(raw, list) or not all(isinstance(o, dict) for o in raw):
+    if not isinstance(raw, list):
         raise InvalidInputError(f"overrides must be a list of objects, got {raw!r}")
+    for o in raw:
+        check_keys(o, ("r", "i", "j", "value"), "override")
     overrides = tuple(
         indices.Override(
             r=int_from_config(o["r"], "override level"),
@@ -126,6 +138,7 @@ def lambda_from_config(data) -> indices.LambdaSpec:
     quadrants = None
     if "quadrants" in data:
         q = data["quadrants"]
+        check_keys(q, ("both_zero", "both_one", "mixed"), "quadrants")
         quadrants = indices.QuadrantRules(
             both_zero=NSet.parse(q["both_zero"]),
             both_one=NSet.parse(q["both_one"]),

@@ -428,6 +428,22 @@ WRONG_SHAPES = {
     "override indices as strings": ("puk-eval", {"default": 3, "overrides": [
         {"r": 0, "i": "0", "j": "1", "value": 2}]}),
     "overrides as an object": ("puk-eval", {"default": 3, "overrides": {"r": 0}}),
+    # a misspelt key would read as absent: A against A, or the default value alone
+    "misspelt b_generators": ("spectrum", {
+        "shape": {"blocks": [2]}, "a_generators": [[[[1.0, 0.0], [0.0, 0.0]],
+                                                    [[0.0, 0.0], [2.0, 0.0]]]],
+        "b_generator": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}),
+    "unknown shape key": ("spectrum", {
+        "shape": {"blocks": [1], "weight": ["1"]}, "a_generators": [[[[1.0, 0.0]]]]}),
+    "b generators under mode puk": ("spectrum", {
+        "shape": {"blocks": [1]}, "mode": "puk", "a_generators": [[[[1.0, 0.0]]]],
+        "b_generators": [[[[1.0, 0.0]]]]}),
+    "misspelt enumerate": ("puk-eval", {"enumarate": "2,3"}),
+    "unknown quadrant": ("puk-eval", {"quadrants": {
+        "both_zero": "2", "both_one": "3", "mixed": "5", "cross": "7"}}),
+    "unknown override key": ("puk-eval", {"default": 3, "overrides": [
+        {"r": 0, "i": ["0"], "j": ["1"], "value": 2, "level": 1}]}),
+    "misspelt diagram cells": ("render", {"level": 1, "cell": [["1", "2"], ["2", "1"]]}),
 }
 
 

@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 from puklab import algebra
 from puklab.algebra import (
     COMMUTE_TOL,
-    EIG_GAP_RTOL,
     MAX_RETRIES,
     MEMBER_TOL,
     SPAN_RTOL,
@@ -56,6 +55,8 @@ from puklab.errors import DegenerateSampleError, NotAbelianError, NotInAlgebraEr
 from puklab.nsets import NSet
 
 PROJ_TOL = 1e-8
+# the reference route splits eigenvalue clusters at relative gaps above this
+ORACLE_GAP_RTOL = 1e-7
 
 
 def exact_commutator_defect(mats):
@@ -87,7 +88,7 @@ def dense_minimal_projections(alg, seed=0):
         spread = eigvals[-1] - eigvals[0]
         # a spread at rounding level is one atom
         one_atom = spread <= 1e-12 * max(1.0, np.max(np.abs(eigvals)))
-        cuts = [] if one_atom else np.flatnonzero(np.diff(eigvals) > EIG_GAP_RTOL * spread) + 1
+        cuts = [] if one_atom else np.flatnonzero(np.diff(eigvals) > ORACLE_GAP_RTOL * spread) + 1
         clusters = np.split(np.arange(len(eigvals)), cuts)
         if len(clusters) != alg.dim:
             continue
@@ -452,6 +453,40 @@ def test_split_cluster_straddles_in_both_routes():
         dense_diagram_cells(report, units)
 
 
+CLOSE_GAPS = (3e-6, 3e-7, 1e-7, 3e-8, 1e-9, 3e-12)
+
+
+def planted_entries(n, gap, seed):
+    """``(0, gap, 2, 3)`` for ``n = 4``; else seeded Gaussian entries, the second
+    ``gap`` above the first unless ``gap`` is None."""
+    if n == 4:
+        return np.array([0.0, gap, 2.0, 3.0])
+    entries = np.random.default_rng(seed).standard_normal(n)
+    if gap is not None:
+        entries[1] = entries[0] + gap
+    return entries
+
+
+@pytest.mark.parametrize("n, gap, seed, rotated", [
+    *((n, gap, n, rotated) for n in (4, 16, 64) for gap in CLOSE_GAPS for rotated in (False, True)),
+    (256, None, 27, False),
+])
+def test_close_eigenvalues_still_decide_a_masa(n, gap, seed, rotated):
+    # two eigenvalues far closer than the spread, yet far above its rounding: one
+    # generator of distinct eigenvalues generates a masa, so every block has rank 1
+    shape = TracedAlgebraShape.full_matrix(n)
+    entries = planted_entries(n, gap, seed)
+    if rotated:
+        u = blockwise_unitary(np.random.default_rng(seed), shape)
+        gen = (u * entries) @ u.conj().T
+    else:
+        gen = np.diag(entries)
+    puk = finite_puk_spectrum([gen], shape)
+    assert puk.as_set == NSet.of(1) and puk.block_count == n * n - n
+    mixed = mixed_spectrum([gen], [np.diag(np.arange(n, dtype=float))], shape)
+    assert mixed.as_set == NSet.of(1) and mixed.block_count == n * n
+
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 SHIFT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -531,17 +566,16 @@ def test_sampled_defect_matches_exact_scan_on_drawn_sets(case):
     assert_defects_agree(gens, seed)
 
 
-@pytest.mark.parametrize("conjugate, reason", [
-    # the merged cluster keeps the joint eigenvectors, whose eigenvalues differ
-    (False, "merges joint eigenvalues"),
-    # eigh returns some basis of the merged cluster, off the joint eigenvectors
-    (True, "eigen-residual"),
-])
-def test_merged_sample_is_degenerate(monkeypatch, conjugate, reason):
+def force_merged_sample(monkeypatch, conjugate):
+    """``diag(1, 2, 3)`` on C^3 with every sample ``diag(1, 1, 3)``, which puts the
+    joint eigenspaces of 1 and 2 in one eigenvalue of ``h``.
+
+    Both are conjugated by one unitary when ``conjugate`` is set.  Returns the
+    generators, the shape and the list each drawn sample appends to.
+    """
     shape = TracedAlgebraShape.full_matrix(3)
     u = blockwise_unitary(np.random.default_rng(3), shape) if conjugate else np.eye(3)
     gens = [u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T]
-    # every sample puts the joint eigenspaces of 1 and 2 in one cluster
     merged = u @ np.diag([1.0, 1.0, 3.0]) @ u.conj().T
     calls = []
 
@@ -550,14 +584,32 @@ def test_merged_sample_is_degenerate(monkeypatch, conjugate, reason):
         return merged
 
     monkeypatch.setattr(algebra, "_hermitian_sample", merging_sample)
+    return gens, shape, calls
+
+
+def test_merged_sample_on_the_joint_eigenbasis_is_decided(monkeypatch):
+    # eigh of diag(1, 1, 3) returns the standard basis, which diagonalises the
+    # generator: the joint eigenvalues 1 and 2 sit in adjacent columns and split
+    gens, shape, calls = force_merged_sample(monkeypatch, conjugate=False)
+    report = finite_puk_spectrum(gens, shape)
+    assert report.as_set == NSet.of(1) and report.block_count == 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("conjugate, reason", [
+    # eigh returns some basis of the merged cluster, off the joint eigenvectors
+    (True, "eigen-residual"),
+])
+def test_merged_sample_is_degenerate(monkeypatch, conjugate, reason):
+    gens, shape, calls = force_merged_sample(monkeypatch, conjugate)
     with pytest.raises(DegenerateSampleError, match=reason):
         finite_puk_spectrum(gens, shape)
     assert len(calls) == 1 + MAX_RETRIES
 
 
 def test_split_sample_is_degenerate(monkeypatch):
-    # every sample splits the joint eigenspace of 1 into two clusters
-    monkeypatch.setattr(algebra, "_hermitian_sample", lambda rng, mats: np.diag([1.0, 2.0, 3.0]))
+    # every sample puts the joint eigenspace of 1 on both sides of that of 3
+    monkeypatch.setattr(algebra, "_hermitian_sample", lambda rng, mats: np.diag([1.0, 3.0, 2.0]))
     with pytest.raises(DegenerateSampleError, match="same joint eigenvalues"):
         mixed_spectrum([np.diag([1.0, 1.0, 3.0])], [], TracedAlgebraShape.full_matrix(3))
 
