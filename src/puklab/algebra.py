@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import TracedAlgebraShape, adjoint, as_matrix, check_workspace, np
+from .core import CHUNK_ENTRIES, TracedAlgebraShape, adjoint, as_matrix, check_workspace, chunks, np
 from .errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
 from .nsets import NSet
 
@@ -297,10 +297,10 @@ class _Rejected(Exception):
     """A sample whose clusters failed a certificate; the message says why."""
 
 
-def _combination(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
-    """``Σ_k c_k m_k`` for complex Gaussian ``c_k`` drawn from ``rng``."""
+def _combination(rng: np.random.Generator, mats: np.ndarray, scales=1.0) -> np.ndarray:
+    """``Σ_k c_k m_k / s_k`` for complex Gaussian ``c_k`` drawn from ``rng``, one product."""
     coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    return np.tensordot(coeffs, mats, axes=1)
+    return ((coeffs / scales) @ mats.reshape(-1, mats.shape[-1] ** 2)).reshape(mats.shape[1:])
 
 
 def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
@@ -312,12 +312,12 @@ def _hermitian_sample(rng: np.random.Generator, mats: np.ndarray) -> np.ndarray:
 def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenbasis:
     """Minimal projections and block ranks of the unital algebra of commuting normal generators.
 
-    The generators must lie in ``⊕_k M_{d_k}``.  The projections are their
-    joint eigenspaces, read off one ``eigh`` of a random
+    The generators, a list or a ``(k, D, D)`` stack, must lie in ``⊕_k M_{d_k}``.
+    The projections are their joint eigenspaces, read off one ``eigh`` of a random
     ``h = Σ_k (c_k g_k + c̄_k g_k*)`` with eigenbasis ``V``.  A sample is
     accepted when every generator is diagonal in ``V`` (the residual
     ``‖g V − V diag(μ_g)‖``, ``μ_g = diag(V* g V)``, is at most
-    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm), the
+    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm; NaN is not), the
     clusters (runs of columns, in the order of ``h``'s eigenvalues, whose
     neighbouring tuples ``μ`` differ by at most one rounding bound ``b``)
     carry tuples more than ``b`` apart, and each block rank
@@ -326,64 +326,61 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     :data:`MAX_RETRIES` times; then generators that fail
     :func:`_commutator_defect` (with each other or with their adjoints)
     raise :class:`NotAbelianError`, and anything else
-    :class:`DegenerateSampleError` with the last reason.  The ``k``
-    generators with one converted input take ``(k + 1)·D²`` entries; the
-    converted input is freed before the sample, which leaves that ``D²`` to
-    numpy's ufunc buffer (up to 128 KiB) at the residual.  Beside them the
-    sample, or the eigenbasis with the residual's products, or the eigenbasis
-    with the cluster comparisons (up to ``2·D²`` for the gaps, one row's
-    differences and their moduli, once the residual's products are freed),
-    or the commutators of the failure path take at most ``3·D²``: with the
-    eigenbasis :func:`mixed_spectrum` already holds, ``(k + 5)·D²``.  The
-    joint eigenvalues, their steps and the ``k`` residuals take at most
-    ``3k·D`` of the ``5k·D`` more declared.  A larger workspace raises
-    :class:`ResourceGuardError` before any of them is built.
+    :class:`DegenerateSampleError` with the last reason.  A list is converted
+    to one stack of ``k·D²`` entries; a complex stack, such as a read-only
+    basis, is read and never written.  Beside it the sample, or the eigenbasis
+    with the residuals, or the eigenbasis with the cluster comparisons (``2·D²``
+    for the gaps), or the failure path's commutators take at most ``3·D²``:
+    with the eigenbasis :func:`mixed_spectrum` holds and numpy's ufunc buffer,
+    ``(k + 5)·D²``.  The joint eigenvalues, their steps and the ``k`` residuals
+    take at most ``3k·D`` of the ``5k·D`` more declared.  The membership test,
+    the residuals and the gaps run over chunks of ``c = max(1, ⌊A/D²⌋)``
+    generators, ``A =`` :data:`CHUNK_ENTRIES` (one from ``D = 33`` on); a
+    chunk's products, differences and numpy's two buffers for a broadcast
+    operand take ``4A`` (128 KiB) more.  A larger workspace raises
+    :class:`ResourceGuardError` before any is built.
     """
-    D, gens = shape.total_dim, list(gens)
-    entries = (len(gens) + 5) * D * D + 5 * len(gens) * D
-    check_workspace(entries, f"{len(gens)} generators on C^{D}")
-    mats = np.empty((len(gens), D, D), dtype=complex)
-    for k, g in enumerate(gens):
-        g = as_matrix(g)
-        shape.check_member(g)
-        mats[k] = g
-        del g  # a real generator's complex copy: not held beside the eigenbases
+    D, k = shape.total_dim, len(gens)
+    entries = (k + 5) * D * D + 5 * k * D + 4 * CHUNK_ENTRIES
+    check_workspace(entries, f"{k} generators on C^{D}")
+    mats = np.ascontiguousarray(gens if k else np.empty((0, D, D)), dtype=complex)
+    shape.check_member(mats)
     # Frobenius norms summed over the real view, with no k·D² temporary
-    parts = mats.view(float).reshape(len(gens), 2 * D * D)
+    parts = mats.view(float).reshape(k, 2 * D * D)
     scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
-    slices = shape.block_slices()
+    slices, stages = shape.block_slices(), chunks(k, D)
 
     def certify(vecs):
-        mu = np.empty((len(mats), D), dtype=complex)
-        resid = np.empty(len(mats))
-        gv = np.empty((D, D), dtype=complex)
-        for k, g in enumerate(mats):
-            np.matmul(g, vecs, out=gv)
-            mu[k] = np.vecdot(vecs, gv, axis=0)
-            gv -= vecs * mu[k]
-            resid[k] = np.linalg.norm(gv) / scales[k]
-            if resid[k] > MEMBER_TOL:
-                raise _Rejected(f"generator {k} has eigen-residual {resid[k]:.2e}")
-        del gv  # freed before the cluster comparisons
+        mu = np.empty((k, D), dtype=complex)
+        resid = np.empty(k)
+        for part in stages:
+            gv = mats[part] @ vecs
+            mu[part] = np.vecdot(vecs, gv, axis=-2)
+            gv -= vecs * mu[part, None, :]
+            re, im = gv.real.reshape(len(gv), -1), gv.imag.reshape(len(gv), -1)
+            resid[part] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) / scales[part]
+            del gv, re, im  # freed before the next chunk and the cluster comparisons
+        if (bad := (~(resid <= MEMBER_TOL)).nonzero()[0]).size:
+            raise _Rejected(f"generator {bad[0]} has eigen-residual {resid[bad[0]]:.2e}")
         mu /= scales[:, None]
         # b: μ lies within its column's residual of an eigenvalue of the normal g
         # (Bauer–Fike), so two columns at one joint eigenvalue differ by at most 2·resid;
         # μ and the residual each round by at most 2·D·eps for a scaled g, 8·D·eps for a
         # pair, doubled for V's loss of orthonormality.  A diagonal h gives V a permutation.
         bound = 2 * resid.max(initial=0.0) + 16 * D * np.finfo(float).eps
-        step = np.max(np.abs(np.diff(mu, axis=1)), axis=0, initial=0.0)
+        step = np.abs(mu[:, 1:] - mu[:, :-1]).max(axis=0, initial=0.0)
         cut = np.concatenate(([True], step > bound))
-        starts, labels = np.flatnonzero(cut), np.cumsum(cut) - 1
-        tuples = mu[:, starts]
+        starts, labels = cut.nonzero()[0], np.cumsum(cut) - 1
+        tuples = mu.take(starts, axis=1)  # C order: a chunk's rows stay contiguous
         gap = np.zeros((len(starts), len(starts)))
-        for row in tuples:
-            np.maximum(gap, np.abs(row[:, None] - row[None, :]), out=gap)
+        for part in stages:
+            np.maximum(gap, np.abs(tuples[part, :, None] - tuples[part, None]).max(axis=0), out=gap)
         np.fill_diagonal(gap, np.inf)
         if gap.min() <= bound:
             raise _Rejected("two clusters carry the same joint eigenvalues")
         traces = _cluster_block_traces(vecs, vecs, starts, slices)
         ranks = np.rint(traces)
-        worst = float(np.max(np.abs(traces - ranks)))
+        worst = float(np.abs(traces - ranks).max())
         if worst > MEMBER_TOL:
             raise _Rejected(f"a block rank is {worst:.2e} away from an integer")
         return JointEigenbasis(vecs, labels, ranks.astype(int))
@@ -394,23 +391,22 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
             return certify(np.linalg.eigh(_hermitian_sample(rng, mats))[1])
         except _Rejected as exc:
             reason = str(exc)
-    mats /= scales[:, None, None]
-    defect = _commutator_defect(mats, rng)
+    defect = _commutator_defect(mats, rng, scales)
     if defect > COMMUTE_TOL:
         raise NotAbelianError(f"generators or their adjoints do not commute (defect {defect:.2e})")
     raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {reason}")
 
 
-def _commutator_defect(mats: np.ndarray, rng: np.random.Generator) -> float:
+def _commutator_defect(mats: np.ndarray, rng: np.random.Generator, scales=1.0) -> float:
     """Largest entry of ``[a, b]`` and ``[a, b*]`` for random combinations ``a``, ``b`` of ``mats``.
 
-    ``a`` and ``b`` are drawn as in :func:`_combination`.  Both commutators
-    vanish for every draw exactly when each ``m_k`` commutes with every
+    ``a`` and ``b`` are drawn as in :func:`_combination`, over ``scales``.  Both
+    commutators vanish for every draw exactly when each ``m_k`` commutes with every
     ``m_l`` and ``m_l*``; otherwise they are non-zero with probability 1.
     That costs ``O(k·D² + D³)``, against ``k²`` products of ``D × D`` for
     the pairwise scan.
     """
-    a, b = _combination(rng, mats), _combination(rng, mats)
+    a, b = _combination(rng, mats, scales), _combination(rng, mats, scales)
 
     def defect(h):
         out = a @ h
@@ -439,7 +435,8 @@ def mixed_spectrum(a_gens, b_gens, shape: TracedAlgebraShape, seed: int = 0) -> 
     always ``{1}``; abelian non-maximal inputs are allowed and reported as-is.
     """
     left = _joint_eigenbasis(a_gens, shape, seed)
-    right = _joint_eigenbasis(b_gens, shape, seed)
+    same = b_gens is a_gens and isinstance(a_gens, np.ndarray)  # one stack: one eigenbasis
+    right = left if same else _joint_eigenbasis(b_gens, shape, seed)
     mults = left.ranks @ right.ranks.T
     return _product_report(shape, left, right, mults, mults != 0)
 

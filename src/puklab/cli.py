@@ -93,11 +93,12 @@ def cmd_spectrum(args) -> int:
     data = _load_json(args.config)
     cfg.check_keys(data, ("shape", "mode", "seed", "a_generators", "b_generators"), "spectrum")
     shape = cfg.shape_from_config(data["shape"])
-    a_gens = [cfg.matrix_from_config(m) for m in data["a_generators"]]
+    a_gens = cfg.stack_from_config(data["a_generators"], "a_generators")
     seed = cfg.int_from_config(data.get("seed", 0), "seed")
     mode = data.get("mode", "mixed")
     if mode == "mixed":
-        b_gens = [cfg.matrix_from_config(m) for m in data.get("b_generators", data["a_generators"])]
+        b_gens = (cfg.stack_from_config(data["b_generators"], "b_generators")
+                  if "b_generators" in data else a_gens)
         report = algebra.mixed_spectrum(a_gens, b_gens, shape, seed=seed)
     elif mode == "puk":
         if "b_generators" in data:

@@ -25,15 +25,22 @@ def matrix_to_config(matrix) -> list:
 
 
 def matrix_from_config(data) -> np.ndarray:
+    return stack_from_config([data], "matrix")[0]
+
+
+def stack_from_config(data, name: str) -> np.ndarray:
+    """A list of ``[re, im]`` matrices of finite JSON numbers as one ``(k, D, D)`` array."""
     import numpy as np
     try:
-        rows = [[complex(re, im) for re, im in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    out = np.array(rows, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise InvalidInputError(f"matrix config must be square, got shape {out.shape}")
-    return out
+        raw = np.array(data)
+        numeric = raw.dtype.kind in "biuf" or all(isinstance(v, (int, float)) for v in raw.flat)
+        if not numeric or not np.isfinite(parts := raw.astype(float)).all():
+            raise ValueError("an entry is not a finite JSON number")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} entries must be finite [re, im] pairs: {exc}") from exc
+    if parts.shape != (0,) and (parts.ndim != 4 or parts.shape[2:] != (parts.shape[1], 2)):
+        raise InvalidInputError(f"{name} must be square matrices of [re, im] pairs: {parts.shape}")
+    return parts.view(complex)[..., 0] if parts.ndim == 4 else parts
 
 
 def _weight_from_config(raw) -> Fraction:

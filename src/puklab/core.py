@@ -21,6 +21,8 @@ np = _lazy_module("numpy")  # runs on the first array: the exact certificates ne
 ENTRY_TOL = 1e-12
 # Bytes of complex128 workspace one numeric routine may hold at its peak.
 WORKSPACE_BYTES = 1 << 28
+# Complex entries of one chunk of a stack of matrices read at once: 32 KiB.
+CHUNK_ENTRIES = 2048
 
 
 def check_workspace(entries: int, what: str):
@@ -34,6 +36,12 @@ def check_workspace(entries: int, what: str):
         raise ResourceGuardError(
             f"{what} needs {need} bytes of workspace, over the budget of {WORKSPACE_BYTES}"
         )
+
+
+def chunks(count: int, D: int) -> list[slice]:
+    """``count`` stacked ``D × D`` matrices as slices of ``max(1, ⌊CHUNK_ENTRIES/D²⌋)``."""
+    step = max(1, CHUNK_ENTRIES // (D * D))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def as_matrix(x) -> np.ndarray:
@@ -106,29 +114,30 @@ class TracedAlgebraShape:
         return out
 
     def check_compatible(self, x: np.ndarray):
-        if x.shape != (self.total_dim, self.total_dim):
+        if x.ndim < 2 or x.shape[-2:] != (self.total_dim, self.total_dim):
             raise ShapeMismatchError(
                 f"matrix of shape {x.shape} does not fit shape with D={self.total_dim}"
             )
 
     def check_member(self, x: np.ndarray):
-        """Reject a matrix that does not fit, or that leaves the diagonal blocks.
+        """Reject a matrix, or a stack ``(..., D, D)``, that does not fit or leaves the blocks.
 
-        An off-block entry larger than :data:`ENTRY_TOL` times the largest
-        entry means ``x`` is outside ``⊕_k M_{d_k}``; reading only its diagonal
-        blocks would silently compress it into the algebra.
+        An off-block entry larger than :data:`ENTRY_TOL` times the largest entry
+        of its matrix means that matrix is outside ``⊕_k M_{d_k}``; reading only
+        its diagonal blocks would silently compress it into the algebra.  A
+        stack is read in :func:`chunks`; the error names its first such matrix.
         """
         self.check_compatible(x)
-        mag = np.abs(x)
-        off_block = np.ones(mag.shape, dtype=bool)
-        for sl in self.block_slices():
-            off_block[sl, sl] = False
-        worst = float(np.max(mag[off_block], initial=0.0))
-        if worst > ENTRY_TOL * float(np.max(mag)):
-            raise ShapeMismatchError(
-                f"matrix has an entry of size {worst:.2e} outside the diagonal blocks "
-                f"{self.blocks}"
-            )
+        D, block = self.total_dim, np.repeat(np.arange(len(self.blocks)), self.blocks)
+        off_block, stack = block[:, None] != block, x.reshape(-1, D, D)
+        # a single block leaves no entry outside it
+        for part in chunks(len(stack) if len(self.blocks) > 1 else 0, D):
+            mag = np.abs(stack[part])
+            worst = mag[:, off_block].max(axis=1, initial=0.0)
+            if (bad := (worst > ENTRY_TOL * mag.max(axis=(1, 2))).nonzero()[0]).size:
+                i, size = part.start + bad[0], worst[bad[0]]
+                raise ShapeMismatchError(f"matrix {i} has an entry of size {size:.2e} outside "
+                                         f"the diagonal blocks {self.blocks}")
 
 
 def normalized_trace(x, shape: TracedAlgebraShape) -> complex:

@@ -306,7 +306,7 @@ class TestMixedSpectrum:
             assert moved.multiset == base.multiset
 
     def test_resource_guard(self, monkeypatch):
-        # 8 generators on C^8 declare (8 + 5)·64 + 5·8·8 entries, 18,432 bytes
+        # 8 generators on C^8 declare (8 + 5)·64 + 5·8·8 + 4·2048 entries, 149,504 bytes
         monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 14)
         shape = TracedAlgebraShape.full_matrix(8)
         with pytest.raises(ResourceGuardError):

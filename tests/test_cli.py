@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puklab import cli, constructions
+from puklab import algebra, cli, constructions
 from puklab import config as cfg
 from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
@@ -21,7 +21,8 @@ from puklab.nsets import INF, NSet
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    """Write ``payload`` as JSON, or as it stands when it is already JSON text."""
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -171,6 +172,28 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", path]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["blocks: 4096", "multiplicities: " + ",".join(["1"] * 4096), "set: 1"]
+
+    def test_mixed_without_b_generators_computes_one_eigenbasis(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the README config: B defaults to the A stack, whose seeded eigenbasis is read once
+        config = {"shape": {"blocks": [2]}, "mode": "mixed",
+                  "a_generators": [diag_unit_config(2, 0), diag_unit_config(2, 1)]}
+        calls = []
+
+        def counted(gens, shape, seed):
+            calls.append(seed)
+            return joint_eigenbasis(gens, shape, seed)
+
+        joint_eigenbasis = algebra._joint_eigenbasis
+        monkeypatch.setattr(algebra, "_joint_eigenbasis", counted)
+        assert main(["spectrum", "--config", write_json(tmp_path / "a.json", config)]) == 0
+        alone = capsys.readouterr().out
+        assert len(calls) == 1
+        both = dict(config, b_generators=config["a_generators"])
+        assert main(["spectrum", "--config", write_json(tmp_path / "ab.json", both)]) == 0
+        assert capsys.readouterr().out == alone
+        assert len(calls) == 3
+        assert alone.splitlines() == ["blocks: 4", "multiplicities: 1,1,1,1", "set: 1"]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -445,6 +468,24 @@ WRONG_SHAPES = {
         {"r": 0, "i": ["0"], "j": ["1"], "value": 2, "level": 1}]}),
     "misspelt diagram cells": ("render", {"level": 1, "cell": [["1", "2"], ["2", "1"]]}),
 }
+
+# matrix entries that are not finite JSON numbers, as the JSON text that holds them: a
+# NaN must not reach the certificate, and 10^400 must not escape as an OverflowError
+BAD_ENTRIES = {
+    "NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e999": "1e999",
+    "an integer past float range": "1" + "0" * 400, "null": "null", "a string": '"1"',
+    "a numeric string": '"1.5"',
+}
+for _label, _entry in BAD_ENTRIES.items():
+    _bad = f"[[[[{_entry}, 0], [0, 0]], [[0, 0], [1, 0]]]]"
+    _good = "[[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]]"
+    for _key, (_a, _b) in {"a_generators": (_bad, _good), "b_generators": (_good, _bad)}.items():
+        WRONG_SHAPES[f"{_label} in {_key}"] = ("spectrum", (
+            f'{{"shape": {{"blocks": [2]}}, "a_generators": {_a}, "b_generators": {_b}}}'))
+WRONG_SHAPES["ragged a generators"] = ("spectrum", {
+    "shape": {"blocks": [2]}, "a_generators": [[[[1, 0], [0, 0]], [[0, 0]]]]})
+WRONG_SHAPES["a generator entry of one number"] = ("spectrum", {
+    "shape": {"blocks": [2]}, "a_generators": [[[[1, 0], [0, 0]], [[0, 0], [1]]]]})
 
 
 @pytest.mark.parametrize("case", WRONG_SHAPES)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from puklab import core
 from puklab.core import (
     ENTRY_TOL,
     GnsSpace,
@@ -91,6 +92,15 @@ class TestOffBlockEntries:
     def test_rejected(self, method):
         with pytest.raises(ShapeMismatchError, match="outside the diagonal blocks"):
             getattr(self.space, method)(self.outside)
+
+    def test_stack_names_its_first_matrix_off_the_blocks(self, monkeypatch):
+        # two chunks of three: the first offender sits in the second chunk
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", 3 * 9)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex)] * 6)
+        stack[4] = stack[5] = self.outside
+        with pytest.raises(ShapeMismatchError, match=r"matrix 4 has an entry of size 5\.00e-01"):
+            self.space.shape.check_member(stack)
+        self.space.shape.check_member(stack[:4])
 
     def test_rounding_noise_accepted(self):
         x = np.diag([1.0, 2.0, 3.0]).astype(complex)

@@ -21,6 +21,11 @@ The abelian test of the library's failure path, two random combinations
 ``a`` and ``b`` with ``[a, b]`` and ``[a, b*]``, is checked against the
 exact scan over every pair of generators, ``exact_commutator_defect``.
 
+The stacked certificate, which checks, certifies and compares the generators
+in chunks of a whole stack, is checked against the per-generator loops it
+replaced, ``loop_check_member`` and ``loop_joint_eigenbasis``: the same
+labels and ranks, or the same error with the same offending generator.
+
 Diagrams of a left-right report are checked against the dense overlap loop:
 the report's products ``L(p_i) R(q_j)`` and the partition cutdowns built as
 ``gns_dim × gns_dim`` operators, with each block's trace against each cutdown
@@ -35,7 +40,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from puklab import algebra
+from puklab import algebra, core
 from puklab.algebra import (
     COMMUTE_TOL,
     MAX_RETRIES,
@@ -49,9 +54,15 @@ from puklab.algebra import (
     mixed_spectrum,
     relative_commutant_dim,
 )
-from puklab.core import GnsSpace, TracedAlgebraShape, adjoint
+from puklab.core import ENTRY_TOL, GnsSpace, TracedAlgebraShape, adjoint, as_matrix
 from puklab.diagrams import diagram_from_numeric
-from puklab.errors import DegenerateSampleError, NotAbelianError, NotInAlgebraError, NotMasaError
+from puklab.errors import (
+    DegenerateSampleError,
+    NotAbelianError,
+    NotInAlgebraError,
+    NotMasaError,
+    ShapeMismatchError,
+)
 from puklab.nsets import NSet
 
 PROJ_TOL = 1e-8
@@ -621,3 +632,153 @@ def test_fractional_block_rank_is_degenerate(monkeypatch):
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(DegenerateSampleError, match="away from an integer"):
         mixed_spectrum([swap], [], TracedAlgebraShape.from_blocks((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificate against the per-generator loops it replaced
+
+
+def loop_check_member(shape, mats):
+    """The membership test one matrix at a time, naming the first matrix off the blocks."""
+    for i, x in enumerate(mats):
+        mag = np.abs(x)
+        off_block = np.ones(mag.shape, dtype=bool)
+        for sl in shape.block_slices():
+            off_block[sl, sl] = False
+        worst = float(np.max(mag[off_block], initial=0.0))
+        if worst > ENTRY_TOL * float(np.max(mag)):
+            raise ShapeMismatchError(f"matrix {i} has an entry of size {worst:.2e} outside "
+                                     f"the diagonal blocks {shape.blocks}")
+
+
+def loop_joint_eigenbasis(gens, shape, seed):
+    """Labels and ranks of ``_joint_eigenbasis``, each generator converted and certified alone.
+
+    The per-generator route, with its residual test read as ``not resid <=
+    MEMBER_TOL``, so that a NaN residual is refused as in the library.  The
+    sample, the cluster traces and the failure path are the library's own.
+    """
+    D = shape.total_dim
+    mats = np.empty((len(gens), D, D), dtype=complex)
+    for k, g in enumerate(gens):
+        mats[k] = as_matrix(g)
+    loop_check_member(shape, mats)
+    parts = mats.view(float).reshape(len(mats), 2 * D * D)
+    scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
+
+    def certify(vecs):
+        mu = np.empty((len(mats), D), dtype=complex)
+        resid = np.empty(len(mats))
+        gv = np.empty((D, D), dtype=complex)
+        for k, g in enumerate(mats):
+            np.matmul(g, vecs, out=gv)
+            mu[k] = np.vecdot(vecs, gv, axis=0)
+            gv -= vecs * mu[k]
+            resid[k] = np.linalg.norm(gv) / scales[k]
+            if not resid[k] <= MEMBER_TOL:
+                raise algebra._Rejected(f"generator {k} has eigen-residual {resid[k]:.2e}")
+        mu /= scales[:, None]
+        bound = 2 * resid.max(initial=0.0) + 16 * D * np.finfo(float).eps
+        step = np.max(np.abs(np.diff(mu, axis=1)), axis=0, initial=0.0)
+        cut = np.concatenate(([True], step > bound))
+        starts, labels = np.flatnonzero(cut), np.cumsum(cut) - 1
+        gap = np.zeros((len(starts), len(starts)))
+        for row in mu[:, starts]:
+            np.maximum(gap, np.abs(row[:, None] - row[None, :]), out=gap)
+        np.fill_diagonal(gap, np.inf)
+        if gap.min() <= bound:
+            raise algebra._Rejected("two clusters carry the same joint eigenvalues")
+        traces = algebra._cluster_block_traces(vecs, vecs, starts, shape.block_slices())
+        ranks = np.rint(traces)
+        worst = float(np.max(np.abs(traces - ranks)))
+        if worst > MEMBER_TOL:
+            raise algebra._Rejected(f"a block rank is {worst:.2e} away from an integer")
+        return labels, ranks.astype(int)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(1 + MAX_RETRIES):
+        try:
+            return certify(np.linalg.eigh(algebra._hermitian_sample(rng, mats))[1])
+        except algebra._Rejected as exc:
+            reason = str(exc)
+    defect = _commutator_defect(mats, rng, scales)
+    if defect > COMMUTE_TOL:
+        raise NotAbelianError(f"generators or their adjoints do not commute (defect {defect:.2e})")
+    raise DegenerateSampleError(f"no separating sample after {MAX_RETRIES} retries: {reason}")
+
+
+def stacked_joint_eigenbasis(gens, shape, seed):
+    joint = _joint_eigenbasis(gens, shape, seed)
+    return joint.labels, joint.ranks
+
+
+def certificate_outcome(route, gens, shape, seed):
+    """Labels and ranks as lists, or the error's type and message.
+
+    ``eigh`` of a sample with a NaN entry may fail to converge: the same error on both routes.
+    """
+    try:
+        labels, ranks = route(gens, shape, seed)
+    except (ShapeMismatchError, NotAbelianError, DegenerateSampleError,
+            np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+    return labels.tolist(), ranks.tolist()
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Up to 12 generators on C^D, D ≤ 12 in 1–3 blocks, commuting with repeated eigenvalues.
+
+    Real (one orthogonal basis) or complex (one unitary), as a list or a
+    read-only stack; now and then one generator gets a NaN entry, an entry
+    outside the blocks or a factor that makes it commute with nothing.
+    """
+    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    shape = TracedAlgebraShape.from_blocks(blocks)
+    D, k = shape.total_dim, draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = blockwise_unitary(rng, shape)
+    if real := draw(st.booleans()):
+        u = np.zeros((D, D))
+        for sl, d in zip(shape.block_slices(), blocks):
+            u[sl, sl] = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    gens = [u @ np.diag(rng.integers(-2, 3, D).astype(float)) @ u.conj().T for _ in range(k)]
+    fault = draw(st.sampled_from(["none", "none", "nan", "off-block", "tangled"]))
+    if k and fault != "none":
+        i, (r, c) = draw(st.integers(0, k - 1)), rng.integers(0, D, 2)
+        if fault == "nan":
+            gens[i][r, c] = np.nan
+        elif fault == "off-block" and len(blocks) > 1:
+            block = np.repeat(np.arange(len(blocks)), blocks)
+            r, c = np.argmax(block == 0), np.argmax(block == 1)
+            gens[i][r, c] += 0.5
+        elif fault == "tangled":
+            gens[i] = gens[i] @ (np.linalg.qr(rng.standard_normal((D, D)))[0] if real
+                                 else blockwise_unitary(rng, shape))
+    if draw(st.booleans()):
+        gens = np.array(gens).reshape(k, D, D)
+        gens.flags.writeable = False
+    return gens, shape, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("chunk", ["one", "two", "uneven"])
+@settings(max_examples=60, deadline=None)
+@given(case=certificate_inputs())
+def test_stacked_certificate_matches_the_per_generator_loops(chunk, case):
+    gens, shape, seed = case
+    D, k = shape.total_dim, len(gens)
+    size = {"one": 1, "two": 2, "uneven": k // 2 + 1}[chunk]
+    assume(chunk != "uneven" or k >= 3)  # k // 2 + 1 does not divide k from k = 3 on
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "CHUNK_ENTRIES", size * D * D)
+        assert [len(range(k)[part]) for part in core.chunks(k, D)][:1] == [min(k, size)][:k]
+        with np.errstate(invalid="ignore"):
+            expected = certificate_outcome(loop_joint_eigenbasis, gens, shape, seed)
+            assert certificate_outcome(stacked_joint_eigenbasis, gens, shape, seed) == expected
+
+
+def test_nan_generator_is_an_error_not_a_report():
+    # a NaN residual fails every comparison, so only "not resid <= MEMBER_TOL" refuses it
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateSampleError,
+                                                      match="eigen-residual nan"):
+        mixed_spectrum([np.diag([np.nan, 1.0])], [np.eye(2)], TracedAlgebraShape.full_matrix(2))

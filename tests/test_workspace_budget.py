@@ -300,14 +300,40 @@ def test_generate_algebra_batches_stay_within_their_declared_counts(declared, ma
 
 
 def test_spectrum_runs_within_its_declared_count(monkeypatch, declared):
-    # 32 generators on C^32 declare 37 · 1024 + 5 · 32 · 32 entries, 688,128 bytes;
-    # the budget sits below the 164 · 1024 entries of the old count
+    # 32 generators on C^32 declare 37 · 1024 + 5 · 32 · 32 + 4 · 2048 entries,
+    # 819,200 bytes; the budget sits below the 164 · 1024 entries of the old count
     monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 20)
     rng = np.random.default_rng(32)
     shape = TracedAlgebraShape.full_matrix(32)
     pair = rotated_masa(rng, 32), rotated_masa(rng, 32)
     assert mixed_spectrum(*pair, shape).as_set == NSet.of(1)
     assert_within_declared(declared, "mixed", lambda: mixed_spectrum(*pair, shape))
+
+
+@pytest.mark.parametrize("n", [13, 22, 31])
+def test_uneven_chunks_stay_within_declared_workspace(declared, n):
+    # chunks of ⌊CHUNK_ENTRIES / n²⌋ generators, 12, 4 and 2, with a shorter one last
+    assert n % (core.CHUNK_ENTRIES // (n * n)) != 0
+    rng = np.random.default_rng(n)
+    shape = TracedAlgebraShape.full_matrix(n)
+    units = [g.real for g in diag_units(n)]
+    rotated = rotated_masa(rng, n)
+    assert_within_declared(declared, "mixed", lambda: mixed_spectrum(units, rotated, shape))
+    assert_within_declared(declared, "puk", lambda: finite_puk_spectrum(rotated, shape))
+
+
+def test_read_only_stack_is_left_unwritten_on_the_failure_path(declared):
+    # the failure path scales the coefficients of its combinations, not the generators
+    n = 22
+    rng = np.random.default_rng(n)
+    stack = np.stack([3 * g @ haar_unitary(rng, n) for g in diag_units(n)])
+    before = stack.copy()
+    stack.flags.writeable = False
+    shape = TracedAlgebraShape.full_matrix(n)
+    raised = assert_within_declared(declared, "read-only stack",
+                                    lambda: mixed_spectrum(stack, diag_units(n), shape))
+    assert isinstance(raised, NotAbelianError)
+    assert np.array_equal(stack, before)
 
 
 @pytest.mark.parametrize("n,m", [(2, 40), (97, 6), (4096, 1), (2, 400), (3, 1000)])
@@ -383,7 +409,7 @@ def test_refused_certificates_allocate_nothing(label, call):
 def test_refused_spectrum_allocates_nothing(monkeypatch):
     units = diag_units(16)
     shape = TracedAlgebraShape.full_matrix(16)
-    # 16 generators on C^16 declare 22 · 256 + 5 · 16 · 16 entries, 110,592 bytes
+    # 16 generators on C^16 declare 22 · 256 + 5 · 16 · 16 + 4 · 2048 entries, 241,664 bytes
     monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 16)
     tracemalloc.start()
     try:
@@ -425,8 +451,8 @@ def test_refused_generate_algebra_allocates_nothing(monkeypatch):
 
 def test_refused_minimal_projections_allocates_nothing(monkeypatch):
     alg = generate_algebra(diag_units(16))
-    # its eigenbasis of 16 generators on C^16 declares 22 · 256 + 5 · 16 · 16 entries,
-    # 110,592 bytes; the projections' stage after it declares less
+    # its eigenbasis of 16 generators on C^16 declares 22 · 256 + 5 · 16 · 16 + 4 · 2048
+    # entries, 241,664 bytes; the projections' stage after it declares less
     monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 15)
     tracemalloc.start()
     try:
