@@ -51,13 +51,12 @@ _PUBLIC = {
     "constructions": ("FamilySpanReport", "ShiftGadget", "TruncatedAutomorphism",
                       "build_gadget", "family_span_check", "intertwiner_check",
                       "intertwiner_grams", "keyclaim_check", "truncated_masa_pair"),
-    "core": ("GnsConjugation", "GnsSpace", "TracedAlgebraShape", "adjoint",
-             "normalized_trace", "tensor"),
+    "core": ("GnsSpace", "TracedAlgebraShape", "adjoint", "normalized_trace", "tensor"),
     "diagrams": ("MultiplicityDiagram", "diagram_from_construction", "diagram_from_numeric",
                  "render"),
     "errors": (),
     "indices": ("ROOT", "GlueReport", "LambdaSpec", "MultiIndex", "Override", "QuadrantRules",
-                "fiber", "geq", "glue_check", "index_count", "iter_indices",
+                "fiber", "glue_check", "index_count", "iter_indices",
                 "iter_sibling_pairs", "pipe", "restrict", "sibling_pair_count"),
     "invariant": ("CutdownOracle", "EvalResult", "FamilyPlan", "GadgetAssignment",
                   "choose_lambda_for_e", "choose_lambda_for_efg", "cor_plan_1_in_puk",

@@ -77,13 +77,6 @@ class AlgebraBasis:
         coeffs = (self.basis_matrix() @ v.conj()).conj()  # no conjugated copy of the basis
         return float(np.linalg.norm(v - self.basis_matrix().T @ coeffs))
 
-    def gram_defect(self) -> float:
-        b = self.basis_matrix()
-        return float(np.max(np.abs(b @ b.conj().T - np.eye(self.dim))))
-
-    def adjoint_defect(self) -> float:
-        return max((self.span_residual(adjoint(b)) for b in self.basis), default=0.0)
-
 
 def orthonormalize_span(mats) -> np.ndarray:
     """Orthonormal basis of the span of the given matrices, cut relative to the largest."""
@@ -256,10 +249,6 @@ class SpectrumReport:
         return NSet(self.multiplicities)
 
     @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
-
-    @property
     def block_count(self) -> int:
         return len(self.multiplicities)
 
@@ -274,8 +263,10 @@ def minimal_projections(algebra: AlgebraBasis, seed: int) -> SpectrumReport:
     cannot change a certified eigenbasis.  Deterministic given the seed.
     Multiplicities are the dimensions of the projection ranges.  Stacking the
     projections is a stage of its own, ``(dim + 3)·D²`` entries with the
-    eigenbasis and one span residual: within the eigenbasis' ``(dim + 5)·D²``,
-    so a refused call is refused before anything is allocated.
+    eigenbasis and one span residual, declared once the eigenbasis is
+    certified.  The eigenbasis reads the basis without a copy and declares
+    no ``dim·D²`` for it, so a call can be refused at the projections after
+    its ``eigh``.
     """
     D = algebra.ambient_dim
     if algebra.dim == 0:
@@ -326,13 +317,14 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     :data:`MAX_RETRIES` times; then generators that fail
     :func:`_commutator_defect` (with each other or with their adjoints)
     raise :class:`NotAbelianError`, and anything else
-    :class:`DegenerateSampleError` with the last reason.  A list is converted
-    to one stack of ``k·D²`` entries; a complex stack, such as a read-only
-    basis, is read and never written.  Beside it the sample, or the eigenbasis
-    with the residuals, or the eigenbasis with the cluster comparisons (``2·D²``
+    :class:`DegenerateSampleError` with the last reason.  A C-contiguous
+    ``complex128`` stack, such as a read-only basis, is read as it is and
+    never written; anything else is converted to one stack of ``k·D²``
+    entries, declared.  Beside the stack the sample, or the eigenbasis with
+    the residuals, or the eigenbasis with the cluster comparisons (``2·D²``
     for the gaps), or the failure path's commutators take at most ``3·D²``:
-    with the eigenbasis :func:`mixed_spectrum` holds and numpy's ufunc buffer,
-    ``(k + 5)·D²``.  The joint eigenvalues, their steps and the ``k`` residuals
+    with the eigenbasis :func:`mixed_spectrum` holds and numpy's ufunc
+    buffer, ``5·D²``.  The joint eigenvalues, their steps and the ``k`` residuals
     take at most ``3k·D`` of the ``5k·D`` more declared.  The membership test,
     the residuals and the gaps run over chunks of ``c = max(1, ⌊A/D²⌋)``
     generators, ``A =`` :data:`CHUNK_ENTRIES` (one from ``D = 33`` on); a
@@ -341,7 +333,9 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     :class:`ResourceGuardError` before any is built.
     """
     D, k = shape.total_dim, len(gens)
-    entries = (k + 5) * D * D + 5 * k * D + 4 * CHUNK_ENTRIES
+    # the stack is charged only when np.ascontiguousarray will copy it
+    read_as_is = isinstance(gens, np.ndarray) and gens.dtype == complex and gens.flags.c_contiguous
+    entries = (0 if read_as_is else k * D * D) + 5 * D * D + 5 * k * D + 4 * CHUNK_ENTRIES
     check_workspace(entries, f"{k} generators on C^{D}")
     mats = np.ascontiguousarray(gens if k else np.empty((0, D, D)), dtype=complex)
     shape.check_member(mats)

@@ -184,8 +184,10 @@ def _run_algebra(max_dim: int):
     shapes = [TracedAlgebraShape.full_matrix(2), TracedAlgebraShape.full_matrix(3),
               TracedAlgebraShape.from_blocks((2, 1))]
     for shape in shapes:
-        space = GnsSpace(shape)
-        units = [space.basis_element(k) for k in range(space.dim)]
+        space, eye = GnsSpace(shape), np.eye(shape.total_dim, dtype=complex)
+        # each block's matrix units, row-major; generate_algebra scales each to entry 1
+        units = [np.outer(eye[i], eye[j]) for sl in shape.block_slices()
+                 for i in range(sl.start, sl.stop) for j in range(sl.start, sl.stop)]
         left_alg = algebra.generate_algebra([space.left(u) for u in units])
         comm = algebra.commutant(left_alg)
         rights = algebra.generate_algebra([space.right(u) for u in units])

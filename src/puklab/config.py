@@ -20,10 +20,6 @@ if TYPE_CHECKING:
     from .core import TracedAlgebraShape
 
 
-def matrix_to_config(matrix) -> list:
-    return [[[complex(v).real, complex(v).imag] for v in row] for row in matrix]
-
-
 def matrix_from_config(data) -> np.ndarray:
     return stack_from_config([data], "matrix")[0]
 
@@ -55,12 +51,17 @@ def _weight_from_config(raw) -> Fraction:
     raise InvalidInputError(f"bad trace weight {raw!r}")
 
 
-def check_keys(data, allowed: tuple[str, ...], name: str):
-    """Refuse a config object holding a key no reader looks at: a misspelt key is no default."""
+def check_keys(data, allowed: tuple[str, ...], name: str, required: tuple[str, ...] = ()):
+    """Refuse a config object holding a key no reader looks at, or lacking a ``required`` one.
+
+    A misspelt key is no default.
+    """
     if not isinstance(data, dict):
         raise InvalidInputError(f"{name} must be an object, got {type(data).__name__}")
-    if unknown := sorted(set(data) - set(allowed)):
-        raise InvalidInputError(f"unknown {name} key {unknown[0]!r}; expected {', '.join(allowed)}")
+    if unknown := data.keys() - allowed:
+        raise InvalidInputError(f"unknown {name} key {min(unknown)!r}; expected {', '.join(allowed)}")
+    if missing := [key for key in required if key not in data]:
+        raise InvalidInputError(f"{name} lacks the key {missing[0]!r}")
 
 
 def int_from_config(raw, name: str) -> int:
@@ -78,13 +79,6 @@ def shape_from_config(data) -> TracedAlgebraShape:
         weights = tuple(_weight_from_config(w) for w in data["weights"])
         return TracedAlgebraShape(blocks, weights)
     return TracedAlgebraShape.from_blocks(blocks)
-
-
-def shape_to_config(shape: TracedAlgebraShape) -> dict:
-    return {
-        "blocks": list(shape.blocks),
-        "weights": [str(w) for w in shape.weights],
-    }
 
 
 def value_to_config(value):
@@ -159,21 +153,17 @@ def lambda_from_config(data) -> indices.LambdaSpec:
     )
 
 
-def oracle_to_config(oracle: invariant.CutdownOracle) -> dict:
-    if oracle.constant_value is not None:
-        return {"constant": str(oracle.constant_value)}
-    finest = oracle.grids[-1]
-    labels = finest.labels()
-    entries = [
-        {"row": row, "col": col, "value": str(finest.cells[x][y])}
-        for x, row in enumerate(labels) for y, col in enumerate(labels)
-    ]
-    return {"level": oracle.level, "entries": entries}
-
-
 def oracle_from_config(data) -> invariant.CutdownOracle:
     if "constant" in data:
+        check_keys(data, ("constant",), "oracle")
         return invariant.CutdownOracle.constant(NSet.parse(data["constant"]))
+    check_keys(data, ("level", "entries"), "oracle", required=("level", "entries"))
+    fields = ("row", "col", "value")
+    keys = set(fields)
+    for e in data["entries"]:
+        # a table holds up to 4^level entries: a well-formed one costs one comparison
+        if not isinstance(e, dict) or e.keys() != keys:
+            check_keys(e, fields, "oracle entry", required=fields)
     entries = {
         (e["row"], e["col"]): NSet.parse(e["value"]) for e in data["entries"]
     }
@@ -181,15 +171,8 @@ def oracle_from_config(data) -> invariant.CutdownOracle:
     return invariant.CutdownOracle.from_table(level, entries)
 
 
-def diagram_to_config(diagram: diagrams.MultiplicityDiagram) -> dict:
-    return {
-        "level": diagram.level,
-        "diagonal": diagram.diagonal_marked,
-        "cells": [[str(c) for c in row] for row in diagram.cells],
-    }
-
-
 def diagram_from_config(data) -> diagrams.MultiplicityDiagram:
+    check_keys(data, ("level", "diagonal", "cells"), "diagram", required=("level", "cells"))
     rows = data["cells"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InvalidInputError("diagram cells must be a list of rows, each a list of value sets")

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
-from .core import as_matrix, check_workspace, np
+from .core import check_workspace, np
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,16 +161,6 @@ class TruncatedAutomorphism:
         check_workspace(2 * dim * dim, f"a depth-{depth} unitary for n={n}")
         unitary = _multilevel_circulant(_unitary_kernel(n, depth, kind), depth + 1)
         return cls(n, depth, kind, unitary)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n ** (self.depth + 1)
-
-    def apply(self, x) -> np.ndarray:
-        m = as_matrix(x)
-        if m.shape[0] != self.ambient_dim:
-            raise ValueError(f"element of dimension {m.shape[0]} does not fit {self.ambient_dim}")
-        return self.unitary @ m @ self.unitary.conj().T
 
 
 def intertwiner_grams(n: int, m: int, r: int, s: int):

@@ -3,8 +3,7 @@
 Everything downstream works with square ``complex128`` arrays.  A multi-matrix
 algebra (a direct sum of full matrix blocks with a weighted normalized trace)
 is described by :class:`TracedAlgebraShape`; :class:`GnsSpace` turns such an
-algebra into the Hilbert space it acts on by left and right multiplication,
-with the conjugate-linear involution ``J`` sending ``x`` to ``x*``.
+algebra into the Hilbert space it acts on by left and right multiplication.
 """
 
 from __future__ import annotations
@@ -124,8 +123,10 @@ class TracedAlgebraShape:
 
         An off-block entry larger than :data:`ENTRY_TOL` times the largest entry
         of its matrix means that matrix is outside ``⊕_k M_{d_k}``; reading only
-        its diagonal blocks would silently compress it into the algebra.  A
-        stack is read in :func:`chunks`; the error names its first such matrix.
+        its diagonal blocks would silently compress it into the algebra.  With
+        more than one block, a matrix with a non-finite entry is refused too,
+        since no comparison with it decides anything.  A stack is read in
+        :func:`chunks`; the error names its first such matrix.
         """
         self.check_compatible(x)
         D, block = self.total_dim, np.repeat(np.arange(len(self.blocks)), self.blocks)
@@ -133,9 +134,12 @@ class TracedAlgebraShape:
         # a single block leaves no entry outside it
         for part in chunks(len(stack) if len(self.blocks) > 1 else 0, D):
             mag = np.abs(stack[part])
-            worst = mag[:, off_block].max(axis=1, initial=0.0)
-            if (bad := (worst > ENTRY_TOL * mag.max(axis=(1, 2))).nonzero()[0]).size:
+            top, worst = mag.max(axis=(1, 2)), mag[:, off_block].max(axis=1, initial=0.0)
+            # the largest entry is NaN or inf exactly when some entry is
+            if (bad := (~np.isfinite(top) | (worst > ENTRY_TOL * top)).nonzero()[0]).size:
                 i, size = part.start + bad[0], worst[bad[0]]
+                if not np.isfinite(top[bad[0]]):
+                    raise ShapeMismatchError(f"matrix {i} has a non-finite entry")
                 raise ShapeMismatchError(f"matrix {i} has an entry of size {size:.2e} outside "
                                          f"the diagonal blocks {self.blocks}")
 
@@ -150,80 +154,18 @@ def normalized_trace(x, shape: TracedAlgebraShape) -> complex:
     return complex(total)
 
 
-class GnsConjugation:
-    """The involution ``J : x ↦ x*`` acting on GNS coordinates.
-
-    ``J`` is conjugate-linear, so it is not a complex matrix.  It is stored as
-    the real-linear action on coordinate vectors: a permutation ``P`` swapping
-    the (i, j) and (j, i) matrix-unit coordinates of each block, composed with
-    entrywise complex conjugation (``(re, im) ↦ (P·re, −P·im)``).  Consumers
-    rely only on ``J² = 1`` and ``J L(b) J = R(b*)``, both of which hold
-    exactly at the operator level.
-    """
-
-    def __init__(self, perm: np.ndarray):
-        self.perm = perm
-        self.perm.flags.writeable = False
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of ``Jx`` given coordinates of ``x``."""
-        return np.conj(np.asarray(vec, dtype=complex)[self.perm])
-
-    def sandwich(self, op: np.ndarray) -> np.ndarray:
-        """The linear operator ``J T J`` for a linear operator ``T``."""
-        m = np.asarray(op, dtype=complex)
-        return np.conj(m[np.ix_(self.perm, self.perm)])
-
-
 class GnsSpace:
     """The algebra of a :class:`TracedAlgebraShape` viewed as a Hilbert space.
 
     The inner product is ``⟨x, y⟩ = tr(y* x)`` with the weighted normalized
     trace.  Coordinates are taken in the matrix-unit basis of each block
-    scaled by ``√(d_k / w_k)``, which is orthonormal; projections onto
-    subspaces are then plain Gram computations.
+    scaled by ``√(d_k / w_k)``, which is orthonormal, row-major within a block
+    and block by block; the left and right actions are block-diagonal in them.
     """
 
     def __init__(self, shape: TracedAlgebraShape):
         self.shape = shape
         self.dim = shape.gns_dim
-        rows, cols, scales, perm = [], [], [], np.empty(shape.gns_dim, dtype=np.intp)
-        offset = 0
-        for sl, d, w in zip(shape.block_slices(), shape.blocks, shape.weights):
-            ii, jj = np.divmod(np.arange(d * d), d)
-            rows.append(sl.start + ii)
-            cols.append(sl.start + jj)
-            scales.append(np.full(d * d, np.sqrt(float(w) / d)))
-            perm[offset : offset + d * d] = offset + jj * d + ii
-            offset += d * d
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        self._scales = np.concatenate(scales)
-        self._J = GnsConjugation(perm)
-
-    def embed(self, x) -> np.ndarray:
-        """Coordinates of an algebra element as a vector in the GNS space."""
-        a = as_matrix(x)
-        self.shape.check_member(a)
-        return a[self._rows, self._cols] * self._scales
-
-    def unembed(self, vec: np.ndarray) -> np.ndarray:
-        D = self.shape.total_dim
-        out = np.zeros((D, D), dtype=complex)
-        out[self._rows, self._cols] = np.asarray(vec, dtype=complex) / self._scales
-        return out
-
-    def inner(self, x, y) -> complex:
-        """⟨x, y⟩ = tr(y* x) for algebra elements x, y."""
-        return complex(normalized_trace(adjoint(y) @ as_matrix(x), self.shape))
-
-    def norm2(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x).real, 0.0)))
-
-    def basis_element(self, index: int) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[index] = 1.0
-        return self.unembed(vec)
 
     def left(self, a) -> np.ndarray:
         """Matrix of left multiplication ``x ↦ ax`` on GNS coordinates."""
@@ -245,8 +187,3 @@ class GnsSpace:
             out[offset : offset + d * d, offset : offset + d * d] = piece
             offset += d * d
         return out
-
-    @property
-    def conjugation(self) -> GnsConjugation:
-        return self._J
-

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
 from .indices import CELL_WORK_CAP, LambdaSpec
-from .nsets import EMPTY, NSet, nset_product, union_all
+from .nsets import EMPTY, NSet, nset_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,9 +48,6 @@ class MultiplicityDiagram:
     def labels(self) -> list[str]:
         return [format(x, f"0{self.level}b") if self.level else "" for x in range(self.size)]
 
-    def cell(self, row: str, col: str) -> NSet:
-        return self.cells[int(row, 2) if row else 0][int(col, 2) if col else 0]
-
     def coarsen(self) -> "MultiplicityDiagram":
         """The level below, each cell the union of its four refinements."""
         if self.level == 0:
@@ -61,18 +58,6 @@ class MultiplicityDiagram:
             for x in steps
         )
         return MultiplicityDiagram(self.level - 1, rows, self.diagonal_marked)
-
-    def off_diagonal_union(self) -> NSet:
-        return union_all(
-            self.cells[x][y] for x in range(self.size) for y in range(self.size) if x != y
-        )
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.cells[x][y] == self.cells[y][x]
-            for x in range(self.size)
-            for y in range(self.size)
-        )
 
 
 def diagram_from_construction(

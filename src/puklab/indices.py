@@ -154,11 +154,6 @@ def pipe(i: MultiIndex, s: int):
     return restrict(i, s, 1)
 
 
-def geq(i: MultiIndex, k: MultiIndex) -> bool:
-    """True when ``i`` restricts to ``k``."""
-    return restrict(i, k.r, k.m) == k
-
-
 def level_zero(bit: int) -> MultiIndex:
     return MultiIndex(0, 1, (bit,))
 

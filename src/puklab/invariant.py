@@ -79,14 +79,6 @@ class CutdownOracle:
     def covers_level(self, level: int) -> bool:
         return self.level is None or level <= self.level
 
-    def entry(self, row: str, col: str) -> NSet:
-        """Cutdown type at equal-length bit strings: their cell in :meth:`cells` of that length."""
-        if self.constant_value is not None:
-            return self.constant_value
-        if len(col) != len(row):
-            raise OracleGapError(f"mismatched key lengths {row!r}, {col!r}")
-        return self.cells(len(row))[int(row or "0", 2)][int(col or "0", 2)]
-
     def cells(self, level: int) -> tuple[tuple[NSet, ...], ...]:
         """Cutdown types at every pair of ``level``-bit strings, rows and columns in label order."""
         if self.constant_value is not None:

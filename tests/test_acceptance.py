@@ -169,7 +169,7 @@ def test_criterion_5_algebra_engine_oracles():
             projs.append(unitary @ np.diag(diag).astype(complex) @ unitary.conj().T)
             start += p
         rep = minimal_projections(generate_algebra(projs), seed=seed)
-        if rep.total != dim or rep.multiset != tuple(sorted(parts)):
+        if sum(rep.multiplicities) != dim or rep.multiset != tuple(sorted(parts)):
             failures += 1
     ok = ok and failures == 0
     report(5, f"bicommutant/commutation oracles and 100 seeded trials ({failures} failures)", ok)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,11 @@ def identity_config(n):
 
 def diag_unit_config(n, k):
     return [[[1.0 if i == j == k else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+def matrix_config(m):
+    """A complex matrix as rows of ``[re, im]`` pairs."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def joint_rank_margin(shape):
@@ -63,7 +69,7 @@ INTRO_CONFIG = {
 class TestConfigRoundTrips:
     def test_matrix(self):
         m = np.array([[1 + 2j, 0], [0.5j, -1]])
-        again = cfg.matrix_from_config(cfg.matrix_to_config(m))
+        again = cfg.matrix_from_config([[[1, 2], [0, 0]], [[0, 0.5], [-1, 0]]])
         assert np.array_equal(m, again)
 
     def test_lambda_bit_exact(self):
@@ -87,16 +93,17 @@ class TestConfigRoundTrips:
                 ("1", "1"): NSet.of(1),
             },
         )
-        again = cfg.oracle_from_config(cfg.oracle_to_config(oracle))
+        again = cfg.oracle_from_config({"level": 1, "entries": [
+            {"row": "0", "col": "0", "value": "1"}, {"row": "0", "col": "1", "value": "2"},
+            {"row": "1", "col": "0", "value": "2"}, {"row": "1", "col": "1", "value": "1"}]})
         assert again.level == 1 and again.grids == oracle.grids
-        constant = CutdownOracle.simple()
-        assert cfg.oracle_from_config(cfg.oracle_to_config(constant)).constant_value == NSet.of(1)
+        assert cfg.oracle_from_config({"constant": "1"}).constant_value == NSet.of(1)
 
     def test_oracle_table_config_is_row_major(self):
         labels = ("00", "01", "10", "11")
         entries = {(labels[x], labels[y]): NSet.of(1 + 4 * x + y) for x in range(4) for y in range(4)}
         entries[("11", "10")] = NSet.parse("3,inf")
-        # keys given last to first: the written order comes from the grid, not the dict
+        # keys given last to first: the grid's order comes from the labels, not the dict
         oracle = CutdownOracle.from_table(2, dict(reversed(entries.items())))
         expected = {"level": 2, "entries": [
             {"row": "00", "col": "00", "value": "1"},
@@ -116,7 +123,8 @@ class TestConfigRoundTrips:
             {"row": "11", "col": "10", "value": "3,inf"},
             {"row": "11", "col": "11", "value": "16"},
         ]}
-        assert json.dumps(cfg.oracle_to_config(oracle)) == json.dumps(expected)
+        again = cfg.oracle_from_config(expected)
+        assert again.level == 2 and again.grids == oracle.grids
 
     def test_diagram_identity(self):
         data = {
@@ -124,12 +132,14 @@ class TestConfigRoundTrips:
             "diagonal": True,
             "cells": [["1", "2"], ["2", "1"]],
         }
-        assert cfg.diagram_to_config(cfg.diagram_from_config(data)) == data
+        diagram = cfg.diagram_from_config(data)
+        assert (diagram.level, diagram.diagonal_marked) == (1, True)
+        assert [[str(c) for c in row] for row in diagram.cells] == data["cells"]
 
     def test_shape(self):
         shape = cfg.shape_from_config({"blocks": [2, 1], "weights": ["2/3", "1/3"]})
         assert shape.total_dim == 3
-        assert cfg.shape_from_config(cfg.shape_to_config(shape)) == shape
+        assert shape == TracedAlgebraShape((2, 1), (Fraction(2, 3), Fraction(1, 3)))
 
 
 class TestSpectrumCommand:
@@ -165,8 +175,8 @@ class TestSpectrumCommand:
         config = {
             "shape": {"blocks": [n]},
             "mode": "mixed",
-            "a_generators": [cfg.matrix_to_config(labels)],
-            "b_generators": [cfg.matrix_to_config(u @ labels @ u.conj().T)],
+            "a_generators": [matrix_config(labels)],
+            "b_generators": [matrix_config(u @ labels @ u.conj().T)],
         }
         path = write_json(tmp_path / "c.json", config)
         assert main(["spectrum", "--config", path]) == 0
@@ -407,6 +417,16 @@ class TestPukEvalCommand:
             "error: oracle level 1 does not cover the pairs at level 3\n")
 
 
+def reading(kind, path, tmp_path) -> list[str]:
+    """The command that reads ``path`` as its ``kind`` of config file."""
+    if kind == "oracle":
+        lam = write_json(tmp_path / "lam.json", {"default": 2})
+        return ["puk-eval", "--lambda", lam, "--oracle", path, "--rmax", "0"]
+    return {"lambda": ["puk-eval", "--lambda", path, "--rmax", "1"],
+            "spectrum": ["spectrum", "--config", path],
+            "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")]}[kind]
+
+
 # configs whose values have the wrong JSON type: the file each command reads
 WRONG_JSON_TYPES = {
     "enumerate": ("lambda", {"enumerate": 3}),
@@ -422,18 +442,12 @@ WRONG_JSON_TYPES = {
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
     kind, payload = WRONG_JSON_TYPES[case]
     path = write_json(tmp_path / "config.json", payload)
-    argv = {
-        "lambda": ["puk-eval", "--lambda", path, "--rmax", "1"],
-        "oracle": ["puk-eval", "--lambda", write_json(tmp_path / "lam.json", {"default": 2}),
-                   "--oracle", path, "--rmax", "0"],
-        "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")],
-    }[kind]
-    assert main(argv) == 2
+    assert main(reading(kind, path, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-# config arrays of the wrong shape: the command and the file it reads
+# config arrays of the wrong shape: the kind of file and the file
 WRONG_SHAPES = {
     "matrix entry of three numbers": ("spectrum", {
         "shape": {"blocks": [1]}, "a_generators": [[[[1.0, 0.0, 99.0]]]]}),
@@ -448,9 +462,9 @@ WRONG_SHAPES = {
     "cells as strings": ("render", {"level": 1, "cells": ["12", "34"]}),
     "cells as an object": ("render", {"level": 0, "cells": {"1": 0}}),
     "one row a string": ("render", {"level": 1, "cells": [["1", "2"], "21"]}),
-    "override indices as strings": ("puk-eval", {"default": 3, "overrides": [
+    "override indices as strings": ("lambda", {"default": 3, "overrides": [
         {"r": 0, "i": "0", "j": "1", "value": 2}]}),
-    "overrides as an object": ("puk-eval", {"default": 3, "overrides": {"r": 0}}),
+    "overrides as an object": ("lambda", {"default": 3, "overrides": {"r": 0}}),
     # a misspelt key would read as absent: A against A, or the default value alone
     "misspelt b_generators": ("spectrum", {
         "shape": {"blocks": [2]}, "a_generators": [[[[1.0, 0.0], [0.0, 0.0]],
@@ -461,10 +475,10 @@ WRONG_SHAPES = {
     "b generators under mode puk": ("spectrum", {
         "shape": {"blocks": [1]}, "mode": "puk", "a_generators": [[[[1.0, 0.0]]]],
         "b_generators": [[[[1.0, 0.0]]]]}),
-    "misspelt enumerate": ("puk-eval", {"enumarate": "2,3"}),
-    "unknown quadrant": ("puk-eval", {"quadrants": {
+    "misspelt enumerate": ("lambda", {"enumarate": "2,3"}),
+    "unknown quadrant": ("lambda", {"quadrants": {
         "both_zero": "2", "both_one": "3", "mixed": "5", "cross": "7"}}),
-    "unknown override key": ("puk-eval", {"default": 3, "overrides": [
+    "unknown override key": ("lambda", {"default": 3, "overrides": [
         {"r": 0, "i": ["0"], "j": ["1"], "value": 2, "level": 1}]}),
     "misspelt diagram cells": ("render", {"level": 1, "cell": [["1", "2"], ["2", "1"]]}),
 }
@@ -492,14 +506,34 @@ WRONG_SHAPES["a generator entry of one number"] = ("spectrum", {
 def test_config_array_of_the_wrong_shape_exits_2(tmp_path, capsys, case):
     kind, payload = WRONG_SHAPES[case]
     path = write_json(tmp_path / "config.json", payload)
-    argv = {
-        "spectrum": ["spectrum", "--config", path],
-        "render": ["render", "--input", path, "--out", str(tmp_path / "grid.txt")],
-        "puk-eval": ["puk-eval", "--lambda", path, "--rmax", "1"],
-    }[kind]
-    assert main(argv) == 2
+    assert main(reading(kind, path, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# oracle and diagram keys that no reader looks at, or that a reader lacks: the kind of
+# file, the file and the start of the error, which names the key
+KEY_FAULTS = {
+    "misspelt diagonal": ("render", {"level": 0, "diagnoal": True, "cells": [["1"]]},
+                          "unknown diagram key 'diagnoal'"),
+    "diagram without level": ("render", {"cells": [["1"]]}, "diagram lacks the key 'level'"),
+    "constant oracle with a table": ("oracle", {"constant": "2", "level": 3, "entries": []},
+                                     "unknown oracle key 'entries'"),
+    "misspelt oracle level": ("oracle", {"levels": 0, "entries": []},
+                              "unknown oracle key 'levels'"),
+    "table oracle without entries": ("oracle", {"level": 0}, "oracle lacks the key 'entries'"),
+    "oracle entry without value": ("oracle", {"level": 0, "entries": [{"row": "", "col": ""}]},
+                                   "oracle entry lacks the key 'value'"),
+    "misspelt oracle entry key": ("oracle", {"level": 0, "entries": [
+        {"row": "", "column": "", "value": "1"}]}, "unknown oracle entry key 'column'"),
+}
+
+
+@pytest.mark.parametrize("case", KEY_FAULTS)
+def test_oracle_or_diagram_key_unread_or_missing_exits_2(tmp_path, capsys, case):
+    kind, payload, message = KEY_FAULTS[case]
+    assert main(reading(kind, write_json(tmp_path / "config.json", payload), tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 LEVEL_ONE_ENTRIES = [{"row": r, "col": c, "value": "1"} for r in "01" for c in "01"]
@@ -529,15 +563,7 @@ TYPED_FIELDS = {
 def test_out_of_domain_config_field_exits_2(tmp_path, capsys, field, bad):
     kind, payload = TYPED_FIELDS[field]
     path = write_json(tmp_path / "config.json", payload(bad))
-    argv = {
-        "oracle": ["puk-eval", "--lambda", write_json(tmp_path / "lam.json", {"default": 2}),
-                   "--oracle", path, "--rmax", "0"],
-        "lambda": ["puk-eval", "--lambda", path, "--rmax", "1"],
-        "spectrum": ["spectrum", "--config", path],
-        "render": ["render", "--input", path, "--format", "ascii",
-                   "--out", str(tmp_path / "grid.txt")],
-    }[kind]
-    assert main(argv) == 2
+    assert main(reading(kind, path, tmp_path)) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -23,6 +23,48 @@ def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def random_member(rng, shape):
+    """A random element of the multi-matrix algebra: a random matrix in each block."""
+    x = np.zeros((shape.total_dim,) * 2, dtype=complex)
+    for sl, d in zip(shape.block_slices(), shape.blocks):
+        x[sl, sl] = random_matrix(rng, d)
+    return x
+
+
+def gns_coordinates(shape):
+    """Row, column and scale of each GNS coordinate, in :class:`GnsSpace`'s order.
+
+    Coordinate ``c`` of ``x`` is ``x[row, col]·scale``: each block's matrix
+    units, row-major, scaled by ``√(w_k/d_k)`` to be orthonormal under
+    ``⟨x, y⟩ = tr(y* x)``.
+    """
+    units = [(sl.start + i, sl.start + j, np.sqrt(float(w) / d))
+             for sl, d, w in zip(shape.block_slices(), shape.blocks, shape.weights)
+             for i in range(d) for j in range(d)]
+    return tuple(map(np.array, zip(*units)))
+
+
+def embed(shape, x):
+    rows, cols, scales = gns_coordinates(shape)
+    return np.asarray(x, dtype=complex)[rows, cols] * scales
+
+
+def j_permutation(shape):
+    """``J : x ↦ x*`` swaps each block's ``(i, j)`` and ``(j, i)`` coordinates and conjugates."""
+    rows, cols, _ = gns_coordinates(shape)
+    index = {rc: k for k, rc in enumerate(zip(rows, cols))}
+    return np.array([index[c, r] for r, c in zip(rows, cols)])
+
+
+def J(shape, vec):
+    return np.conj(np.asarray(vec, dtype=complex)[j_permutation(shape)])
+
+
+def inner(shape, x, y):
+    """⟨x, y⟩ = tr(y* x)."""
+    return normalized_trace(adjoint(y) @ x, shape)
+
+
 class TestTensor:
     def test_identity(self):
         assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
@@ -88,7 +130,7 @@ class TestOffBlockEntries:
         self.outside = np.diag([1.0, 2.0, 3.0]).astype(complex)
         self.outside[0, 2] = self.outside[2, 0] = 0.5
 
-    @pytest.mark.parametrize("method", ["embed", "left", "right"])
+    @pytest.mark.parametrize("method", ["left", "right"])
     def test_rejected(self, method):
         with pytest.raises(ShapeMismatchError, match="outside the diagonal blocks"):
             getattr(self.space, method)(self.outside)
@@ -101,6 +143,16 @@ class TestOffBlockEntries:
         with pytest.raises(ShapeMismatchError, match=r"matrix 4 has an entry of size 5\.00e-01"):
             self.space.shape.check_member(stack)
         self.space.shape.check_member(stack[:4])
+
+    @pytest.mark.parametrize("entry,value", [((0, 1), np.nan), ((0, 1), np.inf), ((1, 2), np.nan)],
+                             ids=["nan-off", "inf-off", "nan-in"])
+    def test_non_finite_entry_rejected(self, entry, value):
+        # shape (1, 2): off the blocks and inside one, named by the matrix that holds it
+        shape = TracedAlgebraShape.from_blocks((1, 2))
+        stack = np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex)] * 2)
+        stack[1][entry] = value
+        with pytest.raises(ShapeMismatchError, match="matrix 1 has a non-finite entry"):
+            shape.check_member(stack)
 
     def test_rounding_noise_accepted(self):
         x = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -134,29 +186,11 @@ SHAPES = [
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"blocks={s.blocks}")
 class TestGnsSpace:
     def test_basis_orthonormal(self, shape):
-        space = GnsSpace(shape)
-        gram = np.empty((space.dim, space.dim), dtype=complex)
-        elements = [space.basis_element(k) for k in range(space.dim)]
-        for a in range(space.dim):
-            for b in range(space.dim):
-                gram[a, b] = space.inner(elements[a], elements[b])
-        assert np.max(np.abs(gram - np.eye(space.dim))) < ENTRY_TOL
-
-    def test_embed_unembed_roundtrip(self, shape):
+        # ⟨x, y⟩ = tr(y* x) is the dot product of the coordinates
         rng = np.random.default_rng(4)
-        space = GnsSpace(shape)
-        x = np.zeros((shape.total_dim, shape.total_dim), dtype=complex)
-        for sl in shape.block_slices():
-            d = sl.stop - sl.start
-            x[sl, sl] = random_matrix(rng, d)
-        assert np.allclose(space.unembed(space.embed(x)), x, atol=ENTRY_TOL)
-
-    def test_norm_positive_definite(self, shape):
-        rng = np.random.default_rng(5)
-        space = GnsSpace(shape)
-        x = space.unembed(rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
-        assert space.norm2(x) > 0
-        assert space.norm2(np.zeros((shape.total_dim,) * 2)) == 0.0
+        for _ in range(5):
+            x, y = random_member(rng, shape), random_member(rng, shape)
+            assert abs(np.vdot(embed(shape, y), embed(shape, x)) - inner(shape, x, y)) < 1e-12
 
     def test_left_unit_is_identity(self, shape):
         space = GnsSpace(shape)
@@ -166,25 +200,19 @@ class TestGnsSpace:
         rng = np.random.default_rng(6)
         space = GnsSpace(shape)
         vec = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        assert np.allclose(space.conjugation.apply(space.conjugation.apply(vec)), vec)
+        assert np.allclose(J(shape, J(shape, vec)), vec)
 
     def test_j_maps_to_adjoint(self, shape):
-        rng = np.random.default_rng(7)
-        space = GnsSpace(shape)
-        x = np.zeros((shape.total_dim, shape.total_dim), dtype=complex)
-        for sl in shape.block_slices():
-            d = sl.stop - sl.start
-            x[sl, sl] = random_matrix(rng, d)
-        assert np.allclose(space.unembed(space.conjugation.apply(space.embed(x))), adjoint(x))
+        x = random_member(np.random.default_rng(7), shape)
+        assert np.allclose(J(shape, embed(shape, x)), embed(shape, adjoint(x)))
 
     def test_j_antiunitary(self, shape):
         # <Jx, Jy> == conj(<x, y>) on every basis pair
         space = GnsSpace(shape)
-        J = space.conjugation
         eye = np.eye(space.dim, dtype=complex)
         for a in range(space.dim):
             for b in range(space.dim):
-                lhs = np.vdot(J.apply(eye[b]), J.apply(eye[a]))
+                lhs = np.vdot(J(shape, eye[b]), J(shape, eye[a]))
                 rhs = np.conj(np.vdot(eye[b], eye[a]))
                 assert abs(lhs - rhs) < ENTRY_TOL
 
@@ -192,48 +220,37 @@ class TestGnsSpace:
         rng = np.random.default_rng(8)
         space = GnsSpace(shape)
         for _ in range(5):
-            a = np.zeros((shape.total_dim,) * 2, dtype=complex)
-            b = np.zeros_like(a)
-            for sl in shape.block_slices():
-                d = sl.stop - sl.start
-                a[sl, sl] = random_matrix(rng, d)
-                b[sl, sl] = random_matrix(rng, d)
-            la, rb = space.left(a), space.right(b)
+            la, rb = space.left(random_member(rng, shape)), space.right(random_member(rng, shape))
             assert np.max(np.abs(la @ rb - rb @ la)) < 1e-12 * max(
                 1.0, float(np.max(np.abs(la @ rb)))
             )
 
     def test_sandwich_rule_exact(self, shape):
         # J L(b) J == R(b*) at the operator level, entry for entry
-        rng = np.random.default_rng(9)
-        space = GnsSpace(shape)
-        b = np.zeros((shape.total_dim,) * 2, dtype=complex)
-        for sl in shape.block_slices():
-            d = sl.stop - sl.start
-            b[sl, sl] = random_matrix(rng, d)
-        assert np.array_equal(space.conjugation.sandwich(space.left(b)), space.right(adjoint(b)))
+        space, perm = GnsSpace(shape), j_permutation(shape)
+        b = random_member(np.random.default_rng(9), shape)
+        assert np.array_equal(np.conj(space.left(b)[np.ix_(perm, perm)]), space.right(adjoint(b)))
 
 
 class TestGnsOperators:
     def test_sandwich_rule_on_basis_vectors(self):
-        # oracle: apply both routes to every basis vector of L2(M2)
+        # oracle: apply both routes to the coordinates of every matrix unit of M2
         rng = np.random.default_rng(10)
         shape = TracedAlgebraShape.full_matrix(2)
         space = GnsSpace(shape)
         b = random_matrix(rng, 2)
-        left, right, conj = space.left(b), space.right(adjoint(b)), space.conjugation
-        for k in range(space.dim):
-            vec = np.zeros(space.dim, dtype=complex)
-            vec[k] = 1.0
-            via_j = conj.apply(left @ conj.apply(vec))
-            direct = space.embed(space.unembed(vec) @ adjoint(b))
+        left, right = space.left(b), space.right(adjoint(b))
+        for unit in np.eye(4, dtype=complex).reshape(4, 2, 2):
+            vec = embed(shape, unit)
+            via_j = J(shape, left @ J(shape, vec))
+            direct = embed(shape, unit @ adjoint(b))
             assert np.allclose(via_j, direct, atol=1e-12)
             assert np.allclose(right @ vec, direct, atol=1e-12)
 
     def test_tensor_norm_multiplicative(self):
         rng = np.random.default_rng(11)
-        s2 = GnsSpace(TracedAlgebraShape.full_matrix(2))
-        s4 = GnsSpace(TracedAlgebraShape.full_matrix(4))
+        s2, s4 = TracedAlgebraShape.full_matrix(2), TracedAlgebraShape.full_matrix(4)
         for _ in range(5):
             x, y = random_matrix(rng, 2), random_matrix(rng, 2)
-            assert s4.norm2(tensor(x, y)) == pytest.approx(s2.norm2(x) * s2.norm2(y))
+            assert inner(s4, tensor(x, y), tensor(x, y)) == pytest.approx(
+                inner(s2, x, x) * inner(s2, y, y))

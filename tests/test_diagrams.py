@@ -15,7 +15,7 @@ from puklab.diagrams import (
 from puklab.errors import ShapeMismatchError
 from puklab.indices import LambdaSpec, Override, level_zero
 from puklab.invariant import CutdownOracle, choose_lambda_for_efg, eval_construction
-from puklab.nsets import INF, NSet
+from puklab.nsets import INF, NSet, union_all
 
 INTRO = LambdaSpec(default=3, overrides=(Override(0, level_zero(0), level_zero(1), 2),))
 SIMPLE = CutdownOracle.simple()
@@ -23,6 +23,10 @@ SIMPLE = CutdownOracle.simple()
 
 def grid(diagram):
     return [[str(c) for c in row] for row in diagram.cells]
+
+
+def off_diagonal_union(diagram):
+    return union_all(c for x, row in enumerate(diagram.cells) for y, c in enumerate(row) if x != y)
 
 
 def expected_intro_cells(level):
@@ -60,19 +64,19 @@ class TestIntroDiagrams:
 
     def test_symmetric(self):
         d = diagram_from_construction(INTRO, SIMPLE, 2)
-        assert d.is_symmetric()
+        assert grid(d) == [list(col) for col in zip(*grid(d))]
 
 
 class TestDiagramInvariants:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_off_diagonal_union_equals_evaluation(self, r):
         d = diagram_from_construction(INTRO, SIMPLE, r)
-        assert d.off_diagonal_union() == eval_construction(INTRO, SIMPLE, r).value
+        assert off_diagonal_union(d) == eval_construction(INTRO, SIMPLE, r).value
 
     def test_constant_spec_union(self):
         spec = LambdaSpec(default=5)
         d = diagram_from_construction(spec, SIMPLE, 2)
-        assert d.off_diagonal_union() == NSet.of(5)
+        assert off_diagonal_union(d) == NSet.of(5)
 
     def test_coarsening_adds_finer_within_branch_values(self):
         fine = diagram_from_construction(INTRO, SIMPLE, 1).coarsen()
@@ -89,10 +93,10 @@ class TestDiagramInvariants:
         spec = choose_lambda_for_efg(NSet.of(2), NSet.of(5), NSet.of(7))
         d = diagram_from_construction(spec, SIMPLE, 1)
         # branch-0 block off-diagonals carry 2, branch-1 carry 5, cross carries 7
-        assert d.cell("00", "01") == NSet.of(2)
-        assert d.cell("10", "11") == NSet.of(5)
-        assert d.cell("00", "10") == NSet.of(7)
-        assert d.cell("00", "00") == NSet.of(1)
+        assert d.cells[0b00][0b01] == NSet.of(2)
+        assert d.cells[0b10][0b11] == NSet.of(5)
+        assert d.cells[0b00][0b10] == NSet.of(7)
+        assert d.cells[0b00][0b00] == NSet.of(1)
 
     def test_oracle_refinement_in_cells(self):
         entries = {
@@ -103,8 +107,8 @@ class TestDiagramInvariants:
         }
         oracle = CutdownOracle.from_table(1, entries)
         d = diagram_from_construction(LambdaSpec(default=3), oracle, 0)
-        assert d.cell("0", "1") == NSet.of(12)
-        assert d.cell("1", "1") == NSet.of(2)
+        assert d.cells[0b0][0b1] == NSet.of(12)
+        assert d.cells[0b1][0b1] == NSet.of(2)
 
 
 class TestNumericDiagrams:

@@ -16,7 +16,6 @@ from puklab.indices import (
     QuadrantRules,
     cross_pair_count,
     fiber,
-    geq,
     glue_check,
     index_count,
     iter_cross_pairs,
@@ -101,10 +100,10 @@ class TestRestriction:
         with pytest.raises(RestrictionRangeError):
             restrict(i, 0, 3)
 
-    def test_geq(self):
+    def test_restricts_to_its_prefix_index(self):
         i = MultiIndex.from_bits(["011", "10", "1"])
-        assert geq(i, MultiIndex.from_bits(["01", "1"]))
-        assert not geq(i, MultiIndex.from_bits(["11", "1"]))
+        assert restrict(i, 1, 1) == MultiIndex.from_bits(["01", "1"])
+        assert restrict(i, 1, 1) != MultiIndex.from_bits(["11", "1"])
 
     def test_branch(self):
         assert MultiIndex.from_bits(["011", "10", "1"]).branch == 0

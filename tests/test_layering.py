@@ -34,14 +34,14 @@ NUMERIC = {"puklab.core", "puklab.algebra", "puklab.constructions"}
 
 PUBLIC = (
     "AlgebraBasis", "CutdownOracle", "EvalResult", "FamilyPlan", "FamilySpanReport",
-    "GadgetAssignment", "GlueReport", "GnsConjugation", "GnsSpace", "INF", "LambdaSpec",
+    "GadgetAssignment", "GlueReport", "GnsSpace", "INF", "LambdaSpec",
     "MultiIndex", "MultiplicityDiagram", "NSet", "Override", "QuadrantRules", "ROOT",
     "ShiftGadget", "SpectrumReport", "TracedAlgebraShape", "TruncatedAutomorphism", "adjoint",
     "algebra", "build_gadget", "choose_lambda_for_e", "choose_lambda_for_efg", "commutant",
     "constructions", "cor_plan_1_in_puk", "core", "countable_family_plan", "cutdown_spectrum",
     "diagram_from_construction", "diagram_from_numeric", "diagrams", "direct_sum_puk", "errors",
     "eval_construction", "family_span_check", "fiber", "finite_puk_spectrum",
-    "generate_algebra", "geq", "glue_check", "index_count", "indices", "intertwiner_check",
+    "generate_algebra", "glue_check", "index_count", "indices", "intertwiner_check",
     "intertwiner_grams", "invariant", "iter_indices", "iter_sibling_pairs", "keyclaim_check",
     "minimal_projections", "mixed_spectrum", "normalized_trace", "nset_product", "nsets",
     "orthonormalize_span", "pipe", "render", "restrict", "sibling_pair_count", "tensor",
@@ -297,3 +297,33 @@ def test_unknown_names_still_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         puklab.no_such_name
     assert not hasattr(puklab, "no_such_name")
+
+
+# public names whose callers outside the tests are still to come
+AWAITING_CALLERS = {"direct_sum_puk", "diagram_from_numeric"}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a source file reads, imports or spells in a dotted string, as ``"core.tensor"``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            names.update(parts if all(part.isidentifier() for part in parts) else ())
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name only the tests call belongs in the tests, as a helper over the public objects
+    root = SRC.parent
+    files = [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+             *(root / "demos").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    used = set().union(*map(referenced_names, files))
+    public = {name for names in puklab._PUBLIC.values() for name in names}
+    assert sorted(public - used - AWAITING_CALLERS) == []

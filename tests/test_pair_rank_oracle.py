@@ -552,9 +552,9 @@ def test_oracle_grids_match_padded_table(data):
     oracle = CutdownOracle.from_table(level, entries)
     assert oracle.level == level
     for depth in range(level + 1):
-        for row in labels(depth):
-            for col in labels(depth):
-                assert oracle.entry(row, col) == padded_entry(entries, row, col)
+        for x, row in enumerate(labels(depth)):
+            for y, col in enumerate(labels(depth)):
+                assert oracle.cells(depth)[x][y] == padded_entry(entries, row, col)
 
 
 @settings(max_examples=30, deadline=None)

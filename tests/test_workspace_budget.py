@@ -322,18 +322,38 @@ def test_uneven_chunks_stay_within_declared_workspace(declared, n):
     assert_within_declared(declared, "puk", lambda: finite_puk_spectrum(rotated, shape))
 
 
-def test_read_only_stack_is_left_unwritten_on_the_failure_path(declared):
-    # the failure path scales the coefficients of its combinations, not the generators
-    n = 22
+def tangled_stack(n):
+    """``n`` read-only generators on ``C^n`` that commute with nothing, as one complex stack."""
     rng = np.random.default_rng(n)
     stack = np.stack([3 * g @ haar_unitary(rng, n) for g in diag_units(n)])
-    before = stack.copy()
     stack.flags.writeable = False
+    return stack
+
+
+def test_read_only_stack_is_left_unwritten_on_the_failure_path(declared):
+    # the failure path scales the coefficients of its combinations, not the generators;
+    # the B list is the caller's, built before the call like the stack
+    n = 22
+    stack, units = tangled_stack(n), diag_units(n)
+    before = stack.copy()
     shape = TracedAlgebraShape.full_matrix(n)
     raised = assert_within_declared(declared, "read-only stack",
-                                    lambda: mixed_spectrum(stack, diag_units(n), shape))
+                                    lambda: mixed_spectrum(stack, units, shape))
     assert isinstance(raised, NotAbelianError)
     assert np.array_equal(stack, before)
+
+
+def test_stack_is_declared_only_when_copied(declared):
+    # a complex C-contiguous stack is read as it is: 5·D² + 5k·D + 4·CHUNK_ENTRIES entries,
+    # 208,512 bytes for 22 generators on C^22; a list pays k·D² more for its copy
+    n = 22
+    stack, units = tangled_stack(n), diag_units(n)
+    shape = TracedAlgebraShape.full_matrix(n)
+    for gens, size in ((stack, 208_512), (list(stack), 208_512 + 16 * n**3)):
+        raised = assert_within_declared(declared, f"{type(gens).__name__} of generators",
+                                        lambda: mixed_spectrum(gens, units, shape))
+        assert isinstance(raised, NotAbelianError)
+        assert [16 * entries for entries, _ in declared] == [size]
 
 
 @pytest.mark.parametrize("n,m", [(2, 40), (97, 6), (4096, 1), (2, 400), (3, 1000)])
@@ -451,8 +471,8 @@ def test_refused_generate_algebra_allocates_nothing(monkeypatch):
 
 def test_refused_minimal_projections_allocates_nothing(monkeypatch):
     alg = generate_algebra(diag_units(16))
-    # its eigenbasis of 16 generators on C^16 declares 22 · 256 + 5 · 16 · 16 + 4 · 2048
-    # entries, 241,664 bytes; the projections' stage after it declares less
+    # its eigenbasis reads the basis as it is and declares 5 · 256 + 5 · 16 · 16 + 4 · 2048
+    # entries, 172,032 bytes; the projections' stage after it declares less
     monkeypatch.setattr(core, "WORKSPACE_BYTES", 1 << 15)
     tracemalloc.start()
     try:
