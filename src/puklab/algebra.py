@@ -18,17 +18,17 @@ On block ``k`` the product acts as ``x ↦ p_i x q_j``, of rank
 ``rank_k(p_i) · rank_k(q_j)``, so the multiplicities are the non-zero entries
 of ``R_A · R_Bᵀ`` for the per-block rank matrices ``R_A`` and ``R_B``.
 
-Nor do they build an algebra basis.  The minimal projections of the unital
-algebra of commuting normal generators are their joint eigenspaces, so one
-``eigh`` of a random self-adjoint combination of the generators gives them,
-once every generator is certified diagonal in its eigenbasis (the one-element
-block-diagonalisation of Murota, Kanno, Kojima and Kojima, Japan J. Indust.
-Appl. Math. 27, 2010); one rounding bound, from the measured eigen-residuals,
-splits that eigenbasis into joint eigenspaces and refuses samples it cannot
-split.  The masa test needs no commutant either: the commutant of an abelian
-``A`` in ``⊕_k M_{d_k}`` is ``⊕_{i,k} M_{rank_k(p_i)}``, of dimension
-``trace(R_A · R_Aᵀ)``, so ``A`` is maximal exactly when the diagonal of
-``R_A · R_Aᵀ`` is all ones.
+Nor do they build an algebra basis.  The minimal projections of the unital algebra
+of commuting normal generators are their joint eigenspaces, so one ``eigh`` per
+diagonal block of a random self-adjoint combination of the generators gives them,
+once every generator is certified diagonal in that eigenbasis (the one-element
+block-diagonalisation of Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
+Math. 27, 2010); each eigenvector lies in one block, so ranks are counts, and one
+rounding bound, from the measured eigen-residuals, splits the eigenbasis into joint
+eigenspaces and refuses samples it cannot split.  The masa test needs no commutant
+either: the commutant of an abelian ``A`` in ``⊕_k M_{d_k}`` is
+``⊕_{i,k} M_{rank_k(p_i)}``, of dimension ``trace(R_A · R_Aᵀ)``, so ``A`` is
+maximal exactly when the diagonal of ``R_A · R_Aᵀ`` is all ones.
 
 ``minimal_projections`` reads the same certificate, with an algebra's basis
 as the generators, so one eigendecomposition also decides whether an algebra
@@ -184,30 +184,25 @@ def _commutator_kernel(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class JointEigenbasis:
     """Minimal projections of an abelian algebra on C^D as one unitary and cluster labels.
 
-    ``p_i = V_i V_i*`` for the columns ``V_i`` of ``vecs`` labelled ``i``;
-    ``ranks[i, k]`` is the rank of ``p_i`` in block ``k``.  Holding ``D²``
-    entries instead of ``a`` dense ``D × D`` projections keeps large masas cheap.
+    ``p_i = V_i V_i*`` for the columns ``V_i`` of ``vecs`` labelled ``i``; column ``c``
+    lies in block ``home[c]``, and ``ranks[i, k]`` counts the columns of ``p_i`` there.
+    Holding ``D²`` entries instead of ``a`` dense ``D × D`` projections keeps large masas cheap.
     """
 
-    vecs: np.ndarray  # (D, D) unitary, columns grouped by cluster
+    vecs: np.ndarray  # (D, D) block-diagonal unitary, columns in block order
     labels: np.ndarray  # (D,) cluster of each column
+    home: np.ndarray  # (D,) block of each column
     ranks: np.ndarray  # (a, blocks) integer
 
     def projection(self, i: int) -> np.ndarray:
         v = self.vecs[:, self.labels == i]
         return v @ v.conj().T
 
-    def block_traces(self, x: np.ndarray, slices) -> np.ndarray:
-        """``T[i, k] = Tr_k(p_i x)`` for ``x`` in the blocks cut out by ``slices``."""
-        starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
-        return _cluster_block_traces(self.vecs, x @ self.vecs, starts, slices)
-
-
-def _cluster_block_traces(vecs, xvecs, starts, slices) -> np.ndarray:
-    """``Tr_k(V_i V_i* x)`` of block-diagonal ``x`` from ``xvecs = x V`` and cluster ``starts``."""
-    dots = (vecs.conj() * xvecs).real
-    per_block = np.stack([dots[sl].sum(axis=0) for sl in slices], axis=1)
-    return np.add.reduceat(per_block, starts)
+    def block_traces(self, x: np.ndarray) -> np.ndarray:
+        """``T[i, k] = Tr_k(p_i x)`` for ``x`` in the diagonal blocks."""
+        a, blocks = self.ranks.shape
+        dots = np.vecdot(self.vecs, x @ self.vecs, axis=0).real
+        return np.bincount(self.labels * blocks + self.home, dots, a * blocks).reshape(a, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,29 +299,28 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     """Minimal projections and block ranks of the unital algebra of commuting normal generators.
 
     The generators, a list or a ``(k, D, D)`` stack, must lie in ``⊕_k M_{d_k}``.
-    The projections are their joint eigenspaces, read off one ``eigh`` of a random
-    ``h = Σ_k (c_k g_k + c̄_k g_k*)`` with eigenbasis ``V``.  A sample is
-    accepted when every generator is diagonal in ``V`` (the residual
-    ``‖g V − V diag(μ_g)‖``, ``μ_g = diag(V* g V)``, is at most
-    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm; NaN is not), the
-    clusters (runs of columns, in the order of ``h``'s eigenvalues, whose
-    neighbouring tuples ``μ`` differ by at most one rounding bound ``b``)
-    carry tuples more than ``b`` apart, and each block rank
-    ``‖V[sl_k, cluster_i]‖²`` is within :data:`MEMBER_TOL` of an integer.
-    A rejected sample is redrawn from the same seeded stream, up to
+    The projections are their joint eigenspaces, read off a random
+    ``h = Σ_k (c_k g_k + c̄_k g_k*)``: one ``eigh`` per diagonal block gives the
+    block-diagonal eigenbasis ``V``.  A sample is accepted when every generator is
+    diagonal in ``V`` (the residual ``‖g V − V diag(μ_g)‖``, ``μ_g = diag(V* g V)``, is at most
+    :data:`MEMBER_TOL` times ``max(1, ‖g‖)`` in Frobenius norm; NaN is not) and
+    the clusters (runs of columns, in the order of ``h``'s eigenvalues over all
+    blocks, whose neighbouring tuples ``μ`` differ by at most one rounding
+    bound ``b``) carry tuples more than ``b`` apart; ranks are counts of
+    columns.  A rejected sample is redrawn from the same seeded stream, up to
     :data:`MAX_RETRIES` times; then generators that fail
-    :func:`_commutator_defect` (with each other or with their adjoints)
-    raise :class:`NotAbelianError`, and anything else
-    :class:`DegenerateSampleError` with the last reason.  A C-contiguous
-    ``complex128`` stack, such as a read-only basis, is read as it is and
-    never written; anything else is converted to one stack of ``k·D²``
-    entries, declared.  Beside the stack the sample, or the eigenbasis with
-    the residuals, or the eigenbasis with the cluster comparisons (``2·D²``
-    for the gaps), or the failure path's commutators take at most ``3·D²``:
-    with the eigenbasis :func:`mixed_spectrum` holds and numpy's ufunc
-    buffer, ``5·D²``.  The joint eigenvalues, their steps and the ``k`` residuals
-    take at most ``3k·D`` of the ``5k·D`` more declared.  The membership test,
-    the residuals and the gaps run over chunks of ``c = max(1, ⌊A/D²⌋)``
+    :func:`_commutator_defect` (with each other or with their adjoints) raise
+    :class:`NotAbelianError`, and anything else :class:`DegenerateSampleError`
+    with the last reason.  A C-contiguous ``complex128`` stack, such as a
+    read-only basis, is read as it is and never written; anything else is
+    converted to one stack of ``k·D²`` entries, declared.  Beside the stack
+    the sample with the eigenbasis and one block's ``eigh``, or the eigenbasis
+    with the residuals or with the cluster comparisons (``2·D²`` for the
+    gaps), or the failure path's commutators take at most ``3·D²``: with the
+    eigenbasis :func:`mixed_spectrum` holds and numpy's ufunc buffer,
+    ``5·D²``.  The joint eigenvalues, their steps and the ``k`` residuals take
+    at most ``3k·D`` of the ``5k·D`` more declared.  The membership test, the
+    residuals and the gaps run over chunks of ``c = max(1, ⌊A/D²⌋)``
     generators, ``A =`` :data:`CHUNK_ENTRIES` (one from ``D = 33`` on); a
     chunk's products, differences and numpy's two buffers for a broadcast
     operand take ``4A`` (128 KiB) more.  A larger workspace raises
@@ -343,20 +337,28 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
     parts = mats.view(float).reshape(k, 2 * D * D)
     scales = np.maximum(1.0, np.sqrt(np.einsum("ki,ki->k", parts, parts)))
     slices, stages = shape.block_slices(), chunks(k, D)
+    blocks, home = len(slices), np.repeat(np.arange(len(slices)), shape.blocks)
 
-    def certify(vecs):
-        mu = np.empty((k, D), dtype=complex)
-        resid = np.empty(k)
-        for part in stages:
-            gv = mats[part] @ vecs
-            mu[part] = np.vecdot(vecs, gv, axis=-2)
-            gv -= vecs * mu[part, None, :]
-            re, im = gv.real.reshape(len(gv), -1), gv.imag.reshape(len(gv), -1)
-            resid[part] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) / scales[part]
-            del gv, re, im  # freed before the next chunk and the cluster comparisons
+    def certify(h):
+        eigvals, vecs = np.empty(D), np.zeros((D, D), dtype=complex)
+        for sl in slices:
+            eigvals[sl], vecs[sl, sl] = np.linalg.eigh(h[sl, sl])
+        del h  # freed before the residuals
+        mu, squares = np.empty((k, D), dtype=complex), np.zeros(k)
+        for sl in slices:
+            v = vecs[sl, sl]
+            for part in stages:
+                gv = mats[part, sl, sl] @ v
+                mu[part, sl] = np.vecdot(v, gv, axis=-2)
+                gv -= v * mu[part, None, sl]
+                re, im = gv.real.reshape(len(gv), -1), gv.imag.reshape(len(gv), -1)
+                squares[part] += np.vecdot(re, re) + np.vecdot(im, im)
+                del gv, re, im  # freed before the next chunk and the cluster comparisons
+        resid = np.sqrt(squares) / scales
         if (bad := (~(resid <= MEMBER_TOL)).nonzero()[0]).size:
             raise _Rejected(f"generator {bad[0]} has eigen-residual {resid[bad[0]]:.2e}")
-        mu /= scales[:, None]
+        order = np.argsort(eigvals, kind="stable")
+        mu = mu[:, order] / scales[:, None]
         # b: μ lies within its column's residual of an eigenvalue of the normal g
         # (Bauer–Fike), so two columns at one joint eigenvalue differ by at most 2·resid;
         # μ and the residual each round by at most 2·D·eps for a scaled g, 8·D·eps for a
@@ -364,7 +366,8 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
         bound = 2 * resid.max(initial=0.0) + 16 * D * np.finfo(float).eps
         step = np.abs(mu[:, 1:] - mu[:, :-1]).max(axis=0, initial=0.0)
         cut = np.concatenate(([True], step > bound))
-        starts, labels = cut.nonzero()[0], np.cumsum(cut) - 1
+        starts, labels = cut.nonzero()[0], np.empty(D, dtype=int)
+        labels[order] = np.cumsum(cut) - 1
         tuples = mu.take(starts, axis=1)  # C order: a chunk's rows stay contiguous
         gap = np.zeros((len(starts), len(starts)))
         for part in stages:
@@ -372,17 +375,13 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
         np.fill_diagonal(gap, np.inf)
         if gap.min() <= bound:
             raise _Rejected("two clusters carry the same joint eigenvalues")
-        traces = _cluster_block_traces(vecs, vecs, starts, slices)
-        ranks = np.rint(traces)
-        worst = float(np.abs(traces - ranks).max())
-        if worst > MEMBER_TOL:
-            raise _Rejected(f"a block rank is {worst:.2e} away from an integer")
-        return JointEigenbasis(vecs, labels, ranks.astype(int))
+        ranks = np.bincount(labels * blocks + home, minlength=len(starts) * blocks)
+        return JointEigenbasis(vecs, labels, home, ranks.reshape(len(starts), blocks))
 
     rng = np.random.default_rng(seed)
     for _ in range(1 + MAX_RETRIES):
         try:
-            return certify(np.linalg.eigh(_hermitian_sample(rng, mats))[1])
+            return certify(_hermitian_sample(rng, mats))
         except _Rejected as exc:
             reason = str(exc)
     defect = _commutator_defect(mats, rng, scales)

@@ -91,7 +91,8 @@ def _load_json(path: str) -> dict:
 
 def cmd_spectrum(args) -> int:
     data = _load_json(args.config)
-    cfg.check_keys(data, ("shape", "mode", "seed", "a_generators", "b_generators"), "spectrum")
+    cfg.check_keys(data, ("shape", "mode", "seed", "a_generators", "b_generators"), "spectrum",
+                   required=("shape", "a_generators"))
     shape = cfg.shape_from_config(data["shape"])
     a_gens = cfg.stack_from_config(data["a_generators"], "a_generators")
     seed = cfg.int_from_config(data.get("seed", 0), "seed")

@@ -51,10 +51,10 @@ def _weight_from_config(raw) -> Fraction:
     raise InvalidInputError(f"bad trace weight {raw!r}")
 
 
-def check_keys(data, allowed: tuple[str, ...], name: str, required: tuple[str, ...] = ()):
+def check_keys(data, allowed: tuple[str, ...], name: str, required=(), lists=()):
     """Refuse a config object holding a key no reader looks at, or lacking a ``required`` one.
 
-    A misspelt key is no default.
+    A misspelt key is no default, and a non-list at one of ``lists`` is refused, not iterated.
     """
     if not isinstance(data, dict):
         raise InvalidInputError(f"{name} must be an object, got {type(data).__name__}")
@@ -62,6 +62,8 @@ def check_keys(data, allowed: tuple[str, ...], name: str, required: tuple[str, .
         raise InvalidInputError(f"unknown {name} key {min(unknown)!r}; expected {', '.join(allowed)}")
     if missing := [key for key in required if key not in data]:
         raise InvalidInputError(f"{name} lacks the key {missing[0]!r}")
+    if bad := [key for key in lists if key in data and not isinstance(data[key], list)]:
+        raise InvalidInputError(f"{name} {bad[0]} must be a list, got {data[bad[0]]!r}")
 
 
 def int_from_config(raw, name: str) -> int:
@@ -73,7 +75,7 @@ def int_from_config(raw, name: str) -> int:
 
 def shape_from_config(data) -> TracedAlgebraShape:
     from .core import TracedAlgebraShape
-    check_keys(data, ("blocks", "weights"), "shape")
+    check_keys(data, ("blocks", "weights"), "shape", ("blocks",), lists=("blocks", "weights"))
     blocks = tuple(int_from_config(d, "block size") for d in data["blocks"])
     if "weights" in data:
         weights = tuple(_weight_from_config(w) for w in data["weights"])
@@ -120,12 +122,11 @@ def _bits_from_config(raw, name: str) -> indices.MultiIndex:
 
 
 def lambda_from_config(data) -> indices.LambdaSpec:
-    check_keys(data, ("default", "overrides", "enumerate", "quadrants"), "value spec")
+    check_keys(data, ("default", "overrides", "enumerate", "quadrants"), "value spec",
+               lists=("overrides",))
     raw = data.get("overrides", [])
-    if not isinstance(raw, list):
-        raise InvalidInputError(f"overrides must be a list of objects, got {raw!r}")
     for o in raw:
-        check_keys(o, ("r", "i", "j", "value"), "override")
+        check_keys(o, ("r", "i", "j", "value"), "override", required=("r", "i", "j", "value"))
     overrides = tuple(
         indices.Override(
             r=int_from_config(o["r"], "override level"),
@@ -138,8 +139,8 @@ def lambda_from_config(data) -> indices.LambdaSpec:
     enumeration = NSet.parse(data["enumerate"]) if "enumerate" in data else None
     quadrants = None
     if "quadrants" in data:
-        q = data["quadrants"]
-        check_keys(q, ("both_zero", "both_one", "mixed"), "quadrants")
+        q, names = data["quadrants"], indices.QUADRANT_NAMES[1:]
+        check_keys(q, names, "quadrants", names)
         quadrants = indices.QuadrantRules(
             both_zero=NSet.parse(q["both_zero"]),
             both_one=NSet.parse(q["both_one"]),
@@ -157,7 +158,7 @@ def oracle_from_config(data) -> invariant.CutdownOracle:
     if "constant" in data:
         check_keys(data, ("constant",), "oracle")
         return invariant.CutdownOracle.constant(NSet.parse(data["constant"]))
-    check_keys(data, ("level", "entries"), "oracle", required=("level", "entries"))
+    check_keys(data, ("level", "entries"), "oracle", ("level", "entries"), lists=("entries",))
     fields = ("row", "col", "value")
     keys = set(fields)
     for e in data["entries"]:

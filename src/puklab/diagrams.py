@@ -131,11 +131,10 @@ def diagram_from_numeric(
     level = count.bit_length() - 1
     if count != 1 << level or len(rmats) != count:
         raise ValueError(f"partition sizes must be equal powers of two, got {count}")
-    slices = shape.block_slices()
     rows, cols = factors.pairs
     # (kept block, cell part, C^D block) traces of each side
-    left = np.stack([factors.left.block_traces(p, slices) for p in mats], axis=1)[rows]
-    right = np.stack([factors.right.block_traces(q, slices) for q in rmats], axis=1)[cols]
+    left = np.stack([factors.left.block_traces(p) for p in mats], axis=1)[rows]
+    right = np.stack([factors.right.block_traces(q) for q in rmats], axis=1)[cols]
     overlaps = np.einsum("pak,pbk->abp", left, right)
     mults = np.array(report.multiplicities, dtype=int)
     slack = MEMBER_TOL * np.maximum(1.0, mults)

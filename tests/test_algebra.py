@@ -329,6 +329,11 @@ class TestMixedSpectrum:
             mixed_spectrum(diag_units(3), [off_block_generator()], shape)
         with pytest.raises(ShapeMismatchError):
             finite_puk_spectrum([off_block_generator()], shape)
+        # an eigenvector of the swap straddles the two 1 × 1 blocks: the spectra
+        # read the diagonal blocks alone, so only the membership check refuses it
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ShapeMismatchError):
+            mixed_spectrum([swap], [], TracedAlgebraShape.from_blocks((1, 1)))
 
     def test_diagonal_pair_m16_builds_no_gns_operator(self, monkeypatch):
         # the dense GNS route took 327 s and 1.3 GB here

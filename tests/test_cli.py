@@ -511,8 +511,8 @@ def test_config_array_of_the_wrong_shape_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-# oracle and diagram keys that no reader looks at, or that a reader lacks: the kind of
-# file, the file and the start of the error, which names the key
+# config keys that no reader looks at, that a reader lacks, or that hold no list where a
+# list is read: the kind of file, the file and the start of the error, which names the key
 KEY_FAULTS = {
     "misspelt diagonal": ("render", {"level": 0, "diagnoal": True, "cells": [["1"]]},
                           "unknown diagram key 'diagnoal'"),
@@ -526,11 +526,35 @@ KEY_FAULTS = {
                                    "oracle entry lacks the key 'value'"),
     "misspelt oracle entry key": ("oracle", {"level": 0, "entries": [
         {"row": "", "column": "", "value": "1"}]}, "unknown oracle entry key 'column'"),
+    "spectrum without shape": ("spectrum", {"a_generators": [[[[1.0, 0.0]]]]},
+                               "spectrum lacks the key 'shape'"),
+    "spectrum without a_generators": ("spectrum", {"shape": {"blocks": [1]}},
+                                      "spectrum lacks the key 'a_generators'"),
+    "shape without blocks": ("spectrum", {"shape": {"weights": ["1"]},
+                                          "a_generators": [[[[1.0, 0.0]]]]},
+                             "shape lacks the key 'blocks'"),
+    **{f"override without {key}": ("lambda", {"default": 3, "overrides": [
+        {k: v for k, v in {"r": 0, "i": ["0"], "j": ["1"], "value": 2}.items() if k != key}]},
+        f"override lacks the key '{key}'") for key in ("r", "i", "j", "value")},
+    **{f"quadrants without {key}": ("lambda", {"quadrants": {
+        k: "2" for k in ("both_zero", "both_one", "mixed") if k != key}},
+        f"quadrants lacks the key '{key}'") for key in ("both_zero", "both_one", "mixed")},
+    # a list read where a string or a number stands would be iterated or die in numpy
+    "oracle entries as a number": ("oracle", {"level": 0, "entries": 5},
+                                   "oracle entries must be a list"),
+    "oracle entries as a string": ("oracle", {"level": 0, "entries": "ab"},
+                                   "oracle entries must be a list"),
+    "shape blocks as a number": ("spectrum", {"shape": {"blocks": 3},
+                                              "a_generators": [[[[1.0, 0.0]]]]},
+                                 "shape blocks must be a list"),
+    "shape weights as a string": ("spectrum", {"shape": {"blocks": [1], "weights": "1/2"},
+                                               "a_generators": [[[[1.0, 0.0]]]]},
+                                  "shape weights must be a list"),
 }
 
 
 @pytest.mark.parametrize("case", KEY_FAULTS)
-def test_oracle_or_diagram_key_unread_or_missing_exits_2(tmp_path, capsys, case):
+def test_config_key_unread_missing_or_not_a_list_exits_2(tmp_path, capsys, case):
     kind, payload, message = KEY_FAULTS[case]
     assert main(reading(kind, write_json(tmp_path / "config.json", payload), tmp_path)) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")

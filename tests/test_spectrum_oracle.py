@@ -22,9 +22,12 @@ The abelian test of the library's failure path, two random combinations
 exact scan over every pair of generators, ``exact_commutator_defect``.
 
 The stacked certificate, which checks, certifies and compares the generators
-in chunks of a whole stack, is checked against the per-generator loops it
-replaced, ``loop_check_member`` and ``loop_joint_eigenbasis``: the same
-labels and ranks, or the same error with the same offending generator.
+in chunks of a whole stack with one ``eigh`` per diagonal block, is checked
+against the per-generator loops it replaced, ``loop_check_member`` and
+``loop_joint_eigenbasis``, which takes one ``eigh`` of the whole sample and
+rounds its block ranks from traces: the same labels (the library lists its
+columns in block order) and ranks, or the same error with the same offending
+generator.
 
 Diagrams of a left-right report are checked against the dense overlap loop:
 the report's products ``L(p_i) R(q_j)`` and the partition cutdowns built as
@@ -479,24 +482,42 @@ def planted_entries(n, gap, seed):
     return entries
 
 
-@pytest.mark.parametrize("n, gap, seed, rotated", [
-    *((n, gap, n, rotated) for n in (4, 16, 64) for gap in CLOSE_GAPS for rotated in (False, True)),
-    (256, None, 27, False),
+@pytest.mark.parametrize("blocks, gap, seed, rotated", [
+    *(((n,), gap, n, rotated) for n in (4, 16, 64) for gap in CLOSE_GAPS
+      for rotated in (False, True)),
+    ((256,), None, 27, False),
+    # diag(0, 2 | δ, 3): the close pair straddles the two blocks
+    *(((2, 2), gap, 2, rotated) for gap in CLOSE_GAPS for rotated in (False, True)),
 ])
-def test_close_eigenvalues_still_decide_a_masa(n, gap, seed, rotated):
+def test_close_eigenvalues_still_decide_a_masa(blocks, gap, seed, rotated):
     # two eigenvalues far closer than the spread, yet far above its rounding: one
     # generator of distinct eigenvalues generates a masa, so every block has rank 1
-    shape = TracedAlgebraShape.full_matrix(n)
+    shape = TracedAlgebraShape.from_blocks(blocks)
+    n = shape.total_dim
     entries = planted_entries(n, gap, seed)
+    if len(blocks) > 1:
+        entries = entries[[0, 2, 1, 3]]
     if rotated:
         u = blockwise_unitary(np.random.default_rng(seed), shape)
         gen = (u * entries) @ u.conj().T
     else:
         gen = np.diag(entries)
     puk = finite_puk_spectrum([gen], shape)
-    assert puk.as_set == NSet.of(1) and puk.block_count == n * n - n
+    assert puk.as_set == NSet.of(1) and puk.block_count == shape.gns_dim - n
     mixed = mixed_spectrum([gen], [np.diag(np.arange(n, dtype=float))], shape)
-    assert mixed.as_set == NSet.of(1) and mixed.block_count == n * n
+    assert mixed.as_set == NSet.of(1) and mixed.block_count == shape.gns_dim
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_joint_eigenvalue_in_both_blocks(rotated):
+    # diag(1, 2 | 1, 2): each joint eigenspace has rank 1 in each block
+    shape = TracedAlgebraShape.from_blocks((2, 2))
+    u = blockwise_unitary(np.random.default_rng(4), shape) if rotated else np.eye(4)
+    gen = conjugated(u, [1, 2, 1, 2])
+    assert _joint_eigenbasis([gen], shape, 0).ranks.tolist() == [[1, 1], [1, 1]]
+    assert mixed_spectrum([gen], [gen], shape).multiset == (2, 2, 2, 2)
+    with pytest.raises(NotMasaError):
+        finite_puk_spectrum([gen], shape)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -626,15 +647,6 @@ def test_split_sample_is_degenerate(monkeypatch):
         mixed_spectrum([np.diag([1.0, 1.0, 3.0])], [], TracedAlgebraShape.full_matrix(3))
 
 
-def test_fractional_block_rank_is_degenerate(monkeypatch):
-    # with the membership check off, an eigenvector of the swap straddles the
-    # two 1 × 1 blocks and has rank 1/2 in each
-    monkeypatch.setattr(TracedAlgebraShape, "check_member", lambda self, x: None)
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(DegenerateSampleError, match="away from an integer"):
-        mixed_spectrum([swap], [], TracedAlgebraShape.from_blocks((1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # the stacked certificate against the per-generator loops it replaced
 
@@ -660,9 +672,10 @@ def loop_check_member(shape, mats):
 def loop_joint_eigenbasis(gens, shape, seed):
     """Labels and ranks of ``_joint_eigenbasis``, each generator converted and certified alone.
 
-    The per-generator route, with its residual test read as ``not resid <=
-    MEMBER_TOL``, so that a NaN residual is refused as in the library.  The
-    sample, the cluster traces and the failure path are the library's own.
+    The dense per-generator route: one ``eigh`` of the whole sample, its
+    residual test read as ``not resid <= MEMBER_TOL``, so that a NaN residual is
+    refused as in the library, and each block rank rounded from the trace
+    ``‖V[sl_k, cluster_i]‖²``.  The sample and the failure path are the library's own.
     """
     D = shape.total_dim
     mats = np.empty((len(gens), D, D), dtype=complex)
@@ -694,7 +707,9 @@ def loop_joint_eigenbasis(gens, shape, seed):
         np.fill_diagonal(gap, np.inf)
         if gap.min() <= bound:
             raise algebra._Rejected("two clusters carry the same joint eigenvalues")
-        traces = algebra._cluster_block_traces(vecs, vecs, starts, shape.block_slices())
+        squares = (vecs.conj() * vecs).real
+        per_block = np.stack([squares[sl].sum(axis=0) for sl in shape.block_slices()], axis=1)
+        traces = np.add.reduceat(per_block, starts)
         ranks = np.rint(traces)
         worst = float(np.max(np.abs(traces - ranks)))
         if worst > MEMBER_TOL:
@@ -714,8 +729,9 @@ def loop_joint_eigenbasis(gens, shape, seed):
 
 
 def stacked_joint_eigenbasis(gens, shape, seed):
+    # the columns come in block order, the oracle's in the order of h's eigenvalues
     joint = _joint_eigenbasis(gens, shape, seed)
-    return joint.labels, joint.ranks
+    return np.sort(joint.labels), joint.ranks
 
 
 def certificate_outcome(route, gens, shape, seed):
@@ -733,13 +749,13 @@ def certificate_outcome(route, gens, shape, seed):
 
 @st.composite
 def certificate_inputs(draw):
-    """Up to 12 generators on C^D, D ≤ 12 in 1–3 blocks, commuting with repeated eigenvalues.
+    """Up to 12 generators on C^D, D ≤ 16 in 1–4 blocks, commuting with repeated eigenvalues.
 
     Real (one orthogonal basis) or complex (one unitary), as a list or a
     read-only stack; now and then one generator gets a NaN entry, an entry
     outside the blocks or a factor that makes it commute with nothing.
     """
-    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     shape = TracedAlgebraShape.from_blocks(blocks)
     D, k = shape.total_dim, draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -263,6 +263,24 @@ def test_real_generators_of_distinct_eigenvalues_stay_within_declared_workspace(
     assert raised is None and len(declared) == 2
 
 
+@pytest.mark.parametrize("blocks, side", [((64,) * 8, "generator"), ((16,) * 8, "projections")])
+def test_block_masa_stays_within_declared_workspace(declared, blocks, side):
+    # one eigh and the residuals per diagonal block, within the dense route's count; the
+    # 512 projections of 8 blocks of 64 would hold 2 GiB, so those run on 8 blocks of 16
+    shape = TracedAlgebraShape.from_blocks(blocks)
+    n, rng = shape.total_dim, np.random.default_rng(len(blocks))
+    u = np.zeros((n, n), dtype=complex)
+    for sl, d in zip(shape.block_slices(), blocks):
+        u[sl, sl] = haar_unitary(rng, d)
+    if side == "generator":
+        gens = [(u * np.arange(1.0, n + 1)) @ u.conj().T]
+    else:
+        gens = [u @ g @ u.conj().T for g in diag_units(n)]
+    assert finite_puk_spectrum(gens, shape).block_count == shape.gns_dim - n
+    assert_within_declared(declared, "puk", lambda: finite_puk_spectrum(gens, shape))
+    assert_within_declared(declared, "mixed", lambda: mixed_spectrum(gens, list(gens), shape))
+
+
 def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared):
     for n in (32, 64):
         alg = generate_algebra(rotated_masa(np.random.default_rng(n), n))
