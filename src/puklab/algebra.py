@@ -351,9 +351,9 @@ def _joint_eigenbasis(gens, shape: TracedAlgebraShape, seed: int) -> JointEigenb
                 gv = mats[part, sl, sl] @ v
                 mu[part, sl] = np.vecdot(v, gv, axis=-2)
                 gv -= v * mu[part, None, sl]
-                re, im = gv.real.reshape(len(gv), -1), gv.imag.reshape(len(gv), -1)
-                squares[part] += np.vecdot(re, re) + np.vecdot(im, im)
-                del gv, re, im  # freed before the next chunk and the cluster comparisons
+                flat = gv.view(float).reshape(len(gv), -1)  # re and im side by side
+                squares[part] += np.vecdot(flat, flat)
+                del gv, flat  # freed before the next chunk and the cluster comparisons
         resid = np.sqrt(squares) / scales
         if (bad := (~(resid <= MEMBER_TOL)).nonzero()[0]).size:
             raise _Rejected(f"generator {bad[0]} has eigen-residual {resid[bad[0]]:.2e}")
