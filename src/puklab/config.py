@@ -126,7 +126,7 @@ def lambda_from_config(data) -> indices.LambdaSpec:
                lists=("overrides",))
     raw = data.get("overrides", [])
     for o in raw:
-        check_keys(o, ("r", "i", "j", "value"), "override", required=("r", "i", "j", "value"))
+        check_keys(o, ("r", "i", "j", "value"), "override", ("r", "i", "j", "value"))
     overrides = tuple(
         indices.Override(
             r=int_from_config(o["r"], "override level"),
