@@ -15,6 +15,9 @@ The algebra suite's commutant lines end with the ratio by which the singular
 values on either side of the rank cut, the last kept and the first dropped,
 cleared it.  A suite whose sweep holds no case prints ``<suite>: 0 cases``
 before its verdict.
+
+Each command's options are parsed once, by that command's own parser, and a
+usage error still exits 2 with argparse's message.
 """
 
 from __future__ import annotations
@@ -33,40 +36,54 @@ from .errors import InvalidInputError, PuklabError
 SUITE_TOL = 1e-10
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(prog="puklab")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("spectrum", help="multiplicity spectrum from a config file")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    p = add("spectrum", "multiplicity spectrum from a config file")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("verify", help="run the numerical identity suites")
+    p = add("verify", "run the numerical identity suites")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--max-dim", type=int, default=4096,
                    help="run the construction cases (n, m) with n^(2(m+1)) at most this "
                         "(default 4096)")
 
-    p = sub.add_parser("puk-eval", help="evaluate the invariant formula for a value spec")
+    p = add("puk-eval", "evaluate the invariant formula for a value spec")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.add_argument("--oracle")
     p.add_argument("--rmax", type=int, default=3)
 
-    p = sub.add_parser("plan", help="choose pair values or a family plan for target sets")
+    p = add("plan", "choose pair values or a family plan for target sets")
     p.add_argument("--target", required=True,
                    help="value sets, ';'-separated for EFG, matrix rows for family")
     p.add_argument("--kind", default="E", choices=("E", "EFG", "cor1", "family"))
 
-    p = sub.add_parser("render", help="render a diagram or value spec to ascii or svg")
+    p = add("render", "render a diagram or value spec to ascii or svg")
     p.add_argument("--input", required=True)
     p.add_argument("--format", default="ascii", choices=("ascii", "svg"))
     p.add_argument("--out", required=True)
     p.add_argument("--rmax", type=int, default=1,
                    help="truncation level when the input is a value spec")
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        # the top-level pass would only hand these tokens on to the command's own parser
+        namespace = argparse.Namespace(command=argv[0])
+        args, extra = COMMANDS[argv[0]].parse_known_args(argv[1:], namespace)
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = PARSER.parse_args(argv)
     # looked up per call, so a replaced ``cmd_<command>`` attribute is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
@@ -336,7 +353,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-PARSER = build_parser()
+PARSER, COMMANDS = build_parser()
 
 
 if __name__ == "__main__":

@@ -161,13 +161,18 @@ def oracle_from_config(data) -> invariant.CutdownOracle:
     check_keys(data, ("level", "entries"), "oracle", ("level", "entries"), lists=("entries",))
     fields = ("row", "col", "value")
     keys = set(fields)
+    entries, parsed = {}, {}  # each distinct value text is parsed once
     for e in data["entries"]:
         # a table holds up to 4^level entries: a well-formed one costs one comparison
         if not isinstance(e, dict) or e.keys() != keys:
             check_keys(e, fields, "oracle entry", required=fields)
-    entries = {
-        (e["row"], e["col"]): NSet.parse(e["value"]) for e in data["entries"]
-    }
+        row, col, text = e["row"], e["col"], e["value"]
+        if not (isinstance(row, str) and isinstance(col, str)):
+            name = "col" if isinstance(row, str) else "row"
+            raise InvalidInputError(f"oracle entry {name} must be a bit string, got {e[name]!r}")
+        if not isinstance(text, str) or text not in parsed:
+            parsed[text] = NSet.parse(text)  # refuses a non-string before it is hashed
+        entries[row, col] = parsed[text]
     level = int_from_config(data["level"], "oracle level")
     return invariant.CutdownOracle.from_table(level, entries)
 

@@ -14,11 +14,12 @@ its cutdown types as these grids, one per level, coarsened from the finest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import NotInAlgebraError, OracleGapError, ResourceGuardError
 from .indices import CELL_WORK_CAP, LambdaSpec
-from .nsets import EMPTY, NSet, nset_product
+from .nsets import EMPTY, NSet, nset_product, union_all
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +55,7 @@ class MultiplicityDiagram:
             raise ValueError("cannot coarsen a single cell")
         c, steps = self.cells, range(0, self.size, 2)
         rows = tuple(
-            tuple(c[x][y] | c[x][y + 1] | c[x + 1][y] | c[x + 1][y + 1] for y in steps)
+            tuple(union_all((c[x][y], c[x][y + 1], c[x + 1][y], c[x + 1][y + 1])) for y in steps)
             for x in steps
         )
         return MultiplicityDiagram(self.level - 1, rows, self.diagonal_marked)
@@ -71,7 +72,8 @@ def diagram_from_construction(
     at level ``r+1``; the diagonal shows the oracle and carries the marker.
     The values come per leading cell from :meth:`LambdaSpec.cell_values`;
     its guard, :data:`CELL_WORK_CAP`, bounds the cells and runs walked at each
-    level, and the grid's ``4^{r+1}`` cells before any walk.
+    level, and the grid's ``4^{r+1}`` cells before any walk.  Within one call
+    each union and each product is formed once per distinct pair of value sets.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -81,21 +83,29 @@ def diagram_from_construction(
         )
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
-    grid, distinct = [[EMPTY]], {EMPTY: EMPTY}  # cells share one object per distinct value set
+    distinct = {EMPTY: EMPTY}  # cells share one object per distinct value set
+
+    @cache  # one union per distinct pair of value sets, within this call
+    def join(cell: NSet, values: NSet) -> NSet:
+        union = cell | values
+        return distinct.setdefault(union, union)
+
+    grid = [[EMPTY]]
     for t in range(r + 1):
         values = lam.cell_values(t)
-        # each level refines the last once; its keys are (lead_i, lead_j) with lead_i <= lead_j.
-        # The diagonal is reset to empty: a pair with one leading index sits inside a
-        # diagonal cell, is not drawn, and so seeds no off-diagonal child
-        grid = [
-            [EMPTY if x == y else distinct.setdefault(
-                union := grid[x >> 1][y >> 1] | values.get((min(x, y), max(x, y)), EMPTY), union)
-             for y in range(2 << t)]
-            for x in range(2 << t)
-        ]
+        # each level refines the last once; its keys are (lead_i, lead_j) with lead_i <= lead_j,
+        # so the grid is symmetric and each row copies its cells left of the diagonal from
+        # the rows above.  The diagonal is reset to empty: a pair with one leading index sits
+        # inside a diagonal cell, is not drawn, and so seeds no off-diagonal child
+        refined = []
+        for x in range(2 << t):
+            parent = grid[x >> 1]
+            refined.append([row[x] for row in refined] + [EMPTY] + [
+                join(parent[y >> 1], values.get((x, y), EMPTY)) for y in range(x + 1, 2 << t)])
+        grid = refined
+    product = cache(nset_product)  # one product per distinct pair, within this call
     rows = tuple(
-        tuple(cell if x == y else nset_product(grid[x][y], cell)
-              for y, cell in enumerate(row))
+        tuple(cell if x == y else product(grid[x][y], cell) for y, cell in enumerate(row))
         for x, row in enumerate(oracle.cells(r + 1))
     )
     return MultiplicityDiagram(r + 1, rows, diagonal_marked=True)
@@ -177,15 +187,11 @@ def render(diagram: MultiplicityDiagram, format: str = "ascii") -> str:
 
 
 def _cell_texts(diagram: MultiplicityDiagram) -> list[list[str]]:
-    texts = []
-    for x in range(diagram.size):
-        row = []
-        for y in range(diagram.size):
-            body = str(diagram.cells[x][y])
-            if diagram.diagonal_marked and x == y:
-                body = ("\\ " + body) if body else "\\"
-            row.append(body)
-        texts.append(row)
+    text = cache(str)  # each distinct set formatted once
+    texts = [[text(cell) for cell in row] for row in diagram.cells]
+    if diagram.diagonal_marked:
+        for x, row in enumerate(texts):
+            row[x] = ("\\ " + row[x]) if row[x] else "\\"
     return texts
 
 
@@ -246,9 +252,10 @@ def render_svg(diagram: MultiplicityDiagram) -> str:
             f'<text x="{SVG_MARGIN - 8}" y="{centre + 5}" text-anchor="end" '
             f'font-size="14">{lab}</text>'
         )
-    for x in range(n):
-        for y in range(n):
-            body = str(diagram.cells[x][y])
+    text = cache(str)  # each distinct set formatted once
+    for x, row in enumerate(diagram.cells):
+        for y, cell in enumerate(row):
+            body = text(cell)
             if not body:
                 continue
             cx = SVG_MARGIN + y * SVG_CELL + SVG_CELL // 2

@@ -12,6 +12,7 @@ set (or triple of sets, or family matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .diagrams import MultiplicityDiagram
@@ -61,13 +62,15 @@ class CutdownOracle:
     def from_table(cls, level: int, entries: dict) -> "CutdownOracle":
         if level < 0:
             raise ValueError("oracle level must be non-negative")
-        table = {}
+        table, index = {}, {}  # index: each label seen, checked once, to its row or column
         for (row, col), value in entries.items():
-            if len(row) != level or len(col) != level or set(row + col) - {"0", "1"}:
-                raise ValueError(f"bad oracle key ({row!r}, {col!r}) for level {level}")
+            if row not in index or col not in index:
+                if len(row) != level or len(col) != level or set(row + col) - {"0", "1"}:
+                    raise ValueError(f"bad oracle key ({row!r}, {col!r}) for level {level}")
+                index[row], index[col] = int(row or "0", 2), int(col or "0", 2)
             if value.is_empty:
                 raise EmptyInputError("oracle entries must be non-empty")
-            table[int(row or "0", 2), int(col or "0", 2)] = value
+            table[index[row], index[col]] = value
         if len(table) != 4 ** level:
             raise OracleGapError(f"oracle table needs all {4 ** level} pairs at level {level}")
         cells = tuple(tuple(table[x, y] for y in range(1 << level)) for x in range(1 << level))
@@ -135,11 +138,9 @@ def eval_construction(
 
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
-    cells = oracle.cells(r + 1)
-    out = NSet()
-    for (a, b), values in lam.cell_values(r, quadrant).items():
-        out = out | nset_product(values, cells[a][b])
-    return out
+    cells, product = oracle.cells(r + 1), cache(nset_product)  # one product per distinct pair
+    return union_all([product(values, cells[a][b])
+                      for (a, b), values in lam.cell_values(r, quadrant).items()])
 
 
 def choose_lambda_for_e(target: NSet) -> LambdaSpec:

@@ -95,7 +95,8 @@ INFINITY_SET = NSet.of(INF)
 
 
 def union_all(sets) -> NSet:
-    return reduce(lambda a, b: a | b, sets, EMPTY)
+    """One union of all ``sets``; an operand that is not an ``NSet`` is checked first."""
+    return _valid(EMPTY.union(*[s if isinstance(s, NSet) else NSet(s) for s in sets]))
 
 
 def nset_product(e: NSet, f: NSet) -> NSet:

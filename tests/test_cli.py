@@ -314,6 +314,70 @@ class TestVerifyCommand:
         assert lines[lines.index("span: 0 cases") + 1] == "suite span: PASS"
 
 
+TOP_USAGE = "usage: puklab [-h] {spectrum,verify,puk-eval,plan,render} ...\n"
+VERIFY_USAGE = ("usage: puklab verify [-h]\n"
+                "                     [--suite {keyclaim,span,intertwiner,algebra,glue,all}]\n"
+                "                     [--max-dim MAX_DIM]\n")
+KEYCLAIM_TO_20 = (
+    "keyclaim n=2 m=0: max deviation 0.000e+00, tolerance 5.000e-11, margin inf\n"
+    "keyclaim n=2 m=1: max deviation 0.000e+00, tolerance 1.250e-11, margin inf\n"
+    "keyclaim n=3 m=0: max deviation 0.000e+00, tolerance 3.333e-11, margin inf\n"
+    "keyclaim n=4 m=0: max deviation 0.000e+00, tolerance 2.500e-11, margin inf\n"
+    "suite keyclaim: PASS\n")
+# argv -> (exit code, stdout, stderr), as argparse words them in an 80-column terminal
+CLI_CONTRACT = {
+    "no argv": ([], 2, "", TOP_USAGE
+                + "puklab: error: the following arguments are required: command\n"),
+    "-h": (["-h"], 0, TOP_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  {spectrum,verify,puk-eval,plan,render}\n"
+        "    spectrum            multiplicity spectrum from a config file\n"
+        "    verify              run the numerical identity suites\n"
+        "    puk-eval            evaluate the invariant formula for a value spec\n"
+        "    plan                choose pair values or a family plan for target sets\n"
+        "    render              render a diagram or value spec to ascii or svg\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    "verify -h": (["verify", "-h"], 0, VERIFY_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --suite {keyclaim,span,intertwiner,algebra,glue,all}\n"
+        "  --max-dim MAX_DIM     run the construction cases (n, m) with n^(2(m+1)) at\n"
+        "                        most this (default 4096)\n"), ""),
+    "unknown command": (["bogus"], 2, "", TOP_USAGE + (
+        "puklab: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'spectrum', 'verify', 'puk-eval', 'plan', 'render')\n")),
+    "unknown suite": (["verify", "--suite", "bogus"], 2, "", VERIFY_USAGE + (
+        "puklab verify: error: argument --suite: invalid choice: 'bogus' "
+        "(choose from 'keyclaim', 'span', 'intertwiner', 'algebra', 'glue', 'all')\n")),
+    "max-dim not an int": (["verify", "--max-dim", "x"], 2, "", VERIFY_USAGE
+                           + "puklab verify: error: argument --max-dim: invalid int value: 'x'\n"),
+    "spectrum without --config": (["spectrum"], 2, "", (
+        "usage: puklab spectrum [-h] --config CONFIG\n"
+        "puklab spectrum: error: the following arguments are required: --config\n")),
+    "a stray token": (["verify", "--suite", "keyclaim", "extra"], 2, "", TOP_USAGE
+                      + "puklab: error: unrecognized arguments: extra\n"),
+    "an abbreviated option": (["verify", "--suite", "keyclaim", "--max", "20"], 0,
+                              KEYCLAIM_TO_20, ""),
+    "an option with =": (["verify", "--suite", "keyclaim", "--max-dim=20"], 0,
+                         KEYCLAIM_TO_20, ""),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CONTRACT)
+def test_cli_contract(case, capsys, monkeypatch):
+    argv, code, out, err = CLI_CONTRACT[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse ends help and usage errors with an exit
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
 def test_closed_pipe_exits_141_without_a_message():
     # about 10^4 lines, far more than a pipe holds: the writer meets the closed pipe mid-sweep
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -435,6 +499,18 @@ WRONG_JSON_TYPES = {
     "diagram cell": ("render", {"level": 0, "cells": [[1]]}),
     "render of a list": ("render", []),
     "puk-eval of a list": ("lambda", []),
+    "oracle row a number": ("oracle", {"level": 1, "entries": [
+        {"row": 5, "col": "0", "value": "1"}]}),
+    "oracle row a list": ("oracle", {"level": 1, "entries": [
+        {"row": ["0"], "col": "0", "value": "1"}]}),
+    "oracle col null": ("oracle", {"level": 1, "entries": [
+        {"row": "0", "col": None, "value": "1"}]}),
+}
+# the refusals that name the field they read, with the value it held
+NAMED_REFUSALS = {
+    "oracle row a number": "oracle entry row must be a bit string, got 5",
+    "oracle row a list": "oracle entry row must be a bit string, got ['0']",
+    "oracle col null": "oracle entry col must be a bit string, got None",
 }
 
 
@@ -445,6 +521,8 @@ def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
     assert main(reading(kind, path, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if case in NAMED_REFUSALS:
+        assert err == f"error: {NAMED_REFUSALS[case]}\n"
 
 
 # config arrays of the wrong shape: the kind of file and the file

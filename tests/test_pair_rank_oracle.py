@@ -145,6 +145,52 @@ def bucketed_diagram(spec, oracle, r) -> MultiplicityDiagram:
     return MultiplicityDiagram(r + 1, tuple(rows), diagonal_marked=True)
 
 
+def per_cell_table(level, entries) -> CutdownOracle:
+    """``CutdownOracle.from_table`` as it read a table before it checked each label once.
+
+    Every key is checked and converted, and each coarse cell is three ``|`` of
+    its four refinements.
+    """
+    table = {}
+    for (row, col), value in entries.items():
+        if len(row) != level or len(col) != level or set(row + col) - {"0", "1"}:
+            raise ValueError(f"bad oracle key ({row!r}, {col!r}) for level {level}")
+        table[int(row or "0", 2), int(col or "0", 2)] = value
+    grids = [tuple(tuple(table[x, y] for y in range(1 << level)) for x in range(1 << level))]
+    for d in range(level, 0, -1):
+        c, steps = grids[-1], range(0, 1 << d, 2)
+        grids.append(tuple(
+            tuple(c[x][y] | c[x][y + 1] | c[x + 1][y] | c[x + 1][y + 1] for y in steps)
+            for x in steps))
+    return CutdownOracle(tuple(MultiplicityDiagram(d, cells)
+                               for d, cells in enumerate(reversed(grids))))
+
+
+def per_cell_diagram(spec, oracle, r) -> MultiplicityDiagram:
+    """``diagram_from_construction`` as it refined its grid with one union and one product per cell."""
+    grid = [[NSet()]]
+    for t in range(r + 1):
+        values = spec.cell_values(t)
+        grid = [
+            [NSet() if x == y else grid[x >> 1][y >> 1] | values.get((min(x, y), max(x, y)), NSet())
+             for y in range(2 << t)]
+            for x in range(2 << t)
+        ]
+    rows = tuple(
+        tuple(cell if x == y else nset_product(grid[x][y], cell) for y, cell in enumerate(row))
+        for x, row in enumerate(oracle.cells(r + 1))
+    )
+    return MultiplicityDiagram(r + 1, rows, diagonal_marked=True)
+
+
+def per_cell_level(spec, oracle, r, quadrant) -> NSet:
+    """A table evaluation's level ``r`` with one product and one ``|`` per leading cell."""
+    cells, out = oracle.cells(r + 1), NSet()
+    for (a, b), values in spec.cell_values(r, quadrant).items():
+        out = out | nset_product(values, cells[a][b])
+    return out
+
+
 def walked_cells(spec, r, quadrant) -> dict:
     """``cell_values`` by the rank-by-rank walk: every run of both streams, in order."""
     segments = spec._segments(r, quadrant)
@@ -606,6 +652,21 @@ def test_refined_diagram_matches_buckets(spec, data):
         oracle = CutdownOracle.from_table(r + 1, table_entries(data, r + 1))
     got = diagram_from_construction(spec, oracle, r)
     assert got == bucketed_diagram(spec, oracle, r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.one_of(all_specs, deep_specs), data=st.data())
+def test_grids_and_levels_match_the_per_cell_reference(spec, data):
+    # the table's five values repeat, so most pairs of value sets recur across cells
+    r = data.draw(st.integers(0, 4))
+    entries = table_entries(data, r + 1)
+    table, reference = CutdownOracle.from_table(r + 1, entries), per_cell_table(r + 1, entries)
+    assert [g.cells for g in table.grids] == [g.cells for g in reference.grids]
+    for oracle in (SIMPLE, table):
+        assert diagram_from_construction(spec, oracle, r) == per_cell_diagram(spec, oracle, r)
+    for quadrant in QUADRANT_NAMES:
+        assert eval_construction(spec, table, r, quadrant).per_level == tuple(
+            per_cell_level(spec, reference, t, quadrant) for t in range(r + 1))
 
 
 # ---------------------------------------------------------------------------
