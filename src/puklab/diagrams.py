@@ -83,13 +83,7 @@ def diagram_from_construction(
         )
     if not oracle.covers_level(r + 1):
         raise OracleGapError(f"oracle level {oracle.level} cannot label a level-{r + 1} grid")
-    distinct = {EMPTY: EMPTY}  # cells share one object per distinct value set
-
-    @cache  # one union per distinct pair of value sets, within this call
-    def join(cell: NSet, values: NSet) -> NSet:
-        union = cell | values
-        return distinct.setdefault(union, union)
-
+    join = cache(NSet.__or__)  # one union per distinct pair of value sets, within this call
     grid = [[EMPTY]]
     for t in range(r + 1):
         values = lam.cell_values(t)
