@@ -10,7 +10,10 @@ values per leading cell, and they read a raw table through ``padded_entry``,
 the union over refinements that ``CutdownOracle.entry`` took per call before
 the oracle kept one grid per level.  Level 4 is past what the streams can
 visit, so there ``cell_values`` is compared with the rank-by-rank walk the
-library used before it walked each leading cell.
+library used before it walked each leading cell.  The ``per_cell_*``
+references are the grid builder, table reader and table level that formed
+one union and one product per cell, before each was formed once per distinct
+pair of value sets.
 """
 
 from bisect import bisect_right
