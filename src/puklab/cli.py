@@ -230,7 +230,7 @@ def _run_algebra(max_dim: int):
             f"mixed spectrum of conjugated pair in M_{n}⊗M_{n}: {rep.as_set} "
             f"({rep.block_count} blocks)")
     for n in (2, 3, 4):
-        gens = [np.diag(np.eye(n, dtype=complex)[i]) for i in range(n)]
+        gens = np.diag(np.arange(n, dtype=complex))[None]  # distinct eigenvalues: the masa
         rep = algebra.finite_puk_spectrum(gens, TracedAlgebraShape.full_matrix(n))
         yield rep.as_set == nsets.NSet.of(1) and rep.block_count == n * n - n, (
             f"diagonal masa of M_{n}: {rep.as_set} ({rep.block_count} off-diagonal blocks)")

@@ -7,6 +7,7 @@ and multi-indices are arrays of bit strings (e.g. ``["01", "1"]``).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -42,9 +43,7 @@ def stack_from_config(data, name: str) -> np.ndarray:
 def _weight_from_config(raw) -> Fraction:
     if isinstance(raw, bool):
         raise InvalidInputError(f"bad trace weight {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
+    if isinstance(raw, (int, str)):
         return Fraction(raw)
     if isinstance(raw, float):
         return Fraction(str(raw))
@@ -106,11 +105,8 @@ def lambda_to_config(spec: indices.LambdaSpec) -> dict:
     if spec.enumeration is not None:
         out["enumerate"] = str(spec.enumeration)
     if spec.quadrants is not None:
-        out["quadrants"] = {
-            "both_zero": str(spec.quadrants.both_zero),
-            "both_one": str(spec.quadrants.both_one),
-            "mixed": str(spec.quadrants.mixed),
-        }
+        out["quadrants"] = {name: str(getattr(spec.quadrants, name))
+                            for name in indices.QUADRANT_NAMES[1:]}
     return out
 
 
@@ -141,11 +137,7 @@ def lambda_from_config(data) -> indices.LambdaSpec:
     if "quadrants" in data:
         q, names = data["quadrants"], indices.QUADRANT_NAMES[1:]
         check_keys(q, names, "quadrants", names)
-        quadrants = indices.QuadrantRules(
-            both_zero=NSet.parse(q["both_zero"]),
-            both_one=NSet.parse(q["both_one"]),
-            mixed=NSet.parse(q["mixed"]),
-        )
+        quadrants = indices.QuadrantRules(**{name: NSet.parse(q[name]) for name in names})
     return indices.LambdaSpec(
         default=value_from_config(data.get("default", 1)),
         overrides=overrides,
@@ -173,6 +165,9 @@ def oracle_from_config(data) -> invariant.CutdownOracle:
         if not isinstance(text, str) or text not in parsed:
             parsed[text] = NSet.parse(text)  # refuses a non-string before it is hashed
         entries[row, col] = parsed[text]
+    if len(entries) != len(data["entries"]):  # a pair given twice: the later would win
+        (row, col), _ = Counter((e["row"], e["col"]) for e in data["entries"]).most_common(1)[0]
+        raise InvalidInputError(f"oracle entry row {row!r}, col {col!r} is given twice")
     level = int_from_config(data["level"], "oracle level")
     return invariant.CutdownOracle.from_table(level, entries)
 

@@ -13,9 +13,9 @@ the multiplicity analysis of the conjugated masa pair rests on exactly, from
 those edges alone: ``|λ| = 1``, and one walk along the θ symbol's path
 (:func:`_kappa_coefficient`) reduces each identity to whether one coefficient
 is a unit mod ``n``, in ``O(m)`` integer steps and with no array.  The one
-float route is the position-space kernel ``u = ifftn(λ)``: it is gathered into
-the dense unitary of :class:`TruncatedAutomorphism` and
-:func:`intertwiner_grams`, and rolled into the columns of the masa pair.
+float route is the position-space kernel ``u = ifftn(λ)``, gathered into the
+dense unitary ``U`` by :meth:`TruncatedAutomorphism.build` alone;
+:func:`intertwiner_grams` and :func:`truncated_masa_pair` read that ``U``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
-from .core import check_workspace, np
+from .core import CHUNK_ENTRIES, check_workspace, np
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +177,13 @@ def intertwiner_grams(n: int, m: int, r: int, s: int):
     if r == s or not (0 <= r < n and 0 <= s < n):
         raise ValueError("need distinct r, s in range(n)")
     count, dim = n**m, n ** (m + 1)
-    # U with the indices it is gathered by, U*U with the conjugate it is formed from, W,
-    # one row block's product with its conjugated rows, and the two Grams
-    check_workspace(8 * dim * dim + 2 * count**4, f"the intertwiner Grams for n={n}, m={m}")
-    unitary = _multilevel_circulant(_unitary_kernel(n, m), m + 1)
+    # U, U*U with its conjugate, two W while the second t's is formed, two row blocks'
+    # products with their conjugated rows, and the two Grams: declared before the build,
+    # so a refusal allocates nothing, and after it
+    need, what = 8 * dim * dim + 2 * count**4, f"the intertwiner Grams for n={n}, m={m}"
+    check_workspace(need, what)
+    unitary = TruncatedAutomorphism.build(n, m).unitary
+    check_workspace(need, what)
     weights = unitary.conj().T @ unitary
     weights /= dim  # the normalized trace
     phi = _shift_eigenvectors(n)
@@ -309,23 +312,25 @@ def intertwiner_check(n: int, m: int) -> float:
 
 
 def truncated_masa_pair(n: int, k: int, kind: str = "theta"):
-    """Generators of the diagonal masa of ``M_n^{⊗k}`` and its conjugate.
+    """One generator a side: the diagonal masa of ``M_n^{⊗k}`` and its conjugate.
 
-    Returns ``(a_gens, b_gens)``: the diagonal matrix units, and their images
-    under conjugation by the depth-``(k−1)`` truncated automorphism of the
-    requested kind.  Both generate masas in ``M_n^{⊗k}``.
+    Returns ``(a_gens, b_gens)``, two ``(1, N, N)`` stacks for ``N = n^k``:
+    ``d = diag(0, …, N−1)``, whose distinct eigenvalues generate the masa, and its
+    image ``U d U*`` under the depth-``(k−1)`` truncated automorphism of that kind.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     N = n**k
-    # the N generators of each side, the temporary of the outer product that builds
-    # each image, and one N² more for the kernel and the 2N arrays' headers
-    check_workspace(2 * N**3 + 2 * N**2, f"the masa pair of M_{n}^⊗{k}")
-    a_gens = [np.diag(np.eye(N, dtype=complex)[p]) for p in range(N)]
-    # e_p's image under conjugation by U is u_p u_p*: column p of U is u rolled by p's slots
-    u = _unitary_kernel(n, k - 1, kind)
-    columns = (np.roll(u, np.unravel_index(p, u.shape), axis=range(k)).ravel() for p in range(N))
-    return a_gens, [np.outer(c, c.conj()) for c in columns]
+    # U, conj(U)·d with numpy's two buffers for the broadcast d, and the image; declared
+    # before the build and again once its stage is over
+    need, what = 3 * N * N + 4 * CHUNK_ENTRIES, f"the masa pair of M_{n}^⊗{k}"
+    check_workspace(need, what)
+    unitary = TruncatedAutomorphism.build(n, k - 1, kind).unitary
+    check_workspace(need, what)
+    d = np.arange(N, dtype=complex)  # complex, so that no cast adds a buffer
+    # U d U* is Hermitian, so it is the conjugate of conj(U) d Uᵀ, whose Uᵀ is a view
+    image = np.conjugate((unitary.conj() * d) @ unitary.T)
+    return np.diag(d)[None], image[None]
 
 
 def __getattr__(name):

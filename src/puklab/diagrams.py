@@ -217,7 +217,6 @@ def render_svg(diagram: MultiplicityDiagram) -> str:
     side = n * SVG_CELL
     w = h = side + 2 * SVG_MARGIN
     labels = diagram.labels()
-    texts = _cell_texts(diagram)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',

@@ -17,7 +17,7 @@ from math import comb
 
 from .diagrams import MultiplicityDiagram
 from .errors import EmptyInputError, InvalidInputError, InvalidLambdaError, OracleGapError
-from .indices import QUADRANT_NAMES, LambdaSpec, QuadrantRules
+from .indices import LambdaSpec, QuadrantRules
 from .nsets import (
     INF,
     NSet,
@@ -119,8 +119,6 @@ def eval_construction(
     """
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    if quadrant not in QUADRANT_NAMES:
-        raise ValueError(f"unknown quadrant {quadrant!r}")
     if not oracle.covers_level(r_max + 1):
         raise OracleGapError(
             f"oracle level {oracle.level} does not cover the pairs at level {r_max}"

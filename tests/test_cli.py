@@ -604,6 +604,10 @@ KEY_FAULTS = {
                                    "oracle entry lacks the key 'value'"),
     "misspelt oracle entry key": ("oracle", {"level": 0, "entries": [
         {"row": "", "column": "", "value": "1"}]}, "unknown oracle entry key 'column'"),
+    # the later entry would win: a level-1 table of four 1s then ("0", "1") → 7 read as 14
+    "duplicate oracle entry": ("oracle", {"level": 1, "entries": [
+        *({"row": r, "col": c, "value": "1"} for r in "01" for c in "01"),
+        {"row": "0", "col": "1", "value": "7"}]}, "oracle entry row '0', col '1' is given twice"),
     "spectrum without shape": ("spectrum", {"a_generators": [[[[1.0, 0.0]]]]},
                                "spectrum lacks the key 'shape'"),
     "spectrum without a_generators": ("spectrum", {"shape": {"blocks": [1]}},

@@ -12,6 +12,7 @@ from test_certificate_oracle import (
 )
 
 from puklab import constructions
+from puklab.algebra import mixed_spectrum
 from puklab.constructions import (
     TruncatedAutomorphism,
     build_gadget,
@@ -324,34 +325,42 @@ class TestIntertwiner:
 
 
 class TestTruncatedMasaPair:
-    def test_conjugated_pair_shapes(self):
-        a_gens, b_gens = truncated_masa_pair(2, 2)
-        assert len(a_gens) == len(b_gens) == 4
-        total_a = sum(a_gens)
-        total_b = sum(b_gens)
-        assert np.allclose(total_a, np.eye(4), atol=1e-12)
-        assert np.allclose(total_b, np.eye(4), atol=1e-12)
+    GRID = [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (4, 2)]
 
     def test_depth_one_is_step_conjugation(self):
         g = build_gadget(2)
-        a_gens, b_gens = truncated_masa_pair(2, 2)
-        for a, b in zip(a_gens, b_gens):
-            assert np.max(np.abs(b - g.v @ a @ g.v.conj().T)) < 1e-12
+        (a,), (b,) = truncated_masa_pair(2, 2)
+        assert np.array_equal(a, np.diag(np.arange(4)))
+        assert np.max(np.abs(b - g.v @ a @ g.v.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["theta", "phi"])
-    @pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n,k", GRID)
     def test_pair_is_conjugation_by_the_automorphism(self, n, k, kind):
-        # the images are read from the columns of U; the oracle conjugates each unit
+        # one generator a side, d = diag(0, …, N−1) and U d U*; the oracle conjugates each
+        # diagonal unit e_p by the built unitary and sums p·U e_p U*
+        N = n**k
         a_gens, b_gens = truncated_masa_pair(n, k, kind)
         auto = TruncatedAutomorphism.build(n, k - 1, kind)
-        assert len(a_gens) == len(b_gens) == n**k
-        for p, (a, b) in enumerate(zip(a_gens, b_gens)):
-            assert np.array_equal(a, np.diag(np.eye(n**k)[p]))
-            assert np.max(np.abs(b - conjugate(auto, a))) <= 1e-15
+        assert a_gens.shape == b_gens.shape == (1, N, N)
+        assert np.array_equal(a_gens[0], np.diag(np.arange(N)))
+        units = np.eye(N, dtype=complex)
+        oracle = sum(p * conjugate(auto, np.diag(units[p])) for p in range(N))
+        assert np.max(np.abs(b_gens[0] - oracle)) <= 1e-15 * N * N
+
+    @pytest.mark.parametrize("kind", ["theta", "phi"])
+    @pytest.mark.parametrize("n,k", [*GRID, (2, 8)])
+    def test_pair_is_a_pair_of_masas_in_general_position(self, n, k, kind):
+        # (2, 8) is M_256, a spectrum of 65,536 blocks
+        N = n**k
+        a_gens, b_gens = truncated_masa_pair(n, k, kind)
+        report = mixed_spectrum(a_gens, b_gens, TracedAlgebraShape.full_matrix(N))
+        assert report.as_set == NSet.of(1)
+        assert report.block_count == N * N
 
     def test_resource_guard(self):
+        # the first n = 2 size whose 3·N² entries, U and the image's two, exceed the budget
         with pytest.raises(ResourceGuardError):
-            truncated_masa_pair(2, 9)
+            truncated_masa_pair(2, 12)
 
 
 FIGURE_MATRIX = [

@@ -27,6 +27,7 @@ from puklab.errors import InvalidLambdaError, ResourceGuardError
 from puklab import indices
 from puklab.indices import (
     CELL_WORK_CAP,
+    QUADRANT_NAMES,
     LambdaSpec,
     MultiIndex,
     Override,
@@ -43,7 +44,7 @@ from puklab.indices import (
     _pair_position,
     _pairs_before,
 )
-from puklab.invariant import QUADRANT_NAMES, CutdownOracle, eval_construction
+from puklab.invariant import CutdownOracle, eval_construction
 from puklab.nsets import INF, NSet, nset_product, union_all
 
 SIMPLE = CutdownOracle.simple()

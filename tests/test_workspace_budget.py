@@ -167,6 +167,15 @@ def test_deep_unitaries_stay_within_declared_workspace(declared, m):
     assert_within_declared(declared, "build", lambda: TruncatedAutomorphism.build(2, m))
 
 
+@pytest.mark.parametrize("k", [8, 10])
+def test_masa_pair_stages_stay_within_declared_workspace(declared, k):
+    # the pair's upfront check, the build's U with its indices, and the image stage's U
+    # with conj(U)·d and the image: 3·N² entries, 48 MiB at N = 1024
+    assert_within_declared(declared, "masa pair", lambda: truncated_masa_pair(2, k))
+    image = (3 << 2 * k) + 4 * core.CHUNK_ENTRIES
+    assert [entries for entries, _ in declared] == [image, 2 << 2 * k, image]
+
+
 def test_deep_keyclaim_stays_within_declared_workspace(declared):
     assert_within_declared(declared, "keyclaim", lambda: float_keyclaim_check(2, 8))
 
@@ -425,12 +434,13 @@ def test_value_lookups_at_deep_levels_hold_nothing():
 
 @pytest.mark.parametrize("label,call", [
     # the first sizes past the budget: 3·2^23 entries for keyclaim, the 4096² row
-    # Gram and its moduli for span, the 2·2048² blocks and gathered p̂ for the intertwiner
+    # Gram and its moduli for span, the 2·2048² blocks and gathered p̂ for the intertwiner,
+    # U and the two N² of the image at N = 4096 for the masa pair
     ("keyclaim", lambda: float_keyclaim_check(2, 22)),
     ("span", lambda: float_family_span_check(2, 12)),
     ("intertwiner blocks", lambda: intertwiner_blocks(2, 11)),
     ("intertwiner grams", lambda: intertwiner_grams(2, 6, 0, 1)),
-    ("masa pair", lambda: truncated_masa_pair(2, 9)),
+    ("masa pair", lambda: truncated_masa_pair(2, 12)),
     ("build", lambda: TruncatedAutomorphism.build(2, 12)),
 ])
 def test_refused_certificates_allocate_nothing(label, call):
