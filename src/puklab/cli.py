@@ -268,7 +268,7 @@ SUITES = tuple(_RUNNERS)
 
 
 def cmd_puk_eval(args) -> int:
-    spec = cfg.lambda_from_config(_load_json(args.lambda_file))
+    spec = cfg.lambda_from_input(_load_json(args.lambda_file))
     oracle = (
         cfg.oracle_from_config(_load_json(args.oracle)) if args.oracle
         else invariant.CutdownOracle.simple()
@@ -343,9 +343,8 @@ def cmd_render(args) -> int:
     if "cells" in data:
         diagram = cfg.diagram_from_config(data)
     else:
-        spec = cfg.lambda_from_config(data)
-        diagram = diagrams.diagram_from_construction(spec, invariant.CutdownOracle.simple(),
-                                                     args.rmax)
+        diagram = diagrams.diagram_from_construction(
+            cfg.lambda_from_input(data), invariant.CutdownOracle.simple(), args.rmax)
     text = diagrams.render(diagram, args.format)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)

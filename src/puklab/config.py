@@ -146,6 +146,16 @@ def lambda_from_config(data) -> indices.LambdaSpec:
     )
 
 
+def lambda_from_input(data) -> indices.LambdaSpec:
+    """A value spec, or the ``"lambda"`` of a ``plan --kind E|EFG`` output that holds one."""
+    if "kind" in data:
+        if data["kind"] not in ("E", "EFG"):
+            raise InvalidInputError(f"a plan of kind {data['kind']!r} holds no value spec")
+        check_keys(data, ("kind", "lambda", "evaluation"), "plan", ("lambda", "evaluation"))
+        data = data["lambda"]
+    return lambda_from_config(data)
+
+
 def oracle_from_config(data) -> invariant.CutdownOracle:
     if "constant" in data:
         check_keys(data, ("constant",), "oracle")

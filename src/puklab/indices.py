@@ -17,12 +17,13 @@ cross pair and gives its position in that stream in closed form.  One segment
 table per level, built by ``LambdaSpec._segments`` when read, says which
 ranges of the sibling and cross streams carry which cycled values, by
 quadrant, with each override a range of one position carrying its own value;
-value lookups, per-level value sets and :meth:`LambdaSpec.cell_values`
-(values grouped by leading words, walked cell by cell over runs of
-consecutive positions) all read it.  Completeness is decided once per spec.
-The enumerators :func:`iter_sibling_pairs`, :func:`iter_cross_pairs` and
-:meth:`LambdaSpec.level_assignments`, which sums its own stream starts, stay
-as the independent reference.
+value lookups and :meth:`LambdaSpec.cell_values` (values grouped by leading
+words, walked cell by cell over runs of consecutive positions) read it.  Value
+sets read it once per spec, level and quadrant up to the saturation bound,
+past which every segment holds its whole list, so a level's set needs no
+table, pair count or stream start.  The enumerators :func:`iter_sibling_pairs`,
+:func:`iter_cross_pairs` and :meth:`LambdaSpec.level_assignments`, which
+sums its own stream starts, stay as the independent reference.
 
 :func:`glue_check` certifies the nested projection families exhaustively
 without building ``MultiIndex`` objects: it runs the word arithmetic of
@@ -436,25 +437,48 @@ class LambdaSpec:
         """Set of values over the level-``r`` pairs, optionally quadrant-restricted.
 
         ``quadrant`` is one of ``None`` (everything), ``"both_zero"``,
-        ``"both_one"`` or ``"mixed"``.  Each segment is a contiguous range of
-        a stream, so the set is the union of their cyclic slices.
+        ``"both_one"`` or ``"mixed"``.  Past the saturation bound it is the quadrant's
+        union of lists; up to it, the union of the segments' cyclic slices, formed once.
         """
-        out: set = set()
-        for _, lo, hi, values, base, _ in self._segments(r, quadrant):
-            out |= _cyclic_slice(values, base + lo, hi - lo)
-        return NSet(out)
+        if quadrant not in QUADRANT_NAMES:
+            raise ValueError(f"unknown quadrant {quadrant!r}")
+        bound, lists, formed = self._saturation
+        if r > bound:
+            return lists[quadrant]
+        if (r, quadrant) not in formed:
+            out: set = set()
+            for _, lo, hi, values, base, _ in self._segments(r, quadrant):
+                out |= _cyclic_slice(values, base + lo, hi - lo)
+            formed[r, quadrant] = NSet(out)
+        return formed[r, quadrant]
+
+    @cached_property
+    def _saturation(self) -> tuple[int, dict, dict]:
+        """The saturation bound, each quadrant's union of lists, and the sets formed below.
+
+        The bound is the last override level or, if later, the level before the
+        first level ``r₀ ≥ 1`` whose branch halves and cross stream hold as many
+        pairs as their lists, as all deeper levels' do.  Past it, every level's
+        segments cycle through their whole lists.
+        """
+        q = self.quadrants
+        lists = ((q.both_zero, q.both_one, q.mixed) if q else
+                 (self.enumeration or NSet.of(self.default),) * 2 + (NSet(),))
+        r = 1
+        while (sibling_pair_count(r) // 2 < max(map(len, lists[:2]))
+               or cross_pair_count(r) < len(lists[2])):
+            r += 1
+        union = dict(zip(QUADRANT_NAMES, (lists[0] | lists[1] | lists[2], *lists)))
+        return max(r - 1, self.max_override_level()), union, {}
 
     def values_complete_by(self, r: int) -> bool:
-        """True when levels beyond ``r`` can only repeat values already seen by ``r``."""
+        """True when levels past ``r`` only repeat values seen by ``r``, each set formed once."""
         return r >= self._complete_level
 
     @cached_property
     def _complete_level(self) -> int:
         """The first level from the last override level on by which every listed value is seen."""
-        # the next level carries no override, and from level 1 on every segment
-        # of a level without overrides cycles through its whole value list
-        top = max(self.max_override_level(), 0)
-        listed = {v for s in self._segments(top + 1) for v in s[3]}
+        top, listed = max(self.max_override_level(), 0), self._saturation[1][None]
         seen, r = set(), -1
         while r < top or not listed <= seen:
             r += 1

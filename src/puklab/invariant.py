@@ -12,7 +12,7 @@ set (or triple of sets, or family matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 from .diagrams import MultiplicityDiagram
@@ -123,11 +123,11 @@ def eval_construction(
         raise OracleGapError(
             f"oracle level {oracle.level} does not cover the pairs at level {r_max}"
         )
-    per_level = []
+    per_level, product = [], cache(nset_product)  # saturated levels share one value set
     for r in range(r_max + 1):
         if oracle.constant_value is not None:
             values = lam.value_set_at_level(r, quadrant)
-            per_level.append(nset_product(values, oracle.constant_value))
+            per_level.append(product(values, oracle.constant_value))
         else:
             per_level.append(_tabulated_level(lam, oracle, r, quadrant))
     value = union_all(per_level)
@@ -192,31 +192,38 @@ class GadgetAssignment:
 
 @dataclass(frozen=True)
 class FamilyPlan:
-    """Role table realizing a symmetric target matrix of pairwise invariants."""
+    """Role table realizing a symmetric target matrix of pairwise invariants.
+
+    A gadget gives ``{1}`` on every pair but its own, so the gadgets are indexed by
+    unordered pair: :meth:`pairwise_table` and :meth:`evaluate` cost ``O(size²)``.
+    """
 
     size: int
     matrix: tuple[tuple[object, ...], ...]
     assignments: tuple[GadgetAssignment, ...]
 
+    @cached_property
+    def _gadgets_by_pair(self) -> dict:
+        out: dict = {}
+        for g in self.assignments:
+            out.setdefault(tuple(sorted(g.pair)), []).append(g)
+        return out
+
     def pairwise_invariant(self, a: int, b: int) -> NSet:
-        """Symbolic mixed invariant of family members ``a`` and ``b``."""
+        """Symbolic mixed invariant of members ``a`` and ``b``; ``{1}`` with no gadget on them."""
         if a == b:
             return NSet.of(1)
-        return tensor_mixed(g.contribution(a, b) for g in self.assignments)
+        return tensor_mixed(g.contribution(a, b)
+                            for g in self._gadgets_by_pair.get((min(a, b), max(a, b)), ()))
 
     def pairwise_table(self) -> tuple[tuple[NSet, ...], ...]:
-        return tuple(
-            tuple(self.pairwise_invariant(a, b) for b in range(self.size))
-            for a in range(self.size)
-        )
+        members = range(self.size)
+        return tuple(tuple(self.pairwise_invariant(a, b) for b in members) for a in members)
 
     def evaluate(self) -> NSet:
         """Invariant of the block-diagonal sum of the family: {1} plus all pairs."""
-        out = NSet.of(1)
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                out = out | self.pairwise_invariant(a, b)
-        return out
+        pairs = [(a, b) for a in range(self.size) for b in range(a + 1, self.size)]
+        return union_all([NSet.of(1)] + [self.pairwise_invariant(a, b) for a, b in pairs])
 
 
 def countable_family_plan(matrix) -> FamilyPlan:

@@ -16,6 +16,7 @@ from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
 from puklab.constructions import family_span_check
 from puklab.core import GnsSpace, TracedAlgebraShape
+from puklab.errors import InvalidInputError
 from puklab.indices import LambdaSpec, Override, QuadrantRules, level_zero
 from puklab.invariant import CutdownOracle
 from puklab.nsets import INF, NSet
@@ -632,6 +633,15 @@ KEY_FAULTS = {
     "shape weights as a string": ("spectrum", {"shape": {"blocks": [1], "weights": "1/2"},
                                                "a_generators": [[[[1.0, 0.0]]]]},
                                   "shape weights must be a list"),
+    # a plan is read for its value spec only when it holds one, under exactly its three keys
+    "cor1 plan": ("lambda", {"kind": "cor1", "size": 2, "matrix": [[1, 4], [4, 1]],
+                             "evaluation": "1,4"}, "a plan of kind 'cor1' holds no value spec"),
+    "family plan": ("render", {"kind": "family", "size": 1, "gadgets": [], "table": [["1"]]},
+                    "a plan of kind 'family' holds no value spec"),
+    "plan with a note": ("lambda", {"kind": "E", "lambda": {"enumerate": "2"}, "evaluation": {},
+                                    "note": ""}, "unknown plan key 'note'"),
+    "plan without evaluation": ("render", {"kind": "EFG", "lambda": {"default": 2}},
+                                "plan lacks the key 'evaluation'"),
 }
 
 
@@ -700,6 +710,32 @@ class TestPlanCommand:
         assert json.loads(capsys.readouterr().out)["evaluation"] == {
             "both_zero": str(e), "both_one": str(f), "mixed": str(g),
             "union": str(e | f | g), "converged": True}
+
+    @pytest.mark.parametrize("rmax", ["3", "10"])
+    @pytest.mark.parametrize("kind, target, key", [("E", "2,3", "value"),
+                                                   ("EFG", "2;5,inf;7", "union")])
+    def test_plan_output_feeds_puk_eval_and_render(self, kind, target, key, rmax, tmp_path,
+                                                   capsys):
+        assert main(["plan", "--target", target, "--kind", kind]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        files = [write_json(tmp_path / "plan.json", plan),
+                 write_json(tmp_path / "spec.json", plan["lambda"])]
+        assert main(["puk-eval", "--lambda", files[0], "--rmax", rmax]) == 0
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[0] == f"value: {plan['evaluation'][key]}"
+        assert main(["puk-eval", "--lambda", files[1], "--rmax", rmax]) == 0
+        assert capsys.readouterr().out == printed
+        grids = []
+        for path in files:
+            out = tmp_path / "grid.txt"
+            assert main(["render", "--input", path, "--out", str(out), "--rmax", "2"]) == 0
+            grids.append(out.read_text(encoding="utf-8"))
+        assert grids[0] == grids[1]
+
+    @pytest.mark.parametrize("kind", ["cor1", "family", "X", None])
+    def test_only_e_and_efg_plans_hold_a_value_spec(self, kind):
+        with pytest.raises(InvalidInputError, match=f"a plan of kind {kind!r}"):
+            cfg.lambda_from_input({"kind": kind, "lambda": {}, "evaluation": {}})
 
     def test_kind_cor1(self, capsys):
         assert main(["plan", "--target", "1,4", "--kind", "cor1"]) == 0

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from puklab import indices
+from puklab.config import lambda_from_config
 from puklab.errors import (
     CountCapError,
     InvalidLambdaError,
@@ -204,6 +205,17 @@ class TestStreamStarts:
         assert result.value == NSet.of(2, 3, 5) and result.converged
         # each level's table is built a few times, not once per later level
         assert len(calls) <= 3 * 201
+
+    @pytest.mark.parametrize("config", [
+        {"enumerate": "2,3,5"},
+        {"quadrants": {"both_zero": "2,3", "both_one": "5", "mixed": "7,11,inf"}},
+    ])
+    def test_saturated_levels_count_no_pairs(self, config, monkeypatch):
+        # every stream holds its whole list from level 1 on: no deeper level counts pairs
+        count, calls = indices.sibling_pair_count, []
+        monkeypatch.setattr(indices, "sibling_pair_count", lambda r: calls.append(r) or count(r))
+        result = eval_construction(lambda_from_config(config), CutdownOracle.simple(), 4800)
+        assert result.converged and len(calls) <= 10, len(calls)
 
 
 class TestGlueCheck:

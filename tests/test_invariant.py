@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puklab.errors import (
     EmptyInputError,
@@ -10,12 +12,15 @@ from puklab.errors import (
 from puklab.indices import LambdaSpec, Override, iter_sibling_pairs, level_zero
 from puklab.invariant import (
     CutdownOracle,
+    FamilyPlan,
+    GadgetAssignment,
     choose_lambda_for_e,
     choose_lambda_for_efg,
     cor_plan_1_in_puk,
+    countable_family_plan,
     eval_construction,
 )
-from puklab.nsets import INF, NSet, nset_product
+from puklab.nsets import INF, NSet, nset_product, tensor_mixed, union_all
 
 INTRO = LambdaSpec(default=3, overrides=(Override(0, level_zero(0), level_zero(1), 2),))
 SIMPLE = CutdownOracle.simple()
@@ -235,3 +240,52 @@ class TestCorPlan:
     def test_requires_one(self):
         with pytest.raises(InvalidInputError):
             cor_plan_1_in_puk(NSet.of(2, 3))
+
+
+def every_gadget_table(plan) -> tuple:
+    """``pairwise_table`` as it took each pair's product over every gadget of the plan."""
+    members = range(plan.size)
+    return tuple(
+        tuple(tensor_mixed(g.contribution(a, b) for g in plan.assignments) if a != b
+              else NSet.of(1) for b in members)
+        for a in members)
+
+
+def every_gadget_evaluation(plan) -> NSet:
+    table = every_gadget_table(plan)
+    return union_all([NSet.of(1)] + [table[a][b] for a in range(plan.size)
+                                     for b in range(a + 1, plan.size)])
+
+
+@st.composite
+def family_matrices(draw):
+    k = draw(st.integers(1, 8))
+    rows = [[1] * k for _ in range(k)]
+    for a, b in itertools.combinations(range(k), 2):
+        rows[a][b] = rows[b][a] = draw(st.one_of(st.integers(1, 9), st.just(INF)))
+    return rows
+
+
+class TestFamilyPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=family_matrices())
+    def test_pairs_match_the_product_over_every_gadget(self, matrix):
+        plan = countable_family_plan(matrix)
+        assert plan.pairwise_table() == every_gadget_table(plan)
+        assert plan.evaluate() == every_gadget_evaluation(plan)
+
+    def test_gadgets_sharing_a_pair_multiply(self):
+        roles = ("A", "B", "C")
+        plan = FamilyPlan(3, ((1, 6, 1), (6, 1, INF), (1, INF, 1)), (
+            GadgetAssignment((0, 1), 2, roles), GadgetAssignment((1, 0), 3, roles),
+            GadgetAssignment((1, 2), INF, ("C", "A", "B"))))
+        assert plan.pairwise_invariant(1, 0) == NSet.of(6)
+        assert plan.pairwise_table() == every_gadget_table(plan)
+        assert plan.evaluate() == every_gadget_evaluation(plan) == NSet.of(1, 6, INF)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(2, 10**6), st.just(INF)), max_size=59,
+                           unique=True))
+    def test_cor1_plans_reproduce_their_targets(self, values):
+        target = NSet([1, *values])
+        assert cor_plan_1_in_puk(target).evaluate() == target

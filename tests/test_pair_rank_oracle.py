@@ -13,13 +13,15 @@ visit, so there ``cell_values`` is compared with the rank-by-rank walk the
 library used before it walked each leading cell.  The ``per_cell_*``
 references are the grid builder, table reader and table level that formed
 one union and one product per cell, before each was formed once per distinct
-pair of value sets.
+pair of value sets.  ``segment_value_set`` and ``segment_complete_level`` are
+the level sets and the completeness level as they read every level's segment
+table, before levels past the saturation bound were read from the value lists.
 """
 
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puklab.diagrams import MultiplicityDiagram, diagram_from_construction, render
@@ -284,6 +286,25 @@ def cross_runs(r: int):
             yield lead, (1 << r) | b, rank * half + b * run, run
 
 
+def segment_value_set(spec, r, quadrant) -> NSet:
+    """``value_set_at_level`` as it read each level: the cyclic slices of its segment table."""
+    out: set = set()
+    for _, lo, hi, values, base, _ in spec._segments(r, quadrant):
+        out |= _cyclic_slice(values, base + lo, hi - lo)
+    return NSet(out)
+
+
+def segment_complete_level(spec) -> int:
+    """``_complete_level`` as it read the lists from a segment table and each level's slices."""
+    top = max(spec.max_override_level(), 0)
+    listed = {v for s in spec._segments(top + 1) for v in s[3]}
+    seen, r = set(), -1
+    while r < top or not listed <= seen:
+        r += 1
+        seen |= segment_value_set(spec, r, None)
+    return r
+
+
 def sibling_pair_at(r, pos):
     """The pair at ``pos`` of the level-``r`` sibling stream, without streaming."""
     # the last index with at most pos pairs before it has pos among its mates
@@ -343,6 +364,16 @@ quadrant_specs = st.builds(
     lambda e, f, g: LambdaSpec(quadrants=QuadrantRules(e, f, g)), nsets_st, nsets_st, nsets_st
 )
 all_specs = st.one_of(stream_specs, quadrant_specs)
+# 7 to 130 values: level 1's branch halves of 6 pairs are short of them, level 2's 112 or
+# level 3's 3,840 are not, so whole lists first show at level 2 or 3
+long_nsets_st = st.lists(st.one_of(st.integers(1, 400), st.just(INF)),
+                         min_size=7, max_size=130, unique=True).map(NSet)
+saturation_specs = st.one_of(
+    st.builds(lambda e, o: LambdaSpec(enumeration=e, overrides=o), long_nsets_st,
+              overrides_st()),
+    st.builds(lambda e, f, g: LambdaSpec(quadrants=QuadrantRules(e, f, g)),
+              *[st.one_of(nsets_st, long_nsets_st)] * 3),
+)
 
 
 def labels(level) -> list[str]:
@@ -469,8 +500,9 @@ def test_value_matches_stream_on_every_pair(spec):
 @settings(max_examples=20, deadline=None)
 @given(spec=all_specs, name=st.sampled_from(["bogus", "", "BOTH_ZERO", "Mixed", "none"]))
 def test_unknown_quadrant_names_raise(spec, name):
-    with pytest.raises(ValueError):
-        spec.value_set_at_level(1, name)
+    for r in (1, 50):  # below and past the levels a spec builds
+        with pytest.raises(ValueError):
+            spec.value_set_at_level(r, name)
     with pytest.raises(ValueError):
         spec.cell_values(1, name)
     with pytest.raises(ValueError):
@@ -483,6 +515,19 @@ def test_value_sets_match_stream(spec):
     for r in range(3):
         for quadrant in QUADRANT_NAMES:
             assert spec.value_set_at_level(r, quadrant) == streamed_value_set(spec, r, quadrant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(all_specs, saturation_specs))
+# the 1,024 cross pairs of level 2 are short of mixed's 1,100 values: only level 3 shows them all
+@example(spec=LambdaSpec(quadrants=QuadrantRules(NSet.of(2), NSet.of(3), NSet(range(1, 1101)))))
+def test_value_sets_and_completeness_match_the_segment_tables(spec):
+    # past the saturation level no table is read: the sets must still be each level's
+    complete = segment_complete_level(spec)
+    for r in range(-1, 9):
+        for quadrant in QUADRANT_NAMES:
+            assert spec.value_set_at_level(r, quadrant) == segment_value_set(spec, r, quadrant)
+        assert spec.values_complete_by(r) == (r >= complete)
 
 
 def test_overrides_covering_a_level_hide_the_default():
