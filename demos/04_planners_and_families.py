@@ -54,7 +54,7 @@ matrix = [
 ]
 family = countable_family_plan(matrix)
 for gadget in family.assignments:
-    print(f"  pair {gadget.pair}: gadget with n={gadget.n}, roles {gadget.roles}")
+    print(f"  pair {gadget.pair}: gadget with n={gadget.n}")
 table = family.pairwise_table()
 grid = MultiplicityDiagram(2, table)
 print("\npairwise mixed invariants of the family:")

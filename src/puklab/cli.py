@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import count
 
 from . import algebra, constructions, diagrams, indices, invariant, nsets
 from . import config as cfg
@@ -281,17 +280,12 @@ def cmd_puk_eval(args) -> int:
     return 0
 
 
-def _plan_depth(spec) -> int:
-    """One level past the first by which the spec's values are complete, and at least 2."""
-    return max(2, 1 + next(r for r in count() if spec.values_complete_by(r)))
-
-
 def cmd_plan(args) -> int:
     if args.kind == "E":
         target = nsets.NSet.parse(args.target)
         spec = invariant.choose_lambda_for_e(target)
         result = invariant.eval_construction(spec, invariant.CutdownOracle.simple(),
-                                              _plan_depth(spec))
+                                              spec.saturation_bound + 1)
         payload = {
             "kind": "E",
             "lambda": cfg.lambda_to_config(spec),
@@ -303,7 +297,7 @@ def cmd_plan(args) -> int:
             raise ValueError("EFG planning needs three ';'-separated sets")
         e, f, g = (nsets.NSet.parse(p) for p in parts)
         spec = invariant.choose_lambda_for_efg(e, f, g)
-        rmax = _plan_depth(spec)
+        rmax = spec.saturation_bound + 1
         evaluation = {}
         for quadrant in ("both_zero", "both_one", "mixed"):
             evaluation[quadrant] = str(
@@ -329,8 +323,7 @@ def cmd_plan(args) -> int:
             "kind": "family",
             "size": plan.size,
             "gadgets": [
-                {"pair": list(g.pair), "n": cfg.value_to_config(g.n), "roles": list(g.roles)}
-                for g in plan.assignments
+                {"pair": list(g.pair), "n": cfg.value_to_config(g.n)} for g in plan.assignments
             ],
             "table": [[str(c) for c in row] for row in plan.pairwise_table()],
         }

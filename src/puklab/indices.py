@@ -47,7 +47,7 @@ from .errors import (
     ResourceGuardError,
     RestrictionRangeError,
 )
-from .nsets import NSet, is_valid_value
+from .nsets import NSet, is_valid_value, union_all
 
 # Enumerations larger than this raise instead of looping for minutes.
 ENUMERATION_CAP = 1 << 22
@@ -471,19 +471,19 @@ class LambdaSpec:
         union = dict(zip(QUADRANT_NAMES, (lists[0] | lists[1] | lists[2], *lists)))
         return max(r - 1, self.max_override_level()), union, {}
 
-    def values_complete_by(self, r: int) -> bool:
-        """True when levels past ``r`` only repeat values seen by ``r``, each set formed once."""
-        return r >= self._complete_level
+    @property
+    def saturation_bound(self) -> int:
+        """The last level whose value set may differ from its quadrant's union of lists."""
+        return self._saturation[0]
 
-    @cached_property
-    def _complete_level(self) -> int:
-        """The first level from the last override level on by which every listed value is seen."""
-        top, listed = max(self.max_override_level(), 0), self._saturation[1][None]
-        seen, r = set(), -1
-        while r < top or not listed <= seen:
-            r += 1
-            seen |= self.value_set_at_level(r)
-        return r
+    def limit(self, quadrant: str | None = None) -> NSet:
+        """The union of every level's value set, optionally quadrant-restricted.
+
+        Every level past the saturation bound holds the quadrant's union of lists,
+        so the levels up to the first of them hold the whole union.
+        """
+        return union_all([self.value_set_at_level(r, quadrant)
+                          for r in range(self.saturation_bound + 2)])
 
 
 def _cycle(target: NSet, position: int):

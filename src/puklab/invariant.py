@@ -4,9 +4,9 @@ The invariant of a masa built by the inductive construction is the union,
 over all levels and sibling pairs, of the pair value times the base-masa
 cutdown type at the pair's leading dyadic indices.  Here that type comes
 from a :class:`CutdownOracle` (a constant, or one dyadic grid per level),
-evaluation truncates at a chosen level with an honest convergence flag, and
-the planners invert the formula: they pick pair values realizing a requested
-set (or triple of sets, or family matrix).
+evaluation truncates at a chosen level and says whether the truncation is the
+whole invariant, and the planners invert the formula: they pick pair values
+realizing a requested set (or triple of sets, or family matrix).
 """
 
 from __future__ import annotations
@@ -93,7 +93,13 @@ class CutdownOracle:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Truncated union with per-level contributions and a convergence verdict."""
+    """Truncated union with per-level contributions and a convergence verdict.
+
+    With a constant oracle ``converged`` is exact: ``value`` is the whole
+    invariant, the spec's :meth:`LambdaSpec.limit` times the constant.  A table
+    oracle leaves the deeper cells unknown, so there it only says that the last
+    level added nothing and the spec shows every value of its limit by ``r_max``.
+    """
 
     value: NSet
     converged: bool
@@ -112,10 +118,7 @@ def eval_construction(
     entries at the pairs' leading indices; a table oracle is read once per
     leading cell (:meth:`LambdaSpec.cell_values`, whose guard bounds the
     cells and runs walked at each level), never once per pair.  The
-    convergence flag is set when the cumulative union is stable over the last
-    two levels and the value specification cannot produce new values at
-    deeper levels; when it is false the result is a truncation and possibly
-    incomplete.
+    convergence flag is read from the spec's limit, as :class:`EvalResult` says.
     """
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
@@ -131,8 +134,14 @@ def eval_construction(
         else:
             per_level.append(_tabulated_level(lam, oracle, r, quadrant))
     value = union_all(per_level)
-    stable = r_max >= 1 and union_all(per_level[:-1]) == value
-    return EvalResult(value, stable and lam.values_complete_by(r_max), tuple(per_level))
+    if oracle.constant_value is not None:
+        converged = value == product(lam.limit(quadrant), oracle.constant_value)
+    else:  # past the bound the levels shown already hold the whole limit
+        converged = r_max >= 1 and union_all(per_level[:-1]) == value and (
+            r_max > lam.saturation_bound
+            or union_all([lam.value_set_at_level(r, quadrant) for r in range(r_max + 1)])
+            == lam.limit(quadrant))
+    return EvalResult(value, converged, tuple(per_level))
 
 
 def _tabulated_level(lam: LambdaSpec, oracle: CutdownOracle, r: int, quadrant) -> NSet:
@@ -180,7 +189,6 @@ class GadgetAssignment:
 
     pair: tuple[int, int]
     n: object  # int >= 2 or math.inf
-    roles: tuple[str, ...]
 
     def contribution(self, a: int, b: int) -> NSet:
         if (a, b) != self.pair and (b, a) != self.pair:
@@ -246,15 +254,9 @@ def countable_family_plan(matrix) -> FamilyPlan:
                 raise InvalidLambdaError(f"entry ({a},{b}) is not in N ∪ {{inf}}")
             if rows[a][b] != rows[b][a]:
                 raise InvalidLambdaError("matrix must be symmetric")
-    assignments = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            value = rows[a][b]
-            if value == 1:
-                continue
-            roles = tuple("A" if t == a else "B" if t == b else "C" for t in range(k))
-            assignments.append(GadgetAssignment((a, b), value, roles))
-    return FamilyPlan(k, tuple(rows), tuple(assignments))
+    assignments = tuple(GadgetAssignment((a, b), rows[a][b])
+                        for a in range(k) for b in range(a + 1, k) if rows[a][b] != 1)
+    return FamilyPlan(k, tuple(rows), assignments)
 
 
 def cor_plan_1_in_puk(target: NSet) -> FamilyPlan:

@@ -386,11 +386,9 @@ class TestFamilyPlan:
                 expected = NSet.of(FIGURE_MATRIX[a][b]) if a != b else NSet.of(1)
                 assert table[a][b] == expected
 
-    def test_roles(self):
+    def test_one_gadget_per_marked_pair(self):
         plan = countable_family_plan(FIGURE_MATRIX)
-        roles = {g.pair: g.roles for g in plan.assignments}
-        assert roles[(0, 1)] == ("A", "B", "C", "C")
-        assert roles[(2, 3)] == ("C", "C", "A", "B")
+        assert [(g.pair, g.n) for g in plan.assignments] == [((0, 1), 3), ((2, 3), 3)]
 
     def test_all_ones(self):
         plan = countable_family_plan([[1, 1], [1, 1]])

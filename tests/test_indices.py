@@ -303,12 +303,16 @@ class TestLambdaSpec:
                     expected.add(v)
             assert spec.value_set_at_level(r, quadrant) == NSet(expected)
 
-    def test_values_complete_by(self):
-        assert not INTRO.values_complete_by(0)
-        assert INTRO.values_complete_by(1)
+    def test_limit(self):
+        # the level-0 pair is the mixed one: INTRO's override shows only there
+        assert [INTRO.limit(q) for q in (None, "both_zero", "both_one", "mixed")] == [
+            NSet.of(2, 3), NSet.of(3), NSet.of(3), NSet.of(2)]
+        assert INTRO.saturation_bound == 0
         spec = LambdaSpec(enumeration=NSet.of(1, 2, 3, 5, INF))
-        assert not spec.values_complete_by(0)
-        assert spec.values_complete_by(1)
+        assert spec.limit() == NSet.of(1, 2, 3, 5, INF) and spec.saturation_bound == 0
+        spec = LambdaSpec(quadrants=QuadrantRules(NSet.of(2), NSet.of(5, INF), NSet.of(7, 11)))
+        assert spec.limit("both_one") == NSet.of(5, INF)
+        assert spec.limit() == NSet.of(2, 5, 7, 11, INF)
 
     def test_level_assignment_values_match_value_lookup(self):
         spec = LambdaSpec(

@@ -124,9 +124,11 @@ class TestEvalConstruction:
         result = eval_construction(spec, oracle, 3)
         assert result.value == nset_product(NSet.of(5), target)
 
-    def test_convergence_needs_stability(self):
-        assert not eval_construction(INTRO, SIMPLE, 1).converged
-        assert eval_construction(INTRO, SIMPLE, 2).converged
+    def test_convergence_is_reaching_the_limit(self):
+        # level 0 shows 2 and level 1 shows 3, the whole invariant
+        assert not eval_construction(INTRO, SIMPLE, 0).converged
+        assert eval_construction(INTRO, SIMPLE, 1).converged
+        assert eval_construction(LambdaSpec(default=3), SIMPLE, 0).converged
 
     def test_convergence_needs_exhausted_spec(self):
         spec = LambdaSpec(
@@ -275,10 +277,9 @@ class TestFamilyPlan:
         assert plan.evaluate() == every_gadget_evaluation(plan)
 
     def test_gadgets_sharing_a_pair_multiply(self):
-        roles = ("A", "B", "C")
         plan = FamilyPlan(3, ((1, 6, 1), (6, 1, INF), (1, INF, 1)), (
-            GadgetAssignment((0, 1), 2, roles), GadgetAssignment((1, 0), 3, roles),
-            GadgetAssignment((1, 2), INF, ("C", "A", "B"))))
+            GadgetAssignment((0, 1), 2), GadgetAssignment((1, 0), 3),
+            GadgetAssignment((1, 2), INF)))
         assert plan.pairwise_invariant(1, 0) == NSet.of(6)
         assert plan.pairwise_table() == every_gadget_table(plan)
         assert plan.evaluate() == every_gadget_evaluation(plan) == NSet.of(1, 6, INF)

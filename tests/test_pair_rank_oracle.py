@@ -13,9 +13,9 @@ visit, so there ``cell_values`` is compared with the rank-by-rank walk the
 library used before it walked each leading cell.  The ``per_cell_*``
 references are the grid builder, table reader and table level that formed
 one union and one product per cell, before each was formed once per distinct
-pair of value sets.  ``segment_value_set`` and ``segment_complete_level`` are
-the level sets and the completeness level as they read every level's segment
-table, before levels past the saturation bound were read from the value lists.
+pair of value sets.  ``segment_value_set`` is the level set as it read every
+level's segment table, before levels past the saturation bound were read from
+the value lists.
 """
 
 from bisect import bisect_right
@@ -34,6 +34,7 @@ from puklab.indices import (
     MultiIndex,
     Override,
     QuadrantRules,
+    cross_pair_count,
     index_count,
     iter_cross_pairs,
     iter_sibling_pairs,
@@ -294,17 +295,6 @@ def segment_value_set(spec, r, quadrant) -> NSet:
     return NSet(out)
 
 
-def segment_complete_level(spec) -> int:
-    """``_complete_level`` as it read the lists from a segment table and each level's slices."""
-    top = max(spec.max_override_level(), 0)
-    listed = {v for s in spec._segments(top + 1) for v in s[3]}
-    seen, r = set(), -1
-    while r < top or not listed <= seen:
-        r += 1
-        seen |= segment_value_set(spec, r, None)
-    return r
-
-
 def sibling_pair_at(r, pos):
     """The pair at ``pos`` of the level-``r`` sibling stream, without streaming."""
     # the last index with at most pos pairs before it has pos among its mates
@@ -368,11 +358,28 @@ all_specs = st.one_of(stream_specs, quadrant_specs)
 # level 3's 3,840 are not, so whole lists first show at level 2 or 3
 long_nsets_st = st.lists(st.one_of(st.integers(1, 400), st.just(INF)),
                          min_size=7, max_size=130, unique=True).map(NSet)
+
+
+def boundary_spec(side: str, r: int, delta: int) -> LambdaSpec:
+    """Quadrant lists of ``{1}`` but one, as long as level ``r``'s stream for it plus ``delta``.
+
+    The long list is ``both_one``'s, against a branch half of the sibling
+    stream, or ``mixed``'s, against the cross stream: the saturation bound
+    turns on these lengths.
+    """
+    count = sibling_pair_count(r) // 2 if side == "branch" else cross_pair_count(r)
+    one, long = NSet.of(1), NSet(range(2, count + delta + 2))
+    return LambdaSpec(quadrants=QuadrantRules(one, long, one) if side == "branch"
+                      else QuadrantRules(one, one, long))
+
+
 saturation_specs = st.one_of(
     st.builds(lambda e, o: LambdaSpec(enumeration=e, overrides=o), long_nsets_st,
               overrides_st()),
     st.builds(lambda e, f, g: LambdaSpec(quadrants=QuadrantRules(e, f, g)),
               *[st.one_of(nsets_st, long_nsets_st)] * 3),
+    st.builds(boundary_spec, st.sampled_from(["branch", "cross"]), st.sampled_from([1, 2]),
+              st.sampled_from([-1, 0, 1])),
 )
 
 
@@ -521,13 +528,25 @@ def test_value_sets_match_stream(spec):
 @given(spec=st.one_of(all_specs, saturation_specs))
 # the 1,024 cross pairs of level 2 are short of mixed's 1,100 values: only level 3 shows them all
 @example(spec=LambdaSpec(quadrants=QuadrantRules(NSet.of(2), NSet.of(3), NSet(range(1, 1101)))))
-def test_value_sets_and_completeness_match_the_segment_tables(spec):
+def test_value_sets_match_the_segment_tables(spec):
     # past the saturation level no table is read: the sets must still be each level's
-    complete = segment_complete_level(spec)
     for r in range(-1, 9):
         for quadrant in QUADRANT_NAMES:
             assert spec.value_set_at_level(r, quadrant) == segment_value_set(spec, r, quadrant)
-        assert spec.values_complete_by(r) == (r >= complete)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("side", ["branch", "cross"])
+def test_saturation_bound_turns_on_the_list_lengths(side, r, delta):
+    # a list no longer than level r's stream shows whole from level r on; one more value
+    # waits a level, so a bound one level early gives level r the whole list
+    spec = boundary_spec(side, r, delta)
+    assert spec.saturation_bound == (r - 1 if delta <= 0 else r)
+    for quadrant in QUADRANT_NAMES:
+        sets = [segment_value_set(spec, s, quadrant) for s in range(r + 3)]
+        assert [spec.value_set_at_level(s, quadrant) for s in range(r + 3)] == sets
+        assert spec.limit(quadrant) == union_all(sets)
 
 
 def test_overrides_covering_a_level_hide_the_default():
@@ -546,37 +565,39 @@ def test_overrides_covering_a_level_hide_the_default():
 def test_overrides_covering_a_level_do_not_complete_it(spec):
     assert spec.value_set_at_level(0) | spec.value_set_at_level(1) == NSet.of(2)
     assert not spec.value_set_at_level(2).issubset(NSet.of(2))
-    assert not spec.values_complete_by(1)
     assert not eval_construction(spec, SIMPLE, 1).converged
-    assert spec.values_complete_by(2)
+    assert eval_construction(spec, SIMPLE, 2).converged
+
+
+def streams_reach_past_the_bound(spec) -> bool:
+    """Whether the streams visit every level up to two past the saturation bound."""
+    return spec.saturation_bound + 2 <= (2 if spec.quadrants is not None else 3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(spec=all_specs)
-def test_values_complete_by_holds_on_later_levels(spec):
-    # a complete level r: levels r + 1 … 3 carry only values seen by r
-    top = 2 if spec.quadrants is not None else 3
-    seen = NSet()
-    for r in range(top):
-        seen = seen | streamed_value_set(spec, r, None)
-        if spec.values_complete_by(r):
-            for s in range(r + 1, top + 1):
-                assert streamed_value_set(spec, s, None).issubset(seen)
+@given(spec=st.one_of(all_specs, saturation_specs).filter(streams_reach_past_the_bound))
+def test_limit_and_convergence_match_the_streamed_levels(spec):
+    # levels past the bound repeat the lists, so the truncation two levels past it is the
+    # whole invariant: converged must say exactly whether a truncation reached it
+    levels = range(spec.saturation_bound + 3)
+    streamed = [streamed_cells(spec, r) for r in levels]
+    for quadrant in QUADRANT_NAMES:
+        sets = [NSet(set().union(*cells[quadrant].values())) for cells in streamed]
+        assert spec.limit(quadrant) == union_all(sets)
+        for constant in (NSet.of(1), NSet.of(2, 3)):
+            whole = union_all([nset_product(s, constant) for s in sets])
+            for r_max in range(4):
+                got = eval_construction(spec, CutdownOracle.constant(constant), r_max, quadrant)
+                assert got.converged == (got.value == whole)
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=all_specs)
-def test_values_complete_by_matches_its_per_level_definition(spec):
-    # complete by r: no override past r, and the value lists of level r + 1,
-    # which carries no override, lie inside the values the streams showed by r
-    q = spec.quadrants
-    listed = (q.both_zero | q.both_one | q.mixed if q is not None
-              else spec.enumeration or NSet.of(spec.default))
-    seen = NSet()
-    for r in range(4):
-        if not listed <= seen:  # once it holds, deeper levels cannot undo it
-            seen = seen | streamed_value_set(spec, r, None)
-        assert spec.values_complete_by(r) == (r >= spec.max_override_level() and listed <= seen)
+def test_table_convergence_does_not_wait_for_an_override_already_shown():
+    # level 2's override carries the value levels 0 and 1 already show: by level 1 the
+    # spec has shown its whole limit, and the last level added nothing
+    spec = LambdaSpec(default=2, overrides=(Override(2, *SIBLINGS[2][0], 2),))
+    assert spec.saturation_bound == 2 and spec.limit() == NSet.of(2)
+    got = eval_construction(spec, constant_table(2, "1,3"), 1)
+    assert got.value == NSet.of(2, 6) and got.converged
 
 
 def branch_one_pair(r):
