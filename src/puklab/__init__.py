@@ -37,10 +37,10 @@ def _lazy_module(name: str):
     return module
 
 
-algebra, config, constructions, diagrams, errors, indices, invariant, nsets = (
+algebra, config, constructions, diagrams, errors, gadgets, indices, invariant, nsets = (
     _lazy_module(f"{__name__}.{name}")
-    for name in ("algebra", "config", "constructions", "diagrams", "errors", "indices",
-                 "invariant", "nsets")
+    for name in ("algebra", "config", "constructions", "diagrams", "errors", "gadgets",
+                 "indices", "invariant", "nsets")
 )
 
 # each layer's public names, served by ``__getattr__`` from the layer itself
@@ -48,13 +48,13 @@ _PUBLIC = {
     "algebra": ("AlgebraBasis", "SpectrumReport", "commutant", "cutdown_spectrum",
                 "finite_puk_spectrum", "generate_algebra", "minimal_projections",
                 "mixed_spectrum", "orthonormalize_span"),
-    "constructions": ("FamilySpanReport", "ShiftGadget", "TruncatedAutomorphism",
-                      "build_gadget", "family_span_check", "intertwiner_check",
-                      "intertwiner_grams", "keyclaim_check", "truncated_masa_pair"),
+    "constructions": ("ShiftGadget", "TruncatedAutomorphism", "build_gadget",
+                      "intertwiner_grams", "truncated_masa_pair"),
     "core": ("GnsSpace", "TracedAlgebraShape", "adjoint", "normalized_trace", "tensor"),
     "diagrams": ("MultiplicityDiagram", "diagram_from_construction", "diagram_from_numeric",
                  "render"),
     "errors": (),
+    "gadgets": ("FamilySpanReport", "family_span_check", "intertwiner_check", "keyclaim_check"),
     "indices": ("ROOT", "GlueReport", "LambdaSpec", "MultiIndex", "Override", "QuadrantRules",
                 "fiber", "glue_check", "index_count", "iter_indices",
                 "iter_sibling_pairs", "pipe", "restrict", "sibling_pair_count"),

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a verification suite breaches its tolerance,
 2 on malformed input, and 141 (128 + SIGPIPE) when the reader of the output
 closes it early.  The keyclaim and intertwiner suites print, per case
-``(n, m)``, the one defect their ``constructions`` check returns (the
+``(n, m)``, the one defect their ``gadgets`` check returns (the
 intertwiner's is the largest over all pairs ``r < s``), against ``SUITE_TOL``
 times the expected size ``n^{-(2m+1)}`` of the inner products; the span
 tolerance is ``SUITE_TOL`` times the smallest Gram diagonal entry.  The three
@@ -28,7 +28,7 @@ import os
 import sys
 from functools import partial
 
-from . import algebra, constructions, diagrams, indices, invariant, nsets
+from . import algebra, constructions, diagrams, gadgets, indices, invariant, nsets
 from . import config as cfg
 from .errors import InvalidInputError, PuklabError
 
@@ -166,9 +166,9 @@ def _tolerance_note(defect: float, tolerance: float) -> str:
 
 
 def _run_scaled(suite: str, measure: str, max_dim: int):
-    """Each case's ``constructions.<suite>_check`` defect against ``SUITE_TOL·n^{−(2m+1)}``."""
+    """Each case's ``gadgets.<suite>_check`` defect against ``SUITE_TOL·n^{−(2m+1)}``."""
     # looked up per run, so a replaced check is the one run
-    check = getattr(constructions, f"{suite}_check")
+    check = getattr(gadgets, f"{suite}_check")
     for n, m in _construction_range(max_dim):
         defect = check(n, m)
         tol = SUITE_TOL * float(n) ** (-(2 * m + 1))
@@ -180,7 +180,7 @@ def _run_span(max_dim: int):
     for n, m in _construction_range(max_dim):
         if m < 1:
             continue
-        rep = constructions.family_span_check(n, m)
+        rep = gadgets.family_span_check(n, m)
         tol = SUITE_TOL * rep.min_gram_diag
         good = (
             rep.rank == rep.count == n ** (2 * m)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import _lazy_module
 from .errors import ResourceGuardError, ShapeMismatchError
 
-np = _lazy_module("numpy")  # runs on the first array: the exact certificates never load it
+np = _lazy_module("numpy")  # runs on the first array, not when a layer imports core
 
 # Entrywise tolerance for identities that hold exactly in exact arithmetic.
 ENTRY_TOL = 1e-12

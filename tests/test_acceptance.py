@@ -16,17 +16,11 @@ from puklab.algebra import (
     minimal_projections,
     mixed_spectrum,
 )
-from puklab.constructions import (
-    countable_family_plan,
-    family_span_check,
-    intertwiner_check,
-    intertwiner_grams,
-    keyclaim_check,
-    truncated_masa_pair,
-)
+from puklab.constructions import intertwiner_grams, truncated_masa_pair
 from puklab.core import GnsSpace, TracedAlgebraShape
 from puklab.diagrams import diagram_from_construction
 from puklab.errors import NonSingletonInfiniteError
+from puklab.gadgets import family_span_check, intertwiner_check, keyclaim_check
 from puklab.indices import (
     LambdaSpec,
     Override,
@@ -43,6 +37,7 @@ from puklab.invariant import (
     choose_lambda_for_e,
     choose_lambda_for_efg,
     cor_plan_1_in_puk,
+    countable_family_plan,
     eval_construction,
 )
 from puklab.nsets import (

@@ -81,6 +81,10 @@ class TestGenerateAlgebra:
     def test_identity_alone(self):
         assert generate_algebra([np.eye(2)]).dim == 1
 
+    def test_generators_on_different_spaces_are_refused(self):
+        with pytest.raises(ValueError, match=r"generators act on different spaces: \[2, 3\]"):
+            generate_algebra([np.eye(2), np.eye(3)])
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_diagonal_masa(self, n):
         assert generate_algebra(diag_units(n)).dim == n
@@ -246,6 +250,11 @@ class TestMinimalProjections:
     def test_not_abelian(self):
         with pytest.raises(NotAbelianError):
             minimal_projections(generate_algebra(matrix_units(2)), seed=0)
+
+    def test_zero_dimensional_algebra_has_no_projections(self):
+        rep = minimal_projections(AlgebraBasis(3, np.zeros((0, 3, 3), dtype=complex)), seed=0)
+        assert rep.multiplicities == ()
+        assert rep.blocks.shape == (0, 3, 3) and rep.blocks.dtype == complex
 
     def test_cluster_count_short_of_dimension_raises_at_once(self, monkeypatch):
         # span{diag(1, 0, 0)} has no unit: the certified eigenbasis also splits

@@ -62,21 +62,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.fft import fft, fftn, ifft, ifftn
 
-from puklab import constructions, core
+from puklab import constructions, core, gadgets
 from puklab.cli import SUITE_TOL
 from puklab.constructions import (
-    FamilySpanReport,
     ShiftGadget,
     TruncatedAutomorphism,
     _shift_eigenvectors,
     _unitary_kernel,
     build_gadget,
-    family_span_check,
-    intertwiner_check,
     intertwiner_grams,
-    keyclaim_check,
 )
 from puklab.core import tensor
+from puklab.gadgets import FamilySpanReport, family_span_check, intertwiner_check, keyclaim_check
 
 CAP = 1296
 TOL = 1e-13
@@ -373,7 +370,7 @@ def float_intertwiner_check(n, m):
 
 
 EXACT = {"keyclaim": keyclaim_check, "span": family_span_check, "intertwiner": intertwiner_check}
-THETA_EDGES = constructions._symbol_edges
+THETA_EDGES = gadgets._symbol_edges
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
@@ -397,7 +394,7 @@ def assert_exact_verdict_matches_float_oracle(suite, n, m, edges, classes):
     ``s`` pair exactly when ``t ≡ s`` mod ``n / classes``.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_symbol_edges",
+        mp.setattr(gadgets, "_symbol_edges",
                    patched_edges(m - 1 if suite == "span" else m, edges))
         if classes is None:
             with pytest.raises(ValueError):
@@ -468,7 +465,7 @@ def test_reweighted_edges_pass_fail_or_are_refused_as_the_float_oracle_reads(sui
 def test_exact_route_refuses_where_the_float_intertwiner_fails():
     # slot 2 solved for by the weight 2 mod 4: the float blocks of f_r and f_s disagree
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_symbol_edges",
+        mp.setattr(gadgets, "_symbol_edges",
                    lambda d, kind="theta": reweighted(d, 2, 2) if d >= 2 else THETA_EDGES(d, kind))
         assert float_intertwiner_check(4, 2) > SUITE_TOL * 4.0 ** -5
         for check in (keyclaim_check, family_span_check, intertwiner_check):
@@ -533,7 +530,7 @@ def test_intertwiner_grams_read_a_mutated_symbol_as_the_float_route_does(data):
     edges, _ = mutated_edges(data.draw, n, m)
     r, s = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "_symbol_edges", patched_edges(m, edges))
+        mp.setattr(gadgets, "_symbol_edges", patched_edges(m, edges))
         for got, want in zip(intertwiner_grams(n, m, r, s), float_intertwiner_grams(n, m, r, s)):
             assert np.max(np.abs(got - want)) <= ROUNDING
 

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puklab import algebra, cli, constructions
+from puklab import algebra, cli, gadgets
 from puklab import config as cfg
 from puklab.algebra import SPAN_RTOL, commutant, generate_algebra
 from puklab.cli import SUITES, _construction_range, main
-from puklab.constructions import family_span_check
 from puklab.core import GnsSpace, TracedAlgebraShape
 from puklab.errors import InvalidInputError
+from puklab.gadgets import family_span_check
 from puklab.indices import LambdaSpec, Override, QuadrantRules, level_zero
 from puklab.invariant import CutdownOracle
 from puklab.nsets import INF, NSet
@@ -398,7 +398,7 @@ class TestRelativeTolerance:
 
     def test_keyclaim(self, monkeypatch, capsys):
         # within the tolerance 5e-11 of n=2, m=0; over the 1.25e-11 of n=2, m=1
-        monkeypatch.setattr(constructions, "keyclaim_check", lambda n, m: 5e-11)
+        monkeypatch.setattr(gadgets, "keyclaim_check", lambda n, m: 5e-11)
         assert main(["verify", "--suite", "keyclaim", "--max-dim", "16"]) == 1
         assert "suite keyclaim: FAIL" in capsys.readouterr().out
 
@@ -407,7 +407,7 @@ class TestRelativeTolerance:
             # the smallest Gram diagonal is n^{-2m}, 0.25 at n=2, m=1
             return replace(family_span_check(n, m), max_offdiag=5e-11)
 
-        monkeypatch.setattr(constructions, "family_span_check", noisy)
+        monkeypatch.setattr(gadgets, "family_span_check", noisy)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         assert "suite span: FAIL" in capsys.readouterr().out
 
@@ -417,19 +417,19 @@ class TestRelativeTolerance:
             rep = family_span_check(n, m)
             return replace(rep, rank=rep.count - n**m, margin=0.5)
 
-        monkeypatch.setattr(constructions, "family_span_check", uncertified)
+        monkeypatch.setattr(gadgets, "family_span_check", uncertified)
         assert main(["verify", "--suite", "span", "--max-dim", "16"]) == 1
         out = capsys.readouterr().out
         assert "span n=2 m=1: 4 elements, rank 2," in out
         assert "suite span: FAIL" in out
 
     def test_intertwiner(self, monkeypatch, capsys):
-        exact = constructions.intertwiner_check
+        exact = gadgets.intertwiner_check
 
         def noisy(n, m):
             return exact(n, m) + 5e-11
 
-        monkeypatch.setattr(constructions, "intertwiner_check", noisy)
+        monkeypatch.setattr(gadgets, "intertwiner_check", noisy)
         assert main(["verify", "--suite", "intertwiner", "--max-dim", "16"]) == 1
         out = capsys.readouterr().out
         assert "intertwiner n=2 m=0: max defect 5.000e-11" in out

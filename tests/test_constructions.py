@@ -16,15 +16,13 @@ from puklab.algebra import mixed_spectrum
 from puklab.constructions import (
     TruncatedAutomorphism,
     build_gadget,
-    countable_family_plan,
-    family_span_check,
-    intertwiner_check,
     intertwiner_grams,
-    keyclaim_check,
     truncated_masa_pair,
 )
 from puklab.core import TracedAlgebraShape, normalized_trace, tensor
 from puklab.errors import InvalidLambdaError, ResourceGuardError
+from puklab.gadgets import family_span_check, intertwiner_check, keyclaim_check
+from puklab.invariant import countable_family_plan
 from puklab.nsets import INF, NSet
 
 

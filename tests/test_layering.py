@@ -1,10 +1,11 @@
 """The package's imports run one way: numerical modules may import symbolic ones, never back.
 
 ``core`` binds numpy lazily and ``algebra`` and ``constructions`` take it from
-there, so numpy runs only when the first array is built: the exact ``verify``
-suites never load it.  The symbolic modules import neither the numerical ones
-nor numpy when they run, so ``plan``, ``puk-eval`` and ``render`` work in a
-process where numpy cannot be imported at all.
+there, so numpy runs only when the first array is built.  The symbolic
+modules, ``gadgets`` among them, import neither the numerical ones nor numpy
+when they run, so ``plan``, ``puk-eval``, ``render`` and the exact ``verify``
+suites, which run ``gadgets`` alone, work in a process where numpy cannot be
+imported at all.
 
 ``import puklab`` runs no layer: it binds every one but ``core`` and ``cli``
 lazily and resolves the public names on first access, and ``cli`` and
@@ -29,7 +30,8 @@ from puklab.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "puklab"
 
-SYMBOLIC = ("errors", "nsets", "indices", "invariant", "diagrams", "config", "__init__")
+SYMBOLIC = ("errors", "nsets", "indices", "invariant", "diagrams", "config", "gadgets",
+            "__init__")
 NUMERIC = {"puklab.core", "puklab.algebra", "puklab.constructions"}
 
 PUBLIC = (
@@ -162,13 +164,19 @@ def rendered(argv) -> str | None:
     return Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
 
 
-def test_symbolic_commands_run_without_numpy(tmp_path, capsys):
-    commands = symbolic_commands(tmp_path)
+def runs_without_numpy(commands) -> list[list]:
+    """The exit code and stdout of each of ``commands``, run in one fresh process with numpy
+    blocked."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(commands), env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_symbolic_commands_run_without_numpy(tmp_path, capsys):
+    commands = symbolic_commands(tmp_path)
+    runs = runs_without_numpy(commands)
     files = [rendered(argv) for argv in commands]
     for argv, (code, stdout), text in zip(commands, runs, files):
         # the same exit code, stdout and file as a run in this process, with numpy loaded
@@ -227,6 +235,14 @@ EXACT_SUITES = [["verify", "--suite", suite, *cap] for cap in ([], ["--max-dim",
                 for suite in ("keyclaim", "span", "intertwiner")]
 
 
+def test_exact_suites_run_without_numpy(capsys):
+    for argv, (code, stdout) in zip(EXACT_SUITES, runs_without_numpy(EXACT_SUITES)):
+        # the same exit code and stdout as a run in this process, with numpy loaded
+        assert code == 0, argv
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout, argv
+
+
 def test_exact_suites_run_without_loading_numpy(tmp_path, capsys):
     commands = [*EXACT_SUITES, ["spectrum", "--config", masa_config(tmp_path)]]
     runs = fresh_runs(commands, capsys)
@@ -238,8 +254,7 @@ def test_exact_suites_run_without_loading_numpy(tmp_path, capsys):
 
 # the commands of one fresh process, and the package modules run after each of them
 LAYERS_RUN = {
-    "exact suites": (lambda tmp_path: EXACT_SUITES,
-                     {"puklab", "cli", "errors", "constructions", "core"}),
+    "exact suites": (lambda tmp_path: EXACT_SUITES, {"puklab", "cli", "errors", "gadgets"}),
     "glue": (lambda tmp_path: [["verify", "--suite", "glue"]],
              {"puklab", "cli", "errors", "indices", "nsets"}),
     "spectrum": (lambda tmp_path: [["spectrum", "--config", masa_config(tmp_path)]],

@@ -25,7 +25,7 @@ from test_certificate_oracle import (
     intertwiner_blocks,
 )
 
-from puklab import algebra, cli, constructions, core
+from puklab import algebra, cli, constructions, core, gadgets
 from puklab.algebra import (
     AlgebraBasis,
     commutant,
@@ -36,17 +36,11 @@ from puklab.algebra import (
     relative_commutant_dim,
 )
 from puklab.cli import _construction_range
-from puklab.constructions import (
-    TruncatedAutomorphism,
-    family_span_check,
-    intertwiner_check,
-    intertwiner_grams,
-    keyclaim_check,
-    truncated_masa_pair,
-)
 from puklab.config import lambda_from_config
+from puklab.constructions import TruncatedAutomorphism, intertwiner_grams, truncated_masa_pair
 from puklab.core import TracedAlgebraShape, check_workspace
 from puklab.errors import NotAbelianError, ResourceGuardError
+from puklab.gadgets import family_span_check, intertwiner_check, keyclaim_check
 from puklab.indices import LambdaSpec, MultiIndex
 from puklab.invariant import CutdownOracle, eval_construction
 from puklab.nsets import NSet
@@ -188,7 +182,7 @@ def test_span_past_the_old_refusal_stays_within_declared_workspace(declared):
 def test_intertwiner_comparisons_stay_within_declared_workspace(declared, monkeypatch):
     # n = 128 at m = 0 compares 8,128 pairs at once: the pairs' indices and both gathered
     # stacks come to 3·8,128 entries beside the 128 blocks, over the slack on their own
-    monkeypatch.setattr(constructions, "intertwiner_check", float_intertwiner_check)
+    monkeypatch.setattr(gadgets, "intertwiner_check", float_intertwiner_check)
     verdicts = []
     assert_within_declared(declared, "intertwiner suite", lambda: verdicts.extend(
         good for good, _ in cli._RUNNERS["intertwiner"](16384)))
@@ -298,6 +292,26 @@ def test_minimal_projections_of_a_masa_stays_within_declared_workspace(declared)
         # the eigenbasis, then the projections stacked beside it: each held to its own count
         assert_within_declared(declared, f"C^{n}", lambda: minimal_projections(alg, seed=0))
         assert len(declared) == 2
+
+
+def test_declared_counts_are_their_closed_forms(declared):
+    # each stage declares its documented count, not only a count its peak fits under
+    rng = np.random.default_rng(5)
+    D, k = 6, 2
+    gens = [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for _ in range(k)]
+    declared.clear()
+    alg = generate_algebra(gens)
+    # the first batch: k generators with their scaled copies and multipliers, the basis
+    # thrice at dimension 1, and the 2k + 1 candidates with their SVD
+    assert declared[0][0] == (4 * k + 3 + 7 * (2 * k + 1)) * D * D
+    declared.clear()
+    commutant(alg)
+    assert [entries for entries, _ in declared] == [6 * D**4]
+    masa = generate_algebra(rotated_masa(rng, D))
+    declared.clear()
+    minimal_projections(masa, seed=0)
+    # the eigenbasis, then the projections with it and one span residual
+    assert len(declared) == 2 and declared[1][0] == (masa.dim + 3) * D * D
 
 
 @pytest.mark.parametrize("n", [4, 9, 16])
